@@ -64,6 +64,7 @@ from .objective import (
     sample_pairs,
     tabular_min_oracle,
     train,
+    train_grid,
     whiten,
 )
 from .probe import (

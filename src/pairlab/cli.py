@@ -746,8 +746,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="output directory (writes a manifest)")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the training seed")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for independent grid cells")
 
     common(sub.add_parser("graph-info", help="graph size / components / spectrum"))
     common(sub.add_parser("spectrum", help="leading eigenvalues to CSV"))

@@ -10,6 +10,8 @@ Four classes of functions from vertex coordinates to R^k:
 Models are value types: a class tag, a shape descriptor, and a flat float64
 parameter vector.  `forward` evaluates on a graph's vertex set, and
 `grad_params` is the exact adjoint (the gradient of <forward, cotangent>).
+Both are the one-model case of `StackedClass`, which evaluates B parameter
+vectors of a class at once (the trainer's stacked cells).
 
 The closed-form constructions verify their own output semantics on every
 vertex before returning; displayed bias constants are checked and, if they
@@ -52,14 +54,6 @@ class RepresentationModel:
     @property
     def k(self) -> int:
         return self.shape["k"]
-
-    def with_params(self, params: np.ndarray) -> "RepresentationModel":
-        return RepresentationModel(
-            class_tag=self.class_tag,
-            shape=dict(self.shape),
-            params=np.asarray(params, dtype=np.float64).copy(),
-            meta=dict(self.meta),
-        )
 
 
 @dataclass(frozen=True)
@@ -126,55 +120,73 @@ def spec_for_graph(class_tag: str, k: int, graph: PositivePairGraph, s: int = 0,
     )
 
 
-def _unpack(model: RepresentationModel):
-    tag, shape, p = model.class_tag, model.shape, model.params
-    if tag == "tabular":
-        return (p.reshape(shape["n"], shape["k"]),)
-    if tag == "linear":
-        return (p.reshape(shape["k"], shape["d"]),)
-    if tag == "relu":
-        k, d = shape["k"], shape["d"]
-        return p[: k * d].reshape(k, d), p[k * d:]
-    if tag == "conv":
-        k, s = shape["k"], shape["s"]
-        return p[: k * s].reshape(k, s), p[k * s:]
-    raise UnknownClass(f"unknown class tag {tag!r}")
-
-
 def _window_index(d: int, s: int) -> np.ndarray:
     return (np.arange(d)[:, None] + np.arange(s)[None, :]) % d
 
 
-def _check_dims(model: RepresentationModel, graph: PositivePairGraph) -> None:
-    if model.class_tag == "tabular":
-        if model.shape["n"] != graph.n:
-            raise DimensionMismatch(
-                f"tabular model for n={model.shape['n']} evaluated on n={graph.n}"
-            )
-    elif model.shape.get("d", graph.d) != graph.d:
-        raise DimensionMismatch(
-            f"model d={model.shape['d']} vs graph d={graph.d}"
-        )
+class StackedClass:
+    """Forward pass and its adjoint for B parameter vectors of one class.
+
+    Parameters come stacked as a (B, P) array, one flat vector per row,
+    and representations go out as a (B, n, k) array.  `forward` returns
+    that array and the pre-activation the adjoint needs; `adjoint` maps a
+    (B, n, k) cotangent back to the (B, P) gradient.  The ReLU subgradient
+    at exactly 0 is taken to be 0.
+    """
+
+    def __init__(self, class_tag: str, shape: Dict[str, int],
+                 graph: PositivePairGraph):
+        if class_tag not in CLASS_TAGS:
+            raise UnknownClass(f"unknown class tag {class_tag!r}")
+        if class_tag == "tabular":
+            if shape["n"] != graph.n:
+                raise DimensionMismatch(
+                    f"tabular model for n={shape['n']} evaluated on n={graph.n}")
+        elif shape.get("d", graph.d) != graph.d:
+            raise DimensionMismatch(f"model d={shape['d']} vs graph d={graph.d}")
+        self.tag = class_tag
+        self.n, self.k = graph.n, shape["k"]
+        # the inputs each unit sees: vertex coordinates, or for conv every
+        # circular window of every vertex, (n*d, s)
+        self.inputs = graph.vertices
+        if class_tag == "conv":
+            self.inputs = graph.vertices[:, _window_index(graph.d, shape["s"])].reshape(
+                graph.n * graph.d, shape["s"])
+        self.n_weights = self.k * self.inputs.shape[1]   # the biases follow
+
+    def forward(self, params: np.ndarray):
+        B, n, k = params.shape[0], self.n, self.k
+        if self.tag == "tabular":
+            return params.reshape(B, n, k), None
+        U = params[:, :self.n_weights].reshape(B, k, -1).transpose(0, 2, 1)
+        pre = np.matmul(self.inputs, U)
+        if self.tag == "linear":
+            return pre, None
+        pre += params[:, None, self.n_weights:]
+        if self.tag == "relu":
+            return np.maximum(pre, 0.0), pre
+        pre = pre.reshape(B, n, -1, k)
+        return np.maximum(pre, 0.0).sum(axis=2), pre
+
+    def adjoint(self, pre, cotangent: np.ndarray) -> np.ndarray:
+        B = cotangent.shape[0]
+        if self.tag == "tabular":
+            return cotangent.reshape(B, -1)
+        if self.tag == "linear":
+            return np.matmul(cotangent.transpose(0, 2, 1), self.inputs).reshape(B, -1)
+        if self.tag == "relu":
+            G = cotangent * (pre > 0.0)
+        else:
+            G = (cotangent[:, :, None, :] * (pre > 0.0)).reshape(B, -1, self.k)
+        dU = np.matmul(G.transpose(0, 2, 1), self.inputs)
+        return np.concatenate([dU.reshape(B, -1), G.sum(axis=1)], axis=1)
 
 
 def forward(model: RepresentationModel, graph: PositivePairGraph) -> np.ndarray:
     """n x k representation matrix of the model on the graph's vertices."""
-    _check_dims(model, graph)
-    X = graph.vertices
-    tag = model.class_tag
-    if tag == "tabular":
-        (F,) = _unpack(model)
-        return F.copy()
-    if tag == "linear":
-        (U,) = _unpack(model)
-        return X @ U.T
-    if tag == "relu":
-        U, b = _unpack(model)
-        return np.maximum(X @ U.T + b, 0.0)
-    U, b = _unpack(model)
-    windows = X[:, _window_index(graph.d, model.shape["s"])]   # (n, d, s)
-    pre = np.einsum("nts,ks->ntk", windows, U) + b
-    return np.maximum(pre, 0.0).sum(axis=1)
+    F, _ = StackedClass(model.class_tag, model.shape, graph).forward(
+        model.params[None, :])
+    return F[0].copy()
 
 
 def grad_params(model: RepresentationModel, graph: PositivePairGraph,
@@ -183,29 +195,14 @@ def grad_params(model: RepresentationModel, graph: PositivePairGraph,
 
     The ReLU subgradient at exactly 0 is taken to be 0.
     """
-    _check_dims(model, graph)
+    net = StackedClass(model.class_tag, model.shape, graph)
     C = np.asarray(cotangent, dtype=np.float64)
     if C.shape != (graph.n, model.k):
         raise DimensionMismatch(
             f"cotangent shape {C.shape}, expected {(graph.n, model.k)}"
         )
-    X = graph.vertices
-    tag = model.class_tag
-    if tag == "tabular":
-        return C.ravel().copy()
-    if tag == "linear":
-        return (C.T @ X).ravel()
-    if tag == "relu":
-        U, b = _unpack(model)
-        pre = X @ U.T + b
-        G = C * (pre > 0.0)
-        return np.concatenate([(G.T @ X).ravel(), G.sum(axis=0)])
-    U, b = _unpack(model)
-    windows = X[:, _window_index(graph.d, model.shape["s"])]
-    pre = np.einsum("nts,ks->ntk", windows, U) + b
-    G = C[:, None, :] * (pre > 0.0)
-    dU = np.einsum("ntk,nts->ks", G, windows)
-    return np.concatenate([dU.ravel(), G.sum(axis=(0, 1))])
+    _, pre = net.forward(model.params[None, :])
+    return net.adjoint(pre, C[None])[0].copy()
 
 
 def lipschitz_constant(model: RepresentationModel, graph: PositivePairGraph) -> float:

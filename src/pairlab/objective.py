@@ -6,9 +6,22 @@ The population loss of a representation f with matrix F (rows f(x)) is
                + lam * || F^T D F - I ||_F^2,          D = diag(marginal)
 
 and the empirical variant replaces both expectations with averages over a
-drawn pair sample.  Training is deterministic full-batch gradient descent
-(optional heavy-ball momentum, step halving on loss increases, multi-start
-for the nonconvex classes).
+drawn pair sample.  `StackedLoss` evaluates it, fused with its parameter
+gradient, for B parameter vectors at once, each with its own lambda.
+
+Training is deterministic full-batch gradient descent with optional
+heavy-ball momentum, and multi-start for the nonconvex classes.  Every
+cell of a `train` call (each seeded start and each extra starting point)
+and of a `train_grid` call (those, for every lambda of a grid) is one row
+of a single stacked descent.  Each cell keeps its own step size: it halves
+when a candidate does not lower the loss, and grows by 1.2 after every 50
+accepted steps in a row.  A candidate whose loss is non-finite or above
+the divergence limit is such a rejected step; `Divergence` is raised only
+for a starting loss already over the limit, `NonFiniteGradient` only for a
+non-finite starting gradient.  A cell stops after 5 accepted steps in a
+row that lower the loss by at most `tol` (relative), when its step falls
+below `min_step`, or at `max_iters`; it is then frozen and dropped from
+the stacked problem.
 
 Closed-form minimizers: for the tabular class the loss decouples along the
 eigenfunctions of the pair operator, giving an exact per-direction scalar
@@ -24,6 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import (
     Divergence,
@@ -34,8 +48,8 @@ from .errors import (
 from .funclass import (
     FunctionClassSpec,
     RepresentationModel,
+    StackedClass,
     forward,
-    grad_params,
 )
 from .posgraph import PositivePairGraph
 from .spectral import eigendecompose
@@ -76,49 +90,106 @@ def sample_pairs(graph: PositivePairGraph, n_pre: int, seed: int = 0) -> PairSam
 
 
 # ---------------------------------------------------------------------------
-# losses and their representation-space gradients
+# the loss of B stacked cells, fused with its gradient
 
 
-def _loss_pieces_population(graph: PositivePairGraph, F: np.ndarray, lam: float):
-    d = graph.marginal
-    JF = graph.joint_matvec(F)
-    pair = 2.0 * float(np.sum(d * np.einsum("ij,ij->i", F, F)) - np.sum(F * JF))
-    cov = F.T @ (F * d[:, None])
-    gap = cov - np.eye(F.shape[1])
-    reg = float(np.sum(gap * gap))
-    cot = 4.0 * (d[:, None] * F - JF) + (4.0 * lam) * (d[:, None] * (F @ gap))
-    return max(pair, 0.0), reg, cot
+def _left(M, F: np.ndarray) -> np.ndarray:
+    """M (m, n), dense or sparse, applied to every slice of F (B, n, k)."""
+    if isinstance(M, np.ndarray):
+        return np.matmul(M, F)
+    B, n, k = F.shape
+    wide = M @ F.transpose(1, 0, 2).reshape(n, B * k)
+    return wide.reshape(-1, B, k).transpose(1, 0, 2)
 
 
-def _loss_pieces_empirical(sample: PairSample, F: np.ndarray, lam: float,
-                           use_sum_regularizer: bool):
-    n_pre = sample.n_pre
-    i, j = sample.pairs[:, 0], sample.pairs[:, 1]
-    diff = F[i] - F[j]
-    pair = float(np.sum(diff * diff)) / n_pre
+class StackedLoss:
+    """Population or sampled loss of B stacked cells of one class
+    (tag and shape as in `RepresentationModel`).
 
-    # first elements of the pairs carry the covariance estimate
-    w = np.bincount(i, minlength=F.shape[0]).astype(np.float64)
-    if use_sum_regularizer:
-        weights = w
-    else:
-        weights = w / n_pre
-    cov = F.T @ (F * weights[:, None])
-    gap = cov - np.eye(F.shape[1])
-    reg = float(np.sum(gap * gap))
+    A call takes parameters (B, P) and the cells' lambdas (B,) and returns
+    (total, pair, reg, grad): three (B,) arrays and, unless
+    `with_grad=False`, the (B, P) gradient.  Everything that does not
+    depend on the parameters (the class's input arrays, covariance
+    weights, the pair-sample scatter matrix) is built once here.
 
-    cot = np.zeros_like(F)
-    np.add.at(cot, i, (2.0 / n_pre) * diff)
-    np.add.at(cot, j, -(2.0 / n_pre) * diff)
-    cot += (4.0 * lam) * (weights[:, None] * (F @ gap))
-    return pair, reg, cot
+    The population pair term is 2 sum_x d(x)|f(x)|^2 - 2 <F, JF>, clipped
+    at 0; the sampled one is the mean of ||f(x)-f(x')||^2 over the pairs.
+    The covariance weights are the marginal, or for a sample the counts of
+    each vertex as a first pair element, divided by n_pre (the mean) unless
+    `use_sum_regularizer` (the raw sum).
+    """
+
+    def __init__(self, graph: PositivePairGraph, class_tag: str, shape: dict,
+                 sample: Optional[PairSample] = None,
+                 use_sum_regularizer: bool = False):
+        self.net = StackedClass(class_tag, shape, graph)
+        self.eye = np.eye(shape["k"])
+        self.sample = sample
+        if sample is None:
+            self.joint = graph.joint
+            weights = graph.marginal
+        else:
+            if sample.n_pre == 0:
+                raise EmptySample("empirical loss over zero pairs")
+            if sample.pairs.min() < 0 or sample.pairs.max() >= graph.n:
+                raise IndexError("pair sample indices out of range")
+            n_pre = sample.n_pre
+            self.i, self.j = sample.pairs[:, 0], sample.pairs[:, 1]
+            weights = np.bincount(self.i, minlength=graph.n).astype(np.float64)
+            if not use_sum_regularizer:
+                weights = weights / n_pre
+            # a quarter of the pair term's cotangent is
+            # (1/(2 n_pre)) sum_p (e_i - e_j) diff_p
+            cols = np.arange(n_pre)
+            self.scatter = scipy.sparse.csr_array(
+                (np.repeat([0.5 / n_pre, -0.5 / n_pre], n_pre),
+                 (np.concatenate([self.i, self.j]), np.concatenate([cols, cols]))),
+                shape=(graph.n, n_pre))
+        self.weights = weights[:, None]
+
+    def __call__(self, params: np.ndarray, lam: np.ndarray, with_grad: bool = True):
+        F, pre = self.net.forward(params)                # (B, n, k)
+        WF = self.weights * F
+        gap = np.matmul(F.transpose(0, 2, 1), WF)        # the covariance, for now
+        if self.sample is None:
+            JF = _left(self.joint, F)
+            # sum_x d(x)|f(x)|^2 is the trace of the covariance
+            pair = np.maximum(2.0 * (np.einsum("bkk->b", gap)
+                                     - np.einsum("bnk,bnk->b", F, JF)), 0.0)
+        else:
+            diff = F[:, self.i] - F[:, self.j]
+            pair = np.einsum("bpk,bpk->b", diff, diff) / self.sample.n_pre
+        gap -= self.eye
+        reg = np.einsum("bkl,bkl->b", gap, gap)
+        total = pair + lam * reg
+        if not with_grad:
+            return total, pair, reg, None
+        # cotangent 4 (lam W F gap + (D - J) F), or with (D - J) F replaced
+        # by the quarter-scaled pair scatter for a sample
+        cot = np.matmul(F, gap)
+        cot *= lam[:, None, None]
+        cot *= self.weights
+        if self.sample is None:
+            WF -= JF
+            cot += WF
+        else:
+            cot += _left(self.scatter, diff)
+        cot *= 4.0
+        return total, pair, reg, self.net.adjoint(pre, cot)
+
+
+def _single(graph, model, lam, sample, use_sum_regularizer, with_grad):
+    loss = StackedLoss(graph, model.class_tag, model.shape, sample, use_sum_regularizer)
+    total, pair, reg, grad = loss(model.params[None, :], np.array([float(lam)]),
+                                  with_grad)
+    report = LossReport(total=float(total[0]), pair_term=float(pair[0]),
+                        reg_term=float(reg[0]), lam=lam)
+    return report, None if grad is None else grad[0]
 
 
 def population_loss(graph: PositivePairGraph, model: RepresentationModel,
                     lam: float) -> LossReport:
-    F = forward(model, graph)
-    pair, reg, _ = _loss_pieces_population(graph, F, lam)
-    return LossReport(total=pair + lam * reg, pair_term=pair, reg_term=reg, lam=lam)
+    return _single(graph, model, lam, None, False, with_grad=False)[0]
 
 
 def empirical_loss(sample: PairSample, graph: PositivePairGraph,
@@ -126,27 +197,14 @@ def empirical_loss(sample: PairSample, graph: PositivePairGraph,
                    use_sum_regularizer: bool = False) -> LossReport:
     """Sampled loss.  The regularizer uses the mean (1/n_pre) sum f f^T by
     default; `use_sum_regularizer=True` switches to the raw sum."""
-    if sample.n_pre == 0:
-        raise EmptySample("empirical loss over zero pairs")
-    if sample.pairs.min() < 0 or sample.pairs.max() >= graph.n:
-        raise IndexError("pair sample indices out of range")
-    F = forward(model, graph)
-    pair, reg, _ = _loss_pieces_empirical(sample, F, lam, use_sum_regularizer)
-    return LossReport(total=pair + lam * reg, pair_term=pair, reg_term=reg, lam=lam)
+    return _single(graph, model, lam, sample, use_sum_regularizer, with_grad=False)[0]
 
 
 def loss_gradient(graph: PositivePairGraph, model: RepresentationModel,
                   lam: float, sample: Optional[PairSample] = None,
                   use_sum_regularizer: bool = False):
     """(LossReport, flat parameter gradient) for population or sampled loss."""
-    F = forward(model, graph)
-    if sample is None:
-        pair, reg, cot = _loss_pieces_population(graph, F, lam)
-    else:
-        pair, reg, cot = _loss_pieces_empirical(sample, F, lam, use_sum_regularizer)
-    grad = grad_params(model, graph, cot)
-    report = LossReport(total=pair + lam * reg, pair_term=pair, reg_term=reg, lam=lam)
-    return report, grad
+    return _single(graph, model, lam, sample, use_sum_regularizer, with_grad=True)
 
 
 # ---------------------------------------------------------------------------
@@ -174,60 +232,170 @@ def _default_starts(class_tag: str) -> int:
     return 5 if class_tag in ("relu", "conv") else 1
 
 
-def _gd_single(graph, class_spec, lam, config, params0, sample):
-    model = class_spec.model(params0)
-    report, grad = loss_gradient(graph, model, lam, sample,
-                                 config.use_sum_regularizer)
+class _Trace:
+    """Per-iteration pair, reg and total of every cell, and whether the
+    cell accepted its step (1.0) or not (0.0); row 0 is the start."""
+
+    def __init__(self, B: int):
+        self.values = np.zeros((64, 4, B))
+
+    def record(self, it: int, cells: np.ndarray, pair, reg, total, accepted):
+        if it == self.values.shape[0]:
+            self.values = np.concatenate([self.values, np.zeros_like(self.values)])
+        if cells.size == self.values.shape[2]:
+            cells = slice(None)          # no cell has stopped yet
+        row = self.values[it]
+        row[0, cells] = pair
+        row[1, cells] = reg
+        row[2, cells] = total
+        row[3, cells] = accepted
+
+    def of_cell(self, cell: int) -> List[Tuple[int, float, float, float]]:
+        its = np.flatnonzero(self.values[:, 3, cell])
+        return list(zip(its.tolist(), *self.values[its, :3, cell].T.tolist()))
+
+
+def _descend(loss: StackedLoss, params: np.ndarray, lam: np.ndarray,
+             config: TrainConfig, trace: Optional[_Trace]):
+    """Gradient descent on every row of `params` at once.
+
+    Returns the best iterate and best loss of each row.  The rows share
+    nothing but the loop: each keeps its own step size, velocity, accept
+    and flat-step counters, and stops on its own (5 flat accepted steps in
+    a row, or a step below `min_step`), after which it is dropped from the
+    stacked problem.  A candidate is accepted when its loss is at most the
+    current one, so a non-finite candidate, or one over the divergence
+    limit, is a rejected step: its step size halves and its velocity resets.
+    """
+    B = params.shape[0]
+    total, pair, reg, grad = loss(params, lam)
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradient("non-finite gradient at initialization")
-    params = np.asarray(params0, dtype=np.float64).copy()
+    if not np.all(total <= _DIVERGENCE_LIMIT):
+        worst = total[~(total <= _DIVERGENCE_LIMIT)][0]
+        raise Divergence(f"starting loss {worst!r} exceeds {_DIVERGENCE_LIMIT:g}")
+    cells = np.arange(B)
+    if trace is not None:
+        trace.record(0, cells, pair, reg, total, True)
+
+    best_params, best_loss = params.copy(), total.copy()
+    # per-row state; `best` and `cur` are only ever rebound, never written
+    best = cur = params
+    loss_now = total
     vel = np.zeros_like(params)
-    step = config.step_size
-    loss = report.total
-    best_params = params.copy()
-    best_loss = loss
-    trace = [(0, report.pair_term, report.reg_term, report.total)]
-    flat_count = 0
-    accepts = 0
+    step = np.full((B, 1), config.step_size)
+    step_cap = config.step_size * 16
+    # iteration at which a row's step grows by 1.2, 50 accepted steps in a
+    # row after its last rejection (or growth); next_growth is their minimum
+    growth_at = np.full(B, 50)
+    next_growth = 50
+    flat = np.zeros(B, dtype=np.int64)
 
     for it in range(1, config.max_iters + 1):
         if config.momentum > 0:
-            vel = config.momentum * vel - step * grad
-            cand = params + vel
+            vel *= config.momentum
+            vel -= step * grad
+            cand = cur + vel
         else:
-            cand = params - step * grad
-        cmodel = class_spec.model(cand)
-        creport, cgrad = loss_gradient(graph, cmodel, lam, sample,
-                                       config.use_sum_regularizer)
-        if not np.all(np.isfinite(cgrad)) or not np.isfinite(creport.total):
-            raise NonFiniteGradient(f"non-finite gradient at iteration {it}")
-        if creport.total > _DIVERGENCE_LIMIT:
-            raise Divergence(f"loss {creport.total!r} at iteration {it}")
-
-        if creport.total <= loss:
-            delta = loss - creport.total
-            params, grad = cand, cgrad
-            loss = creport.total
-            trace.append((it, creport.pair_term, creport.reg_term, creport.total))
-            if loss < best_loss:
-                best_loss = loss
-                best_params = params.copy()
-            accepts += 1
-            if accepts % 50 == 0:
-                step = min(step * 1.2, config.step_size * 16)
-            if delta <= config.tol * max(1.0, abs(loss)):
-                flat_count += 1
-                if flat_count >= 5:
-                    break
+            cand = cur - step * grad
+        ctotal, cpair, creg, cgrad = loss(cand, lam)
+        delta = loss_now - ctotal       # NaN for a NaN candidate, -inf for inf
+        if trace is not None:
+            trace.record(it, cells, cpair, creg, ctotal, delta >= 0)
+        flat_hit = delta <= config.tol * np.maximum(np.abs(ctotal), 1.0)
+        if (delta > 0).all():           # every cell improved: accept them all
+            best = cur = cand
+            grad, loss_now = cgrad, ctotal
+            if flat_hit.any():
+                flat += 1
+                flat *= flat_hit
+                stop = flat >= 5
             else:
-                flat_count = 0
+                flat.fill(0)
+                stop = None
         else:
-            step *= 0.5
-            vel[:] = 0.0
-            accepts = 0
-            if step < config.min_step:
-                break
-    return class_spec.model(best_params), best_loss, trace
+            acc = delta >= 0            # False for NaN, inf and > limit
+            rej = ~acc
+            best = np.where((delta > 0)[:, None], cand, best)
+            cur = np.where(acc[:, None], cand, cur)
+            grad = np.where(acc[:, None], cgrad, grad)
+            loss_now = np.where(acc, ctotal, loss_now)
+            vel[rej] = 0.0
+            step[rej] *= 0.5
+            growth_at[rej] = it + 50
+            flat = np.where(rej, flat, (flat + 1) * flat_hit)
+            stop = (flat >= 5) | (rej & (step[:, 0] < config.min_step))
+        if it == next_growth:
+            grow = growth_at == it
+            step[grow] = np.minimum(step[grow] * 1.2, step_cap)
+            growth_at[grow] = it + 50
+            next_growth = int(growth_at.min())
+        if stop is not None and stop.any():
+            best_params[cells[stop]] = best[stop]
+            best_loss[cells[stop]] = loss_now[stop]
+            keep = ~stop
+            if not keep.any():
+                return best_params, best_loss
+            cells, best, cur, grad, vel, loss_now, lam, step, growth_at, flat = (
+                x[keep] for x in
+                (cells, best, cur, grad, vel, loss_now, lam, step, growth_at, flat))
+            next_growth = int(growth_at.min())
+    best_params[cells] = best
+    best_loss[cells] = loss_now
+    return best_params, best_loss
+
+
+def train_grid(
+    graph: PositivePairGraph,
+    class_spec: FunctionClassSpec,
+    lams: Sequence[float],
+    config: Optional[TrainConfig] = None,
+    seeds: Optional[Sequence[int]] = None,
+    extra_inits: Optional[Sequence[Sequence[RepresentationModel]]] = None,
+    sample: Optional[PairSample] = None,
+    keep_trace: bool = False,
+):
+    """Train one model per lambda of `lams`, all cells in one stacked descent.
+
+    The cells of lambda g are `n_starts` seeded random starts, drawn with
+    `default_rng([seeds[g], start])` (seeds default to `config.seed`), plus
+    the models `extra_inits[g]` as given starting points.  Returns one
+    (model, trace) per lambda: the best-loss iterate over its cells (the
+    first cell on ties), and, with `keep_trace`, that cell's accepted-step
+    trace (iter, pair, reg, total); else None.
+    """
+    config = config or TrainConfig()
+    n_starts = config.n_starts or _default_starts(class_spec.class_tag)
+    seeds = [config.seed] * len(lams) if seeds is None else seeds
+    extra_inits = [()] * len(lams) if extra_inits is None else extra_inits
+    if not len(lams) == len(seeds) == len(extra_inits) >= 1:
+        raise ValueError("need one seed and one extra_inits entry per lambda")
+
+    starts, groups = [], []
+    for seed, extra in zip(seeds, extra_inits):
+        lo = len(starts)
+        for start in range(n_starts):
+            rng = np.random.default_rng([seed, start])
+            starts.append(rng.uniform(-config.init_scale, config.init_scale,
+                                      size=class_spec.param_count()))
+        for init_model in extra:
+            if init_model.class_tag != class_spec.class_tag:
+                raise ValueError("extra_inits must match the trained class")
+            starts.append(class_spec.model(init_model.params).params)
+        groups.append(range(lo, len(starts)))
+    lam = np.concatenate([np.full(len(cells), float(x)) for x, cells in zip(lams, groups)])
+
+    loss = StackedLoss(graph, class_spec.class_tag, class_spec.shape_dict(), sample,
+                       config.use_sum_regularizer)
+    trace = _Trace(len(starts)) if keep_trace else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        best_params, best_loss = _descend(loss, np.array(starts), lam, config, trace)
+    results = []
+    for cells in groups:
+        win = cells[int(np.argmin(best_loss[cells]))]
+        results.append((class_spec.model(best_params[win]),
+                        trace.of_cell(win) if keep_trace else None))
+    return results
 
 
 def train(
@@ -242,29 +410,13 @@ def train(
 
     Population loss on the graph by default; pass `sample` for the
     empirical loss.  Runs `n_starts` seeded random initializations (plus
-    any `extra_inits` as given starting points) and returns the best-loss
-    iterate with its accepted-step trace (iter, pair, reg, total).
+    any `extra_inits` as given starting points) as one stacked descent and
+    returns the best-loss iterate with its accepted-step trace
+    (iter, pair, reg, total).
     """
     config = config or TrainConfig()
-    n_starts = config.n_starts or _default_starts(class_spec.class_tag)
-
-    best = None
-    for start in range(n_starts):
-        rng = np.random.default_rng([config.seed, start])
-        params0 = rng.uniform(-config.init_scale, config.init_scale,
-                              size=class_spec.param_count())
-        result = _gd_single(graph, class_spec, lam, config, params0, sample)
-        if best is None or result[1] < best[1]:
-            best = result
-    for init_model in extra_inits:
-        if init_model.class_tag != class_spec.class_tag:
-            raise ValueError("extra_inits must match the trained class")
-        result = _gd_single(graph, class_spec, lam, config,
-                            init_model.params, sample)
-        if best is None or result[1] < best[1]:
-            best = result
-    model, _, trace = best
-    return model, trace
+    return train_grid(graph, class_spec, [lam], config, extra_inits=[extra_inits],
+                      sample=sample, keep_trace=True)[0]
 
 
 def save_trace(trace, path) -> None:

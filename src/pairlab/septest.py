@@ -22,7 +22,7 @@ from .errors import AllGridPointsFailed, SingularCovariance
 from .funclass import FunctionClassSpec, RepresentationModel, forward
 from .posgraph import PositivePairGraph
 from .spectral import eigendecompose, pair_discrepancy
-from .objective import TrainConfig, train, whiten
+from .objective import TrainConfig, train_grid, whiten
 
 logger = logging.getLogger("pairlab.septest")
 
@@ -77,7 +77,8 @@ def estimate_br(
 ):
     """(b_r, BrRow) for one class and one r.
 
-    Trains with output dimension k=r at every lambda on the grid, whitens,
+    Trains with output dimension k=r at every lambda on the grid (all
+    cells of the row as one stacked descent, see `train_grid`), whitens,
     and evaluates the whitened pair discrepancy.  Cells whose covariance
     cannot be whitened are logged and skipped; if every cell fails,
     AllGridPointsFailed is raised.  `warm_models` optionally maps a lambda
@@ -95,12 +96,11 @@ def estimate_br(
         base_config = replace(base_config, n_starts=DEFAULT_CELL_STARTS)
 
     spec = replace(class_spec, k=r, n=graph.n, d=graph.d)
+    seeds = [_cell_seed(base_config.seed, r, li) for li in range(len(lambda_grid))]
+    warm = [tuple((warm_models or {}).get(li, ())) for li in range(len(lambda_grid))]
+    trained = train_grid(graph, spec, lambda_grid, base_config, seeds, warm)
     cells: List[BrCell] = []
-    for li, lam in enumerate(lambda_grid):
-        seed = _cell_seed(base_config.seed, r, li)
-        config = replace(base_config, seed=seed)
-        extra = tuple((warm_models or {}).get(li, ()))
-        model, _ = train(graph, spec, lam, config, extra_inits=extra)
+    for lam, seed, extra, (model, _) in zip(lambda_grid, seeds, warm, trained):
         if collect_models is not None:
             collect_models.append(model)
         candidates = [model]

@@ -300,6 +300,17 @@ class TestBr:
         assert code == 2
         assert "r_list" in err
 
+    def test_default_grid_on_two_level_graph(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "version": 1,
+            "graph": {"two_level": {"m": 4}},
+            "classes": [{"tag": "linear"}, {"tag": "relu"}, {"tag": "tabular"}],
+            "r_list": [4],
+        })
+        code, out, _ = run(["br", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert out.count("class=") == 3
+
     def test_writes_report_and_summary(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "version": 1,

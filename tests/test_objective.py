@@ -1,10 +1,12 @@
 """Loss evaluation, sampling, training, analytic minimizers, whitening."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 
 from pairlab.errors import (
     Divergence,
@@ -15,17 +17,20 @@ from pairlab.errors import (
 from pairlab.funclass import FunctionClassSpec, construct_example1_optimal, forward, spec_for_graph
 from pairlab.objective import (
     PairSample,
+    StackedLoss,
     TrainConfig,
     empirical_loss,
     linear_min_oracle,
+    loss_gradient,
     population_loss,
     sample_pairs,
     save_trace,
     tabular_min_oracle,
     train,
+    train_grid,
     whiten,
 )
-from pairlab.posgraph import build_graph, connected_components
+from pairlab.posgraph import PositivePairGraph, build_graph, connected_components
 from pairlab.septest import br_oracle_tabular
 from pairlab.spectral import eigendecompose
 from pairlab.synthdata import Example1Spec, example1_graph, random_graph
@@ -175,6 +180,155 @@ class TestTrain:
         with pytest.raises(NonFiniteGradient):
             train(two_vertex_uniform, spec, lam=1.0,
                   config=TrainConfig(max_iters=50, seed=0, init_scale=1e200))
+
+
+def _reference_loss(graph, F, lam, sample=None):
+    """The loss straight from its definition, one pair at a time."""
+    if sample is None:
+        J = graph.joint_dense()
+        pair = sum(J[a, b] * np.sum((F[a] - F[b]) ** 2)
+                   for a in range(graph.n) for b in range(graph.n))
+        W = graph.marginal
+    else:
+        pair = np.mean([np.sum((F[a] - F[b]) ** 2) for a, b in sample.pairs])
+        W = np.bincount(sample.pairs[:, 0], minlength=graph.n) / sample.n_pre
+    gap = F.T @ (W[:, None] * F) - np.eye(F.shape[1])
+    return pair + lam * np.sum(gap * gap)
+
+
+def _class_spec(tag, graph, k=2):
+    return spec_for_graph(tag, k, graph, s=2 if tag == "conv" else 0)
+
+
+class TestStackedLoss:
+    @pytest.mark.parametrize("tag", ["tabular", "linear", "relu", "conv"])
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_every_slice_matches_single_model(self, tag, sampled):
+        g = random_graph(9, n_components=2, seed=21)
+        sample = sample_pairs(g, 40, seed=3) if sampled else None
+        spec = _class_spec(tag, g)
+        rng = np.random.default_rng(5)
+        params = rng.uniform(-1.0, 1.0, size=(5, spec.param_count()))
+        lam = np.array([0.1, 1.0, 3.0, 30.0, 1000.0])
+        total, pair, reg, grad = StackedLoss(
+            g, spec.class_tag, spec.shape_dict(), sample)(params, lam)
+        for b in range(5):
+            model = spec.model(params[b])
+            report, want = loss_gradient(g, model, lam[b], sample)
+            assert total[b] == pytest.approx(report.total, rel=1e-12)
+            assert pair[b] == pytest.approx(report.pair_term, rel=1e-12, abs=1e-15)
+            assert reg[b] == pytest.approx(report.reg_term, rel=1e-12)
+            np.testing.assert_allclose(grad[b], want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+            ref = _reference_loss(g, forward(model, g), lam[b], sample)
+            assert total[b] == pytest.approx(ref, rel=1e-10)
+
+    def test_csr_joint_matches_dense(self):
+        # graphs above the dense limit store the joint as CSR
+        g = random_graph(9, n_components=2, seed=27)
+        g_csr = PositivePairGraph(g.vertices, scipy.sparse.csr_array(g.joint),
+                                  g.marginal)
+        spec = spec_for_graph("relu", 3, g)
+        params = np.random.default_rng(8).uniform(-1.0, 1.0,
+                                                  size=(4, spec.param_count()))
+        lam = np.array([0.3, 3.0, 30.0, 300.0])
+        want = StackedLoss(g, "relu", spec.shape_dict())(params, lam)
+        got = StackedLoss(g_csr, "relu", spec.shape_dict())(params, lam)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("tag", ["tabular", "linear", "relu"])
+    def test_best_loss_independent_of_batch(self, tag):
+        g = random_graph(10, n_components=2, seed=22)
+        spec = _class_spec(tag, g)
+        grid = (0.3, 3.0, 30.0, 300.0, 1000.0)
+        config = TrainConfig(n_starts=1, seed=4)
+        together = train_grid(g, spec, grid, config)
+        for lam, (model, _) in zip(grid, together):
+            (alone, _), = train_grid(g, spec, [lam], config)
+            assert population_loss(g, model, lam).total == pytest.approx(
+                population_loss(g, alone, lam).total, rel=1e-10)
+
+    def test_one_iteration(self):
+        g = random_graph(8, n_components=1, seed=23)
+        spec = spec_for_graph("tabular", 2, g)
+        model, trace = train(g, spec, 3.0, TrainConfig(max_iters=1, seed=1))
+        assert [row[0] for row in trace] in ([0], [0, 1])
+        assert trace[-1][3] <= trace[0][3]
+        assert population_loss(g, model, 3.0).total == trace[-1][3]
+
+    def test_uneven_extra_inits_across_lambdas(self):
+        g = random_graph(9, n_components=2, seed=24)
+        spec = spec_for_graph("tabular", 2, g)
+        rng = np.random.default_rng(7)
+        warm = [spec.init_model(rng, scale=1.0) for _ in range(3)]
+        grid = (1.0, 10.0, 100.0)
+        extras = [(), warm[:1], warm]
+        config = TrainConfig(max_iters=300, seed=2)
+        together = train_grid(g, spec, grid, config, extra_inits=extras)
+        assert len(together) == 3
+        for lam, extra, (model, _) in zip(grid, extras, together):
+            alone, _ = train(g, spec, lam, config, extra_inits=extra)
+            assert population_loss(g, model, lam).total == pytest.approx(
+                population_loss(g, alone, lam).total, rel=1e-10)
+            for m in extra:   # a trained start never ends above where it began
+                assert population_loss(g, model, lam).total <= \
+                    population_loss(g, m, lam).total
+
+    def test_seeds_pick_the_starts(self):
+        g = random_graph(8, n_components=1, seed=25)
+        spec = spec_for_graph("linear", 2, g)
+        config = TrainConfig(max_iters=20)
+        (m1, _), (m2, _) = train_grid(g, spec, [3.0, 3.0], config, seeds=[5, 6])
+        (m5, _), = train_grid(g, spec, [3.0], replace(config, seed=5))
+        np.testing.assert_array_equal(m1.params, m5.params)
+        assert not np.array_equal(m1.params, m2.params)
+
+    def test_over_limit_candidates_are_rejected_not_raised(self):
+        # a step size far too large for lambda=1000 overshoots past the
+        # divergence limit on the first step; halving must recover
+        g = random_graph(8, n_components=1, seed=26)
+        spec = spec_for_graph("linear", 2, g)
+        model, trace = train(g, spec, 1000.0,
+                             TrainConfig(step_size=50.0, max_iters=400, seed=0))
+        assert trace[-1][3] < trace[0][3]
+        assert np.all(np.isfinite(model.params))
+
+
+class TestSumRegularizer:
+    def setup_method(self):
+        self.g = random_graph(9, n_components=2, seed=31)
+        self.sample = sample_pairs(self.g, 60, seed=2)
+        self.spec = spec_for_graph("tabular", 2, self.g)
+        self.model = self.spec.init_model(np.random.default_rng(3), scale=0.5)
+        self.counts = np.bincount(self.sample.pairs[:, 0],
+                                  minlength=self.g.n).astype(float)
+
+    def _reg(self, W):
+        F = forward(self.model, self.g)
+        gap = F.T @ (W[:, None] * F) - np.eye(2)
+        return float(np.sum(gap * gap))
+
+    def test_sum_uses_first_element_counts(self):
+        rep = empirical_loss(self.sample, self.g, self.model, 2.0,
+                             use_sum_regularizer=True)
+        assert rep.reg_term == pytest.approx(self._reg(self.counts), rel=1e-12)
+
+    def test_default_is_the_mean(self):
+        rep = empirical_loss(self.sample, self.g, self.model, 2.0)
+        assert rep.reg_term == pytest.approx(
+            self._reg(self.counts / self.sample.n_pre), rel=1e-12)
+
+    def test_training_lowers_the_sum_loss(self):
+        config = TrainConfig(max_iters=500, seed=1, use_sum_regularizer=True)
+        start = empirical_loss(self.sample, self.g, self.model, 2.0,
+                               use_sum_regularizer=True).total
+        model, trace = train(self.g, self.spec, 2.0, config, sample=self.sample,
+                             extra_inits=[self.model])
+        end = empirical_loss(self.sample, self.g, model, 2.0,
+                             use_sum_regularizer=True).total
+        assert end < start
+        assert trace[-1][3] == pytest.approx(end, rel=1e-12)
 
 
 class TestTabularMinOracle:

@@ -24,6 +24,7 @@ from pairlab.synthdata import (
     component_cluster_graph,
     example1_graph,
     random_graph,
+    two_level_graph,
 )
 
 FAST = TrainConfig(n_starts=1)
@@ -117,6 +118,14 @@ class TestEstimateBr:
             warm_models={0: [warm]})
         assert b <= 1e-12
         assert row.cells[0].whiten_ok
+
+    @pytest.mark.parametrize("tag", ["linear", "relu"])
+    def test_default_grid_survives_lambda_1000(self, tag):
+        # lambda=1000 used to raise Divergence on the first step
+        g = two_level_graph(4).graph
+        b, row = estimate_br(g, spec_for_graph(tag, 4, g), 4)
+        assert [c.lam for c in row.cells] == list(DEFAULT_LAMBDA_GRID)
+        assert b >= br_oracle_tabular(g, 4) - 1e-6
 
     def test_invalid_r_rejected(self, two_vertex_uniform):
         spec = spec_for_graph("tabular", 1, two_vertex_uniform)
