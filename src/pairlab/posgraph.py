@@ -6,20 +6,24 @@ vertex pairs (the chance of drawing that pair as a positive pair), and the
 induced marginal.  The joint sums to 1 over all ordered pairs, so the
 marginal is exactly the vector of row sums.
 
-Graphs with at most `_DENSE_LIMIT` vertices store the joint densely; larger
-graphs use a scipy CSR matrix.  Either way the stored object satisfies the
-invariants to machine precision: inputs are validated against loose
-tolerances, then symmetrized and renormalized exactly once.
+Every graph stores its joint as one scipy CSR array, whatever form the input
+took (a dense array, or any scipy sparse array such as COO triplets, whose
+duplicate entries are summed).  The stored object satisfies the invariants
+to machine precision: inputs are validated against loose tolerances, then
+symmetrized and renormalized exactly once.  Loading a saved graph runs the
+same validation with the tight consistency tolerance but keeps the stored
+values, so a save/load round trip is bit-exact.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import (
     AsymmetricJoint,
@@ -33,10 +37,9 @@ from .errors import (
     ZeroMassVertex,
 )
 
-_DENSE_LIMIT = 4096
 _SUM_TOL = 1e-9          # acceptance tolerance for input normalization
 _SYM_TOL = 1e-9          # acceptance tolerance for input symmetry
-_CONSISTENCY_TOL = 1e-12  # stored marginal vs row sums
+_CONSISTENCY_TOL = 1e-12  # stored graphs: symmetry, and marginal vs row sums
 
 
 def _canonical_coords(vertices) -> np.ndarray:
@@ -65,13 +68,13 @@ class PositivePairGraph:
     Attributes
     ----------
     vertices : (n, d) float64 array of coordinates, pairwise distinct.
-    joint    : (n, n) symmetric nonnegative matrix summing to 1
-               (dense ndarray, or CSR for graphs above the dense limit).
+    joint    : (n, n) symmetric nonnegative CSR array summing to 1, with
+               no explicitly stored zeros.
     marginal : (n,) row sums of the joint; strictly positive.
     """
 
     vertices: np.ndarray
-    joint: object
+    joint: sparse.csr_array
     marginal: np.ndarray
 
     @property
@@ -84,79 +87,102 @@ class PositivePairGraph:
 
     @property
     def is_sparse(self) -> bool:
-        return sparse.issparse(self.joint)
+        """Always True: every joint is stored as CSR."""
+        return True
 
     def joint_coo(self):
-        """Edge triplets (rows, cols, vals) of the joint, any order."""
-        if self.is_sparse:
-            coo = self.joint.tocoo()
-            return coo.row, coo.col, coo.data
-        rows, cols = np.nonzero(self.joint)
-        return rows, cols, np.asarray(self.joint)[rows, cols]
+        """Edge triplets (rows, cols, vals) of the joint, in CSR order."""
+        J = self.joint
+        return np.repeat(np.arange(self.n), np.diff(J.indptr)), J.indices, J.data
 
     def joint_dense(self) -> np.ndarray:
-        if self.is_sparse:
-            return self.joint.toarray()
-        return np.asarray(self.joint)
+        return self.joint.toarray()
 
     def joint_matvec(self, g: np.ndarray) -> np.ndarray:
-        """The action v ↦ Jv (works for dense and sparse storage)."""
+        """The action v ↦ Jv."""
         return self.joint @ g
+
+
+def _canonical(rows, cols, vals, n: int):
+    """Triplets sorted by (row, col), with repeated pairs summed in the
+    order given and zeros dropped."""
+    key = np.asarray(rows, dtype=np.int64) * n + np.asarray(cols, dtype=np.int64)
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], np.asarray(vals, dtype=np.float64)[order]
+    if key.size:
+        first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        key, vals = key[first], np.add.reduceat(vals, first)
+    keep = vals != 0.0
+    key, vals = key[keep], vals[keep]
+    return key // n, key % n, vals
+
+
+def _with_transpose(rows, cols, vals, transposed_vals):
+    """Triplets of J followed by those of J^T, valued `transposed_vals`."""
+    return (np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+            np.concatenate([vals, transposed_vals]))
+
+
+def _csr(rows, cols, vals, n: int) -> sparse.csr_array:
+    """The n×n CSR array of canonical triplets."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return sparse.csr_array((vals, cols, indptr), shape=(n, n))
+
+
+def _matrix_triplets(joint, n: int):
+    """Triplets of a dense array or scipy sparse array that must be n×n."""
+    if not sparse.issparse(joint):
+        joint = np.asarray(joint, dtype=np.float64)
+    if joint.shape != (n, n):
+        raise ValueError(f"joint shape {joint.shape} does not match n={n}")
+    coo = joint.tocoo() if sparse.issparse(joint) else sparse.coo_array(joint)
+    return coo.row, coo.col, coo.data
+
+
+def _checked_joint(rows, cols, vals, n: int, sym_tol: float):
+    """(rows, cols, vals, total): the joint's canonical triplets and their
+    sum, after the checks that building and loading share."""
+    rows, cols, vals = _canonical(rows, cols, vals, n)
+    if not (vals >= 0).all():
+        raise NotNormalized("joint has negative or NaN entries")
+    gap = np.abs(_canonical(*_with_transpose(rows, cols, vals, -vals), n)[2]).max(
+        initial=0.0)
+    if gap > sym_tol:
+        raise AsymmetricJoint(f"max |J - J^T| = {gap:.3e}")
+    total = float(vals.sum())
+    if not abs(total - 1.0) <= _SUM_TOL:
+        raise NotNormalized(f"joint sums to {total!r}")
+    return rows, cols, vals, total
+
+
+def _check_positive(marginal: np.ndarray) -> None:
+    if not marginal.min() > 0.0:
+        bad = int(np.argmin(marginal))
+        raise ZeroMassVertex(f"vertex {bad} has marginal {marginal[bad]!r}")
 
 
 def build_graph(vertices, joint) -> PositivePairGraph:
     """Validate and canonicalize a positive-pair graph.
 
-    Raises AsymmetricJoint / NotNormalized / ZeroMassVertex / DuplicateVertex
-    when the input is out of tolerance.  Accepted input is symmetrized and
-    renormalized so the stored graph holds the invariants to ~1e-16.
+    `joint` is a dense (n, n) array or any scipy sparse array; duplicate
+    sparse entries are summed.  Raises AsymmetricJoint / NotNormalized /
+    ZeroMassVertex / DuplicateVertex when the input is out of tolerance.
+    Accepted input is symmetrized and renormalized so the stored graph holds
+    the invariants to ~1e-16.
     """
     verts = _canonical_coords(vertices)
     n = verts.shape[0]
     if n == 0:
         raise EmptySupport("graph needs at least one vertex")
     _check_distinct(verts)
-
-    if sparse.issparse(joint):
-        J = joint.tocsr().astype(np.float64)
-        if J.shape != (n, n):
-            raise ValueError(f"joint shape {J.shape} does not match n={n}")
-        if J.nnz and J.data.min() < 0:
-            raise NotNormalized("joint has negative entries")
-        asym = abs(J - J.T)
-        gap = asym.max() if asym.nnz else 0.0
-        if gap > _SYM_TOL:
-            raise AsymmetricJoint(f"max |J - J^T| = {gap:.3e}")
-        total = J.sum()
-        if abs(total - 1.0) > _SUM_TOL:
-            raise NotNormalized(f"joint sums to {total!r}")
-        J = (J + J.T) * (0.5 / total)
-        marg = np.asarray(J.sum(axis=1)).ravel()
-    else:
-        J = np.array(joint, dtype=np.float64)
-        if J.shape != (n, n):
-            raise ValueError(f"joint shape {J.shape} does not match n={n}")
-        if J.size and J.min() < 0:
-            raise NotNormalized("joint has negative entries")
-        gap = float(np.max(np.abs(J - J.T))) if J.size else 0.0
-        if gap > _SYM_TOL:
-            raise AsymmetricJoint(f"max |J - J^T| = {gap:.3e}")
-        total = float(J.sum())
-        if abs(total - 1.0) > _SUM_TOL:
-            raise NotNormalized(f"joint sums to {total!r}")
-        J = (J + J.T) * (0.5 / total)
-        marg = J.sum(axis=1)
-
-    if marg.min() <= 0.0:
-        bad = int(np.argmin(marg))
-        raise ZeroMassVertex(f"vertex {bad} has marginal {marg[bad]!r}")
-
-    if n > _DENSE_LIMIT and not sparse.issparse(J):
-        J = sparse.csr_array(J)
-    if n <= _DENSE_LIMIT and sparse.issparse(J):
-        J = J.toarray()
-
-    return PositivePairGraph(vertices=verts, joint=J, marginal=marg)
+    rows, cols, vals, total = _checked_joint(*_matrix_triplets(joint, n), n, _SYM_TOL)
+    # (J + J^T) / (2 total)
+    rows, cols, vals = _canonical(*_with_transpose(rows, cols, vals, vals), n)
+    vals *= 0.5 / total
+    marg = np.bincount(rows, weights=vals, minlength=n)
+    _check_positive(marg)
+    return PositivePairGraph(vertices=verts, joint=_csr(rows, cols, vals, n),
+                             marginal=marg)
 
 
 def from_augmentation_process(natural_weights, kernel, vertices) -> PositivePairGraph:
@@ -190,31 +216,6 @@ def from_augmentation_process(natural_weights, kernel, vertices) -> PositivePair
 
     joint = A.T @ (A * p[:, None])
     return build_graph(vertices, joint)
-
-
-class UnionFind:
-    """Disjoint-set forest with path compression and union by size."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
 
 
 @dataclass(frozen=True)
@@ -252,22 +253,12 @@ def partition_from_labels(labels: Sequence[int]) -> Partition:
 def connected_components(graph: PositivePairGraph) -> Partition:
     """Components of the positive-pair edge set (entries with joint > 0).
 
-    Component ids are assigned by smallest contained vertex index, so the
-    component of vertex 0 always has id 0.
+    Component ids are assigned by smallest contained vertex index (scipy
+    labels components in order of their first vertex), so the component of
+    vertex 0 always has id 0.
     """
-    uf = UnionFind(graph.n)
-    rows, cols, vals = graph.joint_coo()
-    for i, j, v in zip(rows, cols, vals):
-        if v > 0.0 and i != j:
-            uf.union(int(i), int(j))
-    labels = np.empty(graph.n, dtype=np.int64)
-    ids = {}
-    for v in range(graph.n):
-        root = uf.find(v)
-        if root not in ids:
-            ids[root] = len(ids)
-        labels[v] = ids[root]
-    return Partition(labels=labels)
+    _, labels = csgraph.connected_components(graph.joint, directed=False)
+    return Partition(labels=labels.astype(np.int64))
 
 
 def cross_cluster_mass(graph: PositivePairGraph, partition: Partition) -> float:
@@ -296,28 +287,25 @@ def restrict(graph: PositivePairGraph, subset) -> PositivePairGraph:
     if idx.min() < 0 or idx.max() >= graph.n:
         raise ValueError("subset index out of range")
 
-    if graph.is_sparse:
-        block = graph.joint[np.ix_(idx, idx)]
-        mass = block.sum()
-    else:
-        block = graph.joint[np.ix_(idx, idx)]
-        mass = float(block.sum())
+    local = np.full(graph.n, -1)
+    local[idx] = np.arange(idx.size)
+    rows, cols, vals = graph.joint_coo()
+    inside = (local[rows] >= 0) & (local[cols] >= 0)
+    rows, cols, vals = _canonical(local[rows[inside]], local[cols[inside]],
+                                  vals[inside], idx.size)
+    mass = float(vals.sum())
     if mass <= 0.0:
         raise ZeroConditionalMass("subset carries no joint mass")
 
-    block = block / mass
-    if sparse.issparse(block):
-        marg = np.asarray(block.sum(axis=1)).ravel()
-    else:
-        marg = block.sum(axis=1)
+    vals = vals / mass
+    marg = np.bincount(rows, weights=vals, minlength=idx.size)
     if marg.min() <= 0.0:
         bad = int(idx[int(np.argmin(marg))])
         raise ZeroMassVertex(
             f"vertex {bad} has no within-subset pair mass"
         )
-    return PositivePairGraph(
-        vertices=graph.vertices[idx], joint=block, marginal=marg
-    )
+    return PositivePairGraph(vertices=graph.vertices[idx],
+                             joint=_csr(rows, cols, vals, idx.size), marginal=marg)
 
 
 # ---------------------------------------------------------------------------
@@ -325,24 +313,41 @@ def restrict(graph: PositivePairGraph, subset) -> PositivePairGraph:
 
 
 def graph_to_dict(graph: PositivePairGraph) -> dict:
-    doc = {
+    rows, cols, vals = graph.joint_coo()
+    return {
         "d": graph.d,
-        "vertices": [list(map(float, row)) for row in graph.vertices],
-        "marginal": [float(x) for x in graph.marginal],
+        "vertices": graph.vertices.tolist(),
+        "marginal": graph.marginal.tolist(),
+        "joint": {"triplets": [list(t) for t in
+                               zip(rows.tolist(), cols.tolist(), vals.tolist())]},
     }
-    if graph.is_sparse:
-        rows, cols, vals = graph.joint_coo()
-        doc["joint"] = {
-            "triplets": [
-                [int(i), int(j), float(v)] for i, j, v in zip(rows, cols, vals)
-            ]
-        }
-    else:
-        doc["joint"] = [list(map(float, row)) for row in graph.joint]
-    return doc
+
+
+def _triplet_joint(trip, n: int):
+    """(rows, cols, vals) of a [[i, j, value], ...] list.  Indices must be
+    integers in [0, n), and no (i, j) may appear twice."""
+    if not isinstance(trip, list) or any(
+            not isinstance(t, list) or len(t) != 3 for t in trip):
+        raise MalformedGraphFile("triplets must be a list of [i, j, value]")
+    rows, cols, vals = (np.array([t[k] for t in trip]) for k in range(3))
+    if trip:
+        if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
+            raise MalformedGraphFile("triplet indices must be integers")
+        if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n:
+            raise MalformedGraphFile(f"triplet index out of range for n={n}")
+        if np.unique(rows * n + cols).size != rows.size:
+            raise MalformedGraphFile("duplicate (i, j) triplets")
+    return rows.astype(np.int64), cols.astype(np.int64), vals.astype(np.float64)
 
 
 def graph_from_dict(doc: dict) -> PositivePairGraph:
+    """Load a graph document: the joint as triplets or as a dense n×n list.
+
+    The joint passes the same checks as in `build_graph`, with symmetry held
+    to the consistency tolerance, and the stored marginal must match its
+    row sums to that tolerance.  Nothing is renormalized: the stored joint
+    and marginal are kept bit for bit.
+    """
     if not isinstance(doc, dict):
         raise MalformedGraphFile("graph document must be a JSON object")
     missing = [k for k in ("d", "vertices", "joint", "marginal") if k not in doc]
@@ -352,49 +357,29 @@ def graph_from_dict(doc: dict) -> PositivePairGraph:
         verts = _canonical_coords(np.array(doc["vertices"], dtype=np.float64))
     except (TypeError, ValueError) as exc:
         raise MalformedGraphFile(f"unreadable vertices array: {exc}") from exc
-    if verts.ndim != 2:
-        raise MalformedGraphFile("vertices must be a rectangular 2-d array")
     n = verts.shape[0]
     if verts.shape[1] != doc["d"]:
         raise MalformedGraphFile("declared d does not match vertex width")
+    _check_distinct(verts)
     joint = doc["joint"]
     try:
         if isinstance(joint, dict):
-            trip = joint["triplets"]
-            rows = [t[0] for t in trip]
-            cols = [t[1] for t in trip]
-            vals = [t[2] for t in trip]
-            J = sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+            triplets = _triplet_joint(joint["triplets"], n)
         else:
-            J = np.array(joint, dtype=np.float64)
-            if J.shape != (n, n):
-                raise ValueError(f"joint has shape {J.shape}, expected {(n, n)}")
-    except (TypeError, ValueError, KeyError, IndexError) as exc:
+            triplets = _matrix_triplets(joint, n)
+    except (TypeError, ValueError, KeyError) as exc:
         raise MalformedGraphFile(f"unreadable joint: {exc}") from exc
-
-    _check_distinct(verts)
+    rows, cols, vals, _ = _checked_joint(*triplets, n, _CONSISTENCY_TOL)
     try:
-        marg_stored = np.array(doc["marginal"], dtype=np.float64)
+        marg = np.array(doc["marginal"], dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise MalformedGraphFile(f"unreadable marginal array: {exc}") from exc
-    if sparse.issparse(J):
-        marg = np.asarray(J.sum(axis=1)).ravel()
-        asym = abs(J - J.T)
-        gap = asym.max() if asym.nnz else 0.0
-    else:
-        marg = J.sum(axis=1)
-        gap = float(np.max(np.abs(J - J.T)))
-    if gap > _CONSISTENCY_TOL:
-        raise AsymmetricJoint(f"stored joint asymmetric: {gap:.3e}")
-    if abs(float(J.sum()) - 1.0) > _SUM_TOL:
-        raise NotNormalized(f"stored joint sums to {float(J.sum())!r}")
-    if marg_stored.shape != (n,) or np.max(np.abs(marg_stored - marg)) > _CONSISTENCY_TOL:
+    row_sums = np.bincount(rows, weights=vals, minlength=n)
+    if marg.shape != (n,) or not np.max(np.abs(marg - row_sums)) <= _CONSISTENCY_TOL:
         raise NotNormalized("stored marginal inconsistent with joint row sums")
-    if marg.min() <= 0.0:
-        raise ZeroMassVertex("stored graph has a zero-mass vertex")
-    if n > _DENSE_LIMIT and not sparse.issparse(J):
-        J = sparse.csr_array(J)
-    return PositivePairGraph(vertices=verts, joint=J, marginal=marg)
+    _check_positive(np.minimum(marg, row_sums))
+    return PositivePairGraph(vertices=verts, joint=_csr(rows, cols, vals, n),
+                             marginal=marg)
 
 
 def save_graph(graph: PositivePairGraph, path) -> None:

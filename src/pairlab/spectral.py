@@ -9,6 +9,15 @@ h = D^{1/2} g (D = diag marginal), where L becomes the symmetric matrix
 M = I - D^{-1/2} J D^{-1/2}.  Eigenvalues live in [0, 2]; the multiplicity
 of 0 equals the number of connected components.
 
+`eigendecompose` uses that structure: M is block-diagonal over connected
+components, so the zero eigenpairs are written down exactly (the
+marginal-normalized component indicators) and each component is solved on
+its own for its smallest nonzero eigenvalues.  Small components of equal
+size share one batched dense solve, mid-size ones get a dense solve each,
+and components above `_DENSE_BLOCK_LIMIT` vertices an iterative one with
+the component's null vector deflated.  The blocks' eigenpairs are merged
+in ascending order.
+
 This module also hosts the expansion quantity Q_S and its class-restricted
 minimization, which drive the cluster-recovery bounds downstream.
 """
@@ -16,6 +25,7 @@ minimization, which drive the cluster-recovery bounds downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -30,7 +40,7 @@ from .errors import (
     UnknownClass,
     ZeroFunction,
 )
-from .posgraph import PositivePairGraph, restrict
+from .posgraph import PositivePairGraph, connected_components, restrict
 
 _EIG_RANGE_TOL = 1e-10      # eigenvalues must lie in [-tol, 2+tol]
 _RESIDUAL_TOL = 1e-16       # weighted squared residual of the defining relation
@@ -38,6 +48,9 @@ _SIGN_TOL = 1e-12           # first coordinate larger than this fixes the sign
 _TIE_TOL = 1e-12            # eigenvalues closer than this form a tie group
 _VAR_REL_TOL = 1e-14        # relative threshold for "variance is zero"
 _RANGE_REL_TOL = 1e-12      # relative eigenvalue cutoff for covariance range
+_ZERO_TOL = 1e-12           # eigenvalues at or below this count as zero
+_STACK_LIMIT = 256          # equal-size blocks up to this size: one batched eigh
+_DENSE_BLOCK_LIMIT = 2048   # larger blocks are solved iteratively (eigsh)
 
 
 class _Infinite:
@@ -114,10 +127,14 @@ def pair_discrepancy(graph: PositivePairGraph, f) -> float:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenpairs of L, functions orthonormal under the marginal."""
+    """Eigenpairs of L, functions orthonormal under the marginal, with the
+    graph's component count and the largest weighted squared residual of
+    the returned pairs (None when not computed)."""
 
     eigenvalues: np.ndarray   # (count,) ascending
     functions: np.ndarray     # (n, count); column j satisfies L g_j = psi_j g_j
+    n_components: Optional[int] = None
+    max_residual: Optional[float] = None
 
     @property
     def count(self) -> int:
@@ -134,11 +151,11 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _order_ties(vals: np.ndarray, vecs: np.ndarray):
-    """Within groups of (numerically) equal eigenvalues, order the
-    symmetrized eigenvectors lexicographically so repeated runs and solver
-    permutations agree.  Callers comparing eigenspaces should still use
-    projectors; this only pins a convention."""
+def _tie_order(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Column order that, within groups of (numerically) equal eigenvalues,
+    sorts the symmetrized eigenvectors lexicographically, so repeated runs
+    and solver permutations agree.  Callers comparing eigenspaces should
+    still use projectors; this only pins a convention."""
     order = np.arange(vals.size)
     start = 0
     while start < vals.size:
@@ -146,65 +163,156 @@ def _order_ties(vals: np.ndarray, vecs: np.ndarray):
         while stop < vals.size and vals[stop] - vals[start] <= _TIE_TOL:
             stop += 1
         if stop - start > 1:
-            keys = [tuple(np.round(vecs[:, j], 10)) for j in order[start:stop]]
-            perm = sorted(range(stop - start), key=lambda t: keys[t])
-            order[start:stop] = order[start:stop][perm]
+            # np.lexsort's last key is its primary one: coordinate 0 here
+            keys = np.round(vecs[::-1, order[start:stop]], 10)
+            order[start:stop] = order[start:stop][np.lexsort(keys)]
         start = stop
-    return vals[order], vecs[:, order]
+    return order
+
+
+def _solve_blocks(M: np.ndarray, k: int):
+    """The k smallest nonzero eigenpairs of each block of the stack M
+    (B, s, s): values (B, k) and vectors (B, s, k).  Each block is one
+    connected component, so its eigenvalue 0 is simple and is skipped."""
+    if M.shape[1] <= _STACK_LIMIT:
+        vals, vecs = np.linalg.eigh(M)
+        return vals[:, 1:k + 1], vecs[:, :, 1:k + 1]
+    vals, vecs = scipy.linalg.eigh(M[0], subset_by_index=[1, k])
+    return vals[None], vecs[None]
+
+
+def _solve_large_block(M, null: np.ndarray, k: int):
+    """As `_solve_blocks` for one sparse block M (s, s) with null vector
+    `null`, iteratively: the null vector is shifted to 3, above the
+    spectrum, and eigsh takes the k smallest of what is left."""
+    s = M.shape[0]
+    u = null / np.linalg.norm(null)
+    op = scipy.sparse.linalg.LinearOperator(
+        (s, s), matvec=lambda x: M @ x + 3.0 * u * (u @ x), dtype=np.float64)
+    start = np.random.default_rng(s).standard_normal(s)
+    vals, vecs = scipy.sparse.linalg.eigsh(op, k=k, which="SA", v0=start, tol=0)
+    order = np.argsort(vals, kind="stable")
+    return vals[order][None], vecs[:, order][None]
+
+
+def _nonzero_pairs(graph: PositivePairGraph, labels: np.ndarray, need: int):
+    """The `need` smallest nonzero eigenpairs of M, solved block by block
+    over the components `labels`: eigenvalues (need,) ascending and
+    symmetrized eigenvectors (n, need).
+
+    Components of one size up to `_STACK_LIMIT` are solved as one (B, s, s)
+    stack, larger components one at a time."""
+    n = graph.n
+    sqrt_d = np.sqrt(graph.marginal)
+    rows, cols, vals = graph.joint_coo()
+    entries = vals / (sqrt_d[rows] * sqrt_d[cols])     # of D^-1/2 J D^-1/2
+    sizes = np.bincount(labels)
+    by_comp = np.argsort(labels, kind="stable")     # members, component-major
+    first = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    pos = np.empty(n, dtype=np.int64)               # index within component
+    pos[by_comp] = np.arange(n) - first[labels[by_comp]]
+
+    entry_comp = labels[rows]
+    slot = np.zeros(sizes.size, dtype=np.int64)    # index within its batch
+
+    blocks = []     # (values (B, k), vectors (B, s, k), members (B, s))
+    for s in np.unique(sizes[sizes > 1]):
+        comps = np.flatnonzero(sizes == s)
+        k = min(need, s - 1)
+        if s <= min(_STACK_LIMIT, _DENSE_BLOCK_LIMIT):
+            slot[comps] = np.arange(comps.size)
+            batches = [(comps, sizes[entry_comp] == s)]
+        else:
+            batches = [(comp[None], entry_comp == comp) for comp in comps]
+        for batch, e in batches:
+            members = by_comp[first[batch][:, None] + np.arange(s)]
+            r, c = pos[rows[e]], pos[cols[e]]
+            if s <= _DENSE_BLOCK_LIMIT:
+                M = np.zeros((batch.size, s, s))
+                M[slot[entry_comp[e]], r, c] = -entries[e]
+                M += np.eye(s)
+                M = (M + M.transpose(0, 2, 1)) * 0.5
+                blocks.append(_solve_blocks(M, k) + (members,))
+            else:
+                M = sparse.csr_array((-entries[e], (r, c)), shape=(s, s))
+                M = (M + M.T) * 0.5 + sparse.identity(s, format="csr")
+                blocks.append(_solve_large_block(M, sqrt_d[members[0]], k)
+                              + (members,))
+
+    # merge: the `need` smallest over all blocks, ties by block order
+    flat = np.concatenate([b[0].ravel() for b in blocks])
+    which = np.argsort(flat, kind="stable")[:need]
+    out = np.zeros((n, need))
+    offset = 0
+    for bvals, bvecs, members in blocks:
+        B, k = bvals.shape
+        mine = (which >= offset) & (which < offset + B * k)
+        b, j = np.divmod(which[mine] - offset, k)
+        out[members[b], np.flatnonzero(mine)[:, None]] = bvecs[b, :, j]
+        offset += B * k
+    return flat[which], out
 
 
 def eigendecompose(graph: PositivePairGraph, count: int) -> SpectralDecomposition:
     """The `count` smallest eigenpairs of L.
 
-    Solved symmetrically: M = I - D^{-1/2} J D^{-1/2}, g = D^{-1/2} v.
+    Zero eigenpairs are exact: the marginal-normalized indicators of the
+    first min(count, #components) components.  The rest are the smallest
+    nonzero eigenpairs of the components' blocks of the symmetric
+    M = I - D^{-1/2} J D^{-1/2} (g = D^{-1/2} v), merged in order.
     Deterministic output: ascending eigenvalues, lexicographic tie order,
-    first nonzero coordinate of each eigenvector positive.
+    first nonzero coordinate of each eigenvector positive.  Raises
+    EigSolverFailure when a block solve fails, an eigenvalue leaves
+    [0, 2], the number of ~0 eigenvalues is not min(count, #components),
+    or a pair misses the defining relation.
     """
     n = graph.n
     if not isinstance(count, (int, np.integer)) or count < 1 or count > n:
         raise GraphMismatch(f"count={count} invalid for graph with n={n}")
 
-    inv_sqrt = 1.0 / np.sqrt(graph.marginal)
-    if graph.is_sparse:
-        D = sparse.diags_array(inv_sqrt)
-        M = sparse.identity(n, format="csr") - D @ graph.joint @ D
-        M = (M + M.T) * 0.5
+    part = connected_components(graph)
+    labels, n_comp = part.labels, part.n_sets
+    n_zero = min(count, n_comp)
+    mass = np.bincount(labels, weights=graph.marginal)
+    sqrt_d = np.sqrt(graph.marginal)
+    on = np.flatnonzero(labels < n_zero)
+    indicators = np.zeros((n, n_zero))
+    indicators[on, labels[on]] = 1.0 / np.sqrt(mass[labels[on]])
+    vals, vecs = np.zeros(n_zero), indicators * sqrt_d[:, None]
+    if count > n_comp:
         try:
-            if count >= n - 1:
-                Md = M.toarray()
-                vals, vecs = scipy.linalg.eigh(Md)
-                vals, vecs = vals[:count], vecs[:, :count]
-            else:
-                vals, vecs = scipy.sparse.linalg.eigsh(M, k=count, which="SA")
-        except Exception as exc:  # ARPACK non-convergence and friends
+            more_vals, more_vecs = _nonzero_pairs(graph, labels, count - n_comp)
+        except (scipy.linalg.LinAlgError,
+                scipy.sparse.linalg.ArpackError) as exc:
             raise EigSolverFailure(str(exc)) from exc
-        order = np.argsort(vals, kind="stable")
-        vals, vecs = vals[order], vecs[:, order]
-    else:
-        M = np.eye(n) - (graph.joint * inv_sqrt[:, None]) * inv_sqrt[None, :]
-        M = (M + M.T) * 0.5
-        try:
-            vals, vecs = scipy.linalg.eigh(M, subset_by_index=[0, count - 1])
-        except scipy.linalg.LinAlgError as exc:
-            raise EigSolverFailure(str(exc)) from exc
+        vals = np.concatenate([vals, more_vals])
+        vecs = np.hstack([vecs, _fix_signs(more_vecs)])
 
     if vals.min() < -_EIG_RANGE_TOL or vals.max() > 2.0 + _EIG_RANGE_TOL:
         raise EigSolverFailure(
             f"eigenvalues outside [0, 2]: [{vals.min()!r}, {vals.max()!r}]"
         )
+    zeros = int(np.sum(vals <= _ZERO_TOL))
+    if zeros != n_zero:
+        raise EigSolverFailure(
+            f"{zeros} eigenvalues <= {_ZERO_TOL:g}, expected {n_zero} "
+            f"(one per component)"
+        )
 
-    vecs = _fix_signs(vecs)
-    vals, vecs = _order_ties(vals, vecs)
-    funcs = vecs * inv_sqrt[:, None]
+    funcs = np.hstack([indicators, vecs[:, n_zero:] / sqrt_d[:, None]])
+    order = _tie_order(vals, vecs)
+    vals, funcs = vals[order], funcs[:, order]
 
     # the defining relation, checked per returned pair
     res = laplacian_apply(graph, funcs) - funcs * vals[None, :]
     res_sq = graph.marginal @ (res * res)
-    if np.max(res_sq) > _RESIDUAL_TOL:
+    worst = float(np.max(res_sq))
+    if worst > _RESIDUAL_TOL:
         raise EigSolverFailure(
-            f"eigenpair residual {np.max(res_sq):.3e} exceeds {_RESIDUAL_TOL}"
+            f"eigenpair residual {worst:.3e} exceeds {_RESIDUAL_TOL}"
         )
-    return SpectralDecomposition(eigenvalues=vals, functions=funcs)
+    return SpectralDecomposition(eigenvalues=vals, functions=funcs,
+                                 n_components=n_comp, max_residual=worst)
 
 
 def is_eigenfunction(graph: PositivePairGraph, g, eigenvalue: float, tol: float) -> bool:

@@ -12,6 +12,8 @@ Four generator families:
 
 Continuous augmentation laws are replaced by finite grids; everything is
 enumerated lexicographically so identical specs give bit-identical graphs.
+Every generator emits its joint as (row, col, value) triplets, never as an
+n×n array, so graphs up to the size guard build in bounded memory.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial.distance import cdist
 
 from .errors import (
@@ -44,11 +47,6 @@ class LabeledGraph:
     graph: PositivePairGraph
     labels: np.ndarray        # (n,) ints in [0, n_classes)
     n_classes: int
-
-    @property
-    def label_onehots(self) -> np.ndarray:
-        eye = np.eye(self.n_classes)
-        return eye[self.labels]
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +74,27 @@ class Example1Spec:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("tau_grid must be strictly increasing")
         object.__setattr__(self, "tau_grid", grid)
+
+
+def _triplets(rows, cols, vals, n: int, normalize: bool = False) -> sparse.coo_array:
+    """An n×n joint from triplets; repeated (row, col) entries add up.
+    With `normalize`, the values are first divided by their sum."""
+    vals = np.asarray(vals, dtype=np.float64)
+    if normalize:
+        vals = vals / vals.sum()
+    return sparse.coo_array(
+        (vals, (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
+        shape=(n, n))
+
+
+def _block_pairs(starts, size: int):
+    """(rows, cols) of every ordered pair inside blocks of `size` vertices
+    that begin at `starts`."""
+    local = np.arange(size)
+    starts = np.asarray(starts, dtype=np.int64)[:, None]
+    rows = starts + np.repeat(local, size)[None, :]
+    cols = starts + np.tile(local, size)[None, :]
+    return rows.ravel(), cols.ravel()
 
 
 def _sign_patterns(bits: int):
@@ -109,10 +128,8 @@ def _hypercube_vertices_and_joint(spec: Example1Spec):
     # augmentation sets are disjoint across naturals here, so the joint is
     # block diagonal with constant blocks.
     w = (1.0 / n_naturals) * (1.0 / n_combos) ** 2
-    joint = np.zeros((n, n))
-    for b in range(n_naturals):
-        sl = slice(b * n_combos, (b + 1) * n_combos)
-        joint[sl, sl] = w
+    rows, cols = _block_pairs(np.arange(n_naturals) * n_combos, n_combos)
+    joint = _triplets(rows, cols, np.full(rows.size, w), n)
     return verts, joint, first_block
 
 
@@ -234,7 +251,7 @@ def example3_graph(spec: Example3Spec) -> LabeledGraph:
         raise ValueError("intra_pair_rule must have one entry per set")
 
     verts = np.vstack(sets)
-    joint = np.zeros((n, n))
+    rows, cols, vals = [], [], []
     offsets = np.cumsum([0] + sizes)
     for i, subclusters in enumerate(rule):
         covered = sorted(idx for sc in subclusters for idx in sc)
@@ -248,9 +265,12 @@ def example3_graph(spec: Example3Spec) -> LabeledGraph:
             mass = (1.0 / r) * (q_c / q_i)
             w = mass / (q_c * q_c)
             idx = offsets[i] + np.asarray(sc, dtype=np.int64)
-            joint[np.ix_(idx, idx)] += w
+            rows.append(np.repeat(idx, q_c))
+            cols.append(np.tile(idx, q_c))
+            vals.append(np.full(q_c * q_c, w))
 
-    graph = build_graph(verts, joint)
+    graph = build_graph(verts, _triplets(np.concatenate(rows), np.concatenate(cols),
+                                         np.concatenate(vals), n))
     labels = np.concatenate(
         [np.full(q, spec.labels[i], dtype=np.int64) for i, q in enumerate(sizes)]
     )
@@ -407,10 +427,8 @@ def example4_graph(spec: Example4Spec) -> LabeledGraph:
                         cols.append(b)
                         vals.append(w)
 
-    n = len(vert_rows)
-    joint = np.zeros((n, n))
-    np.add.at(joint, (rows, cols), vals)
-    graph = build_graph(np.vstack(vert_rows), joint)
+    graph = build_graph(np.vstack(vert_rows),
+                        _triplets(rows, cols, vals, len(vert_rows)))
     labels = np.asarray(vert_labels, dtype=np.int64)
     return LabeledGraph(graph=graph, labels=labels, n_classes=len(classes))
 
@@ -445,26 +463,31 @@ def random_graph(
                                   replace=False))
         bounds = [0] + [int(c) for c in cuts] + [n]
 
-    W = np.zeros((n, n))
+    rows, cols, vals = [], [], []
     for b in range(n_components):
         lo, hi = bounds[b], bounds[b + 1]
         size = hi - lo
         for i in range(lo + 1, hi):
             j = int(rng.integers(lo, i))
             w = float(rng.uniform(0.2, 1.0))
-            W[i, j] += w
-            W[j, i] += w
+            rows += [i, j]
+            cols += [j, i]
+            vals += [w, w]
         for _ in range(int(extra_edge_frac * size)):
             u, v = rng.integers(lo, hi, size=2)
             if u == v:
                 continue
             w = float(rng.uniform(0.05, 0.5))
-            W[u, v] += w
-            W[v, u] += w
-    W[np.diag_indices(n)] += rng.uniform(0.05, 0.3, size=n)
+            rows += [u, v]
+            cols += [v, u]
+            vals += [w, w]
+    diag = np.arange(n)
+    joint = _triplets(np.concatenate([rows, diag]), np.concatenate([cols, diag]),
+                      np.concatenate([vals, rng.uniform(0.05, 0.3, size=n)]), n,
+                      normalize=True)
 
     verts = rng.standard_normal((n, coord_dim))
-    return build_graph(verts, W / W.sum())
+    return build_graph(verts, joint)
 
 
 def component_constant_function(
@@ -517,10 +540,9 @@ def two_level_graph(
         verts[rows, m:] = inner
         labels[rows] = j
 
-    W = np.zeros((n, n))
-    for j in range(m):
-        for sub in (slice(4 * j, 4 * j + 2), slice(4 * j + 2, 4 * j + 4)):
-            W[sub, sub] += 1.0 / 8.0      # 4 ordered pairs x 1/8 = 1/2 per sub
+    # 4 ordered pairs x 1/8 = 1/2 per sub-cluster
+    rows, cols = _block_pairs(np.arange(0, n, 2), 2)
+    rows, cols, vals = list(rows), list(cols), [1.0 / 8.0] * rows.size
     n_cross = (m - 1) + int(rng.integers(0, m))
     for idx in range(n_cross):
         if idx < m - 1:
@@ -530,10 +552,11 @@ def two_level_graph(
         u = int(4 * a + rng.integers(0, 4))
         v = int(4 * b + rng.integers(0, 4))
         w = float(rng.uniform(0.5, 1.0)) * cross_scale
-        W[u, v] += w / 2.0
-        W[v, u] += w / 2.0
+        rows += [u, v]
+        cols += [v, u]
+        vals += [w / 2.0, w / 2.0]
 
-    graph = build_graph(verts, W / W.sum())
+    graph = build_graph(verts, _triplets(rows, cols, vals, n, normalize=True))
     return LabeledGraph(graph=graph, labels=labels, n_classes=m)
 
 
@@ -553,10 +576,9 @@ def component_cluster_graph(n_components: int) -> PositivePairGraph:
     n = 4 * n_components
     d = 3 * n_components
     verts = np.zeros((n, d))
-    W = np.zeros((n, n))
     for j in range(n_components):
         rows = slice(4 * j, 4 * j + 4)
         verts[rows, j] = 1.0
         verts[rows, n_components + 2 * j: n_components + 2 * j + 2] = inner
-        W[rows, rows] = 1.0
-    return build_graph(verts, W / W.sum())
+    rows, cols = _block_pairs(np.arange(0, n, 4), 4)
+    return build_graph(verts, _triplets(rows, cols, np.ones(rows.size), n, normalize=True))

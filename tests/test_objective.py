@@ -14,6 +14,7 @@ from pairlab.errors import (
     NonFiniteGradient,
     SingularCovariance,
 )
+from pairlab import objective
 from pairlab.funclass import FunctionClassSpec, construct_example1_optimal, forward, spec_for_graph
 from pairlab.objective import (
     PairSample,
@@ -30,7 +31,7 @@ from pairlab.objective import (
     train_grid,
     whiten,
 )
-from pairlab.posgraph import PositivePairGraph, build_graph, connected_components
+from pairlab.posgraph import build_graph, connected_components
 from pairlab.septest import br_oracle_tabular
 from pairlab.spectral import eigendecompose
 from pairlab.synthdata import Example1Spec, example1_graph, random_graph
@@ -223,17 +224,18 @@ class TestStackedLoss:
             ref = _reference_loss(g, forward(model, g), lam[b], sample)
             assert total[b] == pytest.approx(ref, rel=1e-10)
 
-    def test_csr_joint_matches_dense(self):
-        # graphs above the dense limit store the joint as CSR
+    def test_csr_joint_matches_dense(self, monkeypatch):
+        # above _DENSE_PRODUCT_LIMIT vertices the loss multiplies by the CSR joint
         g = random_graph(9, n_components=2, seed=27)
-        g_csr = PositivePairGraph(g.vertices, scipy.sparse.csr_array(g.joint),
-                                  g.marginal)
         spec = spec_for_graph("relu", 3, g)
         params = np.random.default_rng(8).uniform(-1.0, 1.0,
                                                   size=(4, spec.param_count()))
         lam = np.array([0.3, 3.0, 30.0, 300.0])
-        want = StackedLoss(g, "relu", spec.shape_dict())(params, lam)
-        got = StackedLoss(g_csr, "relu", spec.shape_dict())(params, lam)
+        dense = StackedLoss(g, "relu", spec.shape_dict())
+        monkeypatch.setattr(objective, "_DENSE_PRODUCT_LIMIT", 8)
+        csr = StackedLoss(g, "relu", spec.shape_dict())
+        assert isinstance(dense.joint, np.ndarray) and scipy.sparse.issparse(csr.joint)
+        want, got = dense(params, lam), csr(params, lam)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from pairlab.errors import (
     AsymmetricJoint,
@@ -28,6 +29,7 @@ from pairlab.posgraph import (
     restrict,
     save_graph,
 )
+from pairlab.synthdata import random_graph
 
 from conftest import small_random_graphs
 
@@ -254,3 +256,119 @@ class TestSerialization:
         back = load_graph(path)
         np.testing.assert_array_equal(back.joint_dense(), g.joint_dense())
         np.testing.assert_array_equal(back.marginal, g.marginal)
+
+
+class TestCsrStorage:
+    def test_every_graph_is_csr_without_stored_zeros(self, two_components):
+        for g in (two_components, restrict(two_components, [0]),
+                  graph_from_dict(graph_to_dict(two_components))):
+            assert g.is_sparse and scipy.sparse.issparse(g.joint)
+            assert g.joint.nnz == 2 or g.n == 1
+            assert np.all(g.joint.data > 0)
+
+    def test_sparse_input_sums_duplicates(self):
+        coo = scipy.sparse.coo_array(
+            ([0.125, 0.125, 0.25, 0.25, 0.25, 0.0], ([0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 1, 0])),
+            shape=(2, 2))
+        g = build_graph([[0.0], [1.0]], coo)
+        np.testing.assert_array_equal(g.joint_dense(), [[0.25, 0.25], [0.25, 0.25]])
+        assert g.joint.nnz == 4
+
+    def test_joint_coo_reads_csr_order(self, two_components_uneven):
+        rows, cols, vals = two_components_uneven.joint_coo()
+        J = two_components_uneven.joint
+        np.testing.assert_array_equal(rows, [0, 0, 1, 1, 2, 2, 3, 3])
+        np.testing.assert_array_equal(cols, J.indices)
+        np.testing.assert_array_equal(vals, J.data)
+
+    def test_component_ids_follow_smallest_vertex(self):
+        rng = np.random.default_rng(4)
+        for g, m in small_random_graphs(20, seed=5):
+            perm = rng.permutation(g.n)
+            h = build_graph(g.vertices[perm], g.joint_dense()[np.ix_(perm, perm)])
+            labels = connected_components(h).labels
+            assert labels.max() + 1 == m
+            _, first = np.unique(labels, return_index=True)
+            assert np.all(np.diff(first) > 0)
+            assert partition_from_labels(labels).labels.tolist() == labels.tolist()
+
+
+def _three_vertex_doc(joint):
+    J = np.array(joint, dtype=np.float64)
+    rows, cols = np.nonzero(J)
+    return {
+        "d": 1,
+        "vertices": [[0.0], [1.0], [2.0]],
+        "marginal": J.sum(axis=1).tolist(),
+        "joint": {"triplets": [[int(i), int(j), float(J[i, j])]
+                               for i, j in zip(rows, cols)]},
+    }
+
+
+class TestStrictLoader:
+    NEGATIVE = [[0.3, -0.05, 0.1], [-0.05, 0.3, 0.1], [0.1, 0.1, 0.1]]
+
+    def test_negative_triplets_rejected(self):
+        with pytest.raises(NotNormalized):
+            graph_from_dict(_three_vertex_doc(self.NEGATIVE))
+
+    def test_negative_dense_entries_rejected(self):
+        doc = _three_vertex_doc(self.NEGATIVE)
+        doc["joint"] = self.NEGATIVE
+        with pytest.raises(NotNormalized):
+            graph_from_dict(doc)
+
+    def test_duplicate_triplets_rejected(self, two_vertex_uniform):
+        doc = graph_to_dict(two_vertex_uniform)
+        trip = doc["joint"]["triplets"]
+        i, j, v = trip[1]
+        doc["joint"]["triplets"] = trip[:1] + [[i, j, v / 2], [i, j, v / 2]] + trip[2:]
+        with pytest.raises(MalformedGraphFile, match="duplicate"):
+            graph_from_dict(doc)
+
+    @pytest.mark.parametrize("index", [2, -1, 7])
+    def test_out_of_range_index_rejected(self, two_vertex_uniform, index):
+        doc = graph_to_dict(two_vertex_uniform)
+        doc["joint"]["triplets"][0][1] = index
+        with pytest.raises(MalformedGraphFile, match="out of range"):
+            graph_from_dict(doc)
+
+    @pytest.mark.parametrize("index", [1.0, 0.5, "1", None])
+    def test_non_integer_index_rejected(self, two_vertex_uniform, index):
+        doc = graph_to_dict(two_vertex_uniform)
+        doc["joint"]["triplets"][1][0] = index
+        with pytest.raises(MalformedGraphFile):
+            graph_from_dict(doc)
+
+    def test_nan_entry_rejected(self, two_vertex_uniform):
+        doc = graph_to_dict(two_vertex_uniform)
+        doc["joint"]["triplets"][0][2] = float("nan")
+        with pytest.raises(NotNormalized):
+            graph_from_dict(doc)
+
+    def test_inconsistent_marginal_rejected(self, two_vertex_uniform):
+        doc = graph_to_dict(two_vertex_uniform)
+        doc["marginal"] = [0.5 + 1e-11, 0.5 - 1e-11]
+        with pytest.raises(NotNormalized, match="marginal"):
+            graph_from_dict(doc)
+
+    def test_dense_list_document_loads(self, two_components_uneven):
+        doc = graph_to_dict(two_components_uneven)
+        doc["joint"] = two_components_uneven.joint_dense().tolist()
+        back = graph_from_dict(doc)
+        np.testing.assert_array_equal(back.joint_dense(),
+                                      two_components_uneven.joint_dense())
+        assert back.is_sparse
+
+    def test_documents_always_hold_triplets(self, two_vertex_uniform):
+        assert set(graph_to_dict(two_vertex_uniform)["joint"]) == {"triplets"}
+
+    def test_large_round_trip_is_bit_exact(self):
+        g = random_graph(6000, n_components=20)
+        back = graph_from_dict(json.loads(json.dumps(graph_to_dict(g))))
+        assert back.marginal.tobytes() == g.marginal.tobytes()
+        a, b = g.joint.copy(), back.joint.copy()
+        a.sort_indices()
+        b.sort_indices()
+        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()

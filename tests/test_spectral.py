@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pairlab.errors import GraphMismatch, ZeroFunction
+from pairlab import spectral
+from pairlab.errors import EigSolverFailure, GraphMismatch, ZeroFunction
 from pairlab.posgraph import build_graph, connected_components
 from pairlab.spectral import (
     INFINITE,
@@ -15,7 +16,9 @@ from pairlab.spectral import (
     min_expansion_over_class,
     pair_discrepancy,
 )
+from pairlab.septest import br_oracle_tabular
 from pairlab.synthdata import (
+    component_cluster_graph,
     component_constant_function,
     example1_graph,
     Example1Spec,
@@ -213,3 +216,75 @@ class TestInfiniteSentinel:
     def test_no_silent_arithmetic(self):
         with pytest.raises(TypeError):
             INFINITE + 1.0
+
+
+def _dense_spectrum(g):
+    """All eigenvalues of the symmetrized M, from one dense solve."""
+    inv_sqrt = 1.0 / np.sqrt(g.marginal)
+    M = np.eye(g.n) - g.joint_dense() * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return np.linalg.eigvalsh((M + M.T) * 0.5)
+
+
+class TestBlockEigensolver:
+    def test_large_graph_finds_every_zero(self):
+        g = random_graph(6000, n_components=20)
+        dec = eigendecompose(g, 25)
+        assert int(np.sum(dec.eigenvalues <= 1e-12)) == 20
+        assert np.all(dec.eigenvalues[:20] == 0.0)
+        assert np.all(dec.eigenvalues[20:] > 1e-3)
+        assert dec.n_components == 20
+        assert dec.max_residual <= 1e-16
+        assert br_oracle_tabular(g, 20) == 0.0
+
+    def test_zero_pairs_are_normalized_component_indicators(self):
+        g = random_graph(60, n_components=5, seed=2)
+        labels = connected_components(g).labels
+        for count in (3, 5, 9):
+            dec = eigendecompose(g, count)
+            zero = dec.functions[:, dec.eigenvalues == 0.0]
+            assert zero.shape[1] == min(count, 5)
+            for col in zero.T:
+                on = np.flatnonzero(col)
+                assert np.unique(labels[on]).size == 1
+                assert np.unique(col[on]).size == 1
+                assert pair_discrepancy(g, col) == 0.0
+            G = dec.functions.T @ (dec.functions * g.marginal[:, None])
+            np.testing.assert_allclose(G, np.eye(count), atol=1e-12)
+
+    def test_iterative_branch_matches_dense(self, monkeypatch):
+        g = random_graph(300, n_components=1, seed=5)
+        dense = eigendecompose(g, 8)
+        monkeypatch.setattr(spectral, "_DENSE_BLOCK_LIMIT", 64)
+        iterative = eigendecompose(g, 8)
+        np.testing.assert_allclose(iterative.eigenvalues, dense.eigenvalues,
+                                   rtol=0, atol=1e-10)
+        # same eigenspaces: the projectors agree
+        P, Q = (d.functions @ (d.functions * g.marginal[:, None]).T
+                for d in (dense, iterative))
+        np.testing.assert_allclose(P, Q, atol=1e-8)
+        assert iterative.max_residual <= 1e-16
+
+    def test_stacked_small_blocks_match_dense_solve(self):
+        # 150 components over 400 vertices: many blocks share a size
+        g = random_graph(400, n_components=150, seed=3)
+        dec = eigendecompose(g, 300)
+        np.testing.assert_allclose(dec.eigenvalues, _dense_spectrum(g)[:300],
+                                   rtol=0, atol=1e-12)
+
+    def test_component_cluster_graph_matches_dense_solve(self):
+        g = component_cluster_graph(10)
+        for count in (11, 25, 40):
+            dec = eigendecompose(g, count)
+            np.testing.assert_allclose(dec.eigenvalues, _dense_spectrum(g)[:count],
+                                       rtol=0, atol=1e-12)
+
+    def test_numerically_disconnected_component_raises(self):
+        # connected through an edge so light that its gap is below the
+        # zero tolerance: a second ~0 eigenvalue is not one per component
+        J = np.zeros((4, 4))
+        J[0, 1] = J[1, 0] = J[2, 3] = J[3, 2] = 0.25
+        J[1, 2] = J[2, 1] = 1e-16
+        g = build_graph([[0.0], [1.0], [2.0], [3.0]], J)
+        assert connected_components(g).n_sets == 1
+        with pytest.raises(EigSolverFailure, match="expected 1"):
+            eigendecompose(g, 2)

@@ -1,6 +1,8 @@
 """Generators: hypercube examples, point-set clusters, patch example,
 random disconnected graphs, and the two-level / component-cluster graphs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -265,3 +267,46 @@ class TestRandomAndStructuredGraphs:
     def test_component_cluster_graph_full_coordinate_rank(self):
         g = component_cluster_graph(4)
         assert np.linalg.matrix_rank(g.vertices) == g.vertices.shape[1]
+
+
+def _dense_random_joint(n, n_components, seed, extra_edge_frac=1.0):
+    """random_graph's joint built densely, drawing in the generator's order."""
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=n_components - 1, replace=False))
+    bounds = [0] + [int(c) for c in cuts] + [n]
+    W = np.zeros((n, n))
+    for lo, hi in zip(bounds, bounds[1:]):
+        for i in range(lo + 1, hi):
+            j = int(rng.integers(lo, i))
+            w = float(rng.uniform(0.2, 1.0))
+            W[i, j] += w
+            W[j, i] += w
+        for _ in range(int(extra_edge_frac * (hi - lo))):
+            u, v = rng.integers(lo, hi, size=2)
+            if u != v:
+                w = float(rng.uniform(0.05, 0.5))
+                W[u, v] += w
+                W[v, u] += w
+    W[np.diag_indices(n)] += rng.uniform(0.05, 0.3, size=n)
+    return W / W.sum()
+
+
+class TestTripletGenerators:
+    @pytest.mark.parametrize("n,m,seed", [(30, 3, 1), (80, 7, 2), (200, 1, 3)])
+    def test_random_graph_matches_dense_construction(self, n, m, seed):
+        g = random_graph(n, n_components=m, seed=seed)
+        np.testing.assert_allclose(g.joint_dense(), _dense_random_joint(n, m, seed),
+                                   rtol=1e-14, atol=0)
+
+    def test_size_guard_example_builds_in_bounded_memory(self):
+        # n = 16384 under the 20000 guard; an n x n float64 array is 2 GiB
+        tracemalloc.start()
+        try:
+            lab = example1_graph(Example1Spec(d=8, s=2))
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        g = lab.graph
+        assert g.n == 16384 and g.joint.nnz == 256 * 64 * 64
+        assert connected_components(g).n_sets == 256
+        assert peak < 1 << 30
