@@ -121,7 +121,7 @@ _SCHEMA = {
         "random": {"n": None, "n_components": None, "seed": None},
         "two_level": {"m": None, "seed": None, "cross_scale": None},
     },
-    "class": {"tag": None, "k": None, "s": None, "lipschitz_kappa": None},
+    "class": {"tag": None, "k": None, "s": None},
     "classes": None,
     "lambda": None,
     "lambda_grid": None,
@@ -135,7 +135,6 @@ _SCHEMA = {
         "seed": None,
         "init_scale": None,
         "tol": None,
-        "momentum": None,
         "n_starts": None,
         "use_sum_regularizer": None,
     },
@@ -571,13 +570,14 @@ def cmd_graph_info(args, cfg: dict) -> int:
     lg = graph_from_config(cfg)
     graph = lg.graph
     part = connected_components(graph)
-    head = eigendecompose(graph, min(10, graph.n)).eigenvalues
+    dec = eigendecompose(graph, min(10, graph.n))
     report = {
         "n": graph.n,
         "d": graph.d,
         "components": part.n_sets,
         "alpha_component_partition": cross_cluster_mass(graph, part),
-        "spectrum_head": head,
+        "spectrum_head": dec.eigenvalues,
+        "eigensolver": _eigensolver(dec),
         "n_classes": lg.n_classes,
     }
     print(json.dumps(_py(report), indent=2, sort_keys=True))
@@ -590,7 +590,8 @@ def cmd_spectrum(args, cfg: dict) -> int:
     graph = lg.graph
     count = min(int(cfg.get("count", 10)), graph.n)
     dec = eigendecompose(graph, count)
-    print(json.dumps(_py({"eigenvalues": dec.eigenvalues}), indent=2))
+    print(json.dumps(_py({"eigenvalues": dec.eigenvalues,
+                          "eigensolver": _eigensolver(dec)}), indent=2))
 
     def _write_csv(path):
         with open(path, "w") as fh:
@@ -599,8 +600,13 @@ def cmd_spectrum(args, cfg: dict) -> int:
                 fh.write(f"{i},{float(v)!r}\n")
 
     _emit(args.out, "spectrum", cfg, _seeds(cfg, args),
-          {"eigenvalues.csv": _write_csv})
+          {"eigenvalues.csv": _write_csv, "eigensolver.json": _eigensolver(dec)})
     return 0
+
+
+def _eigensolver(dec) -> dict:
+    """What `eigendecompose` reports about its own solve."""
+    return {"n_components": dec.n_components, "max_residual": dec.max_residual}
 
 
 def _class_spec_from(cfg: dict, graph: PositivePairGraph):
@@ -610,7 +616,6 @@ def _class_spec_from(cfg: dict, graph: PositivePairGraph):
     return spec_for_graph(
         ccfg.get("tag", "tabular"), int(ccfg.get("k", 2)), graph,
         s=int(ccfg.get("s", 0)),
-        lipschitz_kappa=ccfg.get("lipschitz_kappa"),
     )
 
 
@@ -627,7 +632,7 @@ def cmd_train(args, cfg: dict) -> int:
     _emit(args.out, "train", cfg, [config.seed], {
         "model.json": lambda p: save_model(model, p),
         "trace.csv": lambda p: save_trace(trace, p),
-        "loss.json": report,
+        "loss.json": {**dataclasses.asdict(report), "stop": model.meta["stop"]},
     })
     return 0
 

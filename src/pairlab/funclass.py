@@ -61,8 +61,7 @@ class FunctionClassSpec:
     """Structural description of a class: tag plus dimensions.
 
     `d` is the ambient coordinate dimension (ignored by tabular, which
-    instead needs `n`), `s` the conv window length, `lipschitz_kappa` an
-    optional declared Lipschitz budget used by verification reports.
+    instead needs `n`), `s` the conv window length.
     """
 
     class_tag: str
@@ -70,7 +69,6 @@ class FunctionClassSpec:
     d: int = 0
     n: int = 0
     s: int = 0
-    lipschitz_kappa: Optional[float] = None
 
     def __post_init__(self):
         if self.class_tag not in CLASS_TAGS:
@@ -112,12 +110,9 @@ class FunctionClassSpec:
         return self.model(rng.uniform(-scale, scale, size=self.param_count()))
 
 
-def spec_for_graph(class_tag: str, k: int, graph: PositivePairGraph, s: int = 0,
-                   lipschitz_kappa: Optional[float] = None) -> FunctionClassSpec:
-    return FunctionClassSpec(
-        class_tag=class_tag, k=k, d=graph.d, n=graph.n, s=s,
-        lipschitz_kappa=lipschitz_kappa,
-    )
+def spec_for_graph(class_tag: str, k: int, graph: PositivePairGraph,
+                   s: int = 0) -> FunctionClassSpec:
+    return FunctionClassSpec(class_tag=class_tag, k=k, d=graph.d, n=graph.n, s=s)
 
 
 def _window_index(d: int, s: int) -> np.ndarray:

@@ -40,6 +40,8 @@ class BrCell:
     b_value: Optional[float]
     whiten_ok: bool
     seed: int
+    stop_reason: str    # of the cell's descent (objective.train_grid)
+    evals: int
 
 
 @dataclass(frozen=True)
@@ -121,10 +123,9 @@ def estimate_br(
             val = float(pair_discrepancy(graph, F_bar))
             if b_val is None or val < b_val:
                 b_val = val
-        if b_val is None:
-            cells.append(BrCell(lam=lam, b_value=None, whiten_ok=False, seed=seed))
-            continue
-        cells.append(BrCell(lam=lam, b_value=b_val, whiten_ok=True, seed=seed))
+        stop = model.meta["stop"]
+        cells.append(BrCell(lam=lam, b_value=b_val, whiten_ok=b_val is not None,
+                            seed=seed, stop_reason=stop["reason"], evals=stop["evals"]))
 
     ok = [c.b_value for c in cells if c.whiten_ok]
     if not ok:
@@ -188,16 +189,19 @@ def br_table(
 
 
 def write_report_csv(report: SeparabilityReport, path) -> None:
-    """Cell-level CSV: (r, lambda, b_value, whiten_ok, seed) + class."""
+    """Cell-level CSV: (r, lambda, b_value, whiten_ok, seed) + class, and
+    the trained model's stop reason and loss evaluations."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["r", "lambda", "b_value", "whiten_ok", "seed", "class"])
+        writer.writerow(["r", "lambda", "b_value", "whiten_ok", "seed", "class",
+                         "stop_reason", "evals"])
         for row in report.rows:
             for cell in row.cells:
                 writer.writerow([
                     row.r, repr(cell.lam),
                     "" if cell.b_value is None else repr(cell.b_value),
                     int(cell.whiten_ok), cell.seed, row.class_tag,
+                    cell.stop_reason, cell.evals,
                 ])
 
 

@@ -45,6 +45,15 @@ class TestConfigValidation:
         assert code == 2
         assert "unknown config key: graph.bogus_key" in err
 
+    @pytest.mark.parametrize("section, key", [("class", "lipschitz_kappa"),
+                                              ("train", "momentum")])
+    def test_removed_keys_rejected(self, tmp_path, capsys, section, key):
+        cfg = write_config(tmp_path, {"version": 1, "graph": {"random": {"n": 6}},
+                                      section: {key: 1.0}})
+        code, _, err = run(["train", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert f"unknown config key: {section}.{key}" in err
+
     def test_missing_version(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"graph": {"example": 1, "d": 2, "s": 1}})
         code, _, err = run(["graph-info", "--config", str(cfg)], capsys)
@@ -98,6 +107,8 @@ class TestGraphInfo:
         assert report["d"] == 4
         assert report["n_classes"] == 2
         assert report["alpha_component_partition"] == 0.0
+        assert report["eigensolver"]["n_components"] == 16
+        assert 0.0 <= report["eigensolver"]["max_residual"] <= 1e-20
 
     def test_raw_graph_file(self, tmp_path, capsys, single_vertex):
         gpath = tmp_path / "graph.json"
@@ -199,6 +210,9 @@ class TestSpectrum:
         vals = [float(line.split(",")[1]) for line in lines[1:]]
         assert len(vals) == 5
         assert vals == sorted(vals)
+        solver = json.loads((out_dir / "eigensolver.json").read_text())
+        assert solver["n_components"] == 8
+        assert 0.0 <= solver["max_residual"] <= 1e-20
 
 
 class TestTrain:
@@ -217,6 +231,9 @@ class TestTrain:
         assert loss["total"] <= 1e-6   # the class contains an exact minimizer
         assert loss["total"] == pytest.approx(
             loss["pair_term"] + loss["lam"] * loss["reg_term"], abs=1e-12)
+        assert loss["stop"]["reason"] == "converged"
+        assert loss["stop"]["evals"] > loss["stop"]["rejected"] >= 0
+        assert 0.0 <= loss["stop"]["grad_norm"] <= 1e-6
         model_doc = json.loads((out_dir / "model.json").read_text())
         assert model_doc["class"] == "linear"
         trace = (out_dir / "trace.csv").read_text().splitlines()
@@ -326,8 +343,12 @@ class TestBr:
         assert code == 0
         assert "class=tabular" in out and "class=linear" in out
         report = (out_dir / "report.csv").read_text().splitlines()
-        assert report[0] == "r,lambda,b_value,whiten_ok,seed,class"
+        assert report[0] == "r,lambda,b_value,whiten_ok,seed,class,stop_reason,evals"
         assert len(report) == 1 + 2 * 2 * 2
+        for line in report[1:]:
+            reason, evals = line.split(",")[-2:]
+            assert reason in ("converged", "min_step", "max_iters")
+            assert int(evals) >= 1
         summary = (out_dir / "summary.csv").read_text().splitlines()
         assert summary[0] == "r,b_r,oracle,class"
         manifest = json.loads((out_dir / "manifest.json").read_text())

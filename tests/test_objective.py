@@ -34,7 +34,7 @@ from pairlab.objective import (
 from pairlab.posgraph import build_graph, connected_components
 from pairlab.septest import br_oracle_tabular
 from pairlab.spectral import eigendecompose
-from pairlab.synthdata import Example1Spec, example1_graph, random_graph
+from pairlab.synthdata import Example1Spec, example1_graph, random_graph, two_level_graph
 
 
 class TestPopulationLoss:
@@ -296,6 +296,77 @@ class TestStackedLoss:
         assert trace[-1][3] < trace[0][3]
         assert np.all(np.isfinite(model.params))
 
+
+
+def _steps_along_minus_gradient(evals):
+    """For each candidate after the start, whether it moves from the
+    current point along its -gradient; evals are (params, loss, grad)."""
+    x, fx, gx = evals[0]
+    out = []
+    for cand, fc, gc in evals[1:]:
+        step = cand - x
+        out.append(bool(-step @ gx >= (1.0 - 1e-12) * np.linalg.norm(step)
+                        * np.linalg.norm(gx)))
+        if fc <= fx:
+            x, fx, gx = cand, fc, gc
+    return out
+
+
+class TestQuasiNewton:
+    @pytest.mark.parametrize("lam", [100.0, 300.0, 1000.0])
+    def test_large_lambda_reaches_tabular_oracle(self, lam):
+        g = two_level_graph(2).graph
+        model, _ = train(g, spec_for_graph("tabular", 2, g), lam)
+        want, _ = tabular_min_oracle(g, 2, lam)
+        got = population_loss(g, model, lam).total
+        assert want - 1e-12 <= got <= want + 1e-9 * max(1.0, abs(want))
+
+    def test_stop_record(self):
+        g = random_graph(8, n_components=1, seed=5)
+        spec = spec_for_graph("tabular", 2, g)
+        model, trace = train(g, spec, 1.0, TrainConfig(seed=2))
+        stop = model.meta["stop"]
+        assert stop["reason"] == "converged"
+        assert stop["evals"] == trace[-1][0] + 1    # it stopped on its last step
+        assert len(trace) == stop["evals"] - stop["rejected"]
+        _, grad = loss_gradient(g, model, 1.0)
+        assert stop["grad_norm"] == pytest.approx(np.linalg.norm(grad), rel=1e-12)
+        assert stop["grad_norm"] <= TrainConfig().tol * max(1.0, trace[-1][3])
+        (capped, _), = train_grid(g, spec, [1.0], TrainConfig(seed=2, max_iters=3))
+        assert capped.meta["stop"]["reason"] == "max_iters"
+        assert capped.meta["stop"]["evals"] == 4
+
+    def test_non_descent_direction_falls_back_to_steepest(self, monkeypatch):
+        # row 0's quasi-Newton direction is reversed by hand, so it is never
+        # a descent direction: every step of row 0 must go along its
+        # -gradient, and row 1 must not change by a bit
+        g = random_graph(9, n_components=1, seed=28)
+        spec = spec_for_graph("tabular", 2, g)
+        config = TrainConfig(n_starts=1, seed=3, max_iters=300)
+        real_direction, real_loss = objective._direction, StackedLoss.__call__
+        evals = []
+
+        def recorded(self, params, lam, with_grad=True):
+            out = real_loss(self, params, lam, with_grad)
+            if len(params) == 2:
+                evals.append((params[0].copy(), out[0][0], out[3][0].copy()))
+            return out
+
+        def reversed_row0(V, G, head, gamma, grad):
+            d = real_direction(V, G, head, gamma, grad)
+            if len(d) == 2:
+                d[0] = -d[0]
+            return d
+
+        monkeypatch.setattr(StackedLoss, "__call__", recorded)
+        plain = train_grid(g, spec, [1.0, 10.0], config)
+        assert not all(_steps_along_minus_gradient(evals))
+        evals.clear()
+        monkeypatch.setattr(objective, "_direction", reversed_row0)
+        forced = train_grid(g, spec, [1.0, 10.0], config)
+        assert len(evals) > 10 and all(_steps_along_minus_gradient(evals))
+        np.testing.assert_array_equal(forced[1][0].params, plain[1][0].params)
+        assert forced[1][0].meta == plain[1][0].meta
 
 class TestSumRegularizer:
     def setup_method(self):

@@ -67,6 +67,20 @@ class TestOracle:
 
 
 class TestEstimateBr:
+    def test_criterion_08_cells_all_converge(self):
+        # the trained part of acceptance criterion 08: no cell may stop on
+        # its step size or its iteration cap
+        rng = np.random.default_rng(0)
+        for i in range(10):
+            n = int(rng.integers(40, 201))
+            comps = int(rng.integers(1, 5))
+            g = random_graph(n, n_components=comps, seed=100 + i)
+            for r in (2, 5, 10):
+                _, row = estimate_br(g, spec_for_graph("tabular", 2, g), r,
+                                     lambda_grid=SMALL_GRID, train_config=FAST)
+                assert [c.stop_reason for c in row.cells] == ["converged"] * 2
+                assert all(0 < c.evals < FAST.max_iters for c in row.cells)
+
     def test_tabular_zero_when_components_cover_r(self):
         g = random_graph(10, n_components=3, seed=3)
         b, row = estimate_br(g, spec_for_graph("tabular", 2, g), 3,
@@ -215,10 +229,13 @@ class TestCsvWriters:
         write_report_csv(report, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["r", "lambda", "b_value", "whiten_ok", "seed", "class"]
+        assert rows[0] == ["r", "lambda", "b_value", "whiten_ok", "seed", "class",
+                           "stop_reason", "evals"]
         assert len(rows) == 1 + 4 * len(SMALL_GRID)
         for rec in rows[1:]:
             assert rec[5] in ("tabular", "linear")
+            assert rec[6] in ("converged", "min_step", "max_iters")
+            assert int(rec[7]) >= 1
             assert float(rec[1]) in SMALL_GRID
             assert rec[3] in ("0", "1")
             if rec[3] == "1":
