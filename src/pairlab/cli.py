@@ -134,7 +134,7 @@ _SCHEMA = {
         "max_iters": None,
         "seed": None,
         "init_scale": None,
-        "tol": None,
+        "grad_tol": None,
         "n_starts": None,
         "use_sum_regularizer": None,
     },

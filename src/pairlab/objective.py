@@ -11,11 +11,18 @@ gradient, for B parameter vectors at once, each with its own lambda.
 
 Training is deterministic full-batch L-BFGS (Nocedal & Wright, ch. 7),
 multi-start for the nonconvex classes.  Every cell of a `train` call (each
-seeded start and extra starting point) and of a `train_grid` call (those,
-for every lambda of a grid) is one row of one stacked descent, `_descend`.
-Each row keeps its own curvature pairs and backtracks on its own, falls
-back to steepest descent when its direction does not descend, and stops
-on its gradient norm, its step, or `max_iters`, as its stop record says.
+seeded start and each extra starting point) and of a `train_grid` call
+(those, for every lambda of a grid) is one row of a single stacked
+descent.  Each cell keeps its own last curvature pairs and its own step
+fraction: it backtracks when a candidate does not lower the loss, and
+falls back to steepest descent when its direction does not descend.  A
+candidate whose loss is non-finite or above the divergence limit is such a
+rejected step; `Divergence` is raised only for a starting loss already
+over the limit, `NonFiniteGradient` only for a non-finite starting
+gradient.  A cell stops when its gradient norm is at most
+`grad_tol * max(1, |loss|)`, when its step fraction falls below
+`min_step`, or at `max_iters`; it is then frozen and dropped from the
+stacked problem, and its stop record says which.
 
 Closed-form minimizers: for the tabular class the loss decouples along the
 eigenfunctions of the pair operator, giving an exact per-direction scalar
@@ -33,8 +40,18 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import Divergence, EmptySample, NonFiniteGradient, SingularCovariance
-from .funclass import FunctionClassSpec, RepresentationModel, StackedClass, forward
+from .errors import (
+    Divergence,
+    EmptySample,
+    NonFiniteGradient,
+    SingularCovariance,
+)
+from .funclass import (
+    FunctionClassSpec,
+    RepresentationModel,
+    StackedClass,
+    forward,
+)
 from .posgraph import PositivePairGraph
 from .spectral import eigendecompose
 
@@ -42,9 +59,12 @@ _DIVERGENCE_LIMIT = 1e12
 _COV_FLOOR = 1e-12        # eigenvalue floor for covariance square roots
 _WHITEN_MIN_EIG = 1e-10   # below this, whitening refuses
 # StackedLoss multiplies by a dense copy of the joint up to this many
-# vertices and by the CSR joint above.  For one (B, n, k) product (2-core
-# Xeon, OpenBLAS) dense is faster up to n=128-200, the two tie at n=256
-# for B=1, k=2, and CSR is 10-20x faster at n=1024.
+# vertices and by the CSR joint above it.  Measured for one (B, n, k)
+# product on random, two-level and hypercube graphs (2-core Xeon, OpenBLAS):
+# at n=128 dense takes 5.8 us against 12.8 us for CSR at B=1, k=2, and
+# 21.5 against 24.7 us at B=4, k=4; at n=200, 13.6 against 11.9 us at B=1,
+# k=2; at n=256 the two tie at B=1, k=2, and CSR is 1.8x faster at B=4, k=4;
+# at n=1024 CSR is 10-20x faster.
 _DENSE_PRODUCT_LIMIT = 200
 
 
@@ -72,7 +92,9 @@ def sample_pairs(graph: PositivePairGraph, n_pre: int, seed: int = 0) -> PairSam
     if n_pre < 1:
         raise EmptySample("n_pre must be >= 1")
     rows, cols, vals = graph.joint_coo()
-    idx = np.random.default_rng(seed).choice(vals.size, size=n_pre, p=vals / vals.sum())
+    p = vals / vals.sum()
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(vals.size, size=n_pre, p=p)
     return PairSample(pairs=np.stack([rows[idx], cols[idx]], axis=1).astype(np.int64))
 
 
@@ -90,19 +112,22 @@ def _left(M, F: np.ndarray) -> np.ndarray:
 
 
 class StackedLoss:
-    """Population or sampled loss of B stacked cells of one class (tag and
-    shape as in `RepresentationModel`).  A call takes parameters (B, P) and
-    the cells' lambdas (B,), and returns (total, pair, reg) (B,) arrays and,
-    unless `with_grad=False`, the (B, P) gradient.  What does not depend on
-    the parameters is built once here.
+    """Population or sampled loss of B stacked cells of one class
+    (tag and shape as in `RepresentationModel`).
+
+    A call takes parameters (B, P) and the cells' lambdas (B,) and returns
+    (total, pair, reg, grad): three (B,) arrays and, unless
+    `with_grad=False`, the (B, P) gradient.  Everything that does not
+    depend on the parameters (the class's input arrays, covariance
+    weights, the pair-sample scatter matrix) is built once here.
 
     The population pair term is 2 sum_x d(x)|f(x)|^2 - 2 <F, JF>, clipped
     at 0, with JF from a dense copy of the joint up to
     `_DENSE_PRODUCT_LIMIT` vertices and from the CSR joint above; the
-    sampled one is the mean of ||f(x)-f(x')||^2 over the pairs.  The
-    covariance weights are the marginal, or for a sample the counts of each
-    vertex as a first pair element over n_pre (the raw counts with
-    `use_sum_regularizer`).
+    sampled one is the mean of ||f(x)-f(x')||^2 over the pairs.
+    The covariance weights are the marginal, or for a sample the counts of
+    each vertex as a first pair element, divided by n_pre (the mean) unless
+    `use_sum_regularizer` (the raw sum).
     """
 
     def __init__(self, graph: PositivePairGraph, class_tag: str, shape: dict,
@@ -112,7 +137,8 @@ class StackedLoss:
         self.eye = np.eye(shape["k"])
         self.sample = sample
         if sample is None:
-            self.joint = graph.joint_dense() if graph.n <= _DENSE_PRODUCT_LIMIT else graph.joint
+            small = graph.n <= _DENSE_PRODUCT_LIMIT
+            self.joint = graph.joint_dense() if small else graph.joint
             weights = graph.marginal
         else:
             if sample.n_pre == 0:
@@ -166,7 +192,8 @@ class StackedLoss:
 
 def _single(graph, model, lam, sample, use_sum_regularizer, with_grad):
     loss = StackedLoss(graph, model.class_tag, model.shape, sample, use_sum_regularizer)
-    total, pair, reg, grad = loss(model.params[None, :], np.array([float(lam)]), with_grad)
+    total, pair, reg, grad = loss(model.params[None, :], np.array([float(lam)]),
+                                  with_grad)
     report = LossReport(total=float(total[0]), pair_term=float(pair[0]),
                         reg_term=float(reg[0]), lam=lam)
     return report, None if grad is None else grad[0]
@@ -202,7 +229,7 @@ class TrainConfig:
     max_iters: int = 4000
     seed: int = 0
     init_scale: float = 0.1
-    tol: float = 1e-6          # gradient norm at most tol * max(1, |loss|)
+    grad_tol: float = 1e-6      # gradient norm at most grad_tol * max(1, |loss|)
     n_starts: Optional[int] = None   # default: 5 for relu/conv, 1 otherwise
     use_sum_regularizer: bool = False
     min_step: float = 1e-18     # smallest fraction of a direction tried
@@ -212,16 +239,27 @@ class TrainConfig:
             raise ValueError("need positive step size and max_iters >= 1")
 
 
+def _default_starts(class_tag: str) -> int:
+    return 5 if class_tag in ("relu", "conv") else 1
+
+
 class _Trace:
-    """Per iteration (row 0 the start): every cell's pair, reg, total, accepted."""
+    """Per-iteration pair, reg and total of every cell, and whether the
+    cell accepted its step (1.0) or not (0.0); row 0 is the start."""
 
     def __init__(self, B: int):
         self.values = np.zeros((64, 4, B))
 
     def record(self, it: int, cells: np.ndarray, pair, reg, total, accepted):
-        if it == len(self.values):
+        if it == self.values.shape[0]:
             self.values = np.concatenate([self.values, np.zeros_like(self.values)])
-        self.values[it][:, cells] = pair, reg, total, accepted
+        if cells.size == self.values.shape[2]:
+            cells = slice(None)          # no cell has stopped yet
+        row = self.values[it]
+        row[0, cells] = pair
+        row[1, cells] = reg
+        row[2, cells] = total
+        row[3, cells] = accepted
 
     def of_cell(self, cell: int) -> List[Tuple[int, float, float, float]]:
         its = np.flatnonzero(self.values[:, 3, cell])
@@ -230,84 +268,91 @@ class _Trace:
 
 _HISTORY = 5        # curvature pairs (s, y) each cell keeps
 _DROP_AFTER = 3     # rejections in a row after which a cell drops its pairs
-# With slot h written next, slot j holds the pair of age (j - h) mod m (0 the
-# oldest), and G * _MASKS[h] is [[0, R], [R^T, Y^T Y]], R = triu(S^T Y) by age.
-_AGE = (np.arange(_HISTORY)[None, :] - np.arange(_HISTORY)[:, None]) % _HISTORY
-_MASKS = np.array([np.block([[np.zeros_like(up), up], [up.T, np.ones_like(up)]])
-                   for up in ((age[:, None] <= age).astype(float) for age in _AGE)])
 
 
-def _push(V, G, head, rows, s, y) -> None:
-    """Write (s[rows], y[rows]) over the oldest pairs of `rows` in V (B, 2m, P),
-    at slots head and head + m, and in their Gram matrices G = V V^T."""
-    m = V.shape[1] // 2
-    h = head[rows]
-    V[rows, h], V[rows, h + m] = s[rows], y[rows]
-    new_s, new_y = np.vecdot(V, s[:, None])[rows], np.vecdot(V, y[:, None])[rows]
-    G[rows, :, h], G[rows, h] = new_s, new_s
-    G[rows, :, h + m], G[rows, h + m] = new_y, new_y
-    head[rows] = (h + 1) % m
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (B, P) arrays (np.vecdot needs NumPy 2)."""
+    return (a[:, None] @ b[:, :, None])[:, 0, 0]
 
 
-def _direction(V, G, head, gamma, g) -> np.ndarray:
-    """-H g for every row, H the row's L-BFGS inverse Hessian in the
-    compact form of Byrd, Nocedal & Schnabel (1994):
-    H = gamma (I - V^T T^-1 V), T = [[0, R], [R^T, E / gamma + Y^T Y]],
-    with E the diagonal of R.  An empty slot (zero in V) gets a unit
-    diagonal in T, so it adds nothing."""
-    m = V.shape[1] // 2
-    E = G[:, :m, m:].diagonal(axis1=1, axis2=2)
-    empty = E == 0.0
-    T = G * _MASKS[head]
-    T.reshape(len(T), -1)[:, ::2 * m + 1] += np.concatenate(
-        [empty, E / gamma[:, None] + empty], axis=1)
-    z = np.linalg.solve(T, V @ g[:, :, None])
-    d = (z.transpose(0, 2, 1) @ V)[:, 0] - g
-    d *= gamma[:, None]
-    return d
+def _push(V, C, r, s: np.ndarray, y: np.ndarray, sy: np.ndarray, yy: np.ndarray) -> None:
+    """Make (s, y) the newest pair of the rows `r` (a slice or an index
+    array), dropping their oldest.  V (B, 2, m, P) holds S and Y, oldest
+    first, an empty slot zero; C (B, 3, m, m) holds R^-1, Y^T Y and
+    D = diag(R), where R_ij = s_i.y_j for i <= j.  The oldest pair leaves
+    as the first row and column of each, and the new one enters R^-1 as
+    the last column, [-R^-1 S^T y, 1] / s.y."""
+    B, _, m, P = V.shape
+    w = (V.reshape(B, 2 * m, P) @ y[:, :, None])[r, :, 0]   # [S^T y; Y^T y], old slots
+    s, y, sy, yy = s[r], y[r], sy[r], yy[r]
+    for j in range(m - 1):              # slot by slot: no copy of the history
+        V[r, :, j] = V[r, :, j + 1]
+    V[r, 0, -1], V[r, 1, -1] = s, y
+    Cr = C[r]
+    Cr[:, :, :-1, :-1] = Cr[:, :, 1:, 1:]
+    Cr[:, 1, -1, :-1] = Cr[:, 1, :-1, -1] = w[:, m + 1:]
+    Cr[:, 0, :, -1] = (Cr[:, 0, :, :-1] @ w[:, 1:m, None])[:, :, 0] / -sy[:, None]
+    Cr[:, 0, -1, -1], Cr[:, 1, -1, -1], Cr[:, 2, -1, -1] = 1.0 / sy, yy, sy
+    C[r] = Cr
+
+
+def _direction(V, C, gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """-H g for every row, H its L-BFGS inverse Hessian with H0 = gamma I,
+    in the compact form of Byrd, Nocedal & Schnabel (1994):
+    H g = gamma g + S R^-T ((D + gamma Y^T Y) a - gamma Y^T g) - gamma Y a,
+    with a = R^-1 S^T g.  Empty slots add nothing."""
+    B, _, m, P = V.shape
+    V = V.reshape(B, 2 * m, P)
+    c = gamma[:, None, None]
+    Vg = V @ g[:, :, None]
+    a = C[:, 0] @ Vg[:, :m]
+    w = c * (Vg[:, m:] - C[:, 1] @ a) - C[:, 2] @ a
+    coef = np.concatenate([C[:, 0].transpose(0, 2, 1) @ w, c * a], axis=1)
+    return (coef.transpose(0, 2, 1) @ V)[:, 0] - c[:, 0] * g
 
 
 def _descend(loss: StackedLoss, params: np.ndarray, lam: np.ndarray,
              config: TrainConfig, trace: Optional[_Trace]):
-    """L-BFGS on every row of `params` at once, each row on its own.
+    """L-BFGS (Nocedal & Wright, ch. 7) on every row of `params` at once.
 
-    A row keeps its last `_HISTORY` pairs (s, y), only those with s.y > 0;
-    its scale gamma, s.y / y.y of the newest pair (`step_size` at first,
-    doubled on an accepted step that stores no pair); and t, the fraction
-    of its direction -H g tried next (1 at first, halved after a step that
-    does not lower the loss, doubled up to 1 after one that does).  A
-    candidate is accepted when its loss is at most the current one, so a
-    non-finite or over-limit candidate is rejected.  A row whose new
-    direction does not descend (g.d >= 0), or after `_DROP_AFTER`
-    rejections in a row, drops its pairs and takes -gamma g.  It stops, and
-    leaves the stacked problem, when its gradient norm is at most
-    tol * max(1, |loss|) ("converged"), when t falls below `min_step`
-    ("min_step"), or at `max_iters`.  Returns the final iterate and loss
-    of each row and its stop record {reason, evals (the start included),
-    rejected, grad_norm}.
+    The rows share nothing but the loop.  Each keeps its last `_HISTORY`
+    curvature pairs (s, y), storing only those with s.y > 0 (`_push`); its
+    scale gamma, s.y / y.y of its newest pair (`step_size` at first, and
+    doubled by an accepted step that stores no pair); and t, the fraction
+    of its direction -H g (`_direction`) it tries next: 1 at first, halved
+    after a candidate that does not lower the loss, doubled up to 1 after
+    one that does.  A candidate is accepted when its loss is at most the
+    current one, so a non-finite candidate, or one over the divergence
+    limit, is rejected.  A row whose direction does not descend (g.d >= 0),
+    or that rejected `_DROP_AFTER` candidates in a row, drops its pairs and
+    takes -gamma g.  A row stops when its gradient norm is at most
+    grad_tol * max(1, |loss|) ("converged"), when t falls below `min_step`
+    ("min_step"), or at `max_iters`, and is then dropped from the stacked
+    problem.  Returns the final iterate and loss of each row, and its stop
+    record {reason, evals (the start included), rejected, grad_norm}.
     """
     B, P = params.shape
     f, pair, reg, g = loss(params, lam)
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradient("non-finite gradient at initialization")
     if not np.all(f <= _DIVERGENCE_LIMIT):
-        raise Divergence(f"starting loss {f[~(f <= _DIVERGENCE_LIMIT)][0]!r} "
-                         f"exceeds {_DIVERGENCE_LIMIT:g}")
-    cells = rows = np.arange(B)
+        worst = f[~(f <= _DIVERGENCE_LIMIT)][0]
+        raise Divergence(f"starting loss {worst!r} exceeds {_DIVERGENCE_LIMIT:g}")
+    cells = np.arange(B)
     if trace is not None:
-        trace.record(0, cells, pair, reg, f, np.ones(B))
+        trace.record(0, cells, pair, reg, f, True)
 
     out_params, out_loss, out_gnorm = params.copy(), f.copy(), np.zeros(B)
     reason = np.full(B, "max_iters", dtype=object)
     evals, rejected = np.full(B, config.max_iters + 1), np.zeros(B, dtype=np.int64)
-    x, d = params, -config.step_size * g
-    V, G = np.zeros((B, 2 * _HISTORY, P)), np.zeros((B, 2 * _HISTORY, 2 * _HISTORY))
-    head, streak = np.zeros(B, dtype=np.int64), np.zeros(B, dtype=np.int64)
-    gamma, t = np.full(B, config.step_size), np.ones(B)
-    gnorm = np.sqrt(np.vecdot(g, g))
-    converged = done = gnorm <= config.tol * np.maximum(np.abs(f), 1.0)
+    V, C = np.zeros((B, 2, _HISTORY, P)), np.zeros((B, 3, _HISTORY, _HISTORY))
+    x, gamma, t = params, np.full(B, config.step_size), np.ones(B)
+    streak = np.zeros(B, dtype=np.int64)
     it = 0
     while True:
+        gnorm = np.sqrt(_dot(g, g))
+        converged = gnorm <= config.grad_tol * np.maximum(np.abs(f), 1.0)
+        done = converged | (t < config.min_step)
         if done.any():
             gone = cells[done]
             out_params[gone], out_loss[gone], out_gnorm[gone] = x[done], f[done], gnorm[done]
@@ -316,51 +361,44 @@ def _descend(loss: StackedLoss, params: np.ndarray, lam: np.ndarray,
             keep = ~done
             if not keep.any():
                 break
-            cells, x, f, g, d, t, gnorm, streak, gamma, lam, G, head = (
-                a[keep] for a in (cells, x, f, g, d, t, gnorm, streak, gamma, lam, G, head))
+            cells, x, f, g, t, gamma, streak, lam = (
+                a[keep] for a in (cells, x, f, g, t, gamma, streak, lam))
             for j, i in enumerate(np.flatnonzero(keep)):   # in place: V is the
                 V[j] = V[i]                                 # largest array here
-            V, rows = V[:cells.size], rows[:cells.size]
+            V, C = V[:cells.size], C[keep]
         if it == config.max_iters:
             out_params[cells], out_loss[cells], out_gnorm[cells] = x, f, gnorm
             break
+        d = _direction(V, C, gamma, g)
+        bad = ~(_dot(g, d) < 0.0) | (streak == _DROP_AFTER)
+        if bad.any():                       # steepest descent, pairs dropped
+            V[bad], C[bad] = 0.0, 0.0
+            d[bad] = -gamma[bad, None] * g[bad]
         it += 1
         cand = x + t[:, None] * d
         fc, pc, rc, gc = loss(cand, lam)
+        acc = fc <= f                       # False for NaN, inf and > limit
         if trace is not None:
-            trace.record(it, cells, pc, rc, fc, fc <= f)
+            trace.record(it, cells, pc, rc, fc, acc)
         s, y = cand - x, gc - g
-        sy = np.vecdot(s, y)
-        acc = fc <= f                   # False for NaN, inf and > limit
+        sy, yy = _dot(s, y), _dot(y, y)
         store = acc & (sy > 0.0)
         if store.all() and (fc < f).all():
-            # every row lowered its loss and stores its pair
-            _push(V, G, head, rows, s, y)
-            gamma = sy / np.vecdot(y, y)
-            t = np.minimum(2.0 * t, 1.0)
-            x, f, g = cand, fc, gc
-            d = _direction(V, G, head, gamma, g)
+            # every row lowered its loss and stores its pair: the same bits
+            # as the general update below, without its np.where calls
+            _push(V, C, slice(None), s, y, sy, yy)
+            gamma, t, x, f, g = sy / yy, np.minimum(2.0 * t, 1.0), cand, fc, gc
             streak.fill(0)
-        else:
-            if store.any():
-                _push(V, G, head, np.flatnonzero(store), s, y)
-            gamma = np.where(store, sy / np.vecdot(y, y),
-                             np.where(acc, 2.0 * gamma, gamma))
-            t = np.where(fc < f, np.minimum(2.0 * t, 1.0), 0.5 * t)
-            rejected[cells[~acc]] += 1
-            x = np.where(acc[:, None], cand, x)
-            f = np.where(acc, fc, f)
-            g = np.where(acc[:, None], gc, g)
-            if acc.any():
-                d = np.where(acc[:, None], _direction(V, G, head, gamma, g), d)
-            streak = np.where(acc, 0, streak + 1)
-        fallback = (acc & ~(np.vecdot(g, d) < 0.0)) | (streak == _DROP_AFTER)
-        if fallback.any():                  # steepest descent, history dropped
-            V[fallback], G[fallback] = 0.0, 0.0
-            d[fallback] = -gamma[fallback, None] * g[fallback]
-        gnorm = np.where(acc, np.sqrt(np.vecdot(g, g)), gnorm)
-        converged = acc & (gnorm <= config.tol * np.maximum(np.abs(f), 1.0))
-        done = converged | (t < config.min_step)
+            continue
+        if store.any():
+            _push(V, C, np.flatnonzero(store), s, y, sy, yy)
+        gamma = np.where(store, sy / yy, np.where(acc, 2.0 * gamma, gamma))
+        t = np.minimum(t * np.where(fc < f, 2.0, 0.5), 1.0)
+        streak = np.where(acc, 0, streak + 1)
+        rejected[cells] += ~acc
+        x = np.where(acc[:, None], cand, x)
+        f = np.where(acc, fc, f)
+        g = np.where(acc[:, None], gc, g)
     return out_params, out_loss, [
         {"reason": r, "evals": int(e), "rejected": int(n), "grad_norm": float(gn)}
         for r, e, n, gn in zip(reason, evals, rejected, out_gnorm)]
@@ -383,11 +421,11 @@ def train_grid(
     the models `extra_inits[g]` as given starting points.  Returns one
     (model, trace) per lambda: the best-loss iterate over its cells (the
     first cell on ties), with that cell's stop record (see `_descend`) as
-    `meta["stop"]`, and, with `keep_trace`, the cell's accepted-step trace
-    (iter, pair, reg, total); else None.
+    `meta["stop"]`, and, with `keep_trace`, that cell's accepted-step
+    trace (iter, pair, reg, total); else None.
     """
     config = config or TrainConfig()
-    n_starts = config.n_starts or (5 if class_spec.class_tag in ("relu", "conv") else 1)
+    n_starts = config.n_starts or _default_starts(class_spec.class_tag)
     seeds = [config.seed] * len(lams) if seeds is None else seeds
     extra_inits = [()] * len(lams) if extra_inits is None else extra_inits
     if not len(lams) == len(seeds) == len(extra_inits) >= 1:
@@ -429,11 +467,13 @@ def train(
     sample: Optional[PairSample] = None,
     extra_inits: Sequence[RepresentationModel] = (),
 ) -> Tuple[RepresentationModel, List[Tuple[int, float, float, float]]]:
-    """Minimize the loss by deterministic full-batch L-BFGS: the population
-    loss by default, the empirical one for a `sample`.  Runs `n_starts`
-    seeded random starts (plus any `extra_inits`) as one stacked descent and
-    returns the best-loss iterate, its `meta["stop"]` the stop record of its
-    descent, with its accepted-step trace (iter, pair, reg, total).
+    """Minimize the loss by deterministic full-batch L-BFGS.
+
+    Population loss on the graph by default; pass `sample` for the
+    empirical loss.  Runs `n_starts` seeded random initializations (plus
+    any `extra_inits` as given starting points) as one stacked descent and
+    returns the best-loss iterate, with its stop record as `meta["stop"]`,
+    and its accepted-step trace (iter, pair, reg, total).
     """
     config = config or TrainConfig()
     return train_grid(graph, class_spec, [lam], config, extra_inits=[extra_inits],
@@ -464,11 +504,13 @@ def tabular_min_oracle(graph: PositivePairGraph, k: int, lam: float):
     dec = eigendecompose(graph, k)
     psi = dec.eigenvalues
     c_sq = np.maximum(0.0, 1.0 - psi / lam)
-    contrib = np.where(psi <= lam, 2.0 * psi - psi * psi / lam, lam)
+    contrib = np.where(psi <= lam, 2.0 * psi - psi * psi / lam,
+                       np.full_like(psi, lam))
     F = dec.functions * np.sqrt(c_sq)[None, :]
-    model = RepresentationModel(class_tag="tabular", shape={"n": graph.n, "k": k},
-                                params=F.ravel(),
-                                meta={"oracle": "per-direction spectral minimization"})
+    model = RepresentationModel(
+        class_tag="tabular", shape={"n": graph.n, "k": k}, params=F.ravel(),
+        meta={"oracle": "per-direction spectral minimization"},
+    )
     return float(np.sum(contrib)), model
 
 
@@ -496,16 +538,23 @@ def linear_min_oracle(graph: PositivePairGraph, k: int, lam: float):
     mu, V = scipy.linalg.eigh(M)
     mu = np.maximum(mu, 0.0)
 
-    mu = mu[:min(k, rank)]
-    inside = mu <= 2.0 * lam
+    use = min(k, rank)
+    contrib = []
     U = np.zeros((k, X.shape[1]))
-    for i, c in enumerate(np.sqrt(np.where(inside, 1.0 - mu / (2.0 * lam), 0.0))):
+    for i in range(use):
+        m_i = mu[i]
+        if m_i <= 2.0 * lam:
+            contrib.append(m_i - m_i * m_i / (4.0 * lam))
+            c = np.sqrt(1.0 - m_i / (2.0 * lam))
+        else:
+            contrib.append(lam)
+            c = 0.0
         U[i] = c * (T @ V[:, i])
-    total = (float(np.sum(np.where(inside, mu - mu * mu / (4.0 * lam), lam)))
-             + lam * max(0, k - rank))
-    model = RepresentationModel(class_tag="linear", shape={"k": k, "d": X.shape[1]},
-                                params=U.ravel(),
-                                meta={"oracle": "whitened-pencil minimization", "rank": rank})
+    total = float(np.sum(contrib)) + lam * max(0, k - rank)
+    model = RepresentationModel(
+        class_tag="linear", shape={"k": k, "d": X.shape[1]}, params=U.ravel(),
+        meta={"oracle": "whitened-pencil minimization", "rank": rank},
+    )
     return total, model
 
 
@@ -524,6 +573,8 @@ def whiten(graph: PositivePairGraph, model: RepresentationModel) -> np.ndarray:
     cov = F.T @ (F * graph.marginal[:, None])
     evals, evecs = scipy.linalg.eigh(cov)
     if evals.min() <= _WHITEN_MIN_EIG:
-        raise SingularCovariance(f"covariance eigenvalue {evals.min()!r} too small to whiten")
+        raise SingularCovariance(
+            f"covariance eigenvalue {evals.min()!r} too small to whiten"
+        )
     inv_sqrt = evecs @ ((1.0 / np.sqrt(evals))[:, None] * evecs.T)
     return (F @ inv_sqrt) / np.sqrt(k)

@@ -46,7 +46,8 @@ class TestConfigValidation:
         assert "unknown config key: graph.bogus_key" in err
 
     @pytest.mark.parametrize("section, key", [("class", "lipschitz_kappa"),
-                                              ("train", "momentum")])
+                                              ("train", "momentum"),
+                                              ("train", "tol")])
     def test_removed_keys_rejected(self, tmp_path, capsys, section, key):
         cfg = write_config(tmp_path, {"version": 1, "graph": {"random": {"n": 6}},
                                       section: {key: 1.0}})

@@ -312,7 +312,44 @@ def _steps_along_minus_gradient(evals):
     return out
 
 
+def _two_loop(pairs, gamma, g):
+    """H g by the L-BFGS two-loop recursion (Nocedal & Wright, alg. 7.4),
+    pairs (s, y) oldest first, H0 = gamma I."""
+    q, alphas = g.copy(), []
+    for s, y in reversed(pairs):
+        alphas.append(s @ q / (s @ y))
+        q -= alphas[-1] * y
+    q *= gamma
+    for (s, y), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - y @ q / (s @ y)) * s
+    return q
+
+
 class TestQuasiNewton:
+    def test_direction_matches_two_loop_recursion(self):
+        # random rows skip each push, and every row wraps past the history
+        rng = np.random.default_rng(1)
+        B, P, m = 4, 12, objective._HISTORY
+        A = rng.standard_normal((P, P))
+        A = A @ A.T + np.eye(P)
+        V, C = np.zeros((B, 2, m, P)), np.zeros((B, 3, m, m))
+        pairs = [[] for _ in range(B)]
+        for _ in range(4 * m):
+            s = rng.standard_normal((B, P))
+            y = s @ A
+            rows = np.flatnonzero(rng.random(B) < 0.7)
+            objective._push(V, C, rows if rows.size < B else slice(None),
+                            s, y, objective._dot(s, y), objective._dot(y, y))
+            for i in rows:
+                pairs[i] = (pairs[i] + [(s[i], y[i])])[-m:]
+            gamma, g = rng.uniform(0.1, 1.0, B), rng.standard_normal((B, P))
+            d = objective._direction(V, C, gamma, g)
+            for i in range(B):
+                want = -_two_loop(pairs[i], gamma[i], g[i])
+                np.testing.assert_allclose(d[i], want, rtol=0,
+                                           atol=1e-12 * np.abs(want).max())
+        assert all(len(p) == m for p in pairs)
+
     @pytest.mark.parametrize("lam", [100.0, 300.0, 1000.0])
     def test_large_lambda_reaches_tabular_oracle(self, lam):
         g = two_level_graph(2).graph
@@ -331,7 +368,7 @@ class TestQuasiNewton:
         assert len(trace) == stop["evals"] - stop["rejected"]
         _, grad = loss_gradient(g, model, 1.0)
         assert stop["grad_norm"] == pytest.approx(np.linalg.norm(grad), rel=1e-12)
-        assert stop["grad_norm"] <= TrainConfig().tol * max(1.0, trace[-1][3])
+        assert stop["grad_norm"] <= TrainConfig().grad_tol * max(1.0, trace[-1][3])
         (capped, _), = train_grid(g, spec, [1.0], TrainConfig(seed=2, max_iters=3))
         assert capped.meta["stop"]["reason"] == "max_iters"
         assert capped.meta["stop"]["evals"] == 4
@@ -352,8 +389,8 @@ class TestQuasiNewton:
                 evals.append((params[0].copy(), out[0][0], out[3][0].copy()))
             return out
 
-        def reversed_row0(V, G, head, gamma, grad):
-            d = real_direction(V, G, head, gamma, grad)
+        def reversed_row0(*args):
+            d = real_direction(*args)
             if len(d) == 2:
                 d[0] = -d[0]
             return d
@@ -367,6 +404,7 @@ class TestQuasiNewton:
         assert len(evals) > 10 and all(_steps_along_minus_gradient(evals))
         np.testing.assert_array_equal(forced[1][0].params, plain[1][0].params)
         assert forced[1][0].meta == plain[1][0].meta
+
 
 class TestSumRegularizer:
     def setup_method(self):
