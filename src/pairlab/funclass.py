@@ -14,8 +14,8 @@ Both are the one-model case of `StackedClass`, which evaluates B parameter
 vectors of a class at once (the trainer's stacked cells).
 
 The closed-form constructions verify their own output semantics on every
-vertex before returning; displayed bias constants are checked and, if they
-fail, re-solved from the semantics (the model's `meta` records which).
+vertex before returning, with the displayed bias constants; a vertex where
+they fail raises `ConstructionVerificationFailed`.
 """
 
 from __future__ import annotations
@@ -272,9 +272,9 @@ def construct_example2_optimal(
     """ReLU network computing sqrt(k) * one-hot(sign pattern of x_{1:s}).
 
     Row i has weights sqrt(k) * (the i-th sign pattern) on the first s
-    coordinates.  The displayed bias -sqrt(k)(s-1) is verified on every
-    vertex; if verification fails the bias is re-solved from the one-hot
-    semantics (meta["bias_source"] records which path ran).
+    coordinates and the displayed bias -sqrt(k)(s-1).  The one-hot
+    semantics are verified on every vertex of `graph`;
+    `ConstructionVerificationFailed` names the first vertex where they fail.
     """
     s = spec.s
     want_k = 2 ** s
@@ -289,41 +289,15 @@ def construct_example2_optimal(
         U[i, :s] = scale * _pattern_of(i, s)
     bias_displayed = -scale * (s - 1)
 
-    X = graph.vertices
-    target_idx = np.array([_bin_index(x[:s]) for x in X])
-
-    def build(bias_vec):
-        params = np.concatenate([U.ravel(), bias_vec])
-        return RepresentationModel(
-            class_tag="relu", shape={"k": want_k, "d": spec.d}, params=params,
-        )
-
-    model = build(np.full(want_k, bias_displayed))
-    bad = _verify_onehot_outputs(forward(model, graph), target_idx, scale)
-    source = "displayed"
-    if bad is not None:
-        # solve per unit: bias = scale - (pre-activation on matching inputs),
-        # then re-check that non-matching inputs stay non-positive
-        pre = X @ U.T
-        bias = np.empty(want_k)
-        for i in range(want_k):
-            match = target_idx == i
-            if not match.any():
-                raise ConstructionVerificationFailed(
-                    f"no vertex realizes sign pattern {i}"
-                )
-            bias[i] = scale - float(pre[match, i].max())
-        model = build(bias)
-        bad = _verify_onehot_outputs(forward(model, graph), target_idx, scale)
-        source = "solved"
-        if bad is not None:
-            raise ConstructionVerificationFailed(
-                f"one-hot semantics fail at vertex {bad}"
-            )
-    return RepresentationModel(
-        class_tag=model.class_tag, shape=model.shape, params=model.params,
-        meta={"bias_source": source},
+    target_idx = np.array([_bin_index(x[:s]) for x in graph.vertices])
+    model = RepresentationModel(
+        class_tag="relu", shape={"k": want_k, "d": spec.d},
+        params=np.concatenate([U.ravel(), np.full(want_k, bias_displayed)]),
     )
+    bad = _verify_onehot_outputs(forward(model, graph), target_idx, scale)
+    if bad is not None:
+        raise ConstructionVerificationFailed(f"one-hot semantics fail at vertex {bad}")
+    return model
 
 
 def _patch_location(x: np.ndarray, d: int, s: int) -> int:
@@ -349,7 +323,8 @@ def construct_example4_optimal(
     Filter i is (sqrt(k)/(gamma-1)) times the i-th sign pattern; the
     displayed bias makes the aligned matching window output sqrt(k) and
     every other window non-positive (worst case exactly 0).  Verified on
-    every vertex; bias re-solved if the displayed constant fails.
+    every vertex of `graph`; `ConstructionVerificationFailed` names the
+    first vertex where the semantics fail.
     """
     s, d, gamma = spec.s, spec.d, spec.gamma
     want_k = 2 ** s
@@ -365,49 +340,20 @@ def construct_example4_optimal(
         U[i] = a * _pattern_of(i, s)
     bias_displayed = -a * (gamma * (s - 1) + 1.0)
 
-    X = graph.vertices
     widx = _window_index(d, s)
     target_idx = np.empty(graph.n, dtype=np.int64)
-    for v, x in enumerate(X):
+    for v, x in enumerate(graph.vertices):
         t = _patch_location(x, d, s)
         target_idx[v] = _bin_index(x[widx[t]])
-
-    def build(bias_vec):
-        params = np.concatenate([U.ravel(), bias_vec])
-        return RepresentationModel(
-            class_tag="conv", shape={"k": want_k, "d": d, "s": s}, params=params,
-        )
-
-    model = build(np.full(want_k, bias_displayed))
-    bad = _verify_onehot_outputs(forward(model, graph), target_idx, scale)
-    source = "displayed"
-    if bad is not None:
-        windows = X[:, widx]
-        pre = np.einsum("nts,ks->ntk", windows, U)
-        bias = np.empty(want_k)
-        for i in range(want_k):
-            match = target_idx == i
-            if not match.any():
-                raise ConstructionVerificationFailed(
-                    f"no vertex realizes patch pattern {i}"
-                )
-            # the matching window must land exactly at scale
-            aligned = []
-            for v in np.flatnonzero(match):
-                t = _patch_location(X[v], d, s)
-                aligned.append(pre[v, t, i])
-            bias[i] = scale - float(np.max(aligned))
-        model = build(bias)
-        bad = _verify_onehot_outputs(forward(model, graph), target_idx, scale)
-        source = "solved"
-        if bad is not None:
-            raise ConstructionVerificationFailed(
-                f"one-hot patch semantics fail at vertex {bad}"
-            )
-    return RepresentationModel(
-        class_tag=model.class_tag, shape=model.shape, params=model.params,
-        meta={"bias_source": source},
+    model = RepresentationModel(
+        class_tag="conv", shape={"k": want_k, "d": d, "s": s},
+        params=np.concatenate([U.ravel(), np.full(want_k, bias_displayed)]),
     )
+    bad = _verify_onehot_outputs(forward(model, graph), target_idx, scale)
+    if bad is not None:
+        raise ConstructionVerificationFailed(
+            f"one-hot patch semantics fail at vertex {bad}")
+    return model
 
 
 def construct_adversarial_universal(

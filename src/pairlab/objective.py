@@ -21,7 +21,7 @@ rejected step; `Divergence` is raised only for a starting loss already
 over the limit, `NonFiniteGradient` only for a non-finite starting
 gradient.  A cell stops when its gradient norm is at most
 `grad_tol * max(1, |loss|)`, when its step fraction falls below
-`min_step`, or at `max_iters`; it is then frozen and dropped from the
+`_MIN_STEP`, or at `max_iters`; it is then frozen and dropped from the
 stacked problem, and its stop record says which.
 
 Closed-form minimizers: for the tabular class the loss decouples along the
@@ -56,6 +56,7 @@ from .posgraph import PositivePairGraph
 from .spectral import eigendecompose
 
 _DIVERGENCE_LIMIT = 1e12
+_MIN_STEP = 1e-18         # smallest fraction of a direction a cell tries
 _COV_FLOOR = 1e-12        # eigenvalue floor for covariance square roots
 _WHITEN_MIN_EIG = 1e-10   # below this, whitening refuses
 # StackedLoss multiplies by a dense copy of the joint up to this many
@@ -232,7 +233,6 @@ class TrainConfig:
     grad_tol: float = 1e-6      # gradient norm at most grad_tol * max(1, |loss|)
     n_starts: Optional[int] = None   # default: 5 for relu/conv, 1 otherwise
     use_sum_regularizer: bool = False
-    min_step: float = 1e-18     # smallest fraction of a direction tried
 
     def __post_init__(self):
         if self.step_size <= 0 or self.max_iters < 1:
@@ -311,9 +311,15 @@ def _direction(V, C, gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (coef.transpose(0, 2, 1) @ V)[:, 0] - c[:, 0] * g
 
 
-def _descend(loss: StackedLoss, params: np.ndarray, lam: np.ndarray,
+def _descend(loss, params: np.ndarray, lam: np.ndarray,
              config: TrainConfig, trace: Optional[_Trace]):
     """L-BFGS (Nocedal & Wright, ch. 7) on every row of `params` at once.
+
+    `loss` is any stacked objective, called as loss(params (B, P), lam (B,))
+    and returning (total, pair, reg, grad): three (B,) arrays and the (B, P)
+    gradient of total; `StackedLoss` is one.  Only the trace reads pair and
+    reg, and each row's lam is only handed back to `loss`, so a loss may
+    ignore it.
 
     The rows share nothing but the loop.  Each keeps its last `_HISTORY`
     curvature pairs (s, y), storing only those with s.y > 0 (`_push`); its
@@ -326,7 +332,7 @@ def _descend(loss: StackedLoss, params: np.ndarray, lam: np.ndarray,
     limit, is rejected.  A row whose direction does not descend (g.d >= 0),
     or that rejected `_DROP_AFTER` candidates in a row, drops its pairs and
     takes -gamma g.  A row stops when its gradient norm is at most
-    grad_tol * max(1, |loss|) ("converged"), when t falls below `min_step`
+    grad_tol * max(1, |loss|) ("converged"), when t falls below `_MIN_STEP`
     ("min_step"), or at `max_iters`, and is then dropped from the stacked
     problem.  Returns the final iterate and loss of each row, and its stop
     record {reason, evals (the start included), rejected, grad_norm}.
@@ -352,7 +358,7 @@ def _descend(loss: StackedLoss, params: np.ndarray, lam: np.ndarray,
     while True:
         gnorm = np.sqrt(_dot(g, g))
         converged = gnorm <= config.grad_tol * np.maximum(np.abs(f), 1.0)
-        done = converged | (t < config.min_step)
+        done = converged | (t < _MIN_STEP)
         if done.any():
             gone = cells[done]
             out_params[gone], out_loss[gone], out_gnorm[gone] = x[done], f[done], gnorm[done]

@@ -25,7 +25,8 @@ from .errors import (
     NotOrthonormal,
     ZeroFunction,
 )
-from .funclass import FunctionClassSpec, forward, grad_params
+from .funclass import FunctionClassSpec, StackedClass
+from .objective import TrainConfig, _descend
 from .posgraph import Partition, PositivePairGraph, cross_cluster_mass
 from .spectral import INFINITE, min_expansion_over_class, pair_discrepancy
 
@@ -113,9 +114,11 @@ def _implementability_residual(graph, class_spec: FunctionClassSpec,
                                targets: np.ndarray) -> float:
     """Weighted least-squares residual of fitting targets inside the class.
 
-    Exact for tabular (always 0) and linear (convex); for relu/conv this is
-    a gradient-descent upper bound, so callers must not treat a large value
-    as a certificate of non-implementability for those classes.
+    Exact for tabular (always 0) and linear (convex).  For relu/conv it is
+    the smallest final loss of 3 seeded starts fitted by the trainer's
+    L-BFGS loop (`_descend`, 500 iterations), an upper bound: callers must
+    not treat a large value as a certificate of non-implementability for
+    those classes.
     """
     w = graph.marginal
     if class_spec.class_tag == "tabular":
@@ -127,32 +130,25 @@ def _implementability_residual(graph, class_spec: FunctionClassSpec,
         resid = X @ sol - Y
         return float(np.sum(resid * resid))
 
-    # nonconvex classes: short deterministic descent on the fit objective
-    rng = np.random.default_rng(0)
     spec = FunctionClassSpec(
         class_tag=class_spec.class_tag, k=targets.shape[1], d=graph.d,
         n=graph.n, s=class_spec.s or 1,
     )
-    best = np.inf
-    for _ in range(3):
-        params = rng.uniform(-0.5, 0.5, size=spec.param_count())
-        step = 0.1
-        model = spec.model(params)
-        F = forward(model, graph)
-        loss = float(np.sum(w * np.sum((F - targets) ** 2, axis=1)))
-        for _ in range(500):
-            grad = grad_params(model, graph, 2.0 * w[:, None] * (F - targets))
-            cand = spec.model(model.params - step * grad)
-            Fc = forward(cand, graph)
-            lc = float(np.sum(w * np.sum((Fc - targets) ** 2, axis=1)))
-            if lc <= loss:
-                model, F, loss = cand, Fc, lc
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        best = min(best, loss)
-    return best
+    net = StackedClass(spec.class_tag, spec.shape_dict(), graph)
+    w = w[:, None]
+
+    def fit(params, lam):
+        F, pre = net.forward(params)
+        R = F - targets
+        WR = w * R
+        total = np.einsum("bnk,bnk->b", WR, R)
+        return total, total, np.zeros_like(total), net.adjoint(pre, 2.0 * WR)
+
+    starts = np.random.default_rng(0).uniform(-0.5, 0.5, size=(3, spec.param_count()))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _, final, _ = _descend(fit, starts, np.zeros(3),
+                               TrainConfig(step_size=0.1, max_iters=500), None)
+    return float(final.min())
 
 
 def measure_assumptions(graph: PositivePairGraph, partition: Partition,

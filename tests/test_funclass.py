@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pairlab.errors import (
+    ConstructionVerificationFailed,
     DimensionMismatch,
     SpecMismatch,
     TooManyOutputs,
@@ -233,6 +234,22 @@ class TestConstructions:
         zeroed = np.where(np.all(verts == [2.0, 0.0, 0.0], axis=1))[0]
         assert full.size == 1 and zeroed.size == 1
         np.testing.assert_allclose(F[full[0]], F[zeroed[0]], atol=1e-9)
+
+    @pytest.mark.parametrize("construct, spec, make_graph", [
+        (construct_example2_optimal, Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0)),
+         example1_graph),
+        (construct_example4_optimal, Example4Spec(d=3, s=1, gamma=2.0,
+                                                  tau_grid=(0.0, 1.0)),
+         example4_graph),
+    ], ids=["example2", "example4"])
+    def test_displayed_bias_failure_raises(self, construct, spec, make_graph):
+        # the example's joint on coordinates scaled by 3/4: sign patterns and
+        # patch locations survive, but the displayed bias no longer gives
+        # sqrt(k) on the matching unit
+        g = make_graph(spec).graph
+        scaled = build_graph(0.75 * g.vertices, g.joint)
+        with pytest.raises(ConstructionVerificationFailed, match="fail at vertex"):
+            construct(spec, graph=scaled)
 
     def test_adversarial_universal_zero_loss_and_sqrt_k_scale(self):
         spec = Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0))

@@ -22,7 +22,13 @@ from pairlab.probe import (
     theorem56_bound,
 )
 from pairlab.spectral import INFINITE
-from pairlab.synthdata import Example1Spec, example1_graph, random_graph
+from pairlab.synthdata import (
+    Example1Spec,
+    Example4Spec,
+    example1_graph,
+    example4_graph,
+    random_graph,
+)
 
 
 class TestFitLinearHead:
@@ -129,6 +135,21 @@ class TestMeasureAssumptions:
         assert rep.beta is not INFINITE
         assert rep.beta > 0.0
         assert rep.beta_certified
+
+    @pytest.mark.parametrize("tag, s, make_graph, spec", [
+        ("conv", 1, example4_graph, Example4Spec(d=4, s=1, gamma=2.0)),
+        ("relu", 0, example1_graph, Example1Spec(d=3, s=1)),
+    ], ids=["example4-conv", "example1-relu"])
+    def test_nonconvex_class_implements_label_partition(self, tag, s, make_graph,
+                                                        spec):
+        # the conv case is construct_example4_optimal scaled by 1/sqrt(k),
+        # the relu case construct_example2_optimal likewise
+        lab = make_graph(spec)
+        part = partition_from_labels(lab.labels)
+        rep = measure_assumptions(
+            lab.graph, part, spec_for_graph(tag, part.n_sets, lab.graph, s=s))
+        assert rep.implementable
+        assert rep.implementable_residual <= 1e-10
 
     def test_relu_class_reports_tabular_standin(self):
         g = random_graph(8, n_components=2, seed=8)
