@@ -128,7 +128,6 @@ _SCHEMA = {
     "r_list": None,
     "count": None,
     "n_graphs": None,
-    "seed": None,
     "train": {
         "step_size": None,
         "max_iters": None,
@@ -136,7 +135,6 @@ _SCHEMA = {
         "init_scale": None,
         "grad_tol": None,
         "n_starts": None,
-        "use_sum_regularizer": None,
     },
 }
 
@@ -725,8 +723,6 @@ def _seeds(cfg: dict, args) -> List[int]:
     seeds = []
     if args.seed is not None:
         seeds.append(int(args.seed))
-    if "seed" in cfg:
-        seeds.append(int(cfg["seed"]))
     if "train" in cfg and "seed" in cfg["train"]:
         seeds.append(int(cfg["train"]["seed"]))
     return seeds or [0]

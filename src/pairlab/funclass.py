@@ -15,15 +15,18 @@ vectors of a class at once (the trainer's stacked cells).
 
 The closed-form constructions verify their own output semantics on every
 vertex before returning, with the displayed bias constants; a vertex where
-they fail raises `ConstructionVerificationFailed`.
+they fail raises `ConstructionVerificationFailed`.  Their units and targets
+are indexed by sign pattern in the order of `synthdata.sign_patterns`
+(first coordinate most significant, +1 a 1 bit); `_sign_index` is its
+inverse, and `_patch_cells` reads the (location, pattern) cell of every
+example-4 vertex at once.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -37,7 +40,13 @@ from .errors import (
 )
 from .posgraph import PositivePairGraph
 from .spectral import pair_discrepancy
-from .synthdata import Example1Spec, Example4Spec, example1_graph, example4_graph
+from .synthdata import (
+    Example1Spec,
+    Example4Spec,
+    example1_graph,
+    example4_graph,
+    sign_patterns,
+)
 
 _VERIFY_TOL = 1e-9   # relative tolerance for construction output checks
 
@@ -223,19 +232,11 @@ def lipschitz_constant(model: RepresentationModel, graph: PositivePairGraph) -> 
 # closed-form constructions
 
 
-def _bin_index(signs: Sequence[float]) -> int:
-    """Sign pattern -> integer, first coordinate most significant,
-    positive = 1 bit."""
-    idx = 0
-    for v in signs:
-        idx = (idx << 1) | (1 if v > 0 else 0)
-    return idx
-
-
-def _pattern_of(index: int, bits: int) -> np.ndarray:
-    """Inverse of _bin_index as a +-1 vector."""
-    return np.array([1.0 if (index >> (bits - 1 - j)) & 1 else -1.0
-                     for j in range(bits)])
+def _sign_index(positive: np.ndarray) -> np.ndarray:
+    """Row index in `sign_patterns` of each sign pattern, given as a
+    boolean (..., bits) array that is True where the sign is +1."""
+    bits = positive.shape[-1]
+    return positive @ (1 << np.arange(bits - 1, -1, -1))
 
 
 def construct_example1_optimal(spec: Example1Spec, k: Optional[int] = None) -> RepresentationModel:
@@ -285,11 +286,10 @@ def construct_example2_optimal(
     scale = np.sqrt(want_k)
 
     U = np.zeros((want_k, spec.d))
-    for i in range(want_k):
-        U[i, :s] = scale * _pattern_of(i, s)
+    U[:, :s] = scale * sign_patterns(s)
     bias_displayed = -scale * (s - 1)
 
-    target_idx = np.array([_bin_index(x[:s]) for x in graph.vertices])
+    target_idx = _sign_index(graph.vertices[:, :s] > 0)
     model = RepresentationModel(
         class_tag="relu", shape={"k": want_k, "d": spec.d},
         params=np.concatenate([U.ravel(), np.full(want_k, bias_displayed)]),
@@ -300,18 +300,23 @@ def construct_example2_optimal(
     return model
 
 
-def _patch_location(x: np.ndarray, d: int, s: int) -> int:
-    """Start index of the unique length-s circular window holding the
-    above-unit-magnitude patch entries."""
-    positions = set(np.flatnonzero(np.abs(x) > 1.0).tolist())
-    if len(positions) != s:
-        raise SpecMismatch(
-            f"vertex has {len(positions)} patch-magnitude entries, expected {s}"
-        )
-    for t in range(d):
-        if all(((t + j) % d) in positions for j in range(s)):
-            return t
-    raise SpecMismatch("patch entries are not circularly consecutive")
+def _patch_cells(X: np.ndarray, d: int, s: int):
+    """(t, pattern) of every vertex: the start t of the length-s circular
+    window that holds its above-unit-magnitude patch entries, and the sign
+    index of the patch read from that window."""
+    patch = np.abs(X) > 1.0
+    counts = patch.sum(axis=1)
+    widx = _window_index(d, s)
+    inside = patch[:, widx].all(axis=2)
+    bad = np.flatnonzero((counts != s) | ~inside.any(axis=1))
+    if bad.size:
+        v = int(bad[0])
+        if counts[v] != s:
+            raise SpecMismatch(
+                f"vertex {v} has {counts[v]} patch-magnitude entries, expected {s}")
+        raise SpecMismatch(f"patch entries of vertex {v} are not circularly consecutive")
+    t = np.argmax(inside, axis=1)
+    return t, _sign_index(np.take_along_axis(X, widx[t], axis=1) > 0)
 
 
 def construct_example4_optimal(
@@ -335,16 +340,10 @@ def construct_example4_optimal(
     scale = np.sqrt(want_k)
     a = scale / (gamma - 1.0)
 
-    U = np.empty((want_k, s))
-    for i in range(want_k):
-        U[i] = a * _pattern_of(i, s)
+    U = a * sign_patterns(s)
     bias_displayed = -a * (gamma * (s - 1) + 1.0)
 
-    widx = _window_index(d, s)
-    target_idx = np.empty(graph.n, dtype=np.int64)
-    for v, x in enumerate(graph.vertices):
-        t = _patch_location(x, d, s)
-        target_idx[v] = _bin_index(x[widx[t]])
+    _, target_idx = _patch_cells(graph.vertices, d, s)
     model = RepresentationModel(
         class_tag="conv", shape={"k": want_k, "d": d, "s": s},
         params=np.concatenate([U.ravel(), np.full(want_k, bias_displayed)]),
@@ -361,21 +360,19 @@ def construct_adversarial_universal(
 ) -> RepresentationModel:
     """Tabular minimizer that is measurable w.r.t. the key coordinates only.
 
-    Vertices are grouped by the sign pattern of `key_dims` (positive = 1
-    bit, first key dim most significant).  The k lowest-indexed occurring
-    groups are mapped to (1/sqrt(group mass)) * e_j; remaining groups map
-    to the zero vector.  Either way the representation covariance is
-    exactly I and, provided components refine the grouping, the pair term
-    vanishes — so the loss is 0 while the output ignores every coordinate
-    outside key_dims.
+    Vertices are grouped by the sign index of their `key_dims` pattern
+    (`sign_patterns` order).  The k lowest-indexed occurring groups are
+    mapped to (1/sqrt(group mass)) * e_j; remaining groups map to the zero
+    vector.  Either way the representation covariance is exactly I and,
+    provided components refine the grouping, the pair term vanishes — so
+    the loss is 0 while the output ignores every coordinate outside
+    key_dims.
     """
     key = np.asarray(key_dims, dtype=np.int64)
     if key.size == 0 or key.min() < 0 or key.max() >= graph.d:
         raise DimensionMismatch(f"bad key dims {key_dims!r} for d={graph.d}")
 
-    signs = graph.vertices[:, key] > 0
-    weights = 1 << np.arange(key.size - 1, -1, -1)
-    group_of = signs @ weights
+    group_of = _sign_index(graph.vertices[:, key] > 0)
 
     present = np.unique(group_of)
     if k > present.size:
@@ -406,31 +403,6 @@ def construct_adversarial_universal(
     )
 
 
-def construct_adversarial_zero_mapping(graph: PositivePairGraph, k: int) -> RepresentationModel:
-    """Tabular minimizer indicating the k smallest-mass components.
-
-    Components are ranked by marginal mass (ties by component id); the k
-    lightest get (1/sqrt(mass)) * e_j outputs, all heavier components map
-    to zero.  Loss is 0; any head must predict 0 on the dropped mass.
-    """
-    from .posgraph import connected_components
-
-    part = connected_components(graph)
-    masses = part.masses(graph)
-    if k > part.n_sets:
-        raise TooManyOutputs(f"k={k} exceeds {part.n_sets} components")
-    order = np.lexsort((np.arange(part.n_sets), masses))
-    chosen = order[:k]
-    F = np.zeros((graph.n, k))
-    for j, comp in enumerate(chosen):
-        members = part.labels == comp
-        F[members, j] = 1.0 / np.sqrt(float(masses[comp]))
-    return RepresentationModel(
-        class_tag="tabular", shape={"n": graph.n, "k": k}, params=F.ravel(),
-        meta={"represented_components": [int(c) for c in chosen]},
-    )
-
-
 def construct_example4_adversarial_relu(
     spec: Example4Spec, k: int, graph: Optional[PositivePairGraph] = None,
 ) -> RepresentationModel:
@@ -452,29 +424,25 @@ def construct_example4_adversarial_relu(
 
     scale = np.sqrt(n_clusters)
     a = scale / (gamma - 1.0)
-    widx = _window_index(d, s)
 
+    # unit j is cluster j = t * 2^s + pattern
+    unit_t, unit_pattern = np.divmod(np.arange(k), 2 ** s)
     U = np.zeros((k, d))
+    U[np.arange(k)[:, None], _window_index(d, s)[unit_t]] = a * sign_patterns(s)[unit_pattern]
     bias = np.full(k, -a * (gamma * (s - 1) + 1.0))
-    units = list(itertools.product(range(d), range(2 ** s)))[:k]
-    for j, (t, pat) in enumerate(units):
-        U[j, widx[t]] = a * _pattern_of(pat, s)
 
     model = RepresentationModel(
         class_tag="relu", shape={"k": k, "d": d}, params=np.concatenate([U.ravel(), bias]),
-        meta={"represented_clusters": [[int(t), int(p)] for t, p in units],
+        meta={"represented_clusters": np.stack([unit_t, unit_pattern], axis=1).tolist(),
               "cluster_count": n_clusters},
     )
 
     # verification: sqrt(C) one-hot on represented clusters, zero elsewhere
-    X = graph.vertices
+    t, pattern = _patch_cells(graph.vertices, d, s)
+    cluster = t * 2 ** s + pattern
     target = np.zeros((graph.n, k))
-    unit_of = {tp: j for j, tp in enumerate(units)}
-    for v, x in enumerate(X):
-        t = _patch_location(x, d, s)
-        key = (t, _bin_index(x[widx[t]]))
-        if key in unit_of:
-            target[v, unit_of[key]] = scale
+    shown = np.flatnonzero(cluster < k)
+    target[shown, cluster[shown]] = scale
     F = forward(model, graph)
     gap = np.max(np.abs(F - target))
     if gap > _VERIFY_TOL * scale:

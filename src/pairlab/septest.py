@@ -75,7 +75,7 @@ def estimate_br(
     lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
     train_config: Optional[TrainConfig] = None,
     warm_models: Optional[Dict[int, Sequence[RepresentationModel]]] = None,
-    collect_models: Optional[List[Optional[RepresentationModel]]] = None,
+    collect_models: Optional[List[RepresentationModel]] = None,
 ):
     """(b_r, BrRow) for one class and one r.
 
@@ -144,16 +144,15 @@ def br_table(
     r_list: Sequence[int],
     lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
     train_config: Optional[TrainConfig] = None,
-    nested_warm_start: bool = True,
 ) -> SeparabilityReport:
     """Full separability table over classes and r values.
 
-    With `nested_warm_start`, tabular cells additionally start from the
-    vertex values of the trained models of every other (sub-)class at the
-    same (r, lambda) — the containment b_r(tabular) <= b_r(subclass) is a
-    statement about global minima, and warming the superset class from the
-    subset's solution keeps finite optimization from inverting it.  The
-    oracle column never uses warm starts (it is closed-form).
+    Tabular cells additionally start from the vertex values of the trained
+    models of every other (sub-)class at the same (r, lambda) — the
+    containment b_r(tabular) <= b_r(subclass) is a statement about global
+    minima, and warming the superset class from the subset's solution keeps
+    finite optimization from inverting it.  The oracle column never uses
+    warm starts (it is closed-form).
     """
     rows: List[BrRow] = []
     trained_by_cell: Dict[int, Dict[int, List[RepresentationModel]]] = {}
@@ -162,7 +161,7 @@ def br_table(
     for spec in ordered:
         for r in r_list:
             warm = None
-            if nested_warm_start and spec.class_tag == "tabular":
+            if spec.class_tag == "tabular":
                 warm = {}
                 for li, models in trained_by_cell.get(r, {}).items():
                     warm[li] = [
@@ -173,15 +172,14 @@ def br_table(
                         )
                         for m in models
                     ]
-            collected: List[Optional[RepresentationModel]] = []
+            collected: List[RepresentationModel] = []
             _, row = estimate_br(graph, spec, r, lambda_grid, train_config,
                                  warm_models=warm, collect_models=collected)
             rows.append(row)
-            if nested_warm_start and spec.class_tag != "tabular":
+            if spec.class_tag != "tabular":
                 store = trained_by_cell.setdefault(r, {})
                 for li, model in enumerate(collected):
-                    if model is not None:
-                        store.setdefault(li, []).append(model)
+                    store.setdefault(li, []).append(model)
 
     order = {cs.class_tag: i for i, cs in enumerate(class_specs)}
     rows.sort(key=lambda row: (order[row.class_tag], row.r))

@@ -8,19 +8,24 @@ Four generator families:
   * explicit well-separated point sets with a sub-cluster positive-pair rule
     (example 3),
   * patch data on a circle: an informative +-gamma patch at some location,
-    spurious +-1 coordinates scaled by a grid in [0, 1] (example 4).
+    spurious +-1 coordinates scaled by a grid in [0, 1] (example 4), labeled
+    by the index of the patch pattern.
 
 Continuous augmentation laws are replaced by finite grids; everything is
 enumerated lexicographically so identical specs give bit-identical graphs.
 Every generator emits its joint as (row, col, value) triplets, never as an
 n×n array, so graphs up to the size guard build in bounded memory.
+
+`sign_patterns` fixes the one sign-pattern <-> index convention of the
+package: the first coordinate is the most significant bit and +1 is a 1
+bit.  Example 4's labels and the constructions' units in `funclass` use it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -97,9 +102,15 @@ def _block_pairs(starts, size: int):
     return rows.ravel(), cols.ravel()
 
 
-def _sign_patterns(bits: int):
-    """All sign vectors of the given length, lexicographic with -1 first."""
-    return itertools.product((-1.0, 1.0), repeat=bits)
+def sign_patterns(bits: int) -> np.ndarray:
+    """All ±1 vectors of length `bits` as a (2^bits, bits) array.
+
+    Row i has +1 exactly at the 1 bits of i, first coordinate most
+    significant: the rows are lexicographic with -1 first, and row i is the
+    pattern that every sign-pattern index in pairlab calls i.
+    """
+    bits_of = (np.arange(2 ** bits)[:, None] >> np.arange(bits - 1, -1, -1)) & 1
+    return np.where(bits_of == 1, 1.0, -1.0)
 
 
 def _hypercube_vertices_and_joint(spec: Example1Spec):
@@ -113,16 +124,10 @@ def _hypercube_vertices_and_joint(spec: Example1Spec):
         raise SizeGuardExceeded(f"{n} vertices exceed guard {spec.size_guard}")
 
     combos = np.array(list(itertools.product(grid, repeat=n_free)))
-    verts = np.empty((n, d))
-    first_block = np.empty((n, s))
-    row = 0
-    for pattern in _sign_patterns(d):
-        pat = np.array(pattern)
-        block = np.repeat(pat[None, :], n_combos, axis=0)
-        block[:, s:] *= combos
-        verts[row:row + n_combos] = block
-        first_block[row:row + n_combos] = pat[:s]
-        row += n_combos
+    patterns = np.repeat(sign_patterns(d), n_combos, axis=0)
+    verts = patterns.copy()
+    verts[:, s:] *= np.tile(combos, (n_naturals, 1))
+    first_block = patterns[:, :s]
 
     # p(natural) = 2^-d, kernel uniform over the tau combos of that natural;
     # augmentation sets are disjoint across naturals here, so the joint is
@@ -171,7 +176,7 @@ def example2_labels(
 def xor_label_map(s: int, dims: Sequence[int] = (0, 1)) -> Dict[Tuple[float, ...], int]:
     """Parity of the chosen sign coordinates — the classic non-linear map."""
     out = {}
-    for pattern in _sign_patterns(s):
+    for pattern in sign_patterns(s).tolist():
         parity = 1
         for j in dims:
             parity *= int(pattern[j])
@@ -181,7 +186,7 @@ def xor_label_map(s: int, dims: Sequence[int] = (0, 1)) -> Dict[Tuple[float, ...
 
 def enumeration_label_map(s: int) -> Dict[Tuple[float, ...], int]:
     """Each sign pattern its own class (m = 2^s)."""
-    return {tuple(p): i for i, p in enumerate(_sign_patterns(s))}
+    return {tuple(p): i for i, p in enumerate(sign_patterns(s).tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +340,6 @@ class Example4Spec:
     s: int
     gamma: float
     tau_grid: Tuple[float, ...] = _TAU_GRID_4
-    label_map: Optional[Dict[Tuple[int, ...], int]] = None
     size_guard: int = DEFAULT_SIZE_GUARD
 
     def __post_init__(self):
@@ -358,10 +362,13 @@ def example4_graph(spec: Example4Spec) -> LabeledGraph:
     location t and +-1 spurious coordinates; augmentations rescale each
     spurious coordinate by a grid value in [0, 1], keeping the patch.
 
-    Labels depend on the patch content only (location-invariant).  When the
-    grid contains 0, augmented views of naturals that differ only in
+    The label of a vertex is the index of its patch pattern (`sign_patterns`
+    order), so it is location-invariant and there are 2^s classes.  When
+    the grid contains 0, augmented views of naturals that differ only in
     spurious signs collide at the zeroed coordinates, so components merge
-    from d*2^d (one per natural) down to d*2^s.
+    from d*2^d (one per natural) down to d*2^s.  Vertices are numbered in
+    order of first appearance over (t, patch, spurious signs, tau combo),
+    each lexicographic.
     """
     d, s, gamma = spec.d, spec.s, spec.gamma
     grid = spec.tau_grid
@@ -371,66 +378,37 @@ def example4_graph(spec: Example4Spec) -> LabeledGraph:
     if n_exact > spec.size_guard:
         raise SizeGuardExceeded(f"{n_exact} vertices exceed guard {spec.size_guard}")
 
-    label_map = spec.label_map
-    if label_map is None:
-        label_map = {p: i for i, p in enumerate(itertools.product((-1, 1), repeat=s))}
-    classes: Dict[int, int] = {}
-
-    vert_index: Dict[bytes, int] = {}
-    vert_rows: List[np.ndarray] = []
-    vert_labels: List[int] = []
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-
+    combos = np.array(list(itertools.product(grid, repeat=n_free)))
+    n_combos = combos.shape[0]
     n_naturals = d * (2 ** s) * (2 ** n_free)
-    p_nat = 1.0 / n_naturals
-    combos = list(itertools.product(grid, repeat=n_free))
-    k_combo = 1.0 / len(combos)
+    # one view per (patch, spurious signs, combo) with the patch at location
+    # 0, then rotated so that coordinate (t + j) % d holds entry j
+    local = np.empty((2 ** s, 2 ** n_free, n_combos, d))
+    local[..., :s] = gamma * sign_patterns(s)[:, None, None, :]
+    local[..., s:] = sign_patterns(n_free)[:, None, :] * combos
+    shift = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d
+    views = np.moveaxis(local[..., shift], -2, 0).reshape(-1, d) + 0.0  # fold -0.0
+    view_label = np.tile(np.repeat(np.arange(2 ** s), 2 ** n_free * n_combos), d)
 
-    for t in range(d):
-        spurious_dims = [(t + s + j) % d for j in range(n_free)]
-        patch_dims = [(t + j) % d for j in range(s)]
-        for patch in itertools.product((-1, 1), repeat=s):
-            key = tuple(patch)
-            if key not in label_map:
-                raise IncompleteLabelMap(f"label map misses patch pattern {key}")
-            raw = label_map[key]
-            if raw not in classes:
-                classes[raw] = len(classes)
-            lab = classes[raw]
-            for spurious in itertools.product((-1.0, 1.0), repeat=n_free):
-                # augmentations of one natural
-                aug_ids = []
-                for combo in combos:
-                    x = np.zeros(d)
-                    for j, pd in enumerate(patch_dims):
-                        x[pd] = gamma * patch[j]
-                    for j, sd in enumerate(spurious_dims):
-                        x[sd] = spurious[j] * combo[j]
-                    x = x + 0.0  # fold -0.0 at tau = 0
-                    bkey = x.tobytes()
-                    vid = vert_index.get(bkey)
-                    if vid is None:
-                        vid = len(vert_rows)
-                        vert_index[bkey] = vid
-                        vert_rows.append(x)
-                        vert_labels.append(lab)
-                    else:
-                        # collisions only merge views that share the patch
-                        assert vert_labels[vid] == lab
-                    aug_ids.append(vid)
-                w = p_nat * k_combo * k_combo
-                for a in aug_ids:
-                    for b in aug_ids:
-                        rows.append(a)
-                        cols.append(b)
-                        vals.append(w)
+    # colliding views merge into one vertex, numbered by first appearance
+    _, first, inverse = np.unique(views, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    vid = np.argsort(order)[inverse.ravel()]
+    first = first[order]
+    labels = view_label[first]
+    # collisions only merge views that share the patch
+    assert np.array_equal(labels[vid], view_label)
 
-    graph = build_graph(np.vstack(vert_rows),
-                        _triplets(rows, cols, vals, len(vert_rows)))
-    labels = np.asarray(vert_labels, dtype=np.int64)
-    return LabeledGraph(graph=graph, labels=labels, n_classes=len(classes))
+    # p(natural) uniform, kernel uniform over the natural's tau combos
+    p_nat, k_combo = 1.0 / n_naturals, 1.0 / n_combos
+    w = p_nat * k_combo * k_combo
+    aug = vid.reshape(n_naturals, n_combos)
+    rows = np.repeat(aug, n_combos, axis=1).ravel()
+    cols = np.tile(aug, (1, n_combos)).ravel()
+    graph = build_graph(views[first],
+                        _triplets(rows, cols, np.full(rows.size, w), first.size))
+    return LabeledGraph(graph=graph, labels=labels, n_classes=2 ** s)
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +419,14 @@ def random_graph(
     n: int,
     n_components: int = 1,
     seed: int = 0,
-    extra_edge_frac: float = 1.0,
-    coord_dim: int = 3,
 ) -> PositivePairGraph:
     """Random weighted graph with exactly `n_components` components.
 
     Vertices are split into random nonempty blocks; each block gets a
-    random spanning tree (guaranteeing its connectivity), a proportional
-    number of extra random edges, and a self-pair weight per vertex
-    (guaranteeing positive marginals).  Coordinates are random and only
-    serve as vertex identities.
+    random spanning tree (guaranteeing its connectivity), one extra random
+    edge draw per vertex (self-loop draws are skipped), and a self-pair
+    weight per vertex (guaranteeing positive marginals).  Coordinates are
+    random points in R^3 and only serve as vertex identities.
     """
     if not (1 <= n_components <= n):
         raise ValueError(f"need 1 <= n_components <= n, got {n_components}, {n}")
@@ -466,14 +442,13 @@ def random_graph(
     rows, cols, vals = [], [], []
     for b in range(n_components):
         lo, hi = bounds[b], bounds[b + 1]
-        size = hi - lo
         for i in range(lo + 1, hi):
             j = int(rng.integers(lo, i))
             w = float(rng.uniform(0.2, 1.0))
             rows += [i, j]
             cols += [j, i]
             vals += [w, w]
-        for _ in range(int(extra_edge_frac * size)):
+        for _ in range(hi - lo):
             u, v = rng.integers(lo, hi, size=2)
             if u == v:
                 continue
@@ -486,7 +461,7 @@ def random_graph(
                       np.concatenate([vals, rng.uniform(0.05, 0.3, size=n)]), n,
                       normalize=True)
 
-    verts = rng.standard_normal((n, coord_dim))
+    verts = rng.standard_normal((n, 3))
     return build_graph(verts, joint)
 
 

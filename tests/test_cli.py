@@ -47,13 +47,22 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("section, key", [("class", "lipschitz_kappa"),
                                               ("train", "momentum"),
-                                              ("train", "tol")])
+                                              ("train", "tol"),
+                                              ("train", "use_sum_regularizer")])
     def test_removed_keys_rejected(self, tmp_path, capsys, section, key):
         cfg = write_config(tmp_path, {"version": 1, "graph": {"random": {"n": 6}},
                                       section: {key: 1.0}})
         code, _, err = run(["train", "--config", str(cfg)], capsys)
         assert code == 2
         assert f"unknown config key: {section}.{key}" in err
+
+    def test_top_level_seed_rejected(self, tmp_path, capsys):
+        # it seeded nothing; the seed of a run is train.seed or --seed
+        cfg = write_config(tmp_path, {"version": 1, "graph": {"random": {"n": 6}},
+                                      "seed": 4})
+        code, _, err = run(["graph-info", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "unknown config key: seed" in err
 
     def test_missing_version(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"graph": {"example": 1, "d": 2, "s": 1}})

@@ -13,6 +13,7 @@ from pairlab.errors import (
 )
 from pairlab.funclass import (
     FunctionClassSpec,
+    _sign_index,
     construct_adversarial_universal,
     construct_example1_optimal,
     construct_example2_optimal,
@@ -37,6 +38,7 @@ from pairlab.synthdata import (
     Example4Spec,
     example1_graph,
     example4_graph,
+    sign_patterns,
 )
 
 
@@ -250,6 +252,34 @@ class TestConstructions:
         scaled = build_graph(0.75 * g.vertices, g.joint)
         with pytest.raises(ConstructionVerificationFailed, match="fail at vertex"):
             construct(spec, graph=scaled)
+
+    @pytest.mark.parametrize("construct", [
+        construct_example4_optimal,
+        lambda spec, graph: construct_example4_adversarial_relu(spec, 3, graph),
+    ], ids=["optimal", "adversarial-relu"])
+    @pytest.mark.parametrize("move, message", [
+        # a spurious entry raised above unit magnitude: s + 1 patch entries
+        (lambda x: np.concatenate([x[:3], [1.5]]),
+         "vertex 7 has 3 patch-magnitude entries, expected 2"),
+        # the patch's second entry swapped with the next spurious one
+        (lambda x: x[[0, 2, 1, 3]],
+         "patch entries of vertex 7 are not circularly consecutive"),
+    ], ids=["count", "not-consecutive"])
+    def test_patch_cells_reject_bad_vertex(self, construct, move, message):
+        spec = Example4Spec(d=4, s=2, gamma=2.0, tau_grid=(0.0, 1.0))
+        g = example4_graph(spec).graph
+        verts = g.vertices.copy()
+        # vertex 7 is a view of a natural with its patch at coordinates 0, 1
+        assert np.all(np.abs(verts[7, :2]) > 1.0)
+        verts[7] = move(verts[7])
+        bad = build_graph(verts, g.joint)
+        with pytest.raises(SpecMismatch, match=message):
+            construct(spec, graph=bad)
+
+    def test_sign_index_inverts_sign_patterns(self):
+        for bits in range(1, 6):
+            np.testing.assert_array_equal(
+                _sign_index(sign_patterns(bits) > 0), np.arange(2 ** bits))
 
     def test_adversarial_universal_zero_loss_and_sqrt_k_scale(self):
         spec = Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0))

@@ -1,17 +1,19 @@
 """Generators: hypercube examples, point-set clusters, patch example,
 random disconnected graphs, and the two-level / component-cluster graphs."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from pairlab.errors import (
     GeometryViolation,
     IncompleteLabelMap,
     SizeGuardExceeded,
 )
-from pairlab.posgraph import connected_components, cross_cluster_mass
+from pairlab.posgraph import build_graph, connected_components, cross_cluster_mass
 from pairlab.probe import probe_error
 from pairlab.spectral import eigendecompose, pair_discrepancy
 from pairlab.synthdata import (
@@ -269,7 +271,7 @@ class TestRandomAndStructuredGraphs:
         assert np.linalg.matrix_rank(g.vertices) == g.vertices.shape[1]
 
 
-def _dense_random_joint(n, n_components, seed, extra_edge_frac=1.0):
+def _dense_random_joint(n, n_components, seed):
     """random_graph's joint built densely, drawing in the generator's order."""
     rng = np.random.default_rng(seed)
     cuts = np.sort(rng.choice(np.arange(1, n), size=n_components - 1, replace=False))
@@ -281,7 +283,7 @@ def _dense_random_joint(n, n_components, seed, extra_edge_frac=1.0):
             w = float(rng.uniform(0.2, 1.0))
             W[i, j] += w
             W[j, i] += w
-        for _ in range(int(extra_edge_frac * (hi - lo))):
+        for _ in range(hi - lo):
             u, v = rng.integers(lo, hi, size=2)
             if u != v:
                 w = float(rng.uniform(0.05, 0.5))
@@ -291,7 +293,61 @@ def _dense_random_joint(n, n_components, seed, extra_edge_frac=1.0):
     return W / W.sum()
 
 
+def _example4_by_natural(spec):
+    """example4_graph built one natural and one augmentation at a time:
+    vertices numbered by first appearance, labeled by patch index."""
+    d, s, gamma = spec.d, spec.s, spec.gamma
+    n_free = d - s
+    n_naturals = d * (2 ** s) * (2 ** n_free)
+    combos = list(itertools.product(spec.tau_grid, repeat=n_free))
+    w = (1.0 / n_naturals) * (1.0 / len(combos)) * (1.0 / len(combos))
+    index, verts, labels, rows, cols = {}, [], [], [], []
+    for t in range(d):
+        for label, patch in enumerate(itertools.product((-1, 1), repeat=s)):
+            for spurious in itertools.product((-1.0, 1.0), repeat=n_free):
+                ids = []
+                for combo in combos:
+                    x = np.zeros(d)
+                    for j in range(s):
+                        x[(t + j) % d] = gamma * patch[j]
+                    for j in range(n_free):
+                        x[(t + s + j) % d] = spurious[j] * combo[j]
+                    x = x + 0.0
+                    vid = index.setdefault(x.tobytes(), len(verts))
+                    if vid == len(verts):
+                        verts.append(x)
+                        labels.append(label)
+                    ids.append(vid)
+                rows += [a for a in ids for _ in ids]
+                cols += [b for _ in ids for b in ids]
+    n = len(verts)
+    joint = sparse.coo_array((np.full(len(rows), w), (np.array(rows), np.array(cols))),
+                             shape=(n, n))
+    return build_graph(np.vstack(verts), joint), np.array(labels)
+
+
 class TestTripletGenerators:
+    @pytest.mark.parametrize("spec", [
+        Example4Spec(d=3, s=1, gamma=2.0),
+        Example4Spec(d=3, s=2, gamma=2.0, tau_grid=(1.0,)),
+        Example4Spec(d=4, s=2, gamma=2.0, tau_grid=(0.0, 1.0)),
+        Example4Spec(d=4, s=1, gamma=1.5, tau_grid=(0.5, 1.0)),
+        Example4Spec(d=4, s=3, gamma=3.0),
+        Example4Spec(d=5, s=1, gamma=2.0),
+    ], ids=["d3s1-tau0", "d3s2-naturals", "d4s2-tau0", "d4s1-no-collision",
+            "d4s3-tau0", "d5s1-tau0"])
+    def test_example4_graph_matches_per_natural_construction(self, spec):
+        lab = example4_graph(spec)
+        ref, ref_labels = _example4_by_natural(spec)
+        g = lab.graph
+        for got, want in [(g.vertices, ref.vertices), (lab.labels, ref_labels),
+                          (g.joint.data, ref.joint.data),
+                          (g.joint.indices, ref.joint.indices),
+                          (g.joint.indptr, ref.joint.indptr),
+                          (g.marginal, ref.marginal)]:
+            np.testing.assert_array_equal(got, want, strict=True)
+        assert lab.n_classes == 2 ** spec.s
+
     @pytest.mark.parametrize("n,m,seed", [(30, 3, 1), (80, 7, 2), (200, 1, 3)])
     def test_random_graph_matches_dense_construction(self, n, m, seed):
         g = random_graph(n, n_components=m, seed=seed)
