@@ -23,6 +23,7 @@ tokens naming each scripted check.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -180,6 +181,20 @@ def load_config(path: Optional[Path]) -> dict:
     return doc
 
 
+@contextlib.contextmanager
+def _config_values(section: str):
+    """Raise a missing key (KeyError) or a bad value (TypeError,
+    ValueError) met while reading config `section` as ConfigError; used
+    as a decorator on the function that reads the section."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{section} needs key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+@_config_values("graph")
 def graph_from_config(cfg: dict) -> LabeledGraph:
     """Build the configured graph; labels may be None for raw graphs."""
     gcfg = cfg.get("graph")
@@ -231,6 +246,7 @@ def graph_from_config(cfg: dict) -> LabeledGraph:
     raise ConfigError(f"graph section does not describe a known source: {gcfg}")
 
 
+@_config_values("train")
 def train_config_from(cfg: dict, seed_override: Optional[int]) -> TrainConfig:
     t = dict(cfg.get("train", {}))
     if seed_override is not None:
@@ -305,6 +321,20 @@ def _row(theorem: str, check: str, measured, bound, ok) -> dict:
         "bound": float(bound),
         "pass": bool(ok),
     }
+
+
+def _zero_loss_row(theorem: str, what: str, model, graph) -> dict:
+    """Row: the loss of `model` (at lambda = 1) is at most 1e-10."""
+    loss = zero_loss_certificate(model, graph)["loss"]
+    return _row(theorem, f"{what}: loss <= 1e-10", loss, 1e-10, loss <= 1e-10)
+
+
+def _probe_row(theorem: str, check: str, graph, F, targets, bound,
+               at_least: bool = False) -> dict:
+    """Row: the probe error of representations F is at most `bound`, or
+    with `at_least` at least `bound`."""
+    err = probe_error(graph, F, targets)
+    return _row(theorem, check, err, bound, err >= bound if at_least else err <= bound)
 
 
 def verify_prop4(n_graphs: int = 200, seed: int = 0) -> List[dict]:
@@ -425,28 +455,21 @@ def verify_thm52(d: int = 6, s: int = 2, seed: int = 0) -> List[dict]:
     graph = lg.graph
     y = 2.0 * lg.labels.astype(np.float64) - 1.0   # scalar +-1 sign target
 
-    rows = []
     analytic = construct_example1_optimal(spec)
-    err_a = probe_error(graph, forward(analytic, graph), y)
-    rows.append(_row("thm52", "analytic zero-loss model: probe error <= 1e-6",
-                     err_a, 1e-6, err_a <= 1e-6))
-
     trained, _ = train(graph, spec_for_graph("linear", s, graph), lam=1.0,
                        config=TrainConfig(seed=seed))
-    err_t = probe_error(graph, forward(trained, graph), y)
-    rows.append(_row("thm52", "trained model: probe error <= 1e-6",
-                     err_t, 1e-6, err_t <= 1e-6))
-
     k_adv = 2 ** (d - 1)
     key_dims = [j for j in range(d) if j != spec.label_dim]
     adv = construct_adversarial_universal(graph, k_adv, key_dims)
-    cert = zero_loss_certificate(adv, graph, lam=1.0)
-    rows.append(_row("thm52", f"adversarial k={k_adv}: loss <= 1e-10",
-                     cert["loss"], 1e-10, cert["loss"] <= 1e-10))
-    err_adv = probe_error(graph, forward(adv, graph), y)
-    rows.append(_row("thm52", "adversarial best-head error >= 1 - 1e-8",
-                     err_adv, 1.0 - 1e-8, err_adv >= 1.0 - 1e-8))
-    return rows
+    return [
+        _probe_row("thm52", "analytic zero-loss model: probe error <= 1e-6",
+                   graph, forward(analytic, graph), y, 1e-6),
+        _probe_row("thm52", "trained model: probe error <= 1e-6",
+                   graph, forward(trained, graph), y, 1e-6),
+        _zero_loss_row("thm52", f"adversarial k={k_adv}", adv, graph),
+        _probe_row("thm52", "adversarial best-head error >= 1 - 1e-8",
+                   graph, forward(adv, graph), y, 1.0 - 1e-8, at_least=True),
+    ]
 
 
 def verify_thm54(d: int = 5, s: int = 2, seed: int = 0) -> List[dict]:
@@ -461,25 +484,18 @@ def verify_thm54(d: int = 5, s: int = 2, seed: int = 0) -> List[dict]:
     lg = example2_labels(spec, xor_label_map(s))
     graph = lg.graph
 
-    rows = []
     model = construct_example2_optimal(spec, graph)
-    cert = zero_loss_certificate(model, graph, lam=1.0)
-    rows.append(_row("thm54", f"one-hot network k={2**s}: loss <= 1e-10",
-                     cert["loss"], 1e-10, cert["loss"] <= 1e-10))
-    err = probe_error(graph, forward(model, graph), lg.labels)
-    rows.append(_row("thm54", "one-hot network: parity probe error <= 1e-8",
-                     err, 1e-8, err <= 1e-8))
-
     k_adv = 2 ** (d - s)
     adv = construct_adversarial_universal(graph, k_adv,
                                           key_dims=list(range(s, d)))
-    cert_adv = zero_loss_certificate(adv, graph, lam=1.0)
-    rows.append(_row("thm54", f"adversarial k={k_adv}: loss <= 1e-10",
-                     cert_adv["loss"], 1e-10, cert_adv["loss"] <= 1e-10))
-    err_adv = probe_error(graph, forward(adv, graph), lg.labels)
-    rows.append(_row("thm54", "adversarial best-head error >= 1/2 - 1e-6",
-                     err_adv, 0.5 - 1e-6, err_adv >= 0.5 - 1e-6))
-    return rows
+    return [
+        _zero_loss_row("thm54", f"one-hot network k={2**s}", model, graph),
+        _probe_row("thm54", "one-hot network: parity probe error <= 1e-8",
+                   graph, forward(model, graph), lg.labels, 1e-8),
+        _zero_loss_row("thm54", f"adversarial k={k_adv}", adv, graph),
+        _probe_row("thm54", "adversarial best-head error >= 1/2 - 1e-6",
+                   graph, forward(adv, graph), lg.labels, 0.5 - 1e-6, at_least=True),
+    ]
 
 
 def verify_thm56(r: int = 3, m: int = 2, gamma: float = 2.0,
@@ -499,18 +515,14 @@ def verify_thm56(r: int = 3, m: int = 2, gamma: float = 2.0,
     table = spec_for_graph("tabular", r, graph).model(F.ravel())
 
     kappa = np.sqrt(2.0 * r) / gamma
-    rows = []
     lip = lipschitz_constant(table, graph)
-    rows.append(_row("thm56", "set-indicator model: Lipschitz <= sqrt(2r)/gamma",
-                     lip, kappa, lip <= kappa))
-    bound = theorem56_bound(r, m, kappa, rho)
-    err = probe_error(graph, F, lg.labels)
-    rows.append(_row("thm56", "probe error <= 2*r*m*kappa^2*rho^2",
-                     err, bound, err <= bound))
-    cert = zero_loss_certificate(table, graph, lam=1.0)
-    rows.append(_row("thm56", "set-indicator model: loss <= 1e-10",
-                     cert["loss"], 1e-10, cert["loss"] <= 1e-10))
-    return rows
+    return [
+        _row("thm56", "set-indicator model: Lipschitz <= sqrt(2r)/gamma",
+             lip, kappa, lip <= kappa),
+        _probe_row("thm56", "probe error <= 2*r*m*kappa^2*rho^2",
+                   graph, F, lg.labels, theorem56_bound(r, m, kappa, rho)),
+        _zero_loss_row("thm56", "set-indicator model", table, graph),
+    ]
 
 
 def verify_thm58(d: int = 4, s: int = 1, gamma: float = 2.0) -> List[dict]:
@@ -526,24 +538,17 @@ def verify_thm58(d: int = 4, s: int = 1, gamma: float = 2.0) -> List[dict]:
     lg = example4_graph(spec)
     graph = lg.graph
 
-    rows = []
     model = construct_example4_optimal(spec, graph)
-    cert = zero_loss_certificate(model, graph, lam=1.0)
-    rows.append(_row("thm58", f"patch network k={2**s}: loss <= 1e-10",
-                     cert["loss"], 1e-10, cert["loss"] <= 1e-10))
-    err = probe_error(graph, forward(model, graph), lg.labels)
-    rows.append(_row("thm58", "patch network: probe error <= 1e-8",
-                     err, 1e-8, err <= 1e-8))
-
     k_adv = (d * 2 ** s) // 2
     adv = construct_example4_adversarial_relu(spec, k_adv, graph)
-    cert_adv = zero_loss_certificate(adv, graph, lam=1.0)
-    rows.append(_row("thm58", f"adversarial k={k_adv}: loss <= 1e-10",
-                     cert_adv["loss"], 1e-10, cert_adv["loss"] <= 1e-10))
-    err_adv = probe_error(graph, forward(adv, graph), lg.labels)
-    rows.append(_row("thm58", "adversarial best-head error >= 1/2 - 1e-6",
-                     err_adv, 0.5 - 1e-6, err_adv >= 0.5 - 1e-6))
-    return rows
+    return [
+        _zero_loss_row("thm58", f"patch network k={2**s}", model, graph),
+        _probe_row("thm58", "patch network: probe error <= 1e-8",
+                   graph, forward(model, graph), lg.labels, 1e-8),
+        _zero_loss_row("thm58", f"adversarial k={k_adv}", adv, graph),
+        _probe_row("thm58", "adversarial best-head error >= 1/2 - 1e-6",
+                   graph, forward(adv, graph), lg.labels, 0.5 - 1e-6, at_least=True),
+    ]
 
 
 VERIFIERS = {
@@ -607,6 +612,7 @@ def _eigensolver(dec) -> dict:
     return {"n_components": dec.n_components, "max_residual": dec.max_residual}
 
 
+@_config_values("class")
 def _class_spec_from(cfg: dict, graph: PositivePairGraph):
     ccfg = cfg.get("class")
     if not ccfg:

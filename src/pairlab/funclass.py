@@ -13,9 +13,10 @@ parameter vector.  `forward` evaluates on a graph's vertex set, and
 Both are the one-model case of `StackedClass`, which evaluates B parameter
 vectors of a class at once (the trainer's stacked cells).
 
-The closed-form constructions verify their own output semantics on every
-vertex before returning, with the displayed bias constants; a vertex where
-they fail raises `ConstructionVerificationFailed`.  Their units and targets
+The closed-form constructions of examples 2 and 4 take the graph they are
+built for and verify their own output semantics on every vertex of it
+before returning, with the displayed bias constants; a vertex where they
+fail raises `ConstructionVerificationFailed`.  Their units and targets
 are indexed by sign pattern in the order of `synthdata.sign_patterns`
 (first coordinate most significant, +1 a 1 bit); `_sign_index` is its
 inverse, and `_patch_cells` reads the (location, pattern) cell of every
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -40,13 +41,7 @@ from .errors import (
 )
 from .posgraph import PositivePairGraph
 from .spectral import pair_discrepancy
-from .synthdata import (
-    Example1Spec,
-    Example4Spec,
-    example1_graph,
-    example4_graph,
-    sign_patterns,
-)
+from .synthdata import Example1Spec, Example4Spec, sign_patterns
 
 _VERIFY_TOL = 1e-9   # relative tolerance for construction output checks
 
@@ -239,14 +234,12 @@ def _sign_index(positive: np.ndarray) -> np.ndarray:
     return positive @ (1 << np.arange(bits - 1, -1, -1))
 
 
-def construct_example1_optimal(spec: Example1Spec, k: Optional[int] = None) -> RepresentationModel:
-    """Linear projection onto the invariant block: rows e_1..e_s.
+def construct_example1_optimal(spec: Example1Spec) -> RepresentationModel:
+    """Linear projection onto the invariant block: rows e_1..e_s (k = s).
 
     On the matching hypercube graph this has pair discrepancy 0 and
     representation covariance exactly I, hence loss 0 for every lambda.
     """
-    if k is not None and k != spec.s:
-        raise SpecMismatch(f"construction needs k = s = {spec.s}, got k={k}")
     U = np.zeros((spec.s, spec.d))
     U[np.arange(spec.s), np.arange(spec.s)] = 1.0
     model = RepresentationModel(
@@ -256,20 +249,24 @@ def construct_example1_optimal(spec: Example1Spec, k: Optional[int] = None) -> R
     return model
 
 
-def _verify_onehot_outputs(F: np.ndarray, target_idx: np.ndarray, scale: float):
-    """Index of the first vertex whose output row differs from
-    scale * e_{target_idx}, or None."""
-    n, k = F.shape
-    target = np.zeros((n, k))
-    target[np.arange(n), target_idx] = scale
-    bad = np.nonzero(np.max(np.abs(F - target), axis=1) > _VERIFY_TOL * scale)[0]
-    return int(bad[0]) if bad.size else None
+def _verify_onehot_outputs(model: RepresentationModel, graph: PositivePairGraph,
+                           target_idx: np.ndarray, scale: float,
+                           semantics: str) -> RepresentationModel:
+    """`model`, once its output on every vertex of `graph` is checked to be
+    scale * e_{target_idx}, or the zero row where the target index is >= k;
+    else `ConstructionVerificationFailed` names the first vertex that differs."""
+    F = forward(model, graph)
+    target = np.zeros(F.shape)
+    shown = target_idx < F.shape[1]
+    target[shown, target_idx[shown]] = scale
+    bad = np.flatnonzero(np.max(np.abs(F - target), axis=1) > _VERIFY_TOL * scale)
+    if bad.size:
+        raise ConstructionVerificationFailed(f"{semantics} semantics fail at vertex {bad[0]}")
+    return model
 
 
-def construct_example2_optimal(
-    spec: Example1Spec, graph: Optional[PositivePairGraph] = None,
-    k: Optional[int] = None,
-) -> RepresentationModel:
+def construct_example2_optimal(spec: Example1Spec,
+                               graph: PositivePairGraph) -> RepresentationModel:
     """ReLU network computing sqrt(k) * one-hot(sign pattern of x_{1:s}).
 
     Row i has weights sqrt(k) * (the i-th sign pattern) on the first s
@@ -279,10 +276,6 @@ def construct_example2_optimal(
     """
     s = spec.s
     want_k = 2 ** s
-    if k is not None and k != want_k:
-        raise SpecMismatch(f"construction needs k = 2^s = {want_k}, got k={k}")
-    if graph is None:
-        graph = example1_graph(spec).graph
     scale = np.sqrt(want_k)
 
     U = np.zeros((want_k, spec.d))
@@ -294,10 +287,7 @@ def construct_example2_optimal(
         class_tag="relu", shape={"k": want_k, "d": spec.d},
         params=np.concatenate([U.ravel(), np.full(want_k, bias_displayed)]),
     )
-    bad = _verify_onehot_outputs(forward(model, graph), target_idx, scale)
-    if bad is not None:
-        raise ConstructionVerificationFailed(f"one-hot semantics fail at vertex {bad}")
-    return model
+    return _verify_onehot_outputs(model, graph, target_idx, scale, "one-hot")
 
 
 def _patch_cells(X: np.ndarray, d: int, s: int):
@@ -319,10 +309,8 @@ def _patch_cells(X: np.ndarray, d: int, s: int):
     return t, _sign_index(np.take_along_axis(X, widx[t], axis=1) > 0)
 
 
-def construct_example4_optimal(
-    spec: Example4Spec, graph: Optional[PositivePairGraph] = None,
-    k: Optional[int] = None,
-) -> RepresentationModel:
+def construct_example4_optimal(spec: Example4Spec,
+                               graph: PositivePairGraph) -> RepresentationModel:
     """Convolutional network computing sqrt(k) * one-hot(patch pattern).
 
     Filter i is (sqrt(k)/(gamma-1)) times the i-th sign pattern; the
@@ -333,10 +321,6 @@ def construct_example4_optimal(
     """
     s, d, gamma = spec.s, spec.d, spec.gamma
     want_k = 2 ** s
-    if k is not None and k != want_k:
-        raise SpecMismatch(f"construction needs k = 2^s = {want_k}, got k={k}")
-    if graph is None:
-        graph = example4_graph(spec).graph
     scale = np.sqrt(want_k)
     a = scale / (gamma - 1.0)
 
@@ -348,11 +332,7 @@ def construct_example4_optimal(
         class_tag="conv", shape={"k": want_k, "d": d, "s": s},
         params=np.concatenate([U.ravel(), np.full(want_k, bias_displayed)]),
     )
-    bad = _verify_onehot_outputs(forward(model, graph), target_idx, scale)
-    if bad is not None:
-        raise ConstructionVerificationFailed(
-            f"one-hot patch semantics fail at vertex {bad}")
-    return model
+    return _verify_onehot_outputs(model, graph, target_idx, scale, "one-hot patch")
 
 
 def construct_adversarial_universal(
@@ -403,9 +383,8 @@ def construct_adversarial_universal(
     )
 
 
-def construct_example4_adversarial_relu(
-    spec: Example4Spec, k: int, graph: Optional[PositivePairGraph] = None,
-) -> RepresentationModel:
+def construct_example4_adversarial_relu(spec: Example4Spec, k: int,
+                                        graph: PositivePairGraph) -> RepresentationModel:
     """Derived ReLU-class zero-loss model indicating k (location, patch)
     clusters (the first k in lexicographic (t, pattern) order).
 
@@ -413,14 +392,14 @@ def construct_example4_adversarial_relu(
     t, bias -a(gamma(s-1)+1) with a = sqrt(C)/(gamma-1) and C = d*2^s the
     cluster count, so vertices of that cluster output sqrt(C) and every
     other vertex outputs 0.  Vertices of unrepresented clusters map to the
-    zero vector.  Verified exhaustively.
+    zero vector.  Verified on every vertex of `graph`;
+    `ConstructionVerificationFailed` names the first vertex where the
+    semantics fail.
     """
     s, d, gamma = spec.s, spec.d, spec.gamma
     n_clusters = d * (2 ** s)
     if k > n_clusters:
         raise TooManyOutputs(f"k={k} exceeds {n_clusters} clusters")
-    if graph is None:
-        graph = example4_graph(spec).graph
 
     scale = np.sqrt(n_clusters)
     a = scale / (gamma - 1.0)
@@ -437,20 +416,9 @@ def construct_example4_adversarial_relu(
               "cluster_count": n_clusters},
     )
 
-    # verification: sqrt(C) one-hot on represented clusters, zero elsewhere
     t, pattern = _patch_cells(graph.vertices, d, s)
-    cluster = t * 2 ** s + pattern
-    target = np.zeros((graph.n, k))
-    shown = np.flatnonzero(cluster < k)
-    target[shown, cluster[shown]] = scale
-    F = forward(model, graph)
-    gap = np.max(np.abs(F - target))
-    if gap > _VERIFY_TOL * scale:
-        bad = int(np.argmax(np.max(np.abs(F - target), axis=1)))
-        raise ConstructionVerificationFailed(
-            f"cluster indicator semantics fail at vertex {bad} (gap {gap:.3e})"
-        )
-    return model
+    return _verify_onehot_outputs(model, graph, t * 2 ** s + pattern, scale,
+                                  "cluster indicator")
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +456,11 @@ def load_model(path) -> RepresentationModel:
         return model_from_dict(json.load(fh))
 
 
-def zero_loss_certificate(model: RepresentationModel, graph: PositivePairGraph,
-                          lam: float = 1.0) -> dict:
-    """Convenience: the two loss pieces of a claimed minimizer."""
+def zero_loss_certificate(model: RepresentationModel, graph: PositivePairGraph) -> dict:
+    """The two loss pieces of a claimed minimizer, and their sum (the
+    loss at lambda = 1)."""
     F = forward(model, graph)
     cov = F.T @ (F * graph.marginal[:, None])
     reg = float(np.sum((cov - np.eye(model.k)) ** 2))
     pair = pair_discrepancy(graph, F)
-    return {"pair": pair, "reg": reg, "loss": pair + lam * reg}
+    return {"pair": pair, "reg": reg, "loss": pair + reg}

@@ -5,8 +5,9 @@ The population loss of a representation f with matrix F (rows f(x)) is
     L_lam(F) = sum_{x,x'} p_pos(x,x') ||f(x)-f(x')||^2
                + lam * || F^T D F - I ||_F^2,          D = diag(marginal)
 
-and the empirical variant replaces both expectations with averages over a
-drawn pair sample.  `StackedLoss` evaluates it, fused with its parameter
+and the empirical variant replaces both expectations with means over a
+drawn pair sample (the covariance is the mean of f f^T over the first
+element of each pair).  `StackedLoss` evaluates it, fused with its parameter
 gradient, for B parameter vectors at once, each with its own lambda.
 
 Training is deterministic full-batch L-BFGS (Nocedal & Wright, ch. 7),
@@ -127,19 +128,17 @@ class StackedLoss:
     `_DENSE_PRODUCT_LIMIT` vertices and from the CSR joint above; the
     sampled one is the mean of ||f(x)-f(x')||^2 over the pairs.
     The covariance weights are the marginal, or for a sample the counts of
-    each vertex as a first pair element, divided by n_pre (the mean) unless
-    `use_sum_regularizer` (the raw sum).
+    each vertex as a first pair element divided by n_pre (the mean).
     """
 
     def __init__(self, graph: PositivePairGraph, class_tag: str, shape: dict,
-                 sample: Optional[PairSample] = None,
-                 use_sum_regularizer: bool = False):
+                 sample: Optional[PairSample] = None):
         self.net = StackedClass(class_tag, shape, graph)
         self.eye = np.eye(shape["k"])
         self.sample = sample
         if sample is None:
             small = graph.n <= _DENSE_PRODUCT_LIMIT
-            self.joint = graph.joint_dense() if small else graph.joint
+            self.joint = graph.joint.toarray() if small else graph.joint
             weights = graph.marginal
         else:
             if sample.n_pre == 0:
@@ -148,9 +147,7 @@ class StackedLoss:
                 raise IndexError("pair sample indices out of range")
             n_pre = sample.n_pre
             self.i, self.j = sample.pairs[:, 0], sample.pairs[:, 1]
-            weights = np.bincount(self.i, minlength=graph.n).astype(np.float64)
-            if not use_sum_regularizer:
-                weights = weights / n_pre
+            weights = np.bincount(self.i, minlength=graph.n) / n_pre
             # a quarter of the pair term's cotangent is
             # (1/(2 n_pre)) sum_p (e_i - e_j) diff_p
             cols = np.arange(n_pre)
@@ -191,8 +188,8 @@ class StackedLoss:
         return total, pair, reg, self.net.adjoint(pre, cot)
 
 
-def _single(graph, model, lam, sample, use_sum_regularizer, with_grad):
-    loss = StackedLoss(graph, model.class_tag, model.shape, sample, use_sum_regularizer)
+def _single(graph, model, lam, sample, with_grad):
+    loss = StackedLoss(graph, model.class_tag, model.shape, sample)
     total, pair, reg, grad = loss(model.params[None, :], np.array([float(lam)]),
                                   with_grad)
     report = LossReport(total=float(total[0]), pair_term=float(pair[0]),
@@ -202,22 +199,19 @@ def _single(graph, model, lam, sample, use_sum_regularizer, with_grad):
 
 def population_loss(graph: PositivePairGraph, model: RepresentationModel,
                     lam: float) -> LossReport:
-    return _single(graph, model, lam, None, False, with_grad=False)[0]
+    return _single(graph, model, lam, None, with_grad=False)[0]
 
 
 def empirical_loss(sample: PairSample, graph: PositivePairGraph,
-                   model: RepresentationModel, lam: float,
-                   use_sum_regularizer: bool = False) -> LossReport:
-    """Sampled loss.  The regularizer uses the mean (1/n_pre) sum f f^T by
-    default; `use_sum_regularizer=True` switches to the raw sum."""
-    return _single(graph, model, lam, sample, use_sum_regularizer, with_grad=False)[0]
+                   model: RepresentationModel, lam: float) -> LossReport:
+    """Sampled loss.  The regularizer uses the mean (1/n_pre) sum f f^T."""
+    return _single(graph, model, lam, sample, with_grad=False)[0]
 
 
 def loss_gradient(graph: PositivePairGraph, model: RepresentationModel,
-                  lam: float, sample: Optional[PairSample] = None,
-                  use_sum_regularizer: bool = False):
+                  lam: float, sample: Optional[PairSample] = None):
     """(LossReport, flat parameter gradient) for population or sampled loss."""
-    return _single(graph, model, lam, sample, use_sum_regularizer, with_grad=True)
+    return _single(graph, model, lam, sample, with_grad=True)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +226,6 @@ class TrainConfig:
     init_scale: float = 0.1
     grad_tol: float = 1e-6      # gradient norm at most grad_tol * max(1, |loss|)
     n_starts: Optional[int] = None   # default: 5 for relu/conv, 1 otherwise
-    use_sum_regularizer: bool = False
 
     def __post_init__(self):
         if self.step_size <= 0 or self.max_iters < 1:
@@ -451,8 +444,7 @@ def train_grid(
         groups.append(range(lo, len(starts)))
     lam = np.concatenate([np.full(len(cells), float(x)) for x, cells in zip(lams, groups)])
 
-    loss = StackedLoss(graph, class_spec.class_tag, class_spec.shape_dict(), sample,
-                       config.use_sum_regularizer)
+    loss = StackedLoss(graph, class_spec.class_tag, class_spec.shape_dict(), sample)
     trace = _Trace(len(starts)) if keep_trace else None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         params, final, stops = _descend(loss, np.array(starts), lam, config, trace)
@@ -532,8 +524,7 @@ def linear_min_oracle(graph: PositivePairGraph, k: int, lam: float):
     X = graph.vertices
     d_w = graph.marginal
     Sigma = X.T @ (X * d_w[:, None])
-    JX = graph.joint_matvec(X)
-    A = 2.0 * (X.T @ (X * d_w[:, None]) - X.T @ JX)
+    A = 2.0 * (Sigma - X.T @ (graph.joint @ X))
 
     evals, evecs = scipy.linalg.eigh(Sigma)
     keep = evals > max(evals.max(), 1.0) * _COV_FLOOR

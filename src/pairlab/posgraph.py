@@ -95,13 +95,6 @@ class PositivePairGraph:
         J = self.joint
         return np.repeat(np.arange(self.n), np.diff(J.indptr)), J.indices, J.data
 
-    def joint_dense(self) -> np.ndarray:
-        return self.joint.toarray()
-
-    def joint_matvec(self, g: np.ndarray) -> np.ndarray:
-        """The action v ↦ Jv."""
-        return self.joint @ g
-
 
 def _canonical(rows, cols, vals, n: int):
     """Triplets sorted by (row, col), with repeated pairs summed in the

@@ -3,7 +3,8 @@
 A probe fits a linear head W on top of a frozen representation by
 marginal-weighted ridge least squares and reports the population error
 E||W f(x) - target(x)||^2.  Targets are one-hot class vectors everywhere
-except the scalar +-1 form used by the sign-label example.
+except the scalar +-1 form used by the sign-label example; labels of the
+wrong length, and negative class labels, raise `DimensionMismatch`.
 
 The measurement helpers package exactly the quantities the cluster-recovery
 and eigenspace theorems consume (alpha, beta, P_min, P_max; phi, epsilon,
@@ -13,7 +14,7 @@ zeta, B), and the bound evaluators compute the displayed right-hand sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -44,28 +45,25 @@ class ProbeResult:
 
 def _as_targets(labels, n: int) -> np.ndarray:
     arr = np.asarray(labels)
+    if arr.shape[:1] != (n,):
+        raise DimensionMismatch(f"targets have shape {arr.shape}, graph has {n} vertices")
     if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
-        r = int(arr.max()) + 1
-        return np.eye(r)[arr]
+        if arr.min() < 0:
+            raise DimensionMismatch(f"class label {arr.min()} is negative")
+        return np.eye(int(arr.max()) + 1)[arr]
     arr = arr.astype(np.float64)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.shape[0] != n:
-        raise DimensionMismatch(f"targets have {arr.shape[0]} rows, graph has {n}")
     return arr
 
 
-def fit_linear_head(
-    graph: PositivePairGraph,
-    representations: np.ndarray,
-    targets,
-    norm_bound: Optional[float] = None,
-) -> ProbeResult:
+def fit_linear_head(graph: PositivePairGraph, representations: np.ndarray,
+                    targets) -> ProbeResult:
     """Ridge-regularized weighted least squares head.
 
     Minimizes E_{p_data}||W f - y||^2 + ridge ||W||_F^2 (ridge = 1e-10).
-    If `norm_bound` is given and the solution exceeds it in Frobenius norm,
-    the head is rescaled onto the bound and the error re-evaluated.
+    Integer labels (n,) are one-hot class targets, 0 .. max label; any other
+    targets are used as given, (n,) or (n, r).
     """
     F = np.asarray(representations, dtype=np.float64)
     if F.ndim != 2 or F.shape[0] != graph.n:
@@ -76,21 +74,14 @@ def fit_linear_head(
     G = F.T @ (F * w[:, None]) + _RIDGE * np.eye(F.shape[1])
     C = Y.T @ (F * w[:, None])
     head = scipy.linalg.solve(G, C.T, assume_a="pos").T
-
-    def weighted_error(W):
-        resid = F @ W.T - Y
-        return float(np.sum(w * np.einsum("ij,ij->i", resid, resid)))
-
-    norm = float(np.linalg.norm(head))
-    if norm_bound is not None and norm > norm_bound and norm > 0:
-        head = head * (norm_bound / norm)
-        norm = float(np.linalg.norm(head))
-    return ProbeResult(head=head, error=weighted_error(head), head_norm=norm)
+    resid = F @ head.T - Y
+    return ProbeResult(head=head,
+                       error=float(np.sum(w * np.einsum("ij,ij->i", resid, resid))),
+                       head_norm=float(np.linalg.norm(head)))
 
 
-def probe_error(graph: PositivePairGraph, representations, targets,
-                norm_bound: Optional[float] = None) -> float:
-    return fit_linear_head(graph, representations, targets, norm_bound).error
+def probe_error(graph: PositivePairGraph, representations, targets) -> float:
+    return fit_linear_head(graph, representations, targets).error
 
 
 # ---------------------------------------------------------------------------

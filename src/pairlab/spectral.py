@@ -105,7 +105,7 @@ def _as_function(graph: PositivePairGraph, g) -> np.ndarray:
 def laplacian_apply(graph: PositivePairGraph, g) -> np.ndarray:
     """Apply L to a function (n,) or a stack of functions (n, k)."""
     arr = _as_function(graph, g)
-    jg = graph.joint_matvec(arr)
+    jg = graph.joint @ arr
     if arr.ndim == 1:
         return arr - jg / graph.marginal
     return arr - jg / graph.marginal[:, None]
@@ -397,7 +397,7 @@ def min_expansion_over_class(graph: PositivePairGraph, subset, class_name: str):
         if idx.size == 1:
             return INFINITE, None
         sub = restrict(graph, idx)
-        W = sub.joint_dense()
+        W = sub.joint.toarray()
         A = 2.0 * (np.diag(sub.marginal) - W)
         B = 2.0 * (np.diag(q) - np.outer(q, q))
         H = scipy.linalg.null_space(q[None, :])
@@ -422,7 +422,7 @@ def min_expansion_over_class(graph: PositivePairGraph, subset, class_name: str):
             return INFINITE, None
         R = evecs[:, keep]
         sub = restrict(graph, idx)
-        W = sub.joint_dense()
+        W = sub.joint.toarray()
         lap = np.diag(sub.marginal) - W
         A = 2.0 * (Xc.T @ (lap @ Xc))
         beta, u = _pencil_min(R.T @ A @ R, R.T @ C @ R)

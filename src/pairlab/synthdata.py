@@ -173,15 +173,11 @@ def example2_labels(
     return LabeledGraph(graph=graph, labels=labels, n_classes=len(classes))
 
 
-def xor_label_map(s: int, dims: Sequence[int] = (0, 1)) -> Dict[Tuple[float, ...], int]:
-    """Parity of the chosen sign coordinates — the classic non-linear map."""
-    out = {}
-    for pattern in sign_patterns(s).tolist():
-        parity = 1
-        for j in dims:
-            parity *= int(pattern[j])
-        out[tuple(pattern)] = 0 if parity < 0 else 1
-    return out
+def xor_label_map(s: int) -> Dict[Tuple[float, ...], int]:
+    """Parity of the first two sign coordinates — the classic non-linear map."""
+    if s < 2:
+        raise ValueError("XOR labels need s >= 2")
+    return {tuple(p): 0 if p[0] * p[1] < 0 else 1 for p in sign_patterns(s).tolist()}
 
 
 def enumeration_label_map(s: int) -> Dict[Tuple[float, ...], int]:

@@ -99,6 +99,23 @@ class TestConfigValidation:
         assert code == 2
         assert "classes.oops" in err
 
+    @pytest.mark.parametrize("command, doc, message", [
+        ("graph-info", {"graph": {"example": 1, "s": 1}}, "graph needs key 'd'"),
+        ("graph-info", {"graph": {"example": 1, "s": 5, "d": 3}}, "need 0 < s < d"),
+        ("graph-info", {"graph": {"example": 2, "s": 1, "d": 3}},
+         "XOR labels need s >= 2"),
+        ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2},
+                   "train": {"step_size": 0}}, "train: need positive step size"),
+        ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2},
+                   "train": {"max_iters": "many"}}, "train: "),
+    ], ids=["missing-d", "s-over-d", "example2-xor-s1", "zero-step", "text-max-iters"])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, command, doc, message):
+        cfg = write_config(tmp_path, {"version": 1, **doc})
+        code, _, err = run([command, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("config error:") and message in err
+        assert "Traceback" not in err
+
     def test_no_graph_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"version": 1})
         code, _, err = run(["graph-info", "--config", str(cfg)], capsys)

@@ -183,11 +183,6 @@ class TestConstructions:
         for lam in (0.1, 1.0, 100.0):
             assert population_loss(lab.graph, model, lam).total <= 1e-15
 
-    def test_example1_optimal_wrong_k(self):
-        spec = Example1Spec(d=4, s=2, tau_grid=(0.5, 1.0))
-        with pytest.raises(SpecMismatch):
-            construct_example1_optimal(spec, k=3)
-
     def test_example2_optimal_onehot_semantics(self):
         spec = Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0))
         lab = example1_graph(spec)
@@ -243,7 +238,9 @@ class TestConstructions:
         (construct_example4_optimal, Example4Spec(d=3, s=1, gamma=2.0,
                                                   tau_grid=(0.0, 1.0)),
          example4_graph),
-    ], ids=["example2", "example4"])
+        (lambda spec, graph: construct_example4_adversarial_relu(spec, 3, graph),
+         Example4Spec(d=3, s=1, gamma=2.0, tau_grid=(0.0, 1.0)), example4_graph),
+    ], ids=["example2", "example4", "example4-adversarial-relu"])
     def test_displayed_bias_failure_raises(self, construct, spec, make_graph):
         # the example's joint on coordinates scaled by 3/4: sign patterns and
         # patch locations survive, but the displayed bias no longer gives
@@ -287,7 +284,7 @@ class TestConstructions:
         k = 2 ** (3 - 1)
         model = construct_adversarial_universal(
             lab.graph, k, key_dims=list(range(1, 3)))
-        cert = zero_loss_certificate(model, lab.graph, lam=1.0)
+        cert = zero_loss_certificate(model, lab.graph)
         assert cert["loss"] <= 1e-12
         # exact cover (k = 2^{|key|}, groups of mass 1/k): heights are sqrt(k)
         F = forward(model, lab.graph)
@@ -303,7 +300,7 @@ class TestConstructions:
         # nonzero exactly on one key-pattern group, scaled to unit norm
         mass = float(lab.graph.marginal[nz].sum())
         np.testing.assert_allclose(np.unique(F1[nz, 0]), 1.0 / np.sqrt(mass))
-        assert zero_loss_certificate(m1, lab.graph, lam=1.0)["loss"] <= 1e-12
+        assert zero_loss_certificate(m1, lab.graph)["loss"] <= 1e-12
 
     def test_adversarial_universal_too_many_outputs(self):
         spec = Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0))
@@ -325,7 +322,7 @@ class TestConstructions:
         lab = example4_graph(spec)
         model = construct_example4_adversarial_relu(spec, k=3, graph=lab.graph)
         assert model.class_tag == "relu"
-        cert = zero_loss_certificate(model, lab.graph, lam=1.0)
+        cert = zero_loss_certificate(model, lab.graph)
         assert cert["loss"] <= 1e-10
 
 

@@ -123,7 +123,7 @@ class TestSamplePairs:
         s1 = sample_pairs(g, 500, seed=11)
         s2 = sample_pairs(g, 500, seed=11)
         np.testing.assert_array_equal(s1.pairs, s2.pairs)
-        J = g.joint_dense()
+        J = g.joint.toarray()
         assert np.all(J[s1.pairs[:, 0], s1.pairs[:, 1]] > 0)
 
 
@@ -186,7 +186,7 @@ class TestTrain:
 def _reference_loss(graph, F, lam, sample=None):
     """The loss straight from its definition, one pair at a time."""
     if sample is None:
-        J = graph.joint_dense()
+        J = graph.joint.toarray()
         pair = sum(J[a, b] * np.sum((F[a] - F[b]) ** 2)
                    for a in range(graph.n) for b in range(graph.n))
         W = graph.marginal
@@ -406,7 +406,7 @@ class TestQuasiNewton:
         assert forced[1][0].meta == plain[1][0].meta
 
 
-class TestSumRegularizer:
+class TestSampledRegularizer:
     def setup_method(self):
         self.g = random_graph(9, n_components=2, seed=31)
         self.sample = sample_pairs(self.g, 60, seed=2)
@@ -420,24 +420,17 @@ class TestSumRegularizer:
         gap = F.T @ (W[:, None] * F) - np.eye(2)
         return float(np.sum(gap * gap))
 
-    def test_sum_uses_first_element_counts(self):
-        rep = empirical_loss(self.sample, self.g, self.model, 2.0,
-                             use_sum_regularizer=True)
-        assert rep.reg_term == pytest.approx(self._reg(self.counts), rel=1e-12)
-
     def test_default_is_the_mean(self):
         rep = empirical_loss(self.sample, self.g, self.model, 2.0)
         assert rep.reg_term == pytest.approx(
             self._reg(self.counts / self.sample.n_pre), rel=1e-12)
 
-    def test_training_lowers_the_sum_loss(self):
-        config = TrainConfig(max_iters=500, seed=1, use_sum_regularizer=True)
-        start = empirical_loss(self.sample, self.g, self.model, 2.0,
-                               use_sum_regularizer=True).total
+    def test_training_lowers_the_sampled_loss(self):
+        config = TrainConfig(max_iters=500, seed=1)
+        start = empirical_loss(self.sample, self.g, self.model, 2.0).total
         model, trace = train(self.g, self.spec, 2.0, config, sample=self.sample,
                              extra_inits=[self.model])
-        end = empirical_loss(self.sample, self.g, model, 2.0,
-                             use_sum_regularizer=True).total
+        end = empirical_loss(self.sample, self.g, model, 2.0).total
         assert end < start
         assert trace[-1][3] == pytest.approx(end, rel=1e-12)
 

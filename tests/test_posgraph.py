@@ -67,7 +67,7 @@ class TestBuildGraph:
         # 1e-12 skew is inside the acceptance tolerance and gets averaged out
         g = build_graph([[0.0], [1.0]],
                         [[0.25, 0.25 + 1e-12], [0.25 - 1e-12, 0.25]])
-        J = g.joint_dense()
+        J = g.joint.toarray()
         assert J[0, 1] == J[1, 0]
 
 
@@ -75,7 +75,7 @@ class TestFromAugmentationProcess:
     def test_identity_augmentation_single_natural(self):
         g = from_augmentation_process([1.0], [[1.0]], [[0.0, 0.0]])
         assert g.n == 1
-        np.testing.assert_array_equal(g.joint_dense(), [[1.0]])
+        np.testing.assert_array_equal(g.joint.toarray(), [[1.0]])
 
     def test_two_naturals_private_augmentations(self):
         # two equiprobable naturals, each with two equiprobable private views:
@@ -87,7 +87,7 @@ class TestFromAugmentationProcess:
         g = from_augmentation_process(p, kernel, verts)
         assert g.n == 4
         assert connected_components(g).n_sets == 2
-        J = g.joint_dense()
+        J = g.joint.toarray()
         for block in (J[:2, :2], J[2:, 2:]):
             np.testing.assert_allclose(block, 0.125, atol=1e-15)
 
@@ -97,7 +97,7 @@ class TestFromAugmentationProcess:
         kernel = rng.dirichlet(np.ones(9), size=6)
         verts = rng.standard_normal((9, 2))
         g = from_augmentation_process(p, kernel, verts)
-        J = g.joint_dense()
+        J = g.joint.toarray()
         assert np.max(np.abs(J - J.T)) == 0.0
         assert abs(J.sum() - 1.0) <= 1e-12
 
@@ -155,18 +155,18 @@ class TestComponentsAndCrossMass:
 class TestRestrict:
     def test_full_subset_is_identity(self, two_vertex_uniform):
         sub = restrict(two_vertex_uniform, [0, 1])
-        np.testing.assert_allclose(sub.joint_dense(),
-                                   two_vertex_uniform.joint_dense())
+        np.testing.assert_allclose(sub.joint.toarray(),
+                                   two_vertex_uniform.joint.toarray())
         np.testing.assert_allclose(sub.marginal, two_vertex_uniform.marginal)
 
     def test_component_block_rescaled(self, two_components_uneven):
         sub = restrict(two_components_uneven, [0, 1])
         expected = np.array([[0.1, 0.2], [0.2, 0.1]]) / 0.6
-        np.testing.assert_allclose(sub.joint_dense(), expected, atol=1e-14)
+        np.testing.assert_allclose(sub.joint.toarray(), expected, atol=1e-14)
 
     def test_single_vertex_subset(self, two_components):
         sub = restrict(two_components, [0])
-        np.testing.assert_allclose(sub.joint_dense(), [[1.0]])
+        np.testing.assert_allclose(sub.joint.toarray(), [[1.0]])
 
     def test_empty_subset(self, two_vertex_uniform):
         with pytest.raises(EmptySubset):
@@ -185,7 +185,7 @@ class TestRestrict:
     def test_restrict_idempotent(self, two_components_uneven):
         once = restrict(two_components_uneven, [0, 1])
         twice = restrict(once, [0, 1])
-        np.testing.assert_allclose(once.joint_dense(), twice.joint_dense(),
+        np.testing.assert_allclose(once.joint.toarray(), twice.joint.toarray(),
                                    atol=1e-15)
 
 
@@ -196,8 +196,8 @@ class TestSerialization:
         back = load_graph(path)
         np.testing.assert_array_equal(back.vertices,
                                       two_components_uneven.vertices)
-        np.testing.assert_array_equal(back.joint_dense(),
-                                      two_components_uneven.joint_dense())
+        np.testing.assert_array_equal(back.joint.toarray(),
+                                      two_components_uneven.joint.toarray())
         np.testing.assert_array_equal(back.marginal,
                                       two_components_uneven.marginal)
 
@@ -208,8 +208,8 @@ class TestSerialization:
             [int(i), int(j), float(v)] for i, j, v in zip(rows, cols, vals)
         ]}
         back = graph_from_dict(doc)
-        np.testing.assert_allclose(back.joint_dense(),
-                                   two_vertex_uniform.joint_dense())
+        np.testing.assert_allclose(back.joint.toarray(),
+                                   two_vertex_uniform.joint.toarray())
 
     def test_missing_fields_rejected(self):
         with pytest.raises(MalformedGraphFile):
@@ -244,7 +244,7 @@ class TestSerialization:
             path = tmp_path / f"g{idx}.json"
             save_graph(g, path)
             back = load_graph(path)
-            np.testing.assert_array_equal(back.joint_dense(), g.joint_dense())
+            np.testing.assert_array_equal(back.joint.toarray(), g.joint.toarray())
             np.testing.assert_array_equal(back.vertices, g.vertices)
 
     def test_non_dyadic_floats_survive_exactly(self, tmp_path):
@@ -254,7 +254,7 @@ class TestSerialization:
         path = tmp_path / "g.json"
         save_graph(g, path)
         back = load_graph(path)
-        np.testing.assert_array_equal(back.joint_dense(), g.joint_dense())
+        np.testing.assert_array_equal(back.joint.toarray(), g.joint.toarray())
         np.testing.assert_array_equal(back.marginal, g.marginal)
 
 
@@ -271,7 +271,7 @@ class TestCsrStorage:
             ([0.125, 0.125, 0.25, 0.25, 0.25, 0.0], ([0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 1, 0])),
             shape=(2, 2))
         g = build_graph([[0.0], [1.0]], coo)
-        np.testing.assert_array_equal(g.joint_dense(), [[0.25, 0.25], [0.25, 0.25]])
+        np.testing.assert_array_equal(g.joint.toarray(), [[0.25, 0.25], [0.25, 0.25]])
         assert g.joint.nnz == 4
 
     def test_joint_coo_reads_csr_order(self, two_components_uneven):
@@ -285,7 +285,7 @@ class TestCsrStorage:
         rng = np.random.default_rng(4)
         for g, m in small_random_graphs(20, seed=5):
             perm = rng.permutation(g.n)
-            h = build_graph(g.vertices[perm], g.joint_dense()[np.ix_(perm, perm)])
+            h = build_graph(g.vertices[perm], g.joint.toarray()[np.ix_(perm, perm)])
             labels = connected_components(h).labels
             assert labels.max() + 1 == m
             _, first = np.unique(labels, return_index=True)
@@ -354,10 +354,10 @@ class TestStrictLoader:
 
     def test_dense_list_document_loads(self, two_components_uneven):
         doc = graph_to_dict(two_components_uneven)
-        doc["joint"] = two_components_uneven.joint_dense().tolist()
+        doc["joint"] = two_components_uneven.joint.toarray().tolist()
         back = graph_from_dict(doc)
-        np.testing.assert_array_equal(back.joint_dense(),
-                                      two_components_uneven.joint_dense())
+        np.testing.assert_array_equal(back.joint.toarray(),
+                                      two_components_uneven.joint.toarray())
         assert back.is_sparse
 
     def test_documents_always_hold_triplets(self, two_vertex_uniform):

@@ -6,6 +6,7 @@ import pytest
 from pairlab.errors import (
     AlphaExceedsPmin,
     BetaZero,
+    DimensionMismatch,
     NotOrthonormal,
 )
 from pairlab.funclass import construct_example1_optimal, forward, spec_for_graph
@@ -89,16 +90,15 @@ class TestFitLinearHead:
         W_expected = Y.T @ (F * g.marginal[:, None])
         np.testing.assert_allclose(res.head, W_expected, atol=1e-9)
 
-    def test_norm_bound_rescales(self):
+    @pytest.mark.parametrize("labels", [
+        np.zeros(7, dtype=np.int64),                     # one short
+        np.array([0, 1, 0, 1, 0, 1, 0, -1]),             # -1 is no class
+    ], ids=["short", "negative"])
+    def test_bad_labels_raise(self, labels):
         g = random_graph(8, n_components=1, seed=5)
-        rng = np.random.default_rng(5)
-        F = rng.standard_normal((g.n, 2))
-        labels = rng.integers(0, 2, size=g.n)
-        free = fit_linear_head(g, F, labels)
-        bound = free.head_norm / 2.0
-        capped = fit_linear_head(g, F, labels, norm_bound=bound)
-        assert capped.head_norm == pytest.approx(bound, rel=1e-12)
-        assert capped.error >= free.error
+        F = np.random.default_rng(5).standard_normal((g.n, 2))
+        with pytest.raises(DimensionMismatch):
+            fit_linear_head(g, F, labels)
 
     def test_fitted_never_worse_than_zero_head(self):
         rng = np.random.default_rng(6)

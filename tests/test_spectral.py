@@ -221,7 +221,7 @@ class TestInfiniteSentinel:
 def _dense_spectrum(g):
     """All eigenvalues of the symmetrized M, from one dense solve."""
     inv_sqrt = 1.0 / np.sqrt(g.marginal)
-    M = np.eye(g.n) - g.joint_dense() * inv_sqrt[:, None] * inv_sqrt[None, :]
+    M = np.eye(g.n) - g.joint.toarray() * inv_sqrt[:, None] * inv_sqrt[None, :]
     return np.linalg.eigvalsh((M + M.T) * 0.5)
 
 

@@ -65,8 +65,8 @@ class TestExample1:
         a = example1_graph(Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0)))
         b = example1_graph(Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0)))
         np.testing.assert_array_equal(a.graph.vertices, b.graph.vertices)
-        np.testing.assert_array_equal(a.graph.joint_dense(),
-                                      b.graph.joint_dense())
+        np.testing.assert_array_equal(a.graph.joint.toarray(),
+                                      b.graph.joint.toarray())
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_size_guard(self):
@@ -97,6 +97,12 @@ class TestExample2Labels:
         # no linear head on the raw coordinates fits the parity labels
         err = probe_error(lab.graph, lab.graph.vertices, lab.labels)
         assert err > 0.1
+
+    def test_xor_needs_two_sign_bits(self):
+        assert xor_label_map(2) == {(-1.0, -1.0): 1, (-1.0, 1.0): 0,
+                                    (1.0, -1.0): 0, (1.0, 1.0): 1}
+        with pytest.raises(ValueError, match="XOR labels need s >= 2"):
+            xor_label_map(1)
 
     def test_enumeration_masses_uniform(self):
         s = 2
@@ -237,7 +243,7 @@ class TestRandomAndStructuredGraphs:
     def test_random_graph_deterministic(self):
         a = random_graph(12, n_components=2, seed=42)
         b = random_graph(12, n_components=2, seed=42)
-        np.testing.assert_array_equal(a.joint_dense(), b.joint_dense())
+        np.testing.assert_array_equal(a.joint.toarray(), b.joint.toarray())
 
     def test_two_level_graph_structure(self):
         for m in (2, 3, 4):
@@ -351,7 +357,7 @@ class TestTripletGenerators:
     @pytest.mark.parametrize("n,m,seed", [(30, 3, 1), (80, 7, 2), (200, 1, 3)])
     def test_random_graph_matches_dense_construction(self, n, m, seed):
         g = random_graph(n, n_components=m, seed=seed)
-        np.testing.assert_allclose(g.joint_dense(), _dense_random_joint(n, m, seed),
+        np.testing.assert_allclose(g.joint.toarray(), _dense_random_joint(n, m, seed),
                                    rtol=1e-14, atol=0)
 
     def test_size_guard_example_builds_in_bounded_memory(self):
