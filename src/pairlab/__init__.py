@@ -55,13 +55,10 @@ from .funclass import (
     spec_for_graph,
 )
 from .objective import (
-    PairSample,
     TrainConfig,
-    empirical_loss,
     linear_min_oracle,
     loss_gradient,
     population_loss,
-    sample_pairs,
     tabular_min_oracle,
     train,
     train_grid,

@@ -45,7 +45,6 @@ from .posgraph import (
 from .spectral import INFINITE, eigendecompose, is_eigenfunction, pair_discrepancy
 from .synthdata import (
     Example1Spec,
-    Example3Spec,
     Example4Spec,
     LabeledGraph,
     component_constant_function,
@@ -139,9 +138,6 @@ _SCHEMA = {
     },
 }
 
-_CLASS_KEYS = set(_SCHEMA["class"])
-
-
 def _check_keys(doc, schema, path: str) -> None:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'} must be an object")
@@ -172,12 +168,11 @@ def load_config(path: Optional[Path]) -> dict:
             f"config must declare \"version\": {_CONFIG_VERSION} "
             f"(got {doc.get('version')!r})"
         )
-    for entry in doc.get("classes", []) or []:
-        if not isinstance(entry, dict):
-            raise ConfigError("classes entries must be objects")
-        bad = set(entry) - _CLASS_KEYS
-        if bad:
-            raise ConfigError(f"unknown config key: classes.{sorted(bad)[0]}")
+    classes = doc.get("classes") or []
+    if not isinstance(classes, list):
+        raise ConfigError("classes must be a list")
+    for entry in classes:
+        _check_keys(entry, _SCHEMA["class"], "classes")
     return doc
 
 
@@ -244,6 +239,28 @@ def graph_from_config(cfg: dict) -> LabeledGraph:
         )
         return example4_graph(spec4)
     raise ConfigError(f"graph section does not describe a known source: {gcfg}")
+
+
+def _value(cfg: dict, key: str, convert, default=None):
+    """Top-level config value `key` (or `default`) read with `convert`."""
+    with _config_values(key):
+        return convert(cfg.get(key, default))
+
+
+def _positive_int(value) -> int:
+    number = int(value)
+    if number < 1:
+        raise ValueError(f"need an integer >= 1, got {value!r}")
+    return number
+
+
+def _list_of(convert):
+    """Reader of a nonempty list whose items are read with `convert`."""
+    def read(value):
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"need a nonempty list, got {value!r}")
+        return [convert(item) for item in value]
+    return read
 
 
 @_config_values("train")
@@ -356,11 +373,10 @@ def verify_prop4(n_graphs: int = 200, seed: int = 0) -> List[dict]:
         worst = max(worst, disc)
         if disc != 0.0 or not is_eigenfunction(graph, g, 0.0, 1e-10):
             failures += 1
-    rows = [_row("prop4",
+    return [_row("prop4",
                  f"{n_graphs} random disconnected graphs: failures == 0 "
                  f"(worst discrepancy {worst:.2e})",
                  failures, 0, failures == 0)]
-    return rows
 
 
 def verify_thm31(n_graphs: int = 20, seed: int = 0) -> List[dict]:
@@ -589,9 +605,8 @@ def cmd_graph_info(args, cfg: dict) -> int:
 
 
 def cmd_spectrum(args, cfg: dict) -> int:
-    lg = graph_from_config(cfg)
-    graph = lg.graph
-    count = min(int(cfg.get("count", 10)), graph.n)
+    graph = graph_from_config(cfg).graph
+    count = min(_value(cfg, "count", _positive_int, 10), graph.n)
     dec = eigendecompose(graph, count)
     print(json.dumps(_py({"eigenvalues": dec.eigenvalues,
                           "eigensolver": _eigensolver(dec)}), indent=2))
@@ -613,21 +628,21 @@ def _eigensolver(dec) -> dict:
 
 
 @_config_values("class")
-def _class_spec_from(cfg: dict, graph: PositivePairGraph):
-    ccfg = cfg.get("class")
-    if not ccfg:
+def _class_spec_from(ccfg: Optional[dict], graph: PositivePairGraph,
+                     k: Optional[int] = None):
+    """The spec of a class entry; `br` passes `k`, its largest r."""
+    if ccfg is None:
         raise ConfigError("config needs a \"class\" section")
     return spec_for_graph(
-        ccfg.get("tag", "tabular"), int(ccfg.get("k", 2)), graph,
-        s=int(ccfg.get("s", 0)),
+        ccfg.get("tag", "tabular"), int(ccfg.get("k", 2)) if k is None else k,
+        graph, s=int(ccfg.get("s", 0)),
     )
 
 
 def cmd_train(args, cfg: dict) -> int:
-    lg = graph_from_config(cfg)
-    graph = lg.graph
-    class_spec = _class_spec_from(cfg, graph)
-    lam = float(cfg.get("lambda", 1.0))
+    graph = graph_from_config(cfg).graph
+    class_spec = _class_spec_from(cfg.get("class"), graph)
+    lam = _value(cfg, "lambda", float, 1.0)
     config = train_config_from(cfg, args.seed)
     model, trace = train(graph, class_spec, lam, config)
     report = population_loss(graph, model, lam)
@@ -646,8 +661,8 @@ def cmd_probe(args, cfg: dict) -> int:
     graph = lg.graph
     if lg.labels is None:
         raise IncompatibleConfig("probe needs a labeled graph")
-    class_spec = _class_spec_from(cfg, graph)
-    lam = float(cfg.get("lambda", 1.0))
+    class_spec = _class_spec_from(cfg.get("class"), graph)
+    lam = _value(cfg, "lambda", float, 1.0)
     config = train_config_from(cfg, args.seed)
     model, _ = train(graph, class_spec, lam, config)
     F = forward(model, graph)
@@ -687,7 +702,7 @@ def cmd_verify(args, cfg: dict) -> int:
                 f"{gcfg.get('example')!r}")
         kwargs = {}
         if name in ("prop4", "thm31") and "n_graphs" in cfg:
-            kwargs["n_graphs"] = int(cfg["n_graphs"])
+            kwargs["n_graphs"] = _value(cfg, "n_graphs", _positive_int)
         if args.seed is not None and name not in ("thm56", "thm58"):
             kwargs["seed"] = args.seed
         rows = VERIFIERS[name](**kwargs)
@@ -701,18 +716,11 @@ def cmd_verify(args, cfg: dict) -> int:
 
 
 def cmd_br(args, cfg: dict) -> int:
-    lg = graph_from_config(cfg)
-    graph = lg.graph
-    r_list = [int(r) for r in cfg.get("r_list", [])]
-    if not r_list:
-        raise ConfigError("br needs a nonempty \"r_list\"")
+    graph = graph_from_config(cfg).graph
+    r_list = _value(cfg, "r_list", _list_of(_positive_int))
     entries = cfg.get("classes") or [cfg.get("class") or {"tag": "tabular"}]
-    class_specs = [
-        spec_for_graph(e.get("tag", "tabular"), k=max(r_list), graph=graph,
-                       s=int(e.get("s", 0)))
-        for e in entries
-    ]
-    grid = tuple(float(x) for x in cfg.get("lambda_grid", DEFAULT_LAMBDA_GRID))
+    class_specs = [_class_spec_from(e, graph, max(r_list)) for e in entries]
+    grid = tuple(_value(cfg, "lambda_grid", _list_of(float), list(DEFAULT_LAMBDA_GRID)))
     config = train_config_from(cfg, args.seed)
     report = br_table(graph, class_specs, r_list, grid, config)
     for row in report.rows:
@@ -726,11 +734,9 @@ def cmd_br(args, cfg: dict) -> int:
 
 
 def _seeds(cfg: dict, args) -> List[int]:
-    seeds = []
-    if args.seed is not None:
-        seeds.append(int(args.seed))
-    if "train" in cfg and "seed" in cfg["train"]:
-        seeds.append(int(cfg["train"]["seed"]))
+    seeds = [] if args.seed is None else [args.seed]
+    if "seed" in cfg.get("train", {}):
+        seeds.append(train_config_from(cfg, None).seed)
     return seeds or [0]
 
 

@@ -117,10 +117,6 @@ class TooManyOutputs(PairLabError):
 # optimization
 
 
-class EmptySample(PairLabError):
-    """An empirical objective was given zero pairs."""
-
-
 class Divergence(PairLabError):
     """Training loss exceeded the divergence threshold."""
 

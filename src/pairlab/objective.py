@@ -5,10 +5,9 @@ The population loss of a representation f with matrix F (rows f(x)) is
     L_lam(F) = sum_{x,x'} p_pos(x,x') ||f(x)-f(x')||^2
                + lam * || F^T D F - I ||_F^2,          D = diag(marginal)
 
-and the empirical variant replaces both expectations with means over a
-drawn pair sample (the covariance is the mean of f f^T over the first
-element of each pair).  `StackedLoss` evaluates it, fused with its parameter
-gradient, for B parameter vectors at once, each with its own lambda.
+computed exactly on the graph; nothing here samples pairs.  `StackedLoss`
+evaluates it, fused with its parameter gradient, for B parameter vectors at
+once, each with its own lambda.
 
 Training is deterministic full-batch L-BFGS (Nocedal & Wright, ch. 7),
 multi-start for the nonconvex classes.  Every cell of a `train` call (each
@@ -34,19 +33,14 @@ These are the oracles the trained route is checked against.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
-from .errors import (
-    Divergence,
-    EmptySample,
-    NonFiniteGradient,
-    SingularCovariance,
-)
+from .errors import Divergence, NonFiniteGradient, SingularCovariance
 from .funclass import (
     FunctionClassSpec,
     RepresentationModel,
@@ -78,34 +72,12 @@ class LossReport:
     lam: float
 
 
-@dataclass(frozen=True)
-class PairSample:
-    """Positive pairs drawn from the joint: rows (i, j) of vertex indices."""
-
-    pairs: np.ndarray
-
-    @property
-    def n_pre(self) -> int:
-        return self.pairs.shape[0]
-
-
-def sample_pairs(graph: PositivePairGraph, n_pre: int, seed: int = 0) -> PairSample:
-    """Draw n_pre ordered pairs exactly from the joint distribution."""
-    if n_pre < 1:
-        raise EmptySample("n_pre must be >= 1")
-    rows, cols, vals = graph.joint_coo()
-    p = vals / vals.sum()
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(vals.size, size=n_pre, p=p)
-    return PairSample(pairs=np.stack([rows[idx], cols[idx]], axis=1).astype(np.int64))
-
-
 # ---------------------------------------------------------------------------
 # the loss of B stacked cells, fused with its gradient
 
 
 def _left(M, F: np.ndarray) -> np.ndarray:
-    """M (m, n), dense or sparse, applied to every slice of F (B, n, k)."""
+    """The joint M (n, n), dense or CSR, applied to every slice of F (B, n, k)."""
     if isinstance(M, np.ndarray):
         return np.matmul(M, F)
     B, n, k = F.shape
@@ -114,82 +86,52 @@ def _left(M, F: np.ndarray) -> np.ndarray:
 
 
 class StackedLoss:
-    """Population or sampled loss of B stacked cells of one class
-    (tag and shape as in `RepresentationModel`).
+    """Population loss of B stacked cells of one class (tag and shape as
+    in `RepresentationModel`).
 
     A call takes parameters (B, P) and the cells' lambdas (B,) and returns
     (total, pair, reg, grad): three (B,) arrays and, unless
     `with_grad=False`, the (B, P) gradient.  Everything that does not
-    depend on the parameters (the class's input arrays, covariance
-    weights, the pair-sample scatter matrix) is built once here.
+    depend on the parameters (the class's input arrays, the joint) is built
+    once here.
 
-    The population pair term is 2 sum_x d(x)|f(x)|^2 - 2 <F, JF>, clipped
-    at 0, with JF from a dense copy of the joint up to
-    `_DENSE_PRODUCT_LIMIT` vertices and from the CSR joint above; the
-    sampled one is the mean of ||f(x)-f(x')||^2 over the pairs.
-    The covariance weights are the marginal, or for a sample the counts of
-    each vertex as a first pair element divided by n_pre (the mean).
+    The pair term is 2 sum_x d(x)|f(x)|^2 - 2 <F, JF>, clipped at 0, with
+    JF from a dense copy of the joint up to `_DENSE_PRODUCT_LIMIT` vertices
+    and from the CSR joint above.
     """
 
-    def __init__(self, graph: PositivePairGraph, class_tag: str, shape: dict,
-                 sample: Optional[PairSample] = None):
+    def __init__(self, graph: PositivePairGraph, class_tag: str, shape: dict):
         self.net = StackedClass(class_tag, shape, graph)
         self.eye = np.eye(shape["k"])
-        self.sample = sample
-        if sample is None:
-            small = graph.n <= _DENSE_PRODUCT_LIMIT
-            self.joint = graph.joint.toarray() if small else graph.joint
-            weights = graph.marginal
-        else:
-            if sample.n_pre == 0:
-                raise EmptySample("empirical loss over zero pairs")
-            if sample.pairs.min() < 0 or sample.pairs.max() >= graph.n:
-                raise IndexError("pair sample indices out of range")
-            n_pre = sample.n_pre
-            self.i, self.j = sample.pairs[:, 0], sample.pairs[:, 1]
-            weights = np.bincount(self.i, minlength=graph.n) / n_pre
-            # a quarter of the pair term's cotangent is
-            # (1/(2 n_pre)) sum_p (e_i - e_j) diff_p
-            cols = np.arange(n_pre)
-            self.scatter = scipy.sparse.csr_array(
-                (np.repeat([0.5 / n_pre, -0.5 / n_pre], n_pre),
-                 (np.concatenate([self.i, self.j]), np.concatenate([cols, cols]))),
-                shape=(graph.n, n_pre))
-        self.weights = weights[:, None]
+        small = graph.n <= _DENSE_PRODUCT_LIMIT
+        self.joint = graph.joint.toarray() if small else graph.joint
+        self.weights = graph.marginal[:, None]
 
     def __call__(self, params: np.ndarray, lam: np.ndarray, with_grad: bool = True):
         F, pre = self.net.forward(params)                # (B, n, k)
         WF = self.weights * F
         gap = np.matmul(F.transpose(0, 2, 1), WF)        # the covariance, for now
-        if self.sample is None:
-            JF = _left(self.joint, F)
-            # sum_x d(x)|f(x)|^2 is the trace of the covariance
-            pair = np.maximum(2.0 * (np.einsum("bkk->b", gap)
-                                     - np.einsum("bnk,bnk->b", F, JF)), 0.0)
-        else:
-            diff = F[:, self.i] - F[:, self.j]
-            pair = np.einsum("bpk,bpk->b", diff, diff) / self.sample.n_pre
+        JF = _left(self.joint, F)
+        # sum_x d(x)|f(x)|^2 is the trace of the covariance
+        pair = np.maximum(2.0 * (np.einsum("bkk->b", gap)
+                                 - np.einsum("bnk,bnk->b", F, JF)), 0.0)
         gap -= self.eye
         reg = np.einsum("bkl,bkl->b", gap, gap)
         total = pair + lam * reg
         if not with_grad:
             return total, pair, reg, None
-        # cotangent 4 (lam W F gap + (D - J) F), or with (D - J) F replaced
-        # by the quarter-scaled pair scatter for a sample
+        # cotangent 4 (lam W F gap + (D - J) F)
         cot = np.matmul(F, gap)
         cot *= lam[:, None, None]
         cot *= self.weights
-        if self.sample is None:
-            WF -= JF
-            cot += WF
-        else:
-            cot += _left(self.scatter, diff)
+        WF -= JF
+        cot += WF
         cot *= 4.0
         return total, pair, reg, self.net.adjoint(pre, cot)
 
 
-def _single(graph, model, lam, sample, with_grad):
-    loss = StackedLoss(graph, model.class_tag, model.shape, sample)
+def _single(graph, model, lam, with_grad):
+    loss = StackedLoss(graph, model.class_tag, model.shape)
     total, pair, reg, grad = loss(model.params[None, :], np.array([float(lam)]),
                                   with_grad)
     report = LossReport(total=float(total[0]), pair_term=float(pair[0]),
@@ -199,23 +141,22 @@ def _single(graph, model, lam, sample, with_grad):
 
 def population_loss(graph: PositivePairGraph, model: RepresentationModel,
                     lam: float) -> LossReport:
-    return _single(graph, model, lam, None, with_grad=False)[0]
-
-
-def empirical_loss(sample: PairSample, graph: PositivePairGraph,
-                   model: RepresentationModel, lam: float) -> LossReport:
-    """Sampled loss.  The regularizer uses the mean (1/n_pre) sum f f^T."""
-    return _single(graph, model, lam, sample, with_grad=False)[0]
+    return _single(graph, model, lam, with_grad=False)[0]
 
 
 def loss_gradient(graph: PositivePairGraph, model: RepresentationModel,
-                  lam: float, sample: Optional[PairSample] = None):
-    """(LossReport, flat parameter gradient) for population or sampled loss."""
-    return _single(graph, model, lam, sample, with_grad=True)
+                  lam: float):
+    """(LossReport, flat parameter gradient) of the population loss."""
+    return _single(graph, model, lam, with_grad=True)
 
 
 # ---------------------------------------------------------------------------
 # training
+
+
+# what each annotation of TrainConfig admits (bool is rejected separately)
+_FIELD_TYPES = {"float": numbers.Real, "int": numbers.Integral,
+                "Optional[int]": (numbers.Integral, type(None))}
 
 
 @dataclass(frozen=True)
@@ -228,8 +169,14 @@ class TrainConfig:
     n_starts: Optional[int] = None   # default: 5 for relu/conv, 1 otherwise
 
     def __post_init__(self):
-        if self.step_size <= 0 or self.max_iters < 1:
-            raise ValueError("need positive step size and max_iters >= 1")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[field.type]):
+                raise TypeError(f"{field.name} must be {field.type}, got {value!r}")
+        if (self.step_size <= 0 or self.max_iters < 1 or self.seed < 0
+                or (self.n_starts is not None and self.n_starts < 1)):
+            raise ValueError("need positive step size, max_iters >= 1, "
+                             "n_starts >= 1 and seed >= 0")
 
 
 def _default_starts(class_tag: str) -> int:
@@ -410,7 +357,6 @@ def train_grid(
     config: Optional[TrainConfig] = None,
     seeds: Optional[Sequence[int]] = None,
     extra_inits: Optional[Sequence[Sequence[RepresentationModel]]] = None,
-    sample: Optional[PairSample] = None,
     keep_trace: bool = False,
 ):
     """Train one model per lambda of `lams`, all cells in one stacked descent.
@@ -444,7 +390,7 @@ def train_grid(
         groups.append(range(lo, len(starts)))
     lam = np.concatenate([np.full(len(cells), float(x)) for x, cells in zip(lams, groups)])
 
-    loss = StackedLoss(graph, class_spec.class_tag, class_spec.shape_dict(), sample)
+    loss = StackedLoss(graph, class_spec.class_tag, class_spec.shape_dict())
     trace = _Trace(len(starts)) if keep_trace else None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         params, final, stops = _descend(loss, np.array(starts), lam, config, trace)
@@ -462,20 +408,17 @@ def train(
     class_spec: FunctionClassSpec,
     lam: float,
     config: Optional[TrainConfig] = None,
-    sample: Optional[PairSample] = None,
     extra_inits: Sequence[RepresentationModel] = (),
 ) -> Tuple[RepresentationModel, List[Tuple[int, float, float, float]]]:
-    """Minimize the loss by deterministic full-batch L-BFGS.
+    """Minimize the population loss by deterministic full-batch L-BFGS.
 
-    Population loss on the graph by default; pass `sample` for the
-    empirical loss.  Runs `n_starts` seeded random initializations (plus
+    Runs `n_starts` seeded random initializations (plus
     any `extra_inits` as given starting points) as one stacked descent and
     returns the best-loss iterate, with its stop record as `meta["stop"]`,
     and its accepted-step trace (iter, pair, reg, total).
     """
-    config = config or TrainConfig()
     return train_grid(graph, class_spec, [lam], config, extra_inits=[extra_inits],
-                      sample=sample, keep_trace=True)[0]
+                      keep_trace=True)[0]
 
 
 def save_trace(trace, path) -> None:

@@ -110,12 +110,6 @@ def _canonical(rows, cols, vals, n: int):
     return key // n, key % n, vals
 
 
-def _with_transpose(rows, cols, vals, transposed_vals):
-    """Triplets of J followed by those of J^T, valued `transposed_vals`."""
-    return (np.concatenate([rows, cols]), np.concatenate([cols, rows]),
-            np.concatenate([vals, transposed_vals]))
-
-
 def _csr(rows, cols, vals, n: int) -> sparse.csr_array:
     """The n×n CSR array of canonical triplets."""
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
@@ -133,19 +127,27 @@ def _matrix_triplets(joint, n: int):
 
 
 def _checked_joint(rows, cols, vals, n: int, sym_tol: float):
-    """(rows, cols, vals, total): the joint's canonical triplets and their
-    sum, after the checks that building and loading share."""
+    """(rows, cols, vals, total, sym): the joint's canonical triplets, their
+    sum and the canonical triplets of J + J^T, after the checks that
+    building and loading share.  One stable sort of J's keys followed by
+    J^T's gives both J - J^T and J + J^T, each summed J's entry first."""
     rows, cols, vals = _canonical(rows, cols, vals, n)
     if not (vals >= 0).all():
         raise NotNormalized("joint has negative or NaN entries")
-    gap = np.abs(_canonical(*_with_transpose(rows, cols, vals, -vals), n)[2]).max(
-        initial=0.0)
+    key = np.concatenate([rows * n + cols, cols * n + rows])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.diff(key, prepend=-1) != 0
+    slot = np.cumsum(first) - 1
+    gap = np.abs(np.bincount(slot, np.concatenate([vals, -vals])[order])).max(initial=0.0)
     if gap > sym_tol:
         raise AsymmetricJoint(f"max |J - J^T| = {gap:.3e}")
     total = float(vals.sum())
     if not abs(total - 1.0) <= _SUM_TOL:
         raise NotNormalized(f"joint sums to {total!r}")
-    return rows, cols, vals, total
+    key = key[first]
+    return rows, cols, vals, total, (
+        key // n, key % n, np.bincount(slot, np.concatenate([vals, vals])[order]))
 
 
 def _check_positive(marginal: np.ndarray) -> None:
@@ -168,10 +170,9 @@ def build_graph(vertices, joint) -> PositivePairGraph:
     if n == 0:
         raise EmptySupport("graph needs at least one vertex")
     _check_distinct(verts)
-    rows, cols, vals, total = _checked_joint(*_matrix_triplets(joint, n), n, _SYM_TOL)
-    # (J + J^T) / (2 total)
-    rows, cols, vals = _canonical(*_with_transpose(rows, cols, vals, vals), n)
-    vals *= 0.5 / total
+    *_, total, (rows, cols, vals) = _checked_joint(*_matrix_triplets(joint, n), n,
+                                                   _SYM_TOL)
+    vals *= 0.5 / total      # (J + J^T) / (2 total)
     marg = np.bincount(rows, weights=vals, minlength=n)
     _check_positive(marg)
     return PositivePairGraph(vertices=verts, joint=_csr(rows, cols, vals, n),
@@ -362,7 +363,7 @@ def graph_from_dict(doc: dict) -> PositivePairGraph:
             triplets = _matrix_triplets(joint, n)
     except (TypeError, ValueError, KeyError) as exc:
         raise MalformedGraphFile(f"unreadable joint: {exc}") from exc
-    rows, cols, vals, _ = _checked_joint(*triplets, n, _CONSISTENCY_TOL)
+    rows, cols, vals, *_ = _checked_joint(*triplets, n, _CONSISTENCY_TOL)
     try:
         marg = np.array(doc["marginal"], dtype=np.float64)
     except (TypeError, ValueError) as exc:

@@ -108,10 +108,36 @@ class TestConfigValidation:
                    "train": {"step_size": 0}}, "train: need positive step size"),
         ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2},
                    "train": {"max_iters": "many"}}, "train: "),
-    ], ids=["missing-d", "s-over-d", "example2-xor-s1", "zero-step", "text-max-iters"])
+        ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2},
+                   "lambda": "ten"}, "lambda: could not convert"),
+        ("probe", {"graph": {"example": 1, "d": 3, "s": 1}, "class": {"k": 2},
+                   "lambda": "ten"}, "lambda: could not convert"),
+        ("br", {"graph": {"random": {"n": 6}}, "r_list": [1],
+                "classes": [{"tag": "conv", "s": "x"}]}, "class: invalid literal"),
+        ("spectrum", {"graph": {"random": {"n": 6}}, "count": "x"}, "count: "),
+        ("br", {"graph": {"random": {"n": 6}}, "r_list": [0]},
+         "r_list: need an integer >= 1"),
+        ("br", {"graph": {"random": {"n": 6}}, "r_list": [1], "lambda_grid": []},
+         "lambda_grid: need a nonempty list"),
+        ("verify prop4", {"n_graphs": "many"}, "n_graphs: "),
+        ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2},
+                   "train": {"seed": "abc"}}, "train: seed must be int"),
+        ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2},
+                   "train": {"grad_tol": "small"}}, "train: grad_tol must be float"),
+        ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2},
+                   "train": {"init_scale": "x"}}, "train: init_scale must be float"),
+        ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2},
+                   "train": {"n_starts": 0}}, "n_starts >= 1"),
+        ("br", {"graph": {"random": {"n": 6}}, "r_list": [1], "classes": 5},
+         "classes must be a list"),
+    ], ids=["missing-d", "s-over-d", "example2-xor-s1", "zero-step", "text-max-iters",
+            "text-lambda-train", "text-lambda-probe", "br-classes-text-s",
+            "text-count", "zero-r", "empty-lambda-grid", "text-n-graphs",
+            "text-seed", "text-grad-tol", "text-init-scale", "zero-n-starts",
+            "classes-not-list"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, doc, message):
         cfg = write_config(tmp_path, {"version": 1, **doc})
-        code, _, err = run([command, "--config", str(cfg)], capsys)
+        code, _, err = run([*command.split(), "--config", str(cfg)], capsys)
         assert code == 2
         assert err.startswith("config error:") and message in err
         assert "Traceback" not in err

@@ -1,4 +1,4 @@
-"""Loss evaluation, sampling, training, analytic minimizers, whitening."""
+"""Loss evaluation, training, analytic minimizers, whitening."""
 
 import csv
 from dataclasses import replace
@@ -10,28 +10,24 @@ import scipy.sparse
 
 from pairlab.errors import (
     Divergence,
-    EmptySample,
     NonFiniteGradient,
     SingularCovariance,
 )
 from pairlab import objective
 from pairlab.funclass import FunctionClassSpec, construct_example1_optimal, forward, spec_for_graph
 from pairlab.objective import (
-    PairSample,
     StackedLoss,
     TrainConfig,
-    empirical_loss,
     linear_min_oracle,
     loss_gradient,
     population_loss,
-    sample_pairs,
     save_trace,
     tabular_min_oracle,
     train,
     train_grid,
     whiten,
 )
-from pairlab.posgraph import build_graph, connected_components
+from pairlab.posgraph import connected_components
 from pairlab.septest import br_oracle_tabular
 from pairlab.spectral import eigendecompose
 from pairlab.synthdata import Example1Spec, example1_graph, random_graph, two_level_graph
@@ -70,61 +66,6 @@ class TestPopulationLoss:
         rep = population_loss(two_vertex_uniform, model, 0.7)
         assert rep.total == pytest.approx(
             rep.pair_term + rep.lam * rep.reg_term, abs=1e-12)
-
-
-class TestEmpiricalLoss:
-    def test_full_support_proportional_sample_matches_population(self):
-        # dyadic joint: multiplicities over denominator 8 reproduce it exactly
-        g = build_graph([[0.0], [1.0]],
-                        [[0.5, 0.125], [0.125, 0.25]])
-        pairs = ([(0, 0)] * 4) + [(0, 1), (1, 0)] + ([(1, 1)] * 2)
-        sample = PairSample(pairs=np.array(pairs, dtype=np.int64))
-        spec = spec_for_graph("tabular", 2, g)
-        model = spec.init_model(np.random.default_rng(5), scale=1.5)
-        emp = empirical_loss(sample, g, model, 2.0)
-        pop = population_loss(g, model, 2.0)
-        assert emp.total == pytest.approx(pop.total, abs=1e-12)
-        assert emp.pair_term == pytest.approx(pop.pair_term, abs=1e-12)
-        assert emp.reg_term == pytest.approx(pop.reg_term, abs=1e-12)
-
-    def test_single_pair_constant_model(self, two_vertex_uniform):
-        sample = PairSample(pairs=np.array([[0, 0]], dtype=np.int64))
-        v = np.array([2.0, 1.0])
-        table = np.vstack([v, v])
-        model = spec_for_graph("tabular", 2, two_vertex_uniform).model(
-            table.ravel())
-        rep = empirical_loss(sample, two_vertex_uniform, model, 1.0)
-        assert rep.pair_term == 0.0
-        expected = float(np.sum((np.outer(v, v) - np.eye(2)) ** 2))
-        assert rep.reg_term == pytest.approx(expected, abs=1e-12)
-
-    def test_empty_sample_rejected(self, two_vertex_uniform):
-        with pytest.raises(EmptySample):
-            sample_pairs(two_vertex_uniform, 0)
-
-    def test_gap_shrinks_with_sample_size(self):
-        g = random_graph(10, n_components=1, seed=3)
-        model = spec_for_graph("tabular", 2, g).init_model(
-            np.random.default_rng(2), scale=1.0)
-        pop = population_loss(g, model, 1.0).total
-        gaps = []
-        for n_pre in (100, 10000):
-            vals = [
-                empirical_loss(sample_pairs(g, n_pre, seed=s), g, model, 1.0).total
-                for s in range(20)
-            ]
-            gaps.append(np.mean(np.abs(np.array(vals) - pop)))
-        assert gaps[1] < gaps[0]
-
-
-class TestSamplePairs:
-    def test_support_and_determinism(self):
-        g = random_graph(9, n_components=2, seed=6)
-        s1 = sample_pairs(g, 500, seed=11)
-        s2 = sample_pairs(g, 500, seed=11)
-        np.testing.assert_array_equal(s1.pairs, s2.pairs)
-        J = g.joint.toarray()
-        assert np.all(J[s1.pairs[:, 0], s1.pairs[:, 1]] > 0)
 
 
 class TestTrain:
@@ -183,17 +124,12 @@ class TestTrain:
                   config=TrainConfig(max_iters=50, seed=0, init_scale=1e200))
 
 
-def _reference_loss(graph, F, lam, sample=None):
+def _reference_loss(graph, F, lam):
     """The loss straight from its definition, one pair at a time."""
-    if sample is None:
-        J = graph.joint.toarray()
-        pair = sum(J[a, b] * np.sum((F[a] - F[b]) ** 2)
-                   for a in range(graph.n) for b in range(graph.n))
-        W = graph.marginal
-    else:
-        pair = np.mean([np.sum((F[a] - F[b]) ** 2) for a, b in sample.pairs])
-        W = np.bincount(sample.pairs[:, 0], minlength=graph.n) / sample.n_pre
-    gap = F.T @ (W[:, None] * F) - np.eye(F.shape[1])
+    J = graph.joint.toarray()
+    pair = sum(J[a, b] * np.sum((F[a] - F[b]) ** 2)
+               for a in range(graph.n) for b in range(graph.n))
+    gap = F.T @ (graph.marginal[:, None] * F) - np.eye(F.shape[1])
     return pair + lam * np.sum(gap * gap)
 
 
@@ -203,25 +139,26 @@ def _class_spec(tag, graph, k=2):
 
 class TestStackedLoss:
     @pytest.mark.parametrize("tag", ["tabular", "linear", "relu", "conv"])
-    @pytest.mark.parametrize("sampled", [False, True])
-    def test_every_slice_matches_single_model(self, tag, sampled):
+    @pytest.mark.parametrize("csr", [False, True])
+    def test_every_slice_matches_single_model(self, tag, csr, monkeypatch):
         g = random_graph(9, n_components=2, seed=21)
-        sample = sample_pairs(g, 40, seed=3) if sampled else None
+        if csr:    # the product with the CSR joint, as above 200 vertices
+            monkeypatch.setattr(objective, "_DENSE_PRODUCT_LIMIT", 8)
         spec = _class_spec(tag, g)
         rng = np.random.default_rng(5)
         params = rng.uniform(-1.0, 1.0, size=(5, spec.param_count()))
         lam = np.array([0.1, 1.0, 3.0, 30.0, 1000.0])
         total, pair, reg, grad = StackedLoss(
-            g, spec.class_tag, spec.shape_dict(), sample)(params, lam)
+            g, spec.class_tag, spec.shape_dict())(params, lam)
         for b in range(5):
             model = spec.model(params[b])
-            report, want = loss_gradient(g, model, lam[b], sample)
+            report, want = loss_gradient(g, model, lam[b])
             assert total[b] == pytest.approx(report.total, rel=1e-12)
             assert pair[b] == pytest.approx(report.pair_term, rel=1e-12, abs=1e-15)
             assert reg[b] == pytest.approx(report.reg_term, rel=1e-12)
             np.testing.assert_allclose(grad[b], want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
-            ref = _reference_loss(g, forward(model, g), lam[b], sample)
+            ref = _reference_loss(g, forward(model, g), lam[b])
             assert total[b] == pytest.approx(ref, rel=1e-10)
 
     def test_csr_joint_matches_dense(self, monkeypatch):
@@ -404,35 +341,6 @@ class TestQuasiNewton:
         assert len(evals) > 10 and all(_steps_along_minus_gradient(evals))
         np.testing.assert_array_equal(forced[1][0].params, plain[1][0].params)
         assert forced[1][0].meta == plain[1][0].meta
-
-
-class TestSampledRegularizer:
-    def setup_method(self):
-        self.g = random_graph(9, n_components=2, seed=31)
-        self.sample = sample_pairs(self.g, 60, seed=2)
-        self.spec = spec_for_graph("tabular", 2, self.g)
-        self.model = self.spec.init_model(np.random.default_rng(3), scale=0.5)
-        self.counts = np.bincount(self.sample.pairs[:, 0],
-                                  minlength=self.g.n).astype(float)
-
-    def _reg(self, W):
-        F = forward(self.model, self.g)
-        gap = F.T @ (W[:, None] * F) - np.eye(2)
-        return float(np.sum(gap * gap))
-
-    def test_default_is_the_mean(self):
-        rep = empirical_loss(self.sample, self.g, self.model, 2.0)
-        assert rep.reg_term == pytest.approx(
-            self._reg(self.counts / self.sample.n_pre), rel=1e-12)
-
-    def test_training_lowers_the_sampled_loss(self):
-        config = TrainConfig(max_iters=500, seed=1)
-        start = empirical_loss(self.sample, self.g, self.model, 2.0).total
-        model, trace = train(self.g, self.spec, 2.0, config, sample=self.sample,
-                             extra_inits=[self.model])
-        end = empirical_loss(self.sample, self.g, model, 2.0).total
-        assert end < start
-        assert trace[-1][3] == pytest.approx(end, rel=1e-12)
 
 
 class TestTabularMinOracle:
