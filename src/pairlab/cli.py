@@ -254,6 +254,13 @@ def _positive_int(value) -> int:
     return number
 
 
+def _positive_float(value) -> float:
+    number = float(value)
+    if not number > 0:
+        raise ValueError(f"need a number > 0, got {value!r}")
+    return number
+
+
 def _list_of(convert):
     """Reader of a nonempty list whose items are read with `convert`."""
     def read(value):
@@ -600,7 +607,7 @@ def cmd_graph_info(args, cfg: dict) -> int:
         "n_classes": lg.n_classes,
     }
     print(json.dumps(_py(report), indent=2, sort_keys=True))
-    _emit(args.out, "graph-info", cfg, _seeds(cfg, args), {"report.json": report})
+    _emit(args.out, "graph-info", cfg, [], {"report.json": report})
     return 0
 
 
@@ -617,7 +624,7 @@ def cmd_spectrum(args, cfg: dict) -> int:
             for i, v in enumerate(dec.eigenvalues):
                 fh.write(f"{i},{float(v)!r}\n")
 
-    _emit(args.out, "spectrum", cfg, _seeds(cfg, args),
+    _emit(args.out, "spectrum", cfg, [],
           {"eigenvalues.csv": _write_csv, "eigensolver.json": _eigensolver(dec)})
     return 0
 
@@ -628,21 +635,17 @@ def _eigensolver(dec) -> dict:
 
 
 @_config_values("class")
-def _class_spec_from(ccfg: Optional[dict], graph: PositivePairGraph,
-                     k: Optional[int] = None):
-    """The spec of a class entry; `br` passes `k`, its largest r."""
+def _class_spec_from(ccfg: Optional[dict], graph: PositivePairGraph):
     if ccfg is None:
         raise ConfigError("config needs a \"class\" section")
-    return spec_for_graph(
-        ccfg.get("tag", "tabular"), int(ccfg.get("k", 2)) if k is None else k,
-        graph, s=int(ccfg.get("s", 0)),
-    )
+    return spec_for_graph(ccfg.get("tag", "tabular"), int(ccfg.get("k", 2)), graph,
+                          s=int(ccfg.get("s", 0)))
 
 
 def cmd_train(args, cfg: dict) -> int:
     graph = graph_from_config(cfg).graph
     class_spec = _class_spec_from(cfg.get("class"), graph)
-    lam = _value(cfg, "lambda", float, 1.0)
+    lam = _value(cfg, "lambda", _positive_float, 1.0)
     config = train_config_from(cfg, args.seed)
     model, trace = train(graph, class_spec, lam, config)
     report = population_loss(graph, model, lam)
@@ -662,7 +665,7 @@ def cmd_probe(args, cfg: dict) -> int:
     if lg.labels is None:
         raise IncompatibleConfig("probe needs a labeled graph")
     class_spec = _class_spec_from(cfg.get("class"), graph)
-    lam = _value(cfg, "lambda", float, 1.0)
+    lam = _value(cfg, "lambda", _positive_float, 1.0)
     config = train_config_from(cfg, args.seed)
     model, _ = train(graph, class_spec, lam, config)
     F = forward(model, graph)
@@ -692,6 +695,8 @@ def cmd_probe(args, cfg: dict) -> int:
 def cmd_verify(args, cfg: dict) -> int:
     names = list(VERIFIERS) if args.theorem == "all" else [args.theorem]
     gcfg = cfg.get("graph")
+    seed = args.seed or 0
+    seeded = [name for name in names if name not in ("thm56", "thm58")]
     all_rows = []
     for name in names:
         expected = _VERIFIER_EXAMPLE.get(name)
@@ -703,14 +708,14 @@ def cmd_verify(args, cfg: dict) -> int:
         kwargs = {}
         if name in ("prop4", "thm31") and "n_graphs" in cfg:
             kwargs["n_graphs"] = _value(cfg, "n_graphs", _positive_int)
-        if args.seed is not None and name not in ("thm56", "thm58"):
-            kwargs["seed"] = args.seed
+        if name in seeded:
+            kwargs["seed"] = seed
         rows = VERIFIERS[name](**kwargs)
         all_rows.extend(rows)
     for row in all_rows:
         print(json.dumps(_py(row), sort_keys=True))
     ok = all(r["pass"] for r in all_rows)
-    _emit(args.out, "verify", cfg, _seeds(cfg, args),
+    _emit(args.out, "verify", cfg, [seed] if seeded else [],
           {"verdict.json": {"rows": all_rows, "pass": ok}})
     return 0 if ok else 1
 
@@ -719,8 +724,11 @@ def cmd_br(args, cfg: dict) -> int:
     graph = graph_from_config(cfg).graph
     r_list = _value(cfg, "r_list", _list_of(_positive_int))
     entries = cfg.get("classes") or [cfg.get("class") or {"tag": "tabular"}]
-    class_specs = [_class_spec_from(e, graph, max(r_list)) for e in entries]
-    grid = tuple(_value(cfg, "lambda_grid", _list_of(float), list(DEFAULT_LAMBDA_GRID)))
+    if any("k" in entry for entry in entries):
+        raise ConfigError("br trains every class at k = r; remove \"k\" from its classes")
+    class_specs = [_class_spec_from(e, graph) for e in entries]   # k is set to each r
+    grid = tuple(_value(cfg, "lambda_grid", _list_of(_positive_float),
+                        list(DEFAULT_LAMBDA_GRID)))
     config = train_config_from(cfg, args.seed)
     report = br_table(graph, class_specs, r_list, grid, config)
     for row in report.rows:
@@ -731,13 +739,6 @@ def cmd_br(args, cfg: dict) -> int:
         "summary.csv": lambda p: write_summary_csv(report, p),
     })
     return 0
-
-
-def _seeds(cfg: dict, args) -> List[int]:
-    seeds = [] if args.seed is None else [args.seed]
-    if "seed" in cfg.get("train", {}):
-        seeds.append(train_config_from(cfg, None).seed)
-    return seeds or [0]
 
 
 # ---------------------------------------------------------------------------
@@ -752,22 +753,23 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, seed_help: Optional[str] = None):
         sp.add_argument("--config", type=Path, default=None,
                         help="JSON config file (fail-closed keys)")
         sp.add_argument("--out", type=Path, default=None,
                         help="output directory (writes a manifest)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the training seed")
+        if seed_help:
+            sp.add_argument("--seed", type=int, default=None, help=seed_help)
 
+    override = "override train.seed"
     common(sub.add_parser("graph-info", help="graph size / components / spectrum"))
     common(sub.add_parser("spectrum", help="leading eigenvalues to CSV"))
-    common(sub.add_parser("train", help="minimize the loss for a class"))
-    common(sub.add_parser("probe", help="train then fit a linear head"))
+    common(sub.add_parser("train", help="minimize the loss for a class"), override)
+    common(sub.add_parser("probe", help="train then fit a linear head"), override)
     vp = sub.add_parser("verify", help="run a scripted guarantee check")
     vp.add_argument("theorem", choices=sorted(VERIFIERS) + ["all"])
-    common(vp)
-    common(sub.add_parser("br", help="r-way separability tables"))
+    common(vp, "seed of the scenarios that draw random data (default 0)")
+    common(sub.add_parser("br", help="r-way separability tables"), override)
     return parser
 
 
@@ -784,6 +786,8 @@ _HANDLERS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    if (getattr(args, "seed", None) or 0) < 0:
+        parser.error(f"argument --seed: need an integer >= 0, got {args.seed}")
     try:
         cfg = load_config(args.config)
         return _HANDLERS[args.command](args, cfg)

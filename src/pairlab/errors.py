@@ -74,7 +74,7 @@ class DegenerateCovariance(PairLabError):
 
 
 class SizeGuardExceeded(PairLabError):
-    """A generator would produce more vertices than the configured guard."""
+    """A generator would produce more vertices than the size guard."""
 
 
 class IncompleteLabelMap(PairLabError):

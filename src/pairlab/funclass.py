@@ -8,8 +8,12 @@ Four classes of functions from vertex coordinates to R^k:
   conv     f(x)_i = sum_t sigma(u_i . x_{t:t+s-1} + b_i), circular windows.
 
 Models are value types: a class tag, a shape descriptor, and a flat float64
-parameter vector.  `forward` evaluates on a graph's vertex set, and
-`grad_params` is the exact adjoint (the gradient of <forward, cotangent>).
+parameter vector.  `FunctionClassSpec` alone knows a class's parameter
+layout (`_LAYOUTS`: shape keys and parameter count), and its `model` is the
+one builder of models; a model's `spec` is its class, and params that do
+not fit it raise `DimensionMismatch`, also when a model document is loaded.
+`forward` evaluates on a graph's vertex set, and `grad_params` is the
+exact adjoint (the gradient of <forward, cotangent>).
 Both are the one-model case of `StackedClass`, which evaluates B parameter
 vectors of a class at once (the trainer's stacked cells).
 
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -45,15 +49,32 @@ from .synthdata import Example1Spec, Example4Spec, sign_patterns
 
 _VERIFY_TOL = 1e-9   # relative tolerance for construction output checks
 
-CLASS_TAGS = ("tabular", "linear", "relu", "conv")
+# each class's parameter layout: its shape keys (in shape-dict order), the
+# key that gives each of the k outputs its number of weights, and whether
+# each output adds a bias (the biases follow all the weights)
+_LAYOUTS = {"tabular": (("n", "k"), "n", 0), "linear": (("k", "d"), "d", 0),
+            "relu": (("k", "d"), "d", 1), "conv": (("k", "d", "s"), "s", 1)}
+CLASS_TAGS = tuple(_LAYOUTS)
 
 
 @dataclass(frozen=True)
 class RepresentationModel:
+    """Built by `FunctionClassSpec.model`; params must fit the class."""
+
     class_tag: str
     shape: Dict[str, int]
     params: np.ndarray
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        count = self.spec.param_count()
+        if np.shape(self.params) != (count,):
+            raise DimensionMismatch(f"{self.class_tag} model of shape {self.shape} "
+                                    f"needs {count} params, got {np.shape(self.params)}")
+
+    @property
+    def spec(self) -> "FunctionClassSpec":
+        return FunctionClassSpec(self.class_tag, **self.shape)
 
     @property
     def k(self) -> int:
@@ -62,7 +83,8 @@ class RepresentationModel:
 
 @dataclass(frozen=True)
 class FunctionClassSpec:
-    """Structural description of a class: tag plus dimensions.
+    """Structural description of a class: tag plus dimensions, and the one
+    owner of the class's parameter layout.
 
     `d` is the ambient coordinate dimension (ignored by tabular, which
     instead needs `n`), `s` the conv window length.
@@ -83,32 +105,16 @@ class FunctionClassSpec:
             raise DimensionMismatch("conv needs 1 <= s <= d")
 
     def param_count(self) -> int:
-        if self.class_tag == "tabular":
-            return self.n * self.k
-        if self.class_tag == "linear":
-            return self.k * self.d
-        if self.class_tag == "relu":
-            return self.k * self.d + self.k
-        return self.k * self.s + self.k
+        _, width, bias = _LAYOUTS[self.class_tag]
+        return self.k * (getattr(self, width) + bias)
 
     def shape_dict(self) -> Dict[str, int]:
-        if self.class_tag == "tabular":
-            return {"n": self.n, "k": self.k}
-        if self.class_tag == "linear":
-            return {"k": self.k, "d": self.d}
-        if self.class_tag == "relu":
-            return {"k": self.k, "d": self.d}
-        return {"k": self.k, "d": self.d, "s": self.s}
+        return {key: getattr(self, key) for key in _LAYOUTS[self.class_tag][0]}
 
-    def model(self, params) -> RepresentationModel:
-        params = np.asarray(params, dtype=np.float64).ravel()
-        if params.size != self.param_count():
-            raise DimensionMismatch(
-                f"{self.class_tag} expects {self.param_count()} params, got {params.size}"
-            )
-        return RepresentationModel(
-            class_tag=self.class_tag, shape=self.shape_dict(), params=params
-        )
+    def model(self, params, meta: Optional[dict] = None) -> RepresentationModel:
+        """The model of this class with flat parameter vector `params`."""
+        return RepresentationModel(self.class_tag, self.shape_dict(),
+                                   np.asarray(params, dtype=np.float64), meta or {})
 
     def init_model(self, rng: np.random.Generator, scale: float = 0.1) -> RepresentationModel:
         return self.model(rng.uniform(-scale, scale, size=self.param_count()))
@@ -133,24 +139,21 @@ class StackedClass:
     at exactly 0 is taken to be 0.
     """
 
-    def __init__(self, class_tag: str, shape: Dict[str, int],
-                 graph: PositivePairGraph):
-        if class_tag not in CLASS_TAGS:
-            raise UnknownClass(f"unknown class tag {class_tag!r}")
-        if class_tag == "tabular":
-            if shape["n"] != graph.n:
+    def __init__(self, spec: FunctionClassSpec, graph: PositivePairGraph):
+        if spec.class_tag == "tabular":
+            if spec.n != graph.n:
                 raise DimensionMismatch(
-                    f"tabular model for n={shape['n']} evaluated on n={graph.n}")
-        elif shape.get("d", graph.d) != graph.d:
-            raise DimensionMismatch(f"model d={shape['d']} vs graph d={graph.d}")
-        self.tag = class_tag
-        self.n, self.k = graph.n, shape["k"]
+                    f"tabular model for n={spec.n} evaluated on n={graph.n}")
+        elif spec.d != graph.d:
+            raise DimensionMismatch(f"model d={spec.d} vs graph d={graph.d}")
+        self.tag = spec.class_tag
+        self.n, self.k = graph.n, spec.k
         # the inputs each unit sees: vertex coordinates, or for conv every
         # circular window of every vertex, (n*d, s)
         self.inputs = graph.vertices
-        if class_tag == "conv":
-            self.inputs = graph.vertices[:, _window_index(graph.d, shape["s"])].reshape(
-                graph.n * graph.d, shape["s"])
+        if self.tag == "conv":
+            self.inputs = graph.vertices[:, _window_index(graph.d, spec.s)].reshape(
+                graph.n * graph.d, spec.s)
         self.n_weights = self.k * self.inputs.shape[1]   # the biases follow
 
     def forward(self, params: np.ndarray):
@@ -183,8 +186,7 @@ class StackedClass:
 
 def forward(model: RepresentationModel, graph: PositivePairGraph) -> np.ndarray:
     """n x k representation matrix of the model on the graph's vertices."""
-    F, _ = StackedClass(model.class_tag, model.shape, graph).forward(
-        model.params[None, :])
+    F, _ = StackedClass(model.spec, graph).forward(model.params[None, :])
     return F[0].copy()
 
 
@@ -194,7 +196,7 @@ def grad_params(model: RepresentationModel, graph: PositivePairGraph,
 
     The ReLU subgradient at exactly 0 is taken to be 0.
     """
-    net = StackedClass(model.class_tag, model.shape, graph)
+    net = StackedClass(model.spec, graph)
     C = np.asarray(cotangent, dtype=np.float64)
     if C.shape != (graph.n, model.k):
         raise DimensionMismatch(
@@ -242,11 +244,8 @@ def construct_example1_optimal(spec: Example1Spec) -> RepresentationModel:
     """
     U = np.zeros((spec.s, spec.d))
     U[np.arange(spec.s), np.arange(spec.s)] = 1.0
-    model = RepresentationModel(
-        class_tag="linear", shape={"k": spec.s, "d": spec.d}, params=U.ravel(),
-        meta={"construction": "invariant-block projection"},
-    )
-    return model
+    return FunctionClassSpec("linear", k=spec.s, d=spec.d).model(
+        U.ravel(), meta={"construction": "invariant-block projection"})
 
 
 def _verify_onehot_outputs(model: RepresentationModel, graph: PositivePairGraph,
@@ -283,10 +282,8 @@ def construct_example2_optimal(spec: Example1Spec,
     bias_displayed = -scale * (s - 1)
 
     target_idx = _sign_index(graph.vertices[:, :s] > 0)
-    model = RepresentationModel(
-        class_tag="relu", shape={"k": want_k, "d": spec.d},
-        params=np.concatenate([U.ravel(), np.full(want_k, bias_displayed)]),
-    )
+    model = FunctionClassSpec("relu", k=want_k, d=spec.d).model(
+        np.concatenate([U.ravel(), np.full(want_k, bias_displayed)]))
     return _verify_onehot_outputs(model, graph, target_idx, scale, "one-hot")
 
 
@@ -328,10 +325,8 @@ def construct_example4_optimal(spec: Example4Spec,
     bias_displayed = -a * (gamma * (s - 1) + 1.0)
 
     _, target_idx = _patch_cells(graph.vertices, d, s)
-    model = RepresentationModel(
-        class_tag="conv", shape={"k": want_k, "d": d, "s": s},
-        params=np.concatenate([U.ravel(), np.full(want_k, bias_displayed)]),
-    )
+    model = FunctionClassSpec("conv", k=want_k, d=d, s=s).model(
+        np.concatenate([U.ravel(), np.full(want_k, bias_displayed)]))
     return _verify_onehot_outputs(model, graph, target_idx, scale, "one-hot patch")
 
 
@@ -376,11 +371,9 @@ def construct_adversarial_universal(
         mass = float(graph.marginal[members].sum())
         F[members, j] = 1.0 / np.sqrt(mass)
 
-    return RepresentationModel(
-        class_tag="tabular", shape={"n": graph.n, "k": k}, params=F.ravel(),
-        meta={"key_dims": [int(x) for x in key],
-              "represented_groups": [int(g) for g in present[:k]]},
-    )
+    return spec_for_graph("tabular", k, graph).model(
+        F.ravel(), meta={"key_dims": [int(x) for x in key],
+                         "represented_groups": [int(g) for g in present[:k]]})
 
 
 def construct_example4_adversarial_relu(spec: Example4Spec, k: int,
@@ -410,11 +403,10 @@ def construct_example4_adversarial_relu(spec: Example4Spec, k: int,
     U[np.arange(k)[:, None], _window_index(d, s)[unit_t]] = a * sign_patterns(s)[unit_pattern]
     bias = np.full(k, -a * (gamma * (s - 1) + 1.0))
 
-    model = RepresentationModel(
-        class_tag="relu", shape={"k": k, "d": d}, params=np.concatenate([U.ravel(), bias]),
+    model = FunctionClassSpec("relu", k=k, d=d).model(
+        np.concatenate([U.ravel(), bias]),
         meta={"represented_clusters": np.stack([unit_t, unit_pattern], axis=1).tolist(),
-              "cluster_count": n_clusters},
-    )
+              "cluster_count": n_clusters})
 
     t, pattern = _patch_cells(graph.vertices, d, s)
     return _verify_onehot_outputs(model, graph, t * 2 ** s + pattern, scale,
@@ -435,15 +427,12 @@ def model_to_dict(model: RepresentationModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> RepresentationModel:
-    tag = doc["class"]
-    if tag not in CLASS_TAGS:
-        raise UnknownClass(f"unknown class tag {tag!r}")
-    return RepresentationModel(
-        class_tag=tag,
-        shape={key: int(v) for key, v in doc["shape"].items()},
-        params=np.asarray(doc["params"], dtype=np.float64),
-        meta=doc.get("meta", {}),
-    )
+    """The model of a `model_to_dict` document, checked against its class."""
+    shape = {key: int(v) for key, v in doc["shape"].items()}
+    spec = FunctionClassSpec(doc["class"], **shape)
+    if shape != spec.shape_dict():
+        raise DimensionMismatch(f"{spec.class_tag} shape has keys {list(spec.shape_dict())}")
+    return spec.model(doc["params"], doc.get("meta", {}))
 
 
 def save_model(model: RepresentationModel, path) -> None:

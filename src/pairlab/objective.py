@@ -46,6 +46,7 @@ from .funclass import (
     RepresentationModel,
     StackedClass,
     forward,
+    spec_for_graph,
 )
 from .posgraph import PositivePairGraph
 from .spectral import eigendecompose
@@ -86,8 +87,7 @@ def _left(M, F: np.ndarray) -> np.ndarray:
 
 
 class StackedLoss:
-    """Population loss of B stacked cells of one class (tag and shape as
-    in `RepresentationModel`).
+    """Population loss of B stacked cells of one class, given by its spec.
 
     A call takes parameters (B, P) and the cells' lambdas (B,) and returns
     (total, pair, reg, grad): three (B,) arrays and, unless
@@ -100,9 +100,9 @@ class StackedLoss:
     and from the CSR joint above.
     """
 
-    def __init__(self, graph: PositivePairGraph, class_tag: str, shape: dict):
-        self.net = StackedClass(class_tag, shape, graph)
-        self.eye = np.eye(shape["k"])
+    def __init__(self, graph: PositivePairGraph, spec: FunctionClassSpec):
+        self.net = StackedClass(spec, graph)
+        self.eye = np.eye(spec.k)
         small = graph.n <= _DENSE_PRODUCT_LIMIT
         self.joint = graph.joint.toarray() if small else graph.joint
         self.weights = graph.marginal[:, None]
@@ -131,7 +131,7 @@ class StackedLoss:
 
 
 def _single(graph, model, lam, with_grad):
-    loss = StackedLoss(graph, model.class_tag, model.shape)
+    loss = StackedLoss(graph, model.spec)
     total, pair, reg, grad = loss(model.params[None, :], np.array([float(lam)]),
                                   with_grad)
     report = LossReport(total=float(total[0]), pair_term=float(pair[0]),
@@ -283,7 +283,7 @@ def _descend(loss, params: np.ndarray, lam: np.ndarray,
         raise NonFiniteGradient("non-finite gradient at initialization")
     if not np.all(f <= _DIVERGENCE_LIMIT):
         worst = f[~(f <= _DIVERGENCE_LIMIT)][0]
-        raise Divergence(f"starting loss {worst!r} exceeds {_DIVERGENCE_LIMIT:g}")
+        raise Divergence(f"starting loss {float(worst)!r} exceeds {_DIVERGENCE_LIMIT:g}")
     cells = np.arange(B)
     if trace is not None:
         trace.record(0, cells, pair, reg, f, True)
@@ -381,16 +381,15 @@ def train_grid(
         lo = len(starts)
         for start in range(n_starts):
             rng = np.random.default_rng([seed, start])
-            starts.append(rng.uniform(-config.init_scale, config.init_scale,
-                                      size=class_spec.param_count()))
-        for init_model in extra:
-            if init_model.class_tag != class_spec.class_tag:
+            starts.append(class_spec.init_model(rng, config.init_scale).params)
+        for warm in extra:
+            if warm.class_tag != class_spec.class_tag:
                 raise ValueError("extra_inits must match the trained class")
-            starts.append(class_spec.model(init_model.params).params)
+            starts.append(class_spec.model(warm.params).params)
         groups.append(range(lo, len(starts)))
     lam = np.concatenate([np.full(len(cells), float(x)) for x, cells in zip(lams, groups)])
 
-    loss = StackedLoss(graph, class_spec.class_tag, class_spec.shape_dict())
+    loss = StackedLoss(graph, class_spec)
     trace = _Trace(len(starts)) if keep_trace else None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         params, final, stops = _descend(loss, np.array(starts), lam, config, trace)
@@ -448,10 +447,8 @@ def tabular_min_oracle(graph: PositivePairGraph, k: int, lam: float):
     contrib = np.where(psi <= lam, 2.0 * psi - psi * psi / lam,
                        np.full_like(psi, lam))
     F = dec.functions * np.sqrt(c_sq)[None, :]
-    model = RepresentationModel(
-        class_tag="tabular", shape={"n": graph.n, "k": k}, params=F.ravel(),
-        meta={"oracle": "per-direction spectral minimization"},
-    )
+    model = spec_for_graph("tabular", k, graph).model(
+        F.ravel(), meta={"oracle": "per-direction spectral minimization"})
     return float(np.sum(contrib)), model
 
 
@@ -491,10 +488,8 @@ def linear_min_oracle(graph: PositivePairGraph, k: int, lam: float):
             c = 0.0
         U[i] = c * (T @ V[:, i])
     total = float(np.sum(contrib)) + lam * max(0, k - rank)
-    model = RepresentationModel(
-        class_tag="linear", shape={"k": k, "d": X.shape[1]}, params=U.ravel(),
-        meta={"oracle": "whitened-pencil minimization", "rank": rank},
-    )
+    model = spec_for_graph("linear", k, graph).model(
+        U.ravel(), meta={"oracle": "whitened-pencil minimization", "rank": rank})
     return total, model
 
 
@@ -514,7 +509,7 @@ def whiten(graph: PositivePairGraph, model: RepresentationModel) -> np.ndarray:
     evals, evecs = scipy.linalg.eigh(cov)
     if evals.min() <= _WHITEN_MIN_EIG:
         raise SingularCovariance(
-            f"covariance eigenvalue {evals.min()!r} too small to whiten"
+            f"covariance eigenvalue {float(evals.min())!r} too small to whiten"
         )
     inv_sqrt = evecs @ ((1.0 / np.sqrt(evals))[:, None] * evecs.T)
     return (F @ inv_sqrt) / np.sqrt(k)

@@ -153,7 +153,7 @@ def _checked_joint(rows, cols, vals, n: int, sym_tol: float):
 def _check_positive(marginal: np.ndarray) -> None:
     if not marginal.min() > 0.0:
         bad = int(np.argmin(marginal))
-        raise ZeroMassVertex(f"vertex {bad} has marginal {marginal[bad]!r}")
+        raise ZeroMassVertex(f"vertex {bad} has marginal {float(marginal[bad])!r}")
 
 
 def build_graph(vertices, joint) -> PositivePairGraph:
@@ -206,7 +206,7 @@ def from_augmentation_process(natural_weights, kernel, vertices) -> PositivePair
     bad = np.abs(row_sums - 1.0) > _SUM_TOL
     if bad.any():
         i = int(np.argmax(np.abs(row_sums - 1.0)))
-        raise KernelNotNormalized(f"kernel row {i} sums to {row_sums[i]!r}")
+        raise KernelNotNormalized(f"kernel row {i} sums to {float(row_sums[i])!r}")
 
     joint = A.T @ (A * p[:, None])
     return build_graph(vertices, joint)

@@ -13,7 +13,7 @@ zeta, B), and the bound evaluators compute the displayed right-hand sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -121,11 +121,8 @@ def _implementability_residual(graph, class_spec: FunctionClassSpec,
         resid = X @ sol - Y
         return float(np.sum(resid * resid))
 
-    spec = FunctionClassSpec(
-        class_tag=class_spec.class_tag, k=targets.shape[1], d=graph.d,
-        n=graph.n, s=class_spec.s or 1,
-    )
-    net = StackedClass(spec.class_tag, spec.shape_dict(), graph)
+    spec = replace(class_spec, k=targets.shape[1], d=graph.d)
+    net = StackedClass(spec, graph)
     w = w[:, None]
 
     def fit(params, lam):

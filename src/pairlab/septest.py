@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .errors import AllGridPointsFailed, SingularCovariance
-from .funclass import FunctionClassSpec, RepresentationModel, forward
+from .funclass import FunctionClassSpec, RepresentationModel, forward, spec_for_graph
 from .posgraph import PositivePairGraph
 from .spectral import eigendecompose, pair_discrepancy
 from .objective import TrainConfig, train_grid, whiten
@@ -42,6 +42,7 @@ class BrCell:
     seed: int
     stop_reason: str    # of the cell's descent (objective.train_grid)
     evals: int
+    model: RepresentationModel = field(repr=False, compare=False)   # trained
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,6 @@ def estimate_br(
     lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
     train_config: Optional[TrainConfig] = None,
     warm_models: Optional[Dict[int, Sequence[RepresentationModel]]] = None,
-    collect_models: Optional[List[RepresentationModel]] = None,
 ):
     """(b_r, BrRow) for one class and one r.
 
@@ -85,8 +85,7 @@ def estimate_br(
     cannot be whitened are logged and skipped; if every cell fails,
     AllGridPointsFailed is raised.  `warm_models` optionally maps a lambda
     index to extra tabular starting points (used for the nested
-    class-containment warm start).  When `collect_models` is passed, the
-    trained model of each cell is appended to it (grid order).
+    class-containment warm start).  Each cell keeps its trained model.
     """
     if not lambda_grid:
         raise ValueError("lambda_grid must be nonempty")
@@ -103,8 +102,6 @@ def estimate_br(
     trained = train_grid(graph, spec, lambda_grid, base_config, seeds, warm)
     cells: List[BrCell] = []
     for lam, seed, extra, (model, _) in zip(lambda_grid, seeds, warm, trained):
-        if collect_models is not None:
-            collect_models.append(model)
         candidates = [model]
         # a warm-start model is itself a member of this class, so its
         # whitened discrepancy is a valid upper bound for the cell minimum
@@ -125,7 +122,8 @@ def estimate_br(
                 b_val = val
         stop = model.meta["stop"]
         cells.append(BrCell(lam=lam, b_value=b_val, whiten_ok=b_val is not None,
-                            seed=seed, stop_reason=stop["reason"], evals=stop["evals"]))
+                            seed=seed, stop_reason=stop["reason"], evals=stop["evals"],
+                            model=model))
 
     ok = [c.b_value for c in cells if c.whiten_ok]
     if not ok:
@@ -155,31 +153,18 @@ def br_table(
     warm starts (it is closed-form).
     """
     rows: List[BrRow] = []
-    trained_by_cell: Dict[int, Dict[int, List[RepresentationModel]]] = {}
-
     ordered = sorted(class_specs, key=lambda cs: cs.class_tag == "tabular")
     for spec in ordered:
         for r in r_list:
             warm = None
             if spec.class_tag == "tabular":
-                warm = {}
-                for li, models in trained_by_cell.get(r, {}).items():
-                    warm[li] = [
-                        RepresentationModel(
-                            class_tag="tabular",
-                            shape={"n": graph.n, "k": r},
-                            params=forward(m, graph).ravel(),
-                        )
-                        for m in models
-                    ]
-            collected: List[RepresentationModel] = []
-            _, row = estimate_br(graph, spec, r, lambda_grid, train_config,
-                                 warm_models=warm, collect_models=collected)
-            rows.append(row)
-            if spec.class_tag != "tabular":
-                store = trained_by_cell.setdefault(r, {})
-                for li, model in enumerate(collected):
-                    store.setdefault(li, []).append(model)
+                below = [row for row in rows if row.r == r and row.class_tag != "tabular"]
+                warm = {li: [spec_for_graph("tabular", r, graph).model(
+                                 forward(row.cells[li].model, graph).ravel())
+                             for row in below]
+                        for li in range(len(lambda_grid))}
+            rows.append(estimate_br(graph, spec, r, lambda_grid, train_config,
+                                    warm_models=warm)[1])
 
     order = {cs.class_tag: i for i, cs in enumerate(class_specs)}
     rows.sort(key=lambda row: (order[row.class_tag], row.r))

@@ -290,7 +290,7 @@ def eigendecompose(graph: PositivePairGraph, count: int) -> SpectralDecompositio
 
     if vals.min() < -_EIG_RANGE_TOL or vals.max() > 2.0 + _EIG_RANGE_TOL:
         raise EigSolverFailure(
-            f"eigenvalues outside [0, 2]: [{vals.min()!r}, {vals.max()!r}]"
+            f"eigenvalues outside [0, 2]: [{float(vals.min())!r}, {float(vals.max())!r}]"
         )
     zeros = int(np.sum(vals <= _ZERO_TOL))
     if zeros != n_zero:

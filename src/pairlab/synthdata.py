@@ -64,7 +64,6 @@ class Example1Spec:
     s: int
     tau_grid: Tuple[float, ...] = _TAU_GRID_1
     label_dim: int = 0
-    size_guard: int = DEFAULT_SIZE_GUARD
 
     def __post_init__(self):
         if not (0 < self.s < self.d):
@@ -120,8 +119,8 @@ def _hypercube_vertices_and_joint(spec: Example1Spec):
     n_naturals = 2 ** d
     n_combos = len(grid) ** n_free
     n = n_naturals * n_combos
-    if n > spec.size_guard:
-        raise SizeGuardExceeded(f"{n} vertices exceed guard {spec.size_guard}")
+    if n > DEFAULT_SIZE_GUARD:
+        raise SizeGuardExceeded(f"{n} vertices exceed guard {DEFAULT_SIZE_GUARD}")
 
     combos = np.array(list(itertools.product(grid, repeat=n_free)))
     patterns = np.repeat(sign_patterns(d), n_combos, axis=0)
@@ -232,7 +231,7 @@ def example3_graph(spec: Example3Spec) -> LabeledGraph:
         worst = np.unravel_index(np.argmax(dist), dist.shape)
         if dist[worst] > spec.rho:
             raise GeometryViolation(
-                f"set {i} has diameter {dist[worst]!r} > rho={spec.rho!r}",
+                f"set {i} has diameter {float(dist[worst])!r} > rho={spec.rho!r}",
                 offending_pair=((i, int(worst[0])), (i, int(worst[1]))),
             )
     for i in range(r):
@@ -241,7 +240,7 @@ def example3_graph(spec: Example3Spec) -> LabeledGraph:
             worst = np.unravel_index(np.argmin(dist), dist.shape)
             if dist[worst] < spec.gamma:
                 raise GeometryViolation(
-                    f"sets {i},{j} at distance {dist[worst]!r} < gamma={spec.gamma!r}",
+                    f"sets {i},{j} at distance {float(dist[worst])!r} < gamma={spec.gamma!r}",
                     offending_pair=((i, int(worst[0])), (j, int(worst[1]))),
                 )
 
@@ -336,7 +335,6 @@ class Example4Spec:
     s: int
     gamma: float
     tau_grid: Tuple[float, ...] = _TAU_GRID_4
-    size_guard: int = DEFAULT_SIZE_GUARD
 
     def __post_init__(self):
         if not (1 <= self.s < self.d):
@@ -371,8 +369,8 @@ def example4_graph(spec: Example4Spec) -> LabeledGraph:
     n_free = d - s
     values = sorted({t * sgn for t in grid for sgn in (-1.0, 1.0)})
     n_exact = d * (2 ** s) * len(values) ** n_free
-    if n_exact > spec.size_guard:
-        raise SizeGuardExceeded(f"{n_exact} vertices exceed guard {spec.size_guard}")
+    if n_exact > DEFAULT_SIZE_GUARD:
+        raise SizeGuardExceeded(f"{n_exact} vertices exceed guard {DEFAULT_SIZE_GUARD}")
 
     combos = np.array(list(itertools.product(grid, repeat=n_free)))
     n_combos = combos.shape[0]

@@ -130,16 +130,32 @@ class TestConfigValidation:
                    "train": {"n_starts": 0}}, "n_starts >= 1"),
         ("br", {"graph": {"random": {"n": 6}}, "r_list": [1], "classes": 5},
          "classes must be a list"),
+        ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2}, "lambda": -1},
+         "lambda: need a number > 0"),
+        ("probe", {"graph": {"example": 1, "d": 3, "s": 1}, "class": {"k": 2},
+                   "lambda": -1}, "lambda: need a number > 0"),
+        ("br", {"graph": {"random": {"n": 6}}, "r_list": [1], "lambda_grid": [0, -3]},
+         "lambda_grid: need a number > 0"),
+        ("verify thm42 --seed -1", {}, "argument --seed: need an integer >= 0"),
+        ("br", {"graph": {"random": {"n": 6}}, "r_list": [1],
+                "classes": [{"tag": "linear", "k": 2}]}, "every class at k = r"),
+        ("br", {"graph": {"random": {"n": 6}}, "r_list": [1], "class": {"k": 2}},
+         "every class at k = r"),
     ], ids=["missing-d", "s-over-d", "example2-xor-s1", "zero-step", "text-max-iters",
             "text-lambda-train", "text-lambda-probe", "br-classes-text-s",
             "text-count", "zero-r", "empty-lambda-grid", "text-n-graphs",
             "text-seed", "text-grad-tol", "text-init-scale", "zero-n-starts",
-            "classes-not-list"])
+            "classes-not-list", "negative-lambda-train", "negative-lambda-probe",
+            "nonpositive-lambda-grid", "negative-seed", "br-classes-k", "br-class-k"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, doc, message):
         cfg = write_config(tmp_path, {"version": 1, **doc})
-        code, _, err = run([*command.split(), "--config", str(cfg)], capsys)
+        try:
+            code, _, err = run([*command.split(), "--config", str(cfg)], capsys)
+            first = "config error:"
+        except SystemExit as exc:      # argparse rejects a bad option value
+            code, err, first = exc.code, capsys.readouterr().err, "usage:"
         assert code == 2
-        assert err.startswith("config error:") and message in err
+        assert err.startswith(first) and message in err
         assert "Traceback" not in err
 
     def test_no_graph_section(self, tmp_path, capsys):
@@ -244,6 +260,27 @@ class TestManifest:
         assert code == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["seeds"] == [5]
+
+    def test_verify_records_the_seed_it_ran(self, tmp_path, capsys):
+        # train.seed does not seed the scenarios; --seed, default 0, does
+        cfg = write_config(tmp_path, {"version": 1, "train": {"seed": 3}})
+        out_dir = tmp_path / "out"
+        code, _, _ = run(["verify", "thm52", "--config", str(cfg),
+                          "--out", str(out_dir)], capsys)
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["seeds"] == [0]
+
+    def test_graph_info_records_no_seed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**EXAMPLE1_CFG, "train": {"seed": 3}})
+        out_dir = tmp_path / "out"
+        code, _, _ = run(["graph-info", "--config", str(cfg),
+                          "--out", str(out_dir)], capsys)
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["seeds"] == []
+        with pytest.raises(SystemExit):      # graph-info takes no --seed
+            main(["graph-info", "--config", str(cfg), "--seed", "11"])
 
 
 class TestSpectrum:

@@ -1,6 +1,8 @@
 """Model classes: forward, gradients, Lipschitz, closed-form constructions,
 adversarial constructions, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -346,3 +348,15 @@ class TestSerialization:
         save_model(model, path)
         loaded = load_model(path)
         np.testing.assert_array_equal(loaded.params, model.params)
+
+    @pytest.mark.parametrize("tag, shape, n_params", [
+        ("linear", {"k": 1, "d": 3}, 6),
+        ("relu", {"k": 2, "d": 2}, 5),
+        ("relu", {"k": 2, "d": 2, "s": 1}, 6),
+    ], ids=["linear-extra-params", "relu-missing-bias", "relu-with-conv-key"])
+    def test_load_rejects_params_that_do_not_fit(self, tmp_path, tag, shape, n_params):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"class": tag, "shape": shape,
+                                    "params": [0.5] * n_params, "meta": {}}))
+        with pytest.raises(DimensionMismatch):
+            load_model(path)

@@ -148,8 +148,7 @@ class TestStackedLoss:
         rng = np.random.default_rng(5)
         params = rng.uniform(-1.0, 1.0, size=(5, spec.param_count()))
         lam = np.array([0.1, 1.0, 3.0, 30.0, 1000.0])
-        total, pair, reg, grad = StackedLoss(
-            g, spec.class_tag, spec.shape_dict())(params, lam)
+        total, pair, reg, grad = StackedLoss(g, spec)(params, lam)
         for b in range(5):
             model = spec.model(params[b])
             report, want = loss_gradient(g, model, lam[b])
@@ -168,9 +167,9 @@ class TestStackedLoss:
         params = np.random.default_rng(8).uniform(-1.0, 1.0,
                                                   size=(4, spec.param_count()))
         lam = np.array([0.3, 3.0, 30.0, 300.0])
-        dense = StackedLoss(g, "relu", spec.shape_dict())
+        dense = StackedLoss(g, spec)
         monkeypatch.setattr(objective, "_DENSE_PRODUCT_LIMIT", 8)
-        csr = StackedLoss(g, "relu", spec.shape_dict())
+        csr = StackedLoss(g, spec)
         assert isinstance(dense.joint, np.ndarray) and scipy.sparse.issparse(csr.joint)
         want, got = dense(params, lam), csr(params, lam)
         for a, b in zip(got, want):
@@ -445,5 +444,7 @@ class TestWhiten:
         F = np.zeros((g.n, 2))
         F[:, 0] = np.arange(g.n, dtype=float)
         model = spec_for_graph("tabular", 2, g).model(F.ravel())
-        with pytest.raises(SingularCovariance):
+        # the message prints the eigenvalue as a number, not np.float64(...)
+        with pytest.raises(SingularCovariance,
+                           match=r"^covariance eigenvalue -?\d[\d.e+-]* too small"):
             whiten(g, model)

@@ -56,7 +56,7 @@ class TestBuildGraph:
             build_graph([[0.0], [1.0]], [[0.25, 0.25], [0.25, 0.2]])
 
     def test_zero_mass_vertex_rejected(self):
-        with pytest.raises(ZeroMassVertex):
+        with pytest.raises(ZeroMassVertex, match="^vertex 1 has marginal 0.0$"):
             build_graph([[0.0], [1.0]], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_duplicate_vertices_rejected(self):

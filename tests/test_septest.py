@@ -155,10 +155,9 @@ class TestEstimateBr:
 
     def test_collect_models_grid_order(self):
         g = random_graph(6, n_components=2, seed=5)
-        collected = []
-        estimate_br(g, spec_for_graph("tabular", 2, g), 2,
-                    lambda_grid=SMALL_GRID, train_config=FAST,
-                    collect_models=collected)
+        _, row = estimate_br(g, spec_for_graph("tabular", 2, g), 2,
+                             lambda_grid=SMALL_GRID, train_config=FAST)
+        collected = [row.cells[i].model for i in range(len(SMALL_GRID))]
         assert len(collected) == len(SMALL_GRID)
         assert all(m.class_tag == "tabular" for m in collected)
 

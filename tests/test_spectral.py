@@ -288,3 +288,12 @@ class TestBlockEigensolver:
         assert connected_components(g).n_sets == 1
         with pytest.raises(EigSolverFailure, match="expected 1"):
             eigendecompose(g, 2)
+
+    def test_eigenvalue_out_of_range_raises(self, monkeypatch):
+        # a block solve that returned 2.5; the message prints plain numbers
+        monkeypatch.setattr(spectral, "_nonzero_pairs", lambda graph, labels, need: (
+            np.full(need, 2.5), np.ones((graph.n, need))))
+        g = random_graph(6, n_components=2, seed=1)
+        with pytest.raises(EigSolverFailure,
+                           match=r"^eigenvalues outside \[0, 2\]: \[0\.0, 2\.5\]$"):
+            eigendecompose(g, 3)

@@ -70,9 +70,9 @@ class TestExample1:
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_size_guard(self):
-        with pytest.raises(SizeGuardExceeded):
-            example1_graph(Example1Spec(d=10, s=1, tau_grid=(0.5, 0.75, 1.0),
-                                        size_guard=1000))
+        # 2^9 * 2^8 vertices, counted before anything is built
+        with pytest.raises(SizeGuardExceeded, match="^131072 vertices exceed guard 20000"):
+            example1_graph(Example1Spec(d=9, s=1))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -223,10 +223,9 @@ class TestExample4:
             assert len(set(lab.labels[cell])) == 1
 
     def test_size_guard(self):
-        with pytest.raises(SizeGuardExceeded):
-            example4_graph(Example4Spec(d=12, s=2, gamma=2.0,
-                                        tau_grid=(0.0, 0.5, 1.0),
-                                        size_guard=500))
+        # 6 * 2 * 5^5 vertices, counted before anything is built
+        with pytest.raises(SizeGuardExceeded, match="^37500 vertices exceed guard 20000"):
+            example4_graph(Example4Spec(d=6, s=1, gamma=2.0))
 
 
 class TestRandomAndStructuredGraphs:
