@@ -773,13 +773,16 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each command's handler and the top-level config keys it reads, besides
+# "version"; any other is a config error rather than a section that is
+# silently ignored
 _HANDLERS = {
-    "graph-info": cmd_graph_info,
-    "spectrum": cmd_spectrum,
-    "train": cmd_train,
-    "probe": cmd_probe,
-    "verify": cmd_verify,
-    "br": cmd_br,
+    "graph-info": (cmd_graph_info, {"graph"}),
+    "spectrum": (cmd_spectrum, {"graph", "count"}),
+    "train": (cmd_train, {"graph", "class", "lambda", "train"}),
+    "probe": (cmd_probe, {"graph", "class", "lambda", "train"}),
+    "verify": (cmd_verify, {"graph", "n_graphs"}),
+    "br": (cmd_br, {"graph", "class", "classes", "lambda_grid", "r_list", "train"}),
 }
 
 
@@ -790,7 +793,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"argument --seed: need an integer >= 0, got {args.seed}")
     try:
         cfg = load_config(args.config)
-        return _HANDLERS[args.command](args, cfg)
+        handler, reads = _HANDLERS[args.command]
+        unread = sorted(set(cfg) - reads - {"version"})
+        if unread:
+            raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
+        return handler(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (
     ConstructionVerificationFailed,
@@ -212,6 +211,9 @@ def lipschitz_constant(model: RepresentationModel, graph: PositivePairGraph) -> 
     A lower bound on any ambient Lipschitz constant; on finite supports it
     is the exact modulus the theorems consume.
     """
+    # imported on use: scipy.spatial is a sixth of `import pairlab`
+    from scipy.spatial.distance import cdist
+
     F = forward(model, graph)
     best = 0.0
     step = 1024
@@ -429,7 +431,10 @@ def model_to_dict(model: RepresentationModel) -> dict:
 def model_from_dict(doc: dict) -> RepresentationModel:
     """The model of a `model_to_dict` document, checked against its class."""
     shape = {key: int(v) for key, v in doc["shape"].items()}
-    spec = FunctionClassSpec(doc["class"], **shape)
+    try:
+        spec = FunctionClassSpec(doc["class"], **shape)
+    except TypeError as exc:     # a shape key that no class has, or no k
+        raise DimensionMismatch(f"{doc['class']} shape {shape}: {exc}") from exc
     if shape != spec.shape_dict():
         raise DimensionMismatch(f"{spec.class_tag} shape has keys {list(spec.shape_dict())}")
     return spec.model(doc["params"], doc.get("meta", {}))

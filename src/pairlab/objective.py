@@ -11,16 +11,18 @@ once, each with its own lambda.
 
 Training is deterministic full-batch L-BFGS (Nocedal & Wright, ch. 7),
 multi-start for the nonconvex classes.  Every cell of a `train` call (each
-seeded start and each extra starting point) and of a `train_grid` call
-(those, for every lambda of a grid) is one row of a single stacked
-descent.  Each cell keeps its own last curvature pairs and its own step
-fraction: it backtracks when a candidate does not lower the loss, and
-falls back to steepest descent when its direction does not descend.  A
-candidate whose loss is non-finite or above the divergence limit is such a
-rejected step; `Divergence` is raised only for a starting loss already
-over the limit, `NonFiniteGradient` only for a non-finite starting
-gradient.  A cell stops when its gradient norm is at most
-`grad_tol * max(1, |loss|)`, when its step fraction falls below
+seeded start and each extra starting point) is one row of a single stacked
+descent.  A `train_grid` call solves its lambdas as a path: one such
+descent per lambda, in ascending lambda, each cell starting from the
+previous lambda's final iterate of that cell when the iterate can be
+whitened, and from its own start otherwise.  Each cell keeps its own last
+curvature pairs and its own step fraction: it backtracks when a candidate
+does not lower the loss, and falls back to steepest descent when its
+direction does not descend.  A candidate whose loss is non-finite or above
+the divergence limit is such a rejected step; `Divergence` is raised only
+for a starting loss already over the limit, `NonFiniteGradient` only for a
+non-finite starting gradient.  A cell stops when its gradient norm is at
+most `grad_tol * max(1, |loss|)`, when its step fraction falls below
 `_MIN_STEP`, or at `max_iters`; it is then frozen and dropped from the
 stacked problem, and its stop record says which.
 
@@ -359,15 +361,26 @@ def train_grid(
     extra_inits: Optional[Sequence[Sequence[RepresentationModel]]] = None,
     keep_trace: bool = False,
 ):
-    """Train one model per lambda of `lams`, all cells in one stacked descent.
+    """Train one model per lambda of `lams`, as a path in ascending lambda.
 
     The cells of lambda g are `n_starts` seeded random starts, drawn with
     `default_rng([seeds[g], start])` (seeds default to `config.seed`), plus
-    the models `extra_inits[g]` as given starting points.  Returns one
-    (model, trace) per lambda: the best-loss iterate over its cells (the
-    first cell on ties), with that cell's stop record (see `_descend`) as
-    `meta["stop"]`, and, with `keep_trace`, that cell's accepted-step
-    trace (iter, pair, reg, total); else None.
+    the models `extra_inits[g]` as given starting points; each lambda is one
+    stacked descent over its cells.  The lambdas run in ascending order,
+    and from the second on, cell j starts from the previous lambda's final
+    iterate of cell j, if that iterate can be whitened (`_covariance`), and
+    else from its own start.  For the tabular class the minimizer at lambda
+    is the bottom eigenfunctions scaled by c with c^2 = 1 - psi/lambda
+    (`tabular_min_oracle`), so it moves little from one lambda to the next,
+    and a large lambda, badly conditioned from a cold start, is reached
+    from close by.  A column that collapsed to 0 at a small lambda is a
+    stationary point, which is why such an iterate is not carried on.
+
+    Returns one (model, trace) per lambda, in the order of `lams`: the
+    best-loss iterate over its cells (the first cell on ties), with that
+    cell's stop record (see `_descend`) as `meta["stop"]`, whose "start"
+    is "previous_lambda" or "own", and, with `keep_trace`, that cell's
+    accepted-step trace (iter, pair, reg, total); else None.
     """
     config = config or TrainConfig()
     n_starts = config.n_starts or _default_starts(class_spec.class_tag)
@@ -375,30 +388,30 @@ def train_grid(
     extra_inits = [()] * len(lams) if extra_inits is None else extra_inits
     if not len(lams) == len(seeds) == len(extra_inits) >= 1:
         raise ValueError("need one seed and one extra_inits entry per lambda")
-
-    starts, groups = [], []
-    for seed, extra in zip(seeds, extra_inits):
-        lo = len(starts)
-        for start in range(n_starts):
-            rng = np.random.default_rng([seed, start])
-            starts.append(class_spec.init_model(rng, config.init_scale).params)
-        for warm in extra:
-            if warm.class_tag != class_spec.class_tag:
-                raise ValueError("extra_inits must match the trained class")
-            starts.append(class_spec.model(warm.params).params)
-        groups.append(range(lo, len(starts)))
-    lam = np.concatenate([np.full(len(cells), float(x)) for x, cells in zip(lams, groups)])
+    if any(warm.class_tag != class_spec.class_tag for extra in extra_inits for warm in extra):
+        raise ValueError("extra_inits must match the trained class")
 
     loss = StackedLoss(graph, class_spec)
-    trace = _Trace(len(starts)) if keep_trace else None
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        params, final, stops = _descend(loss, np.array(starts), lam, config, trace)
-    results = []
-    for cells in groups:
-        win = cells[int(np.argmin(final[cells]))]
-        model = class_spec.model(params[win])
-        model.meta["stop"] = stops[win]
-        results.append((model, trace.of_cell(win) if keep_trace else None))
+    results = [None] * len(lams)
+    previous = None     # the final iterates of the last lambda's cells
+    for g in np.argsort(lams, kind="stable"):
+        starts = [class_spec.init_model(np.random.default_rng([seeds[g], start]),
+                                        config.init_scale).params
+                  for start in range(n_starts)]
+        starts += [class_spec.model(warm.params).params for warm in extra_inits[g]]
+        origin = ["own"] * len(starts)
+        if previous is not None:
+            for j, F in enumerate(loss.net.forward(previous[:len(starts)])[0]):
+                if _covariance(F, graph.marginal)[2]:
+                    starts[j], origin[j] = previous[j], "previous_lambda"
+        lam = np.full(len(starts), float(lams[g]))
+        trace = _Trace(len(starts)) if keep_trace else None
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            previous, final, stops = _descend(loss, np.array(starts), lam, config, trace)
+        win = int(np.argmin(final))
+        model = class_spec.model(previous[win])
+        model.meta["stop"] = {**stops[win], "start": origin[win]}
+        results[g] = (model, trace.of_cell(win) if keep_trace else None)
     return results
 
 
@@ -497,6 +510,14 @@ def linear_min_oracle(graph: PositivePairGraph, k: int, lam: float):
 # whitening
 
 
+def _covariance(F: np.ndarray, marginal: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors of the covariance F^T D F
+    of a representation matrix F (n, k), and whether F can be whitened:
+    whether the smallest eigenvalue is above `_WHITEN_MIN_EIG`."""
+    evals, evecs = scipy.linalg.eigh(F.T @ (F * marginal[:, None]))
+    return evals, evecs, bool(evals.min() > _WHITEN_MIN_EIG)
+
+
 def whiten(graph: PositivePairGraph, model: RepresentationModel) -> np.ndarray:
     """Representation matrix rescaled to covariance exactly I/k.
 
@@ -505,9 +526,8 @@ def whiten(graph: PositivePairGraph, model: RepresentationModel) -> np.ndarray:
     """
     F = forward(model, graph)
     k = F.shape[1]
-    cov = F.T @ (F * graph.marginal[:, None])
-    evals, evecs = scipy.linalg.eigh(cov)
-    if evals.min() <= _WHITEN_MIN_EIG:
+    evals, evecs, ok = _covariance(F, graph.marginal)
+    if not ok:
         raise SingularCovariance(
             f"covariance eigenvalue {float(evals.min())!r} too small to whiten"
         )

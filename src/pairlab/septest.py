@@ -42,6 +42,7 @@ class BrCell:
     seed: int
     stop_reason: str    # of the cell's descent (objective.train_grid)
     evals: int
+    start: str          # "previous_lambda" or "own" (objective.train_grid)
     model: RepresentationModel = field(repr=False, compare=False)   # trained
 
 
@@ -79,13 +80,18 @@ def estimate_br(
 ):
     """(b_r, BrRow) for one class and one r.
 
-    Trains with output dimension k=r at every lambda on the grid (all
-    cells of the row as one stacked descent, see `train_grid`), whitens,
-    and evaluates the whitened pair discrepancy.  Cells whose covariance
+    Trains with output dimension k=r at every lambda on the grid, as a
+    path in ascending lambda (see `train_grid`): one stacked descent per
+    lambda, whose cells start from the previous lambda's final iterates
+    where those can be whitened.  Whitens each lambda's model and
+    evaluates the whitened pair discrepancy.  Cells whose covariance
     cannot be whitened are logged and skipped; if every cell fails,
     AllGridPointsFailed is raised.  `warm_models` optionally maps a lambda
     index to extra tabular starting points (used for the nested
-    class-containment warm start).  Each cell keeps its trained model.
+    class-containment warm start); they are extra cells of that lambda's
+    descent, chained like the others, and each is also a candidate for
+    the cell's b value.  Each cell keeps its trained model and says how
+    it started (`BrCell.start`).
     """
     if not lambda_grid:
         raise ValueError("lambda_grid must be nonempty")
@@ -123,7 +129,7 @@ def estimate_br(
         stop = model.meta["stop"]
         cells.append(BrCell(lam=lam, b_value=b_val, whiten_ok=b_val is not None,
                             seed=seed, stop_reason=stop["reason"], evals=stop["evals"],
-                            model=model))
+                            start=stop["start"], model=model))
 
     ok = [c.b_value for c in cells if c.whiten_ok]
     if not ok:
@@ -145,12 +151,13 @@ def br_table(
 ) -> SeparabilityReport:
     """Full separability table over classes and r values.
 
-    Tabular cells additionally start from the vertex values of the trained
-    models of every other (sub-)class at the same (r, lambda) — the
-    containment b_r(tabular) <= b_r(subclass) is a statement about global
-    minima, and warming the superset class from the subset's solution keeps
-    finite optimization from inverting it.  The oracle column never uses
-    warm starts (it is closed-form).
+    Tabular cells additionally get the vertex values of the trained
+    models of every other (sub-)class at the same (r, lambda), as extra
+    cells (`estimate_br`'s `warm_models`) and as candidates for the cell's
+    b value — the containment b_r(tabular) <= b_r(subclass) is a
+    statement about global minima, and warming the superset class from
+    the subset's solution keeps finite optimization from inverting it.
+    The oracle column never uses warm starts (it is closed-form).
     """
     rows: List[BrRow] = []
     ordered = sorted(class_specs, key=lambda cs: cs.class_tag == "tabular")
@@ -173,18 +180,18 @@ def br_table(
 
 def write_report_csv(report: SeparabilityReport, path) -> None:
     """Cell-level CSV: (r, lambda, b_value, whiten_ok, seed) + class, and
-    the trained model's stop reason and loss evaluations."""
+    the trained model's stop reason, loss evaluations and start."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "lambda", "b_value", "whiten_ok", "seed", "class",
-                         "stop_reason", "evals"])
+                         "stop_reason", "evals", "start"])
         for row in report.rows:
             for cell in row.cells:
                 writer.writerow([
                     row.r, repr(cell.lam),
                     "" if cell.b_value is None else repr(cell.b_value),
                     int(cell.whiten_ok), cell.seed, row.class_tag,
-                    cell.stop_reason, cell.evals,
+                    cell.stop_reason, cell.evals, cell.start,
                 ])
 
 

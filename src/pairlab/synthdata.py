@@ -29,7 +29,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial.distance import cdist
 
 from .errors import (
     GeometryViolation,
@@ -223,6 +222,9 @@ def example3_graph(spec: Example3Spec) -> LabeledGraph:
     n = sum(sizes)
     if n > DEFAULT_SIZE_GUARD:
         raise SizeGuardExceeded(f"{n} vertices exceed guard {DEFAULT_SIZE_GUARD}")
+
+    # imported on use: scipy.spatial is a sixth of `import pairlab`
+    from scipy.spatial.distance import cdist
 
     for i, ps in enumerate(sets):
         if ps.shape[0] == 0:

@@ -1,6 +1,9 @@
 """Command-line surface: config validation, exit codes, emitted files."""
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -141,12 +144,27 @@ class TestConfigValidation:
                 "classes": [{"tag": "linear", "k": 2}]}, "every class at k = r"),
         ("br", {"graph": {"random": {"n": 6}}, "r_list": [1], "class": {"k": 2}},
          "every class at k = r"),
+        ("verify thm56", {"train": {"seed": 3}}, "verify does not read train"),
+        ("graph-info", {"graph": {"random": {"n": 6}}, "class": {"k": 2}},
+         "graph-info does not read class"),
+        ("graph-info", {"graph": {"random": {"n": 6}}, "lambda": 1.0},
+         "graph-info does not read lambda"),
+        ("graph-info", {"graph": {"random": {"n": 6}}, "train": {"seed": 3}},
+         "graph-info does not read train"),
+        ("spectrum", {"graph": {"random": {"n": 6}}, "class": {"k": 2}},
+         "spectrum does not read class"),
+        ("spectrum", {"graph": {"random": {"n": 6}}, "lambda": 1.0},
+         "spectrum does not read lambda"),
+        ("spectrum", {"graph": {"random": {"n": 6}}, "train": {"seed": 3}},
+         "spectrum does not read train"),
     ], ids=["missing-d", "s-over-d", "example2-xor-s1", "zero-step", "text-max-iters",
             "text-lambda-train", "text-lambda-probe", "br-classes-text-s",
             "text-count", "zero-r", "empty-lambda-grid", "text-n-graphs",
             "text-seed", "text-grad-tol", "text-init-scale", "zero-n-starts",
             "classes-not-list", "negative-lambda-train", "negative-lambda-probe",
-            "nonpositive-lambda-grid", "negative-seed", "br-classes-k", "br-class-k"])
+            "nonpositive-lambda-grid", "negative-seed", "br-classes-k", "br-class-k",
+            "verify-train", "graph-info-class", "graph-info-lambda", "graph-info-train",
+            "spectrum-class", "spectrum-lambda", "spectrum-train"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, doc, message):
         cfg = write_config(tmp_path, {"version": 1, **doc})
         try:
@@ -262,8 +280,9 @@ class TestManifest:
         assert manifest["seeds"] == [5]
 
     def test_verify_records_the_seed_it_ran(self, tmp_path, capsys):
-        # train.seed does not seed the scenarios; --seed, default 0, does
-        cfg = write_config(tmp_path, {"version": 1, "train": {"seed": 3}})
+        # --seed, default 0, seeds the scenarios (a train section is a
+        # config error: verify does not read it)
+        cfg = write_config(tmp_path, {"version": 1})
         out_dir = tmp_path / "out"
         code, _, _ = run(["verify", "thm52", "--config", str(cfg),
                           "--out", str(out_dir)], capsys)
@@ -272,7 +291,7 @@ class TestManifest:
         assert manifest["seeds"] == [0]
 
     def test_graph_info_records_no_seed(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {**EXAMPLE1_CFG, "train": {"seed": 3}})
+        cfg = write_config(tmp_path, EXAMPLE1_CFG)
         out_dir = tmp_path / "out"
         code, _, _ = run(["graph-info", "--config", str(cfg),
                           "--out", str(out_dir)], capsys)
@@ -407,16 +426,41 @@ class TestBr:
         assert code == 2
         assert "r_list" in err
 
-    def test_default_grid_on_two_level_graph(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {
+    @pytest.fixture(scope="class")
+    def two_level(self, tmp_path_factory):
+        """`pairlab br` on the default grid of a two-level graph: its exit
+        code, its stdout and the rows of its report.csv."""
+        tmp = tmp_path_factory.mktemp("two_level")
+        cfg = write_config(tmp, {
             "version": 1,
             "graph": {"two_level": {"m": 4}},
             "classes": [{"tag": "linear"}, {"tag": "relu"}, {"tag": "tabular"}],
             "r_list": [4],
         })
-        code, out, _ = run(["br", "--config", str(cfg)], capsys)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["br", "--config", str(cfg), "--out", str(tmp / "out")])
+        with open(tmp / "out" / "report.csv", newline="") as fh:
+            return code, out.getvalue(), list(csv.DictReader(fh))
+
+    def test_default_grid_on_two_level_graph(self, two_level):
+        code, out, cells = two_level
         assert code == 0
         assert out.count("class=") == 3
+        # relu cells near a ReLU kink at large lambda used to stop on their
+        # step size far from the minimum (b = 0.25 and 0.75)
+        relu = [float(c["b_value"]) for c in cells
+                if c["class"] == "relu" and c["whiten_ok"] == "1"]
+        assert len(relu) == 7 and max(relu) <= 0.01
+
+    def test_cells_say_how_they_started(self, two_level):
+        # from the second lambda on, a cell starts from the previous
+        # lambda's iterate unless that iterate cannot be whitened, as the
+        # collapsed relu iterates of lambda < 1 cannot
+        for cell in two_level[2]:
+            lam = float(cell["lambda"])
+            own = lam == 0.1 or (cell["class"] == "relu" and lam <= 1.0)
+            assert cell["start"] == ("own" if own else "previous_lambda"), cell
 
     def test_writes_report_and_summary(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -433,12 +477,13 @@ class TestBr:
         assert code == 0
         assert "class=tabular" in out and "class=linear" in out
         report = (out_dir / "report.csv").read_text().splitlines()
-        assert report[0] == "r,lambda,b_value,whiten_ok,seed,class,stop_reason,evals"
+        assert report[0] == "r,lambda,b_value,whiten_ok,seed,class,stop_reason,evals,start"
         assert len(report) == 1 + 2 * 2 * 2
         for line in report[1:]:
-            reason, evals = line.split(",")[-2:]
+            reason, evals, start = line.split(",")[-3:]
             assert reason in ("converged", "min_step", "max_iters")
             assert int(evals) >= 1
+            assert start in ("own", "previous_lambda")
         summary = (out_dir / "summary.csv").read_text().splitlines()
         assert summary[0] == "r,b_r,oracle,class"
         manifest = json.loads((out_dir / "manifest.json").read_text())
@@ -469,3 +514,12 @@ class TestSubprocessEntry:
             [sys.executable, "-m", "pairlab.cli", "verify", "bogus"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+    def test_import_leaves_out_scipy_spatial(self):
+        # only the functions that measure distances import it, when called
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, pairlab; print('scipy.spatial' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"

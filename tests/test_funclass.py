@@ -353,7 +353,10 @@ class TestSerialization:
         ("linear", {"k": 1, "d": 3}, 6),
         ("relu", {"k": 2, "d": 2}, 5),
         ("relu", {"k": 2, "d": 2, "s": 1}, 6),
-    ], ids=["linear-extra-params", "relu-missing-bias", "relu-with-conv-key"])
+        ("linear", {"k": 1, "d": 3, "h": 2}, 3),
+        ("linear", {"d": 3}, 3),
+    ], ids=["linear-extra-params", "relu-missing-bias", "relu-with-conv-key",
+            "linear-unknown-key", "linear-no-k"])
     def test_load_rejects_params_that_do_not_fit(self, tmp_path, tag, shape, n_params):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"class": tag, "shape": shape,

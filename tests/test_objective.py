@@ -222,6 +222,21 @@ class TestStackedLoss:
         np.testing.assert_array_equal(m1.params, m5.params)
         assert not np.array_equal(m1.params, m2.params)
 
+    def test_path_skips_a_predecessor_that_cannot_be_whitened(self):
+        # psi_2 = 0.31 > 0.1, so the lambda=0.1 minimizer's second column
+        # is 0: lambda=3 must take its own seeded start, as a one-lambda
+        # call does, and lambda=10 then starts from lambda=3's iterate
+        g = random_graph(8, n_components=1, seed=5)
+        spec = spec_for_graph("tabular", 2, g)
+        config = TrainConfig(seed=2)
+        (at10, _), (at01, _), (at3, _) = train_grid(g, spec, [10.0, 0.1, 3.0], config)
+        with pytest.raises(SingularCovariance):
+            whiten(g, at01)
+        assert [m.meta["stop"]["start"] for m in (at01, at3, at10)] == [
+            "own", "own", "previous_lambda"]
+        alone, _ = train(g, spec, 3.0, config)
+        np.testing.assert_array_equal(at3.params, alone.params)
+
     def test_over_limit_candidates_are_rejected_not_raised(self):
         # a step size far too large for lambda=1000 overshoots past the
         # divergence limit on the first step; halving must recover
@@ -315,7 +330,10 @@ class TestQuasiNewton:
         # -gradient, and row 1 must not change by a bit
         g = random_graph(9, n_components=1, seed=28)
         spec = spec_for_graph("tabular", 2, g)
-        config = TrainConfig(n_starts=1, seed=3, max_iters=300)
+        config = TrainConfig(max_iters=300)
+        # the seed-3 start at lambda 1 (row 0) and at lambda 10 (row 1)
+        starts = np.array([spec.init_model(np.random.default_rng([3, 0]), 0.1).params] * 2)
+        lam = np.array([1.0, 10.0])
         real_direction, real_loss = objective._direction, StackedLoss.__call__
         evals = []
 
@@ -332,14 +350,14 @@ class TestQuasiNewton:
             return d
 
         monkeypatch.setattr(StackedLoss, "__call__", recorded)
-        plain = train_grid(g, spec, [1.0, 10.0], config)
+        plain = objective._descend(StackedLoss(g, spec), starts, lam, config, None)
         assert not all(_steps_along_minus_gradient(evals))
         evals.clear()
         monkeypatch.setattr(objective, "_direction", reversed_row0)
-        forced = train_grid(g, spec, [1.0, 10.0], config)
+        forced = objective._descend(StackedLoss(g, spec), starts, lam, config, None)
         assert len(evals) > 10 and all(_steps_along_minus_gradient(evals))
-        np.testing.assert_array_equal(forced[1][0].params, plain[1][0].params)
-        assert forced[1][0].meta == plain[1][0].meta
+        np.testing.assert_array_equal(forced[0][1], plain[0][1])
+        assert forced[2][1] == plain[2][1]
 
 
 class TestTabularMinOracle:

@@ -229,12 +229,14 @@ class TestCsvWriters:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["r", "lambda", "b_value", "whiten_ok", "seed", "class",
-                           "stop_reason", "evals"]
+                           "stop_reason", "evals", "start"]
         assert len(rows) == 1 + 4 * len(SMALL_GRID)
         for rec in rows[1:]:
             assert rec[5] in ("tabular", "linear")
             assert rec[6] in ("converged", "min_step", "max_iters")
             assert int(rec[7]) >= 1
+            assert rec[8] == ("own" if float(rec[1]) == SMALL_GRID[0]
+                              else "previous_lambda")
             assert float(rec[1]) in SMALL_GRID
             assert rec[3] in ("0", "1")
             if rec[3] == "1":
