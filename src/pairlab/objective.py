@@ -15,16 +15,20 @@ seeded start and each extra starting point) is one row of a single stacked
 descent.  A `train_grid` call solves its lambdas as a path: one such
 descent per lambda, in ascending lambda, each cell starting from the
 previous lambda's final iterate of that cell when the iterate can be
-whitened, and from its own start otherwise.  Each cell keeps its own last
-curvature pairs and its own step fraction: it backtracks when a candidate
-does not lower the loss, and falls back to steepest descent when its
-direction does not descend.  A candidate whose loss is non-finite or above
-the divergence limit is such a rejected step; `Divergence` is raised only
-for a starting loss already over the limit, `NonFiniteGradient` only for a
-non-finite starting gradient.  A cell stops when its gradient norm is at
-most `grad_tol * max(1, |loss|)`, when its step fraction falls below
-`_MIN_STEP`, or at `max_iters`; it is then frozen and dropped from the
-stacked problem, and its stop record says which.
+whitened, and from its own start otherwise.  A tabular descent runs in
+the coordinates x / s, s(x) = sqrt(min d / d(x)) (`StackedLoss.scale`): both
+terms weigh f(x) by d(x), and so does the curvature at x, so on a
+non-uniform marginal the scale evens out what the steps see, and a
+warm-started tabular cell stops in a few evaluations.  Each cell keeps its
+own last curvature pairs and its own step fraction: it backtracks when a
+candidate does not lower the loss, and falls back to steepest descent when
+its direction does not descend.  A candidate whose loss is non-finite or
+above the divergence limit is such a rejected step; `Divergence` is raised
+only for a starting loss already over the limit, `NonFiniteGradient` only
+for a non-finite starting gradient.  A cell stops when the norm of its true
+(unscaled) gradient is at most `grad_tol * max(1, |loss|)`, when its step
+fraction falls below `_MIN_STEP`, or at `max_iters`; it is then frozen and
+dropped from the stacked problem, and its stop record says which.
 
 Closed-form minimizers: for the tabular class the loss decouples along the
 eigenfunctions of the pair operator, giving an exact per-direction scalar
@@ -100,6 +104,12 @@ class StackedLoss:
     The pair term is 2 sum_x d(x)|f(x)|^2 - 2 <F, JF>, clipped at 0, with
     JF from a dense copy of the joint up to `_DENSE_PRODUCT_LIMIT` vertices
     and from the CSR joint above.
+
+    `scale` is the per-parameter scale `_descend` runs in: for the tabular
+    class, sqrt(min d / d(x)) for each of the k outputs of vertex x, since
+    both terms weigh f(x) by d(x) and so does the curvature there; None
+    for the other classes.  Every entry is at most 1, and all are exactly
+    1 on a uniform marginal.
     """
 
     def __init__(self, graph: PositivePairGraph, spec: FunctionClassSpec):
@@ -108,6 +118,9 @@ class StackedLoss:
         small = graph.n <= _DENSE_PRODUCT_LIMIT
         self.joint = graph.joint.toarray() if small else graph.joint
         self.weights = graph.marginal[:, None]
+        self.scale = None
+        if spec.class_tag == "tabular":
+            self.scale = np.repeat(np.sqrt(graph.marginal.min() / graph.marginal), spec.k)
 
     def __call__(self, params: np.ndarray, lam: np.ndarray, with_grad: bool = True):
         F, pre = self.net.forward(params)                # (B, n, k)
@@ -254,7 +267,8 @@ def _direction(V, C, gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _descend(loss, params: np.ndarray, lam: np.ndarray,
-             config: TrainConfig, trace: Optional[_Trace]):
+             config: TrainConfig, trace: Optional[_Trace],
+             scale: Optional[np.ndarray]):
     """L-BFGS (Nocedal & Wright, ch. 7) on every row of `params` at once.
 
     `loss` is any stacked objective, called as loss(params (B, P), lam (B,))
@@ -262,6 +276,15 @@ def _descend(loss, params: np.ndarray, lam: np.ndarray,
     gradient of total; `StackedLoss` is one.  Only the trace reads pair and
     reg, and each row's lam is only handed back to `loss`, so a loss may
     ignore it.
+
+    With a `scale` (P,) (`StackedLoss.scale`), the descent runs in the
+    coordinates z = x / scale: the loss is evaluated at scale * z, and its
+    gradient there is scale * g.  That is L-BFGS with the initial inverse
+    Hessian gamma diag(scale^2), so the steepest direction is
+    -gamma scale^2 g.  The stop test and the stop record's grad_norm use
+    the true gradient g, so `grad_tol` means the same with or without a
+    scale, and the returned iterates are in x.  A scale of exactly 1 runs
+    the same bits as None.
 
     The rows share nothing but the loop.  Each keeps its last `_HISTORY`
     curvature pairs (s, y), storing only those with s.y > 0 (`_push`); its
@@ -273,13 +296,20 @@ def _descend(loss, params: np.ndarray, lam: np.ndarray,
     current one, so a non-finite candidate, or one over the divergence
     limit, is rejected.  A row whose direction does not descend (g.d >= 0),
     or that rejected `_DROP_AFTER` candidates in a row, drops its pairs and
-    takes -gamma g.  A row stops when its gradient norm is at most
-    grad_tol * max(1, |loss|) ("converged"), when t falls below `_MIN_STEP`
-    ("min_step"), or at `max_iters`, and is then dropped from the stacked
-    problem.  Returns the final iterate and loss of each row, and its stop
-    record {reason, evals (the start included), rejected, grad_norm}.
+    takes -gamma g (in the scaled coordinates, see above).  A row stops when
+    its true gradient norm is at most grad_tol * max(1, |loss|)
+    ("converged"), when t falls below `_MIN_STEP` ("min_step"), or at
+    `max_iters`, and is then dropped from the stacked problem.  Returns the
+    final iterate and loss of each row, and its stop record {reason, evals
+    (the start included), rejected, grad_norm}.
     """
     B, P = params.shape
+    if scale is not None:
+        params, unscaled = params / scale, loss
+
+        def loss(z, lam):
+            f, pair, reg, g = unscaled(z * scale, lam)
+            return f, pair, reg, g * scale
     f, pair, reg, g = loss(params, lam)
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradient("non-finite gradient at initialization")
@@ -298,7 +328,8 @@ def _descend(loss, params: np.ndarray, lam: np.ndarray,
     streak = np.zeros(B, dtype=np.int64)
     it = 0
     while True:
-        gnorm = np.sqrt(_dot(g, g))
+        true_g = g if scale is None else g / scale
+        gnorm = np.sqrt(_dot(true_g, true_g))
         converged = gnorm <= config.grad_tol * np.maximum(np.abs(f), 1.0)
         done = converged | (t < _MIN_STEP)
         if done.any():
@@ -347,6 +378,8 @@ def _descend(loss, params: np.ndarray, lam: np.ndarray,
         x = np.where(acc[:, None], cand, x)
         f = np.where(acc, fc, f)
         g = np.where(acc[:, None], gc, g)
+    if scale is not None:
+        out_params *= scale
     return out_params, out_loss, [
         {"reason": r, "evals": int(e), "rejected": int(n), "grad_norm": float(gn)}
         for r, e, n, gn in zip(reason, evals, rejected, out_gnorm)]
@@ -407,7 +440,8 @@ def train_grid(
         lam = np.full(len(starts), float(lams[g]))
         trace = _Trace(len(starts)) if keep_trace else None
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            previous, final, stops = _descend(loss, np.array(starts), lam, config, trace)
+            previous, final, stops = _descend(loss, np.array(starts), lam, config, trace,
+                                              loss.scale)
         win = int(np.argmin(final))
         model = class_spec.model(previous[win])
         model.meta["stop"] = {**stops[win], "start": origin[win]}

@@ -135,7 +135,7 @@ def _implementability_residual(graph, class_spec: FunctionClassSpec,
     starts = np.random.default_rng(0).uniform(-0.5, 0.5, size=(3, spec.param_count()))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         _, final, _ = _descend(fit, starts, np.zeros(3),
-                               TrainConfig(step_size=0.1, max_iters=500), None)
+                               TrainConfig(step_size=0.1, max_iters=500), None, None)
     return float(final.min())
 
 

@@ -85,7 +85,7 @@ def estimate_br(
     lambda, whose cells start from the previous lambda's final iterates
     where those can be whitened.  Whitens each lambda's model and
     evaluates the whitened pair discrepancy.  Cells whose covariance
-    cannot be whitened are logged and skipped; if every cell fails,
+    cannot be whitened are logged at DEBUG and skipped; if every cell fails,
     AllGridPointsFailed is raised.  `warm_models` optionally maps a lambda
     index to extra tabular starting points (used for the nested
     class-containment warm start); they are extra cells of that lambda's
@@ -117,8 +117,8 @@ def estimate_br(
             try:
                 F_bar = whiten(graph, cand)
             except SingularCovariance as exc:
-                if cand is model:
-                    logger.warning(
+                if cand is model:   # expected; report.csv has whiten_ok = 0
+                    logger.debug(
                         "whitening failed (class=%s, r=%d, lambda=%g): %s",
                         spec.class_tag, r, lam, exc,
                     )
@@ -180,7 +180,9 @@ def br_table(
 
 def write_report_csv(report: SeparabilityReport, path) -> None:
     """Cell-level CSV: (r, lambda, b_value, whiten_ok, seed) + class, and
-    the trained model's stop reason, loss evaluations and start."""
+    the trained model's stop reason, loss evaluations and start.  The
+    seed is empty for a cell that started from the previous lambda's
+    iterate, since no start drawn from it reached the result."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "lambda", "b_value", "whiten_ok", "seed", "class",
@@ -190,8 +192,9 @@ def write_report_csv(report: SeparabilityReport, path) -> None:
                 writer.writerow([
                     row.r, repr(cell.lam),
                     "" if cell.b_value is None else repr(cell.b_value),
-                    int(cell.whiten_ok), cell.seed, row.class_tag,
-                    cell.stop_reason, cell.evals, cell.start,
+                    int(cell.whiten_ok),
+                    "" if cell.start == "previous_lambda" else cell.seed,
+                    row.class_tag, cell.stop_reason, cell.evals, cell.start,
                 ])
 
 

@@ -249,15 +249,16 @@ class TestStackedLoss:
 
 
 
-def _steps_along_minus_gradient(evals):
+def _steps_along_minus_gradient(evals, scale):
     """For each candidate after the start, whether it moves from the
-    current point along its -gradient; evals are (params, loss, grad)."""
+    current point along its steepest direction in the descent's scaled
+    coordinates, -scale^2 * gradient; evals are (params, loss, grad)."""
     x, fx, gx = evals[0]
     out = []
     for cand, fc, gc in evals[1:]:
-        step = cand - x
-        out.append(bool(-step @ gx >= (1.0 - 1e-12) * np.linalg.norm(step)
-                        * np.linalg.norm(gx)))
+        step, steepest = cand - x, scale * scale * gx
+        out.append(bool(-step @ steepest >= (1.0 - 1e-12) * np.linalg.norm(step)
+                        * np.linalg.norm(steepest)))
         if fc <= fx:
             x, fx, gx = cand, fc, gc
     return out
@@ -327,9 +328,11 @@ class TestQuasiNewton:
     def test_non_descent_direction_falls_back_to_steepest(self, monkeypatch):
         # row 0's quasi-Newton direction is reversed by hand, so it is never
         # a descent direction: every step of row 0 must go along its
-        # -gradient, and row 1 must not change by a bit
+        # steepest direction, -scale^2 * gradient in the parameters, and
+        # row 1 must not change by a bit
         g = random_graph(9, n_components=1, seed=28)
         spec = spec_for_graph("tabular", 2, g)
+        scale = StackedLoss(g, spec).scale
         config = TrainConfig(max_iters=300)
         # the seed-3 start at lambda 1 (row 0) and at lambda 10 (row 1)
         starts = np.array([spec.init_model(np.random.default_rng([3, 0]), 0.1).params] * 2)
@@ -350,14 +353,55 @@ class TestQuasiNewton:
             return d
 
         monkeypatch.setattr(StackedLoss, "__call__", recorded)
-        plain = objective._descend(StackedLoss(g, spec), starts, lam, config, None)
-        assert not all(_steps_along_minus_gradient(evals))
+        plain = objective._descend(StackedLoss(g, spec), starts, lam, config, None, scale)
+        assert not all(_steps_along_minus_gradient(evals, scale))
         evals.clear()
         monkeypatch.setattr(objective, "_direction", reversed_row0)
-        forced = objective._descend(StackedLoss(g, spec), starts, lam, config, None)
-        assert len(evals) > 10 and all(_steps_along_minus_gradient(evals))
+        forced = objective._descend(StackedLoss(g, spec), starts, lam, config, None, scale)
+        assert len(evals) > 10 and all(_steps_along_minus_gradient(evals, scale))
         np.testing.assert_array_equal(forced[0][1], plain[0][1])
         assert forced[2][1] == plain[2][1]
+
+
+class TestScaledDescent:
+    def test_uniform_marginal_runs_the_unscaled_bits(self):
+        # on the hypercube every vertex has the same mass, so the tabular
+        # scale is exactly 1 and the scaled descent is the unscaled one
+        g = example1_graph(Example1Spec(d=4, s=2)).graph
+        spec = spec_for_graph("tabular", 2, g)
+        loss = StackedLoss(g, spec)
+        assert np.all(loss.scale == 1.0)
+        rng = np.random.default_rng(3)
+        starts = np.array([spec.init_model(rng, 0.1).params for _ in range(3)])
+        lam = np.array([0.3, 3.0, 30.0])
+        scaled = objective._descend(loss, starts, lam, TrainConfig(), None, loss.scale)
+        plain = objective._descend(loss, starts, lam, TrainConfig(), None, None)
+        np.testing.assert_array_equal(scaled[0], plain[0])
+        np.testing.assert_array_equal(scaled[1], plain[1])
+        assert scaled[2] == plain[2]
+
+    def test_only_tabular_is_scaled(self):
+        g = random_graph(9, n_components=2, seed=21)
+        for tag in ("linear", "relu", "conv"):
+            assert StackedLoss(g, _class_spec(tag, g)).scale is None
+        scale = StackedLoss(g, _class_spec("tabular", g, k=3)).scale
+        want = np.sqrt(g.marginal.min() / g.marginal)
+        np.testing.assert_array_equal(scale, np.repeat(want, 3))
+
+    def test_stop_bounds_the_true_gradient(self):
+        # the stop test and the stop record read the gradient in the
+        # parameters, not the shorter one in the scaled coordinates
+        g = random_graph(60, n_components=3)
+        spec = spec_for_graph("tabular", 2, g)
+        config = TrainConfig()
+        (model, _), = train_grid(g, spec, [3.0], config)
+        stop = model.meta["stop"]
+        assert stop["reason"] == "converged"
+        report, grad = loss_gradient(g, model, 3.0)
+        assert stop["grad_norm"] == pytest.approx(np.linalg.norm(grad), rel=1e-12)
+        assert stop["grad_norm"] <= config.grad_tol * max(1.0, abs(report.total))
+        scaled = np.linalg.norm(StackedLoss(g, spec).scale * grad)
+        assert scaled < 0.9 * stop["grad_norm"]
 
 
 class TestTabularMinOracle:

@@ -1,6 +1,7 @@
 """Separability protocol: b_r estimation, its closed-form oracle, CSVs."""
 
 import csv
+import logging
 
 import numpy as np
 import pytest
@@ -80,6 +81,29 @@ class TestEstimateBr:
                                      lambda_grid=SMALL_GRID, train_config=FAST)
                 assert [c.stop_reason for c in row.cells] == ["converged"] * 2
                 assert all(0 < c.evals < FAST.max_iters for c in row.cells)
+
+    def test_warm_lambda_cells_stop_in_few_evaluations(self):
+        # criterion 08's first graph: each lambda=30 cell starts from the
+        # lambda=3 minimizer, and the tabular descent, scaled by the
+        # marginal, finishes it in a few evaluations (unscaled: up to 237)
+        g = random_graph(176, n_components=3, seed=100)
+        for r in (2, 5, 10):
+            _, row = estimate_br(g, spec_for_graph("tabular", 2, g), r,
+                                 lambda_grid=SMALL_GRID, train_config=FAST)
+            at30 = row.cells[1]
+            assert at30.start == "previous_lambda" and at30.stop_reason == "converged"
+            assert at30.evals <= 20, (r, at30.evals)
+
+    def test_unwhitenable_cells_log_no_warning(self, caplog):
+        # the relu row of `pairlab br` on the two-level graph: its iterates
+        # at lambda 0.1 and 0.3 collapse and cannot be whitened, an expected
+        # outcome that the row records as whiten_ok, not a warning
+        g = two_level_graph(4).graph
+        with caplog.at_level(logging.DEBUG, logger="pairlab.septest"):
+            _, row = estimate_br(g, spec_for_graph("relu", 4, g), 4)
+        assert [c.lam for c in row.cells if not c.whiten_ok] == [0.1, 0.3]
+        assert [r.levelname for r in caplog.records] == ["DEBUG", "DEBUG"]
+        assert all("whitening failed" in r.getMessage() for r in caplog.records)
 
     def test_tabular_zero_when_components_cover_r(self):
         g = random_graph(10, n_components=3, seed=3)
@@ -237,6 +261,11 @@ class TestCsvWriters:
             assert int(rec[7]) >= 1
             assert rec[8] == ("own" if float(rec[1]) == SMALL_GRID[0]
                               else "previous_lambda")
+            # no start drawn from the seed reached a previous_lambda cell
+            if rec[8] == "own":
+                assert int(rec[4]) >= 0
+            else:
+                assert rec[4] == ""
             assert float(rec[1]) in SMALL_GRID
             assert rec[3] in ("0", "1")
             if rec[3] == "1":
