@@ -73,6 +73,7 @@ from .funclass import (
 from .objective import (
     TrainConfig,
     linear_min_oracle,
+    linear_rank,
     population_loss,
     save_trace,
     tabular_min_oracle,
@@ -727,6 +728,14 @@ def cmd_br(args, cfg: dict) -> int:
     if any("k" in entry for entry in entries):
         raise ConfigError("br trains every class at k = r; remove \"k\" from its classes")
     class_specs = [_class_spec_from(e, graph) for e in entries]   # k is set to each r
+    if any(spec.class_tag == "linear" for spec in class_specs):
+        rank = linear_rank(graph)
+        for r in r_list:
+            if r > rank:
+                raise ConfigError(
+                    f"class=linear, r={r}: f = Ux has at most rank(X^T D X) = "
+                    f"{rank} independent outputs on this graph, so no r={r} "
+                    f"cell can be whitened")
     grid = tuple(_value(cfg, "lambda_grid", _list_of(_positive_float),
                         list(DEFAULT_LAMBDA_GRID)))
     config = train_config_from(cfg, args.seed)

@@ -499,6 +499,23 @@ def tabular_min_oracle(graph: PositivePairGraph, k: int, lam: float):
     return float(np.sum(contrib)), model
 
 
+def _coordinate_moment(graph: PositivePairGraph):
+    """Sigma = E[x x^T] and its eigenpairs on its range, the eigenvalues
+    above `_COV_FLOOR` * max(largest, 1)."""
+    X = graph.vertices
+    Sigma = X.T @ (X * graph.marginal[:, None])
+    evals, evecs = scipy.linalg.eigh(Sigma)
+    keep = evals > max(evals.max(), 1.0) * _COV_FLOOR
+    return Sigma, evals[keep], evecs[:, keep]
+
+
+def linear_rank(graph: PositivePairGraph) -> int:
+    """rank(E[x x^T]) under `linear_min_oracle`'s floor: a linear model
+    f = Ux has at most this many independent outputs, so it cannot be
+    whitened at a larger k."""
+    return _coordinate_moment(graph)[1].size
+
+
 def linear_min_oracle(graph: PositivePairGraph, k: int, lam: float):
     """Exact minimum of the population loss over linear models f = Ux.
 
@@ -509,14 +526,10 @@ def linear_min_oracle(graph: PositivePairGraph, k: int, lam: float):
     directions beyond rank(Sigma) contribute lam each.
     """
     X = graph.vertices
-    d_w = graph.marginal
-    Sigma = X.T @ (X * d_w[:, None])
+    Sigma, evals, evecs = _coordinate_moment(graph)
     A = 2.0 * (Sigma - X.T @ (graph.joint @ X))
-
-    evals, evecs = scipy.linalg.eigh(Sigma)
-    keep = evals > max(evals.max(), 1.0) * _COV_FLOOR
-    rank = int(keep.sum())
-    T = evecs[:, keep] / np.sqrt(evals[keep])[None, :]
+    rank = evals.size
+    T = evecs / np.sqrt(evals)[None, :]
     M = T.T @ A @ T
     M = (M + M.T) * 0.5
     mu, V = scipy.linalg.eigh(M)

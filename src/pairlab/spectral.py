@@ -16,7 +16,11 @@ its own for its smallest nonzero eigenvalues.  Small components of equal
 size share one batched dense solve, mid-size ones get a dense solve each,
 and components above `_DENSE_BLOCK_LIMIT` vertices an iterative one with
 the component's null vector deflated.  The blocks' eigenpairs are merged
-in ascending order.
+in ascending order.  A dense block is written once, into one buffer, in
+the triangle LAPACK reads, so it costs about one s x s array; an iterative
+block's result is checked for a missed eigenvalue by one more deflated
+solve.  `pair_discrepancy` walks the CSR joint in chunks of rows, so its
+memory is O(nnz) for a function of any width.
 
 This module also hosts the expansion quantity Q_S and its class-restricted
 minimization, which drive the cluster-recovery bounds downstream.
@@ -51,6 +55,8 @@ _RANGE_REL_TOL = 1e-12      # relative eigenvalue cutoff for covariance range
 _ZERO_TOL = 1e-12           # eigenvalues at or below this count as zero
 _STACK_LIMIT = 256          # equal-size blocks up to this size: one batched eigh
 _DENSE_BLOCK_LIMIT = 2048   # larger blocks are solved iteratively (eigsh)
+_COMPLETE_TOL = 1e-10       # eigsh may leave out no eigenvalue below its k-th minus this
+_EDGE_CHUNK_FLOATS = 1 << 16    # pair_discrepancy gathers about this many floats at once
 
 
 class _Infinite:
@@ -120,9 +126,19 @@ def pair_discrepancy(graph: PositivePairGraph, f) -> float:
     arr = _as_function(graph, f)
     if arr.ndim == 1:
         arr = arr[:, None]
-    rows, cols, vals = graph.joint_coo()
-    diffs = arr[rows] - arr[cols]
-    return float(np.sum(vals * np.einsum("ij,ij->i", diffs, diffs)))
+    J = graph.joint
+    indptr = J.indptr
+    step = max(1, _EDGE_CHUNK_FLOATS // arr.shape[1])    # edges per chunk
+    sq = np.empty(J.nnz)        # each edge's squared gap, filled chunk by chunk
+    r0 = 0
+    while r0 < graph.n:
+        r1 = max(r0 + 1, int(np.searchsorted(indptr, indptr[r0] + step, "right")) - 1)
+        lo, hi = indptr[r0], indptr[r1]
+        rows = np.repeat(np.arange(r0, r1), np.diff(indptr[r0:r1 + 1]))
+        diffs = arr[rows] - arr[J.indices[lo:hi]]
+        sq[lo:hi] = np.einsum("ij,ij->i", diffs, diffs)
+        r0 = r1
+    return float(np.sum(J.data * sq))
 
 
 @dataclass(frozen=True)
@@ -170,29 +186,71 @@ def _tie_order(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return order
 
 
+def _dense_blocks(B: int, s: int, b, r, c, e) -> np.ndarray:
+    """The stack (B, s, s) of dense blocks of M, given block b, row r,
+    column c and value e of each entry of D^-1/2 J D^-1/2.
+
+    Only the lower triangle, the one LAPACK reads, is written: 1 - e_ii on
+    the diagonal (1.0 for a vertex without a self-pair) and -e_ij/2 - e_ji/2
+    below it.  Halving is exact, so this is (M + M^T)/2 bit for bit.  Each
+    block is Fortran-ordered, so a single-block solve takes it uncopied."""
+    M = np.zeros((B, s, s)).transpose(0, 2, 1)
+    diag = np.arange(s)
+    M[:, diag, diag] = 1.0
+    on, below, above = r == c, r > c, r < c
+    M[b[on], r[on], r[on]] = 1.0 - e[on]
+    M[b[below], r[below], c[below]] = -0.5 * e[below]
+    # an unordered pair is stored at most once above the diagonal, so the
+    # buffered += adds each entry once
+    M[b[above], c[above], r[above]] += -0.5 * e[above]
+    return M
+
+
 def _solve_blocks(M: np.ndarray, k: int):
     """The k smallest nonzero eigenpairs of each block of the stack M
-    (B, s, s): values (B, k) and vectors (B, s, k).  Each block is one
-    connected component, so its eigenvalue 0 is simple and is skipped."""
+    (B, s, s) from `_dense_blocks`: values (B, k) and vectors (B, s, k).
+    Each block is one connected component, so its eigenvalue 0 is simple
+    and is skipped.  A single block is overwritten by the solve."""
     if M.shape[1] <= _STACK_LIMIT:
         vals, vecs = np.linalg.eigh(M)
         return vals[:, 1:k + 1], vecs[:, :, 1:k + 1]
-    vals, vecs = scipy.linalg.eigh(M[0], subset_by_index=[1, k])
+    vals, vecs = scipy.linalg.eigh(M[0], subset_by_index=[1, k], overwrite_a=True)
     return vals[None], vecs[None]
+
+
+def _shifted_smallest(M, shift, k: int, start: np.ndarray):
+    """The k smallest eigenpairs of the sparse M plus `shift`, the map
+    x -> 3 W W^T x that moves the orthonormal columns of some W to 3,
+    above the spectrum."""
+    s = M.shape[0]
+    op = scipy.sparse.linalg.LinearOperator(
+        (s, s), matvec=lambda x: M @ x + shift(x), dtype=np.float64)
+    return scipy.sparse.linalg.eigsh(op, k=k, which="SA", v0=start, tol=0)
 
 
 def _solve_large_block(M, null: np.ndarray, k: int):
     """As `_solve_blocks` for one sparse block M (s, s) with null vector
     `null`, iteratively: the null vector is shifted to 3, above the
-    spectrum, and eigsh takes the k smallest of what is left."""
+    spectrum, and eigsh takes the k smallest of what is left.
+
+    eigsh can converge to k eigenpairs that are not the k smallest, so the
+    result is checked: with the returned vectors shifted away too, one more
+    solve finds the smallest eigenvalue left, and EigSolverFailure is raised
+    when it lies below the largest returned one by more than
+    `_COMPLETE_TOL`."""
     s = M.shape[0]
     u = null / np.linalg.norm(null)
-    op = scipy.sparse.linalg.LinearOperator(
-        (s, s), matvec=lambda x: M @ x + 3.0 * u * (u @ x), dtype=np.float64)
     start = np.random.default_rng(s).standard_normal(s)
-    vals, vecs = scipy.sparse.linalg.eigsh(op, k=k, which="SA", v0=start, tol=0)
+    vals, vecs = _shifted_smallest(M, lambda x: 3.0 * u * (u @ x), k, start)
     order = np.argsort(vals, kind="stable")
-    return vals[order][None], vecs[:, order][None]
+    vals, vecs = vals[order], vecs[:, order]
+    W = np.column_stack([u, vecs])
+    rest, _ = _shifted_smallest(M, lambda x: 3.0 * (W @ (W.T @ x)), 1, start)
+    if rest[0] < vals[-1] - _COMPLETE_TOL:
+        raise EigSolverFailure(
+            f"eigsh missed an eigenvalue: {float(rest[0])!r} is left below the "
+            f"largest of the {k} returned, {float(vals[-1])!r}")
+    return vals[None], vecs[None]
 
 
 def _nonzero_pairs(graph: PositivePairGraph, labels: np.ndarray, need: int):
@@ -228,10 +286,8 @@ def _nonzero_pairs(graph: PositivePairGraph, labels: np.ndarray, need: int):
             members = by_comp[first[batch][:, None] + np.arange(s)]
             r, c = pos[rows[e]], pos[cols[e]]
             if s <= _DENSE_BLOCK_LIMIT:
-                M = np.zeros((batch.size, s, s))
-                M[slot[entry_comp[e]], r, c] = -entries[e]
-                M += np.eye(s)
-                M = (M + M.transpose(0, 2, 1)) * 0.5
+                M = _dense_blocks(batch.size, s, slot[entry_comp[e]], r, c,
+                                  entries[e])
                 blocks.append(_solve_blocks(M, k) + (members,))
             else:
                 M = sparse.csr_array((-entries[e], (r, c)), shape=(s, s))

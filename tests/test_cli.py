@@ -462,6 +462,27 @@ class TestBr:
             own = lam == 0.1 or (cell["class"] == "relu" and lam <= 1.0)
             assert cell["start"] == ("own" if own else "previous_lambda"), cell
 
+    def test_unwhitenable_linear_row_is_refused_before_training(
+            self, tmp_path, capsys, monkeypatch):
+        # d = 3, so f = Ux has rank at most 3 and r = 5 can never be whitened
+        import pairlab.septest
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_grid was called")
+
+        monkeypatch.setattr(pairlab.septest, "train_grid", no_training)
+        cfg = write_config(tmp_path, {
+            "version": 1,
+            "graph": {"random": {"n": 150, "n_components": 3, "seed": 5}},
+            "classes": [{"tag": "linear"}, {"tag": "tabular"}],
+            "r_list": [2, 5],
+        })
+        code, out, err = run(["br", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "config error: class=linear, r=5:" in err
+        assert "rank(X^T D X) = 3" in err
+
     def test_writes_report_and_summary(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "version": 1,

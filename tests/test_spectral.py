@@ -1,8 +1,12 @@
 """Laplacian, eigendecomposition, discrepancy, expansion quantities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from pairlab import spectral
 from pairlab.errors import EigSolverFailure, GraphMismatch, ZeroFunction
@@ -133,6 +137,56 @@ class TestPairDiscrepancy:
         fn = component_constant_function(g, seed=int(rng.integers(2**31)))
         assert pair_discrepancy(g, fn) == 0.0
         assert is_eigenfunction(g, fn, 0.0, 1e-10)
+
+
+def _one_shot_discrepancy(g, F):
+    """The edge formula over every stored pair at once."""
+    rows, cols, vals = g.joint_coo()
+    diffs = F[rows] - F[cols]
+    return float(np.sum(vals * np.einsum("ij,ij->i", diffs, diffs)))
+
+
+def _traced_peak(fn):
+    """Peak bytes traced while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkedDiscrepancy:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return random_graph(3000, n_components=7, seed=4)
+
+    @pytest.mark.parametrize("chunk, k", [(None, 40), (64, 1), (64, 40), (1, 3)])
+    def test_chunks_equal_one_shot_edge_formula(self, graph, monkeypatch, chunk, k):
+        # chunk 1 gives every row a chunk of its own
+        if chunk is not None:
+            monkeypatch.setattr(spectral, "_EDGE_CHUNK_FLOATS", chunk)
+        F = np.random.default_rng(k).standard_normal((graph.n, k))
+        assert graph.joint.nnz * k > 2 * spectral._EDGE_CHUNK_FLOATS
+        assert pair_discrepancy(graph, F) == _one_shot_discrepancy(graph, F)
+
+    def test_component_constant_is_exactly_zero_across_chunks(self, graph):
+        labels = connected_components(graph).labels
+        F = np.random.default_rng(0).uniform(-3.0, 3.0, size=(7, 40))[labels]
+        assert graph.joint.nnz * 40 > 4 * spectral._EDGE_CHUNK_FLOATS
+        assert pair_discrepancy(graph, F) == 0.0
+
+    def test_memory_does_not_grow_with_k(self):
+        g = random_graph(3000, seed=1)
+        rng = np.random.default_rng(1)
+        peaks = {}
+        for k in (10, 40, 160):
+            F = rng.standard_normal((g.n, k))
+            peaks[k] = _traced_peak(lambda: pair_discrepancy(g, F))
+        # one (nnz, k) difference array is nnz * k * 8 bytes; gathering
+        # every edge at once holds three of them
+        assert peaks[40] < g.joint.nnz * 40 * 8 / 2
+        assert max(peaks.values()) < 1.5 * min(peaks.values())
 
 
 class TestExpansionQ:
@@ -278,6 +332,50 @@ class TestBlockEigensolver:
             np.testing.assert_allclose(dec.eigenvalues, _dense_spectrum(g)[:count],
                                        rtol=0, atol=1e-12)
 
+    def test_dense_blocks_are_the_symmetrized_lower_triangle(self):
+        # each direction of a pair is drawn on its own, so some pairs are
+        # stored one way only, with unequal values, and some vertices have
+        # no self-pair
+        rng = np.random.default_rng(0)
+        B, s = 3, 9
+        b, r, c = np.nonzero(rng.random((B, s, s)) < 0.4)
+        e = rng.uniform(0.01, 0.3, size=b.size)
+        ref = np.zeros((B, s, s))
+        ref[b, r, c] = -e
+        ref += np.eye(s)
+        ref = (ref + ref.transpose(0, 2, 1)) * 0.5
+        M = spectral._dense_blocks(B, s, b, r, c, e)
+        assert np.array_equal(np.tril(M), np.tril(ref))
+        assert not np.triu(M, 1).any()
+        assert all(block.flags.f_contiguous for block in M)
+
+    @pytest.fixture(scope="class")
+    def mid_block(self):
+        """One 600-vertex component where every third vertex has no
+        self-pair: a single dense block solved by scipy."""
+        g = random_graph(600, seed=8)
+        J = g.joint.toarray()
+        J[np.arange(0, g.n, 3), np.arange(0, g.n, 3)] = 0.0
+        g = build_graph(g.vertices, J / J.sum())
+        assert spectral._STACK_LIMIT < g.n <= spectral._DENSE_BLOCK_LIMIT
+        assert (g.joint.diagonal() == 0.0).sum() == 200
+        return g
+
+    def test_mid_block_matches_dense_solve(self, mid_block):
+        g = mid_block
+        inv_sqrt = 1.0 / np.sqrt(g.marginal)
+        M = np.eye(g.n) - g.joint.toarray() * inv_sqrt[:, None] * inv_sqrt[None, :]
+        vals, vecs = np.linalg.eigh((M + M.T) * 0.5)
+        dec = eigendecompose(g, 8)
+        np.testing.assert_allclose(dec.eigenvalues, vals[:8], rtol=0, atol=1e-12)
+        h = dec.functions / inv_sqrt[:, None]
+        np.testing.assert_allclose(h @ h.T, vecs[:, :8] @ vecs[:, :8].T, atol=1e-10)
+
+    def test_mid_block_solve_holds_about_one_block(self, mid_block):
+        eigendecompose(mid_block, 8)    # scipy's lazy set-up is not counted
+        peak = _traced_peak(lambda: eigendecompose(mid_block, 8))
+        assert peak < 1.5 * mid_block.n ** 2 * 8
+
     def test_numerically_disconnected_component_raises(self):
         # connected through an edge so light that its gap is below the
         # zero tolerance: a second ~0 eigenvalue is not one per component
@@ -297,3 +395,70 @@ class TestBlockEigensolver:
         with pytest.raises(EigSolverFailure,
                            match=r"^eigenvalues outside \[0, 2\]: \[0\.0, 2\.5\]$"):
             eigendecompose(g, 3)
+
+
+def _torus(m: int):
+    """The m x m x m discrete torus, each vertex paired with its six
+    neighbours at equal weight, and the closed-form spectrum of its L:
+    1 - (cos 2pi a/m + cos 2pi b/m + cos 2pi c/m) / 3 over a, b, c < m."""
+    idx = np.arange(m ** 3).reshape(m, m, m)
+    rows = np.tile(idx.ravel(), 6)
+    cols = np.concatenate([np.roll(idx, shift, axis=ax).ravel()
+                           for ax in range(3) for shift in (1, -1)])
+    J = sparse.coo_array((np.full(rows.size, 1.0 / rows.size), (rows, cols)),
+                         shape=(m ** 3, m ** 3))
+    verts = np.stack(np.unravel_index(np.arange(m ** 3), (m, m, m)), axis=1)
+    cos = np.cos(2.0 * np.pi * np.arange(m) / m)
+    closed = 1.0 - (cos[:, None, None] + cos[None, :, None] + cos[None, None, :]) / 3.0
+    return build_graph(verts.astype(np.float64), J), np.sort(closed.ravel())
+
+
+class TestIterativeBlockCompleteness:
+    """The 13^3 torus is one 2197-vertex component, above the dense block
+    limit.  Its first nonzero eigenvalue (1 - cos(2pi/13))/3 has
+    multiplicity 6 and the next, 2(1 - cos(2pi/13))/3, multiplicity 12."""
+
+    @pytest.fixture(scope="class")
+    def torus(self):
+        g, closed = _torus(13)
+        assert g.n > spectral._DENSE_BLOCK_LIMIT
+        first = (1.0 - np.cos(2.0 * np.pi / 13)) / 3.0
+        np.testing.assert_allclose(closed[1:7], first, rtol=1e-14)
+        assert closed[7] > first + 0.01
+        return g, closed
+
+    @pytest.mark.parametrize("count", [5, 8])
+    def test_matches_closed_form(self, torus, count):
+        # count 5 returns 4 of the 6 equal eigenvalues, count 8 all 6 and
+        # one of the next 12: a cut through a multiplicity is no miss
+        g, closed = torus
+        dec = eigendecompose(g, count)
+        np.testing.assert_allclose(dec.eigenvalues, closed[:count], rtol=0, atol=1e-12)
+        assert dec.max_residual <= 1e-16
+
+    def test_never_silently_incomplete(self, torus):
+        # at count 20 eigsh converges to one 2(1 - cos)/3 pair too few
+        # here; the result must be the closed form or a refusal
+        g, closed = torus
+        try:
+            dec = eigendecompose(g, 20)
+        except EigSolverFailure as exc:
+            assert "missed an eigenvalue" in str(exc)
+        else:
+            np.testing.assert_allclose(dec.eigenvalues, closed[:20], rtol=0, atol=1e-12)
+
+    def test_dropped_pair_raises(self, torus, monkeypatch):
+        # an eigsh that leaves out its smallest pair still returns k true
+        # eigenpairs, so only the completeness check can tell
+        real = scipy.sparse.linalg.eigsh
+
+        def drop_smallest(A, k, **kwargs):
+            if k == 1:
+                return real(A, k=k, **kwargs)
+            vals, vecs = real(A, k=k + 1, **kwargs)
+            keep = np.argsort(vals, kind="stable")[1:]
+            return vals[keep], vecs[:, keep]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", drop_smallest)
+        with pytest.raises(EigSolverFailure, match="missed an eigenvalue"):
+            eigendecompose(torus[0], 8)
