@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -585,9 +586,6 @@ VERIFIERS = {
     "thm58": verify_thm58,
 }
 
-# which configured example (if any) each scripted check runs on
-_VERIFIER_EXAMPLE = {"thm42": 1, "thm52": 1, "thm54": 2, "thm56": 3, "thm58": 4}
-
 
 # ---------------------------------------------------------------------------
 # subcommands
@@ -695,28 +693,22 @@ def cmd_probe(args, cfg: dict) -> int:
 
 def cmd_verify(args, cfg: dict) -> int:
     names = list(VERIFIERS) if args.theorem == "all" else [args.theorem]
-    gcfg = cfg.get("graph")
-    seed = args.seed or 0
-    seeded = [name for name in names if name not in ("thm56", "thm58")]
+    # each scenario gets those of the seed and n_graphs its verifier takes
+    takes = {name: inspect.signature(VERIFIERS[name]).parameters for name in names}
+    given = {"seed": args.seed or 0}
+    if "n_graphs" in cfg:
+        if not any("n_graphs" in params for params in takes.values()):
+            raise ConfigError(f"verify {args.theorem} does not read n_graphs")
+        given["n_graphs"] = _value(cfg, "n_graphs", _positive_int)
     all_rows = []
     for name in names:
-        expected = _VERIFIER_EXAMPLE.get(name)
-        if gcfg and expected is not None and gcfg.get("example") not in (
-                None, expected):
-            raise IncompatibleConfig(
-                f"{name} runs on example {expected}, config requests "
-                f"{gcfg.get('example')!r}")
-        kwargs = {}
-        if name in ("prop4", "thm31") and "n_graphs" in cfg:
-            kwargs["n_graphs"] = _value(cfg, "n_graphs", _positive_int)
-        if name in seeded:
-            kwargs["seed"] = seed
-        rows = VERIFIERS[name](**kwargs)
-        all_rows.extend(rows)
+        all_rows.extend(VERIFIERS[name](
+            **{key: value for key, value in given.items() if key in takes[name]}))
     for row in all_rows:
         print(json.dumps(_py(row), sort_keys=True))
     ok = all(r["pass"] for r in all_rows)
-    _emit(args.out, "verify", cfg, [seed] if seeded else [],
+    seeded = any("seed" in params for params in takes.values())
+    _emit(args.out, "verify", cfg, [given["seed"]] if seeded else [],
           {"verdict.json": {"rows": all_rows, "pass": ok}})
     return 0 if ok else 1
 
@@ -790,7 +782,7 @@ _HANDLERS = {
     "spectrum": (cmd_spectrum, {"graph", "count"}),
     "train": (cmd_train, {"graph", "class", "lambda", "train"}),
     "probe": (cmd_probe, {"graph", "class", "lambda", "train"}),
-    "verify": (cmd_verify, {"graph", "n_graphs"}),
+    "verify": (cmd_verify, {"n_graphs"}),
     "br": (cmd_br, {"graph", "class", "classes", "lambda_grid", "r_list", "train"}),
 }
 

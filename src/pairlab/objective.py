@@ -7,15 +7,15 @@ The population loss of a representation f with matrix F (rows f(x)) is
 
 computed exactly on the graph; nothing here samples pairs.  `StackedLoss`
 evaluates it, fused with its parameter gradient, for B parameter vectors at
-once, each with its own lambda.
+once, all at one lambda.
 
 Training is deterministic full-batch L-BFGS (Nocedal & Wright, ch. 7),
 multi-start for the nonconvex classes.  Every cell of a `train` call (each
 seeded start and each extra starting point) is one row of a single stacked
-descent.  A `train_grid` call solves its lambdas as a path: one such
-descent per lambda, in ascending lambda, each cell starting from the
-previous lambda's final iterate of that cell when the iterate can be
-whitened, and from its own start otherwise.  A tabular descent runs in
+descent at the call's lambda.  A `train_grid` call solves its lambdas as a
+path: one such descent per lambda, in ascending lambda, each cell starting
+from the previous lambda's final iterate of that cell when the iterate can
+be whitened, and from its own start otherwise.  A tabular descent runs in
 the coordinates x / s, s(x) = sqrt(min d / d(x)) (`StackedLoss.scale`): both
 terms weigh f(x) by d(x), and so does the curvature at x, so on a
 non-uniform marginal the scale evens out what the steps see, and a
@@ -95,11 +95,10 @@ def _left(M, F: np.ndarray) -> np.ndarray:
 class StackedLoss:
     """Population loss of B stacked cells of one class, given by its spec.
 
-    A call takes parameters (B, P) and the cells' lambdas (B,) and returns
-    (total, pair, reg, grad): three (B,) arrays and, unless
-    `with_grad=False`, the (B, P) gradient.  Everything that does not
-    depend on the parameters (the class's input arrays, the joint) is built
-    once here.
+    A call takes parameters (B, P) and one lambda for all cells and returns
+    (total, pair, reg, grad): three (B,) arrays and the (B, P) gradient.
+    Everything that does not depend on the parameters (the class's input
+    arrays, the joint) is built once here.
 
     The pair term is 2 sum_x d(x)|f(x)|^2 - 2 <F, JF>, clipped at 0, with
     JF from a dense copy of the joint up to `_DENSE_PRODUCT_LIMIT` vertices
@@ -107,9 +106,9 @@ class StackedLoss:
 
     `scale` is the per-parameter scale `_descend` runs in: for the tabular
     class, sqrt(min d / d(x)) for each of the k outputs of vertex x, since
-    both terms weigh f(x) by d(x) and so does the curvature there; None
-    for the other classes.  Every entry is at most 1, and all are exactly
-    1 on a uniform marginal.
+    both terms weigh f(x) by d(x) and so does the curvature there; all
+    ones for the other classes.  Every entry is at most 1, and all are
+    exactly 1 on a uniform marginal.
     """
 
     def __init__(self, graph: PositivePairGraph, spec: FunctionClassSpec):
@@ -118,11 +117,11 @@ class StackedLoss:
         small = graph.n <= _DENSE_PRODUCT_LIMIT
         self.joint = graph.joint.toarray() if small else graph.joint
         self.weights = graph.marginal[:, None]
-        self.scale = None
+        self.scale = np.ones(spec.param_count())
         if spec.class_tag == "tabular":
             self.scale = np.repeat(np.sqrt(graph.marginal.min() / graph.marginal), spec.k)
 
-    def __call__(self, params: np.ndarray, lam: np.ndarray, with_grad: bool = True):
+    def __call__(self, params: np.ndarray, lam: float):
         F, pre = self.net.forward(params)                # (B, n, k)
         WF = self.weights * F
         gap = np.matmul(F.transpose(0, 2, 1), WF)        # the covariance, for now
@@ -133,11 +132,9 @@ class StackedLoss:
         gap -= self.eye
         reg = np.einsum("bkl,bkl->b", gap, gap)
         total = pair + lam * reg
-        if not with_grad:
-            return total, pair, reg, None
         # cotangent 4 (lam W F gap + (D - J) F)
         cot = np.matmul(F, gap)
-        cot *= lam[:, None, None]
+        cot *= lam
         cot *= self.weights
         WF -= JF
         cot += WF
@@ -145,24 +142,23 @@ class StackedLoss:
         return total, pair, reg, self.net.adjoint(pre, cot)
 
 
-def _single(graph, model, lam, with_grad):
-    loss = StackedLoss(graph, model.spec)
-    total, pair, reg, grad = loss(model.params[None, :], np.array([float(lam)]),
-                                  with_grad)
+def _single(graph, model, lam):
+    total, pair, reg, grad = StackedLoss(graph, model.spec)(model.params[None, :],
+                                                            float(lam))
     report = LossReport(total=float(total[0]), pair_term=float(pair[0]),
                         reg_term=float(reg[0]), lam=lam)
-    return report, None if grad is None else grad[0]
+    return report, grad[0]
 
 
 def population_loss(graph: PositivePairGraph, model: RepresentationModel,
                     lam: float) -> LossReport:
-    return _single(graph, model, lam, with_grad=False)[0]
+    return _single(graph, model, lam)[0]
 
 
 def loss_gradient(graph: PositivePairGraph, model: RepresentationModel,
                   lam: float):
     """(LossReport, flat parameter gradient) of the population loss."""
-    return _single(graph, model, lam, with_grad=True)
+    return _single(graph, model, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -266,25 +262,23 @@ def _direction(V, C, gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (coef.transpose(0, 2, 1) @ V)[:, 0] - c[:, 0] * g
 
 
-def _descend(loss, params: np.ndarray, lam: np.ndarray,
-             config: TrainConfig, trace: Optional[_Trace],
-             scale: Optional[np.ndarray]):
+def _descend(loss, params: np.ndarray, scale: np.ndarray,
+             config: TrainConfig, trace: Optional[_Trace]):
     """L-BFGS (Nocedal & Wright, ch. 7) on every row of `params` at once.
 
-    `loss` is any stacked objective, called as loss(params (B, P), lam (B,))
-    and returning (total, pair, reg, grad): three (B,) arrays and the (B, P)
-    gradient of total; `StackedLoss` is one.  Only the trace reads pair and
-    reg, and each row's lam is only handed back to `loss`, so a loss may
-    ignore it.
+    `loss` is any stacked objective, called as loss(params (B, P)) and
+    returning (total, pair, reg, grad): three (B,) arrays and the (B, P)
+    gradient of total; `StackedLoss` at a fixed lambda is one.  Only the
+    trace reads pair and reg.
 
-    With a `scale` (P,) (`StackedLoss.scale`), the descent runs in the
-    coordinates z = x / scale: the loss is evaluated at scale * z, and its
+    The descent runs in the coordinates z = x / scale, `scale` (P,) as in
+    `StackedLoss.scale`: the loss is evaluated at scale * z, and its
     gradient there is scale * g.  That is L-BFGS with the initial inverse
     Hessian gamma diag(scale^2), so the steepest direction is
     -gamma scale^2 g.  The stop test and the stop record's grad_norm use
-    the true gradient g, so `grad_tol` means the same with or without a
-    scale, and the returned iterates are in x.  A scale of exactly 1 runs
-    the same bits as None.
+    the true gradient g, so `grad_tol` means the same at any scale, and the
+    returned iterates are in x.  Multiplying and dividing by a scale of
+    exactly 1 changes no bit, so all ones is the plain descent in x.
 
     The rows share nothing but the loop.  Each keeps its last `_HISTORY`
     curvature pairs (s, y), storing only those with s.y > 0 (`_push`); its
@@ -304,13 +298,12 @@ def _descend(loss, params: np.ndarray, lam: np.ndarray,
     (the start included), rejected, grad_norm}.
     """
     B, P = params.shape
-    if scale is not None:
-        params, unscaled = params / scale, loss
+    params = params / scale
 
-        def loss(z, lam):
-            f, pair, reg, g = unscaled(z * scale, lam)
-            return f, pair, reg, g * scale
-    f, pair, reg, g = loss(params, lam)
+    def scaled(z):
+        f, pair, reg, g = loss(z * scale)
+        return f, pair, reg, g * scale
+    f, pair, reg, g = scaled(params)
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradient("non-finite gradient at initialization")
     if not np.all(f <= _DIVERGENCE_LIMIT):
@@ -328,7 +321,7 @@ def _descend(loss, params: np.ndarray, lam: np.ndarray,
     streak = np.zeros(B, dtype=np.int64)
     it = 0
     while True:
-        true_g = g if scale is None else g / scale
+        true_g = g / scale
         gnorm = np.sqrt(_dot(true_g, true_g))
         converged = gnorm <= config.grad_tol * np.maximum(np.abs(f), 1.0)
         done = converged | (t < _MIN_STEP)
@@ -340,8 +333,8 @@ def _descend(loss, params: np.ndarray, lam: np.ndarray,
             keep = ~done
             if not keep.any():
                 break
-            cells, x, f, g, t, gamma, streak, lam = (
-                a[keep] for a in (cells, x, f, g, t, gamma, streak, lam))
+            cells, x, f, g, t, gamma, streak = (
+                a[keep] for a in (cells, x, f, g, t, gamma, streak))
             for j, i in enumerate(np.flatnonzero(keep)):   # in place: V is the
                 V[j] = V[i]                                 # largest array here
             V, C = V[:cells.size], C[keep]
@@ -355,7 +348,7 @@ def _descend(loss, params: np.ndarray, lam: np.ndarray,
             d[bad] = -gamma[bad, None] * g[bad]
         it += 1
         cand = x + t[:, None] * d
-        fc, pc, rc, gc = loss(cand, lam)
+        fc, pc, rc, gc = scaled(cand)
         acc = fc <= f                       # False for NaN, inf and > limit
         if trace is not None:
             trace.record(it, cells, pc, rc, fc, acc)
@@ -378,8 +371,7 @@ def _descend(loss, params: np.ndarray, lam: np.ndarray,
         x = np.where(acc[:, None], cand, x)
         f = np.where(acc, fc, f)
         g = np.where(acc[:, None], gc, g)
-    if scale is not None:
-        out_params *= scale
+    out_params *= scale
     return out_params, out_loss, [
         {"reason": r, "evals": int(e), "rejected": int(n), "grad_norm": float(gn)}
         for r, e, n, gn in zip(reason, evals, rejected, out_gnorm)]
@@ -437,11 +429,11 @@ def train_grid(
             for j, F in enumerate(loss.net.forward(previous[:len(starts)])[0]):
                 if _covariance(F, graph.marginal)[2]:
                     starts[j], origin[j] = previous[j], "previous_lambda"
-        lam = np.full(len(starts), float(lams[g]))
+        lam = float(lams[g])
         trace = _Trace(len(starts)) if keep_trace else None
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            previous, final, stops = _descend(loss, np.array(starts), lam, config, trace,
-                                              loss.scale)
+            previous, final, stops = _descend(lambda params: loss(params, lam),
+                                              np.array(starts), loss.scale, config, trace)
         win = int(np.argmin(final))
         model = class_spec.model(previous[win])
         model.meta["stop"] = {**stops[win], "start": origin[win]}

@@ -125,7 +125,7 @@ def _implementability_residual(graph, class_spec: FunctionClassSpec,
     net = StackedClass(spec, graph)
     w = w[:, None]
 
-    def fit(params, lam):
+    def fit(params):
         F, pre = net.forward(params)
         R = F - targets
         WR = w * R
@@ -134,8 +134,8 @@ def _implementability_residual(graph, class_spec: FunctionClassSpec,
 
     starts = np.random.default_rng(0).uniform(-0.5, 0.5, size=(3, spec.param_count()))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _, final, _ = _descend(fit, starts, np.zeros(3),
-                               TrainConfig(step_size=0.1, max_iters=500), None, None)
+        _, final, _ = _descend(fit, starts, np.ones(spec.param_count()),
+                               TrainConfig(step_size=0.1, max_iters=500), None)
     return float(final.min())
 
 

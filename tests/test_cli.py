@@ -290,6 +290,15 @@ class TestManifest:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["seeds"] == [0]
 
+    def test_verify_of_unseeded_scenarios_records_no_seed(self, tmp_path, capsys):
+        # thm56 and thm58 draw no random data, so their verifiers take no seed
+        out_dir = tmp_path / "out"
+        code, _, _ = run(["verify", "thm56", "--seed", "4", "--out", str(out_dir)],
+                         capsys)
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["seeds"] == []
+
     def test_graph_info_records_no_seed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, EXAMPLE1_CFG)
         out_dir = tmp_path / "out"
@@ -410,12 +419,33 @@ class TestVerify:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert "3 random disconnected graphs" in rows[0]["check"]
 
+    def test_thm31_accepts_n_graphs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"version": 1, "n_graphs": 1})
+        code, out, _ = run(["verify", "thm31", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert [json.loads(line)["theorem"] for line in out.strip().splitlines()] == [
+            "thm31"]
+
+    @pytest.mark.parametrize("theorem", ["thm52", "thm56", "thm58"])
+    def test_n_graphs_rejected_where_no_scenario_takes_it(self, tmp_path, capsys,
+                                                          theorem):
+        cfg = write_config(tmp_path, {"version": 1, "n_graphs": 3})
+        code, out, err = run(["verify", theorem, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"verify {theorem} does not read n_graphs" in err
+
     def test_example_mismatch_rejected(self, tmp_path, capsys):
+        # every scenario builds its own instance, so a graph section is
+        # refused rather than ignored, whichever example it names: thm52
+        # runs on example 1 but at d=6, not the d=3 asked for here
         cfg = write_config(
             tmp_path, {"version": 1, "graph": {"example": 1, "d": 3, "s": 1}})
-        code, _, err = run(["verify", "thm56", "--config", str(cfg)], capsys)
-        assert code == 2
-        assert "example 3" in err
+        for theorem in ("thm56", "thm52"):
+            code, out, err = run(["verify", theorem, "--config", str(cfg)], capsys)
+            assert code == 2
+            assert out == ""
+            assert "verify does not read graph" in err
 
 
 class TestBr:

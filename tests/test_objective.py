@@ -147,18 +147,19 @@ class TestStackedLoss:
         spec = _class_spec(tag, g)
         rng = np.random.default_rng(5)
         params = rng.uniform(-1.0, 1.0, size=(5, spec.param_count()))
-        lam = np.array([0.1, 1.0, 3.0, 30.0, 1000.0])
-        total, pair, reg, grad = StackedLoss(g, spec)(params, lam)
-        for b in range(5):
-            model = spec.model(params[b])
-            report, want = loss_gradient(g, model, lam[b])
-            assert total[b] == pytest.approx(report.total, rel=1e-12)
-            assert pair[b] == pytest.approx(report.pair_term, rel=1e-12, abs=1e-15)
-            assert reg[b] == pytest.approx(report.reg_term, rel=1e-12)
-            np.testing.assert_allclose(grad[b], want, rtol=1e-12,
-                                       atol=1e-12 * np.abs(want).max())
-            ref = _reference_loss(g, forward(model, g), lam[b])
-            assert total[b] == pytest.approx(ref, rel=1e-10)
+        loss = StackedLoss(g, spec)
+        for lam in (0.1, 1.0, 3.0, 30.0, 1000.0):
+            total, pair, reg, grad = loss(params, lam)
+            for b in range(5):
+                model = spec.model(params[b])
+                report, want = loss_gradient(g, model, lam)
+                assert total[b] == pytest.approx(report.total, rel=1e-12)
+                assert pair[b] == pytest.approx(report.pair_term, rel=1e-12, abs=1e-15)
+                assert reg[b] == pytest.approx(report.reg_term, rel=1e-12)
+                np.testing.assert_allclose(grad[b], want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())
+                ref = _reference_loss(g, forward(model, g), lam)
+                assert total[b] == pytest.approx(ref, rel=1e-10)
 
     def test_csr_joint_matches_dense(self, monkeypatch):
         # above _DENSE_PRODUCT_LIMIT vertices the loss multiplies by the CSR joint
@@ -166,14 +167,14 @@ class TestStackedLoss:
         spec = spec_for_graph("relu", 3, g)
         params = np.random.default_rng(8).uniform(-1.0, 1.0,
                                                   size=(4, spec.param_count()))
-        lam = np.array([0.3, 3.0, 30.0, 300.0])
         dense = StackedLoss(g, spec)
         monkeypatch.setattr(objective, "_DENSE_PRODUCT_LIMIT", 8)
         csr = StackedLoss(g, spec)
         assert isinstance(dense.joint, np.ndarray) and scipy.sparse.issparse(csr.joint)
-        want, got = dense(params, lam), csr(params, lam)
-        for a, b in zip(got, want):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+        for lam in (0.3, 3.0, 30.0, 300.0):
+            want, got = dense(params, lam), csr(params, lam)
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("tag", ["tabular", "linear", "relu"])
     def test_best_loss_independent_of_batch(self, tag):
@@ -334,14 +335,14 @@ class TestQuasiNewton:
         spec = spec_for_graph("tabular", 2, g)
         scale = StackedLoss(g, spec).scale
         config = TrainConfig(max_iters=300)
-        # the seed-3 start at lambda 1 (row 0) and at lambda 10 (row 1)
-        starts = np.array([spec.init_model(np.random.default_rng([3, 0]), 0.1).params] * 2)
-        lam = np.array([1.0, 10.0])
+        # the seed-3 start (row 0) and the seed-4 start (row 1), at lambda 1
+        starts = np.array([spec.init_model(np.random.default_rng([seed, 0]), 0.1).params
+                           for seed in (3, 4)])
         real_direction, real_loss = objective._direction, StackedLoss.__call__
         evals = []
 
-        def recorded(self, params, lam, with_grad=True):
-            out = real_loss(self, params, lam, with_grad)
+        def recorded(self, params, lam):
+            out = real_loss(self, params, lam)
             if len(params) == 2:
                 evals.append((params[0].copy(), out[0][0], out[3][0].copy()))
             return out
@@ -353,11 +354,14 @@ class TestQuasiNewton:
             return d
 
         monkeypatch.setattr(StackedLoss, "__call__", recorded)
-        plain = objective._descend(StackedLoss(g, spec), starts, lam, config, None, scale)
+        loss = StackedLoss(g, spec)
+        plain = objective._descend(lambda params: loss(params, 1.0), starts, scale,
+                                   config, None)
         assert not all(_steps_along_minus_gradient(evals, scale))
         evals.clear()
         monkeypatch.setattr(objective, "_direction", reversed_row0)
-        forced = objective._descend(StackedLoss(g, spec), starts, lam, config, None, scale)
+        forced = objective._descend(lambda params: loss(params, 1.0), starts, scale,
+                                    config, None)
         assert len(evals) > 10 and all(_steps_along_minus_gradient(evals, scale))
         np.testing.assert_array_equal(forced[0][1], plain[0][1])
         assert forced[2][1] == plain[2][1]
@@ -366,24 +370,17 @@ class TestQuasiNewton:
 class TestScaledDescent:
     def test_uniform_marginal_runs_the_unscaled_bits(self):
         # on the hypercube every vertex has the same mass, so the tabular
-        # scale is exactly 1 and the scaled descent is the unscaled one
+        # scale is exactly 1, and multiplying or dividing by it changes no bit
         g = example1_graph(Example1Spec(d=4, s=2)).graph
         spec = spec_for_graph("tabular", 2, g)
-        loss = StackedLoss(g, spec)
-        assert np.all(loss.scale == 1.0)
-        rng = np.random.default_rng(3)
-        starts = np.array([spec.init_model(rng, 0.1).params for _ in range(3)])
-        lam = np.array([0.3, 3.0, 30.0])
-        scaled = objective._descend(loss, starts, lam, TrainConfig(), None, loss.scale)
-        plain = objective._descend(loss, starts, lam, TrainConfig(), None, None)
-        np.testing.assert_array_equal(scaled[0], plain[0])
-        np.testing.assert_array_equal(scaled[1], plain[1])
-        assert scaled[2] == plain[2]
+        assert np.all(StackedLoss(g, spec).scale == 1.0)
 
     def test_only_tabular_is_scaled(self):
         g = random_graph(9, n_components=2, seed=21)
         for tag in ("linear", "relu", "conv"):
-            assert StackedLoss(g, _class_spec(tag, g)).scale is None
+            spec = _class_spec(tag, g)
+            np.testing.assert_array_equal(StackedLoss(g, spec).scale,
+                                          np.ones(spec.param_count()))
         scale = StackedLoss(g, _class_spec("tabular", g, k=3)).scale
         want = np.sqrt(g.marginal.min() / g.marginal)
         np.testing.assert_array_equal(scale, np.repeat(want, 3))
