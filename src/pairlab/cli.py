@@ -696,6 +696,9 @@ def cmd_verify(args, cfg: dict) -> int:
     # each scenario gets those of the seed and n_graphs its verifier takes
     takes = {name: inspect.signature(VERIFIERS[name]).parameters for name in names}
     given = {"seed": args.seed or 0}
+    seeded = any("seed" in params for params in takes.values())
+    if args.seed is not None and not seeded:
+        raise ConfigError(f"verify {args.theorem} takes no --seed")
     if "n_graphs" in cfg:
         if not any("n_graphs" in params for params in takes.values()):
             raise ConfigError(f"verify {args.theorem} does not read n_graphs")
@@ -707,7 +710,6 @@ def cmd_verify(args, cfg: dict) -> int:
     for row in all_rows:
         print(json.dumps(_py(row), sort_keys=True))
     ok = all(r["pass"] for r in all_rows)
-    seeded = any("seed" in params for params in takes.values())
     _emit(args.out, "verify", cfg, [given["seed"]] if seeded else [],
           {"verdict.json": {"rows": all_rows, "pass": ok}})
     return 0 if ok else 1

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Sequence
 
 import numpy as np
@@ -317,39 +318,73 @@ def graph_to_dict(graph: PositivePairGraph) -> dict:
     }
 
 
+_JSON_NUMBER = {int, float}     # exact types: a JSON true is a bool, an int subclass
+
+
+def _number_array(value, field: str) -> np.ndarray:
+    """The float64 array of a JSON list of numbers, or of a list of such
+    lists.  Strings, booleans and nulls are refused, although numpy would
+    read "0.5" and true as numbers and null as NaN."""
+    if type(value) is not list:
+        raise MalformedGraphFile(f"{field} must be a list")
+    nested = bool(value) and type(value[0]) is list
+    items = value
+    if nested:
+        if not set(map(type, value)) <= {list} or len(set(map(len, value))) != 1:
+            raise MalformedGraphFile(f"{field} must be a list of equal-length lists")
+        items = list(chain.from_iterable(value))
+    if not set(map(type, items)) <= _JSON_NUMBER:
+        raise MalformedGraphFile(f"{field} must hold numbers only")
+    try:
+        arr = np.array(items, dtype=np.float64)
+    except OverflowError as exc:
+        raise MalformedGraphFile(f"unreadable {field} array: {exc}") from exc
+    return arr.reshape(len(value), -1) if nested else arr
+
+
 def _triplet_joint(trip, n: int):
-    """(rows, cols, vals) of a [[i, j, value], ...] list.  Indices must be
-    integers in [0, n), and no (i, j) may appear twice."""
-    if not isinstance(trip, list) or any(
-            not isinstance(t, list) or len(t) != 3 for t in trip):
+    """(rows, cols, vals) of a [[i, j, value], ...] list, read in one typed
+    pass.  Indices must be integers in [0, n), values numbers, and no
+    (i, j) may appear twice."""
+    if (type(trip) is not list or not set(map(type, trip)) <= {list}
+            or not set(map(len, trip)) <= {3}):
         raise MalformedGraphFile("triplets must be a list of [i, j, value]")
-    rows, cols, vals = (np.array([t[k] for t in trip]) for k in range(3))
+    flat = list(chain.from_iterable(trip))
+    rows, cols, vals = flat[0::3], flat[1::3], flat[2::3]
+    if not set(map(type, rows)) | set(map(type, cols)) <= {int}:
+        raise MalformedGraphFile("triplet indices must be integers")
+    if not set(map(type, vals)) <= _JSON_NUMBER:
+        raise MalformedGraphFile("triplet values must be numbers")
+    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    vals = np.array(vals, dtype=np.float64)
     if trip:
-        if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
-            raise MalformedGraphFile("triplet indices must be integers")
         if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n:
             raise MalformedGraphFile(f"triplet index out of range for n={n}")
-        if np.unique(rows * n + cols).size != rows.size:
+        key = np.sort(rows * n + cols)
+        if (key[1:] == key[:-1]).any():
             raise MalformedGraphFile("duplicate (i, j) triplets")
-    return rows.astype(np.int64), cols.astype(np.int64), vals.astype(np.float64)
+    return rows, cols, vals
 
 
 def graph_from_dict(doc: dict) -> PositivePairGraph:
     """Load a graph document: the joint as triplets or as a dense n×n list.
 
-    The joint passes the same checks as in `build_graph`, with symmetry held
-    to the consistency tolerance, and the stored marginal must match its
-    row sums to that tolerance.  Nothing is renormalized: the stored joint
-    and marginal are kept bit for bit.
+    Every number must be a JSON number: a string or a boolean in any field
+    raises MalformedGraphFile.  The joint passes the same checks as in
+    `build_graph`, with symmetry held to the consistency tolerance, and the
+    stored marginal must match its row sums to that tolerance.  Nothing is
+    renormalized: the stored joint and marginal are kept bit for bit.
     """
     if not isinstance(doc, dict):
         raise MalformedGraphFile("graph document must be a JSON object")
     missing = [k for k in ("d", "vertices", "joint", "marginal") if k not in doc]
     if missing:
         raise MalformedGraphFile(f"graph document missing fields: {missing}")
+    if type(doc["d"]) is not int:
+        raise MalformedGraphFile(f"d must be an integer, got {doc['d']!r}")
     try:
-        verts = _canonical_coords(np.array(doc["vertices"], dtype=np.float64))
-    except (TypeError, ValueError) as exc:
+        verts = _canonical_coords(_number_array(doc["vertices"], "vertices"))
+    except ValueError as exc:
         raise MalformedGraphFile(f"unreadable vertices array: {exc}") from exc
     n = verts.shape[0]
     if verts.shape[1] != doc["d"]:
@@ -360,14 +395,11 @@ def graph_from_dict(doc: dict) -> PositivePairGraph:
         if isinstance(joint, dict):
             triplets = _triplet_joint(joint["triplets"], n)
         else:
-            triplets = _matrix_triplets(joint, n)
-    except (TypeError, ValueError, KeyError) as exc:
+            triplets = _matrix_triplets(_number_array(joint, "joint"), n)
+    except (ValueError, KeyError, OverflowError) as exc:
         raise MalformedGraphFile(f"unreadable joint: {exc}") from exc
     rows, cols, vals, *_ = _checked_joint(*triplets, n, _CONSISTENCY_TOL)
-    try:
-        marg = np.array(doc["marginal"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise MalformedGraphFile(f"unreadable marginal array: {exc}") from exc
+    marg = _number_array(doc["marginal"], "marginal")
     row_sums = np.bincount(rows, weights=vals, minlength=n)
     if marg.shape != (n,) or not np.max(np.abs(marg - row_sums)) <= _CONSISTENCY_TOL:
         raise NotNormalized("stored marginal inconsistent with joint row sums")

@@ -9,18 +9,21 @@ h = D^{1/2} g (D = diag marginal), where L becomes the symmetric matrix
 M = I - D^{-1/2} J D^{-1/2}.  Eigenvalues live in [0, 2]; the multiplicity
 of 0 equals the number of connected components.
 
-`eigendecompose` uses that structure: M is block-diagonal over connected
-components, so the zero eigenpairs are written down exactly (the
-marginal-normalized component indicators) and each component is solved on
-its own for its smallest nonzero eigenvalues.  Small components of equal
-size share one batched dense solve, mid-size ones get a dense solve each,
-and components above `_DENSE_BLOCK_LIMIT` vertices an iterative one with
-the component's null vector deflated.  The blocks' eigenpairs are merged
-in ascending order.  A dense block is written once, into one buffer, in
-the triangle LAPACK reads, so it costs about one s x s array; an iterative
-block's result is checked for a missed eigenvalue by one more deflated
-solve.  `pair_discrepancy` walks the CSR joint in chunks of rows, so its
-memory is O(nnz) for a function of any width.
+`eigendecompose` uses that structure and pays only for the pairs it
+returns.  M is block-diagonal over connected components, so the zero
+eigenpairs (the marginal-normalized component indicators) are written
+straight into the result, in their final order, with an O(nnz) residual.
+Each component is solved on its own for only the nonzero eigenpairs it can
+contribute: small components of equal size share one batched dense
+solve, larger ones up to `_DENSE_BLOCK_LIMIT` get a subset dense solve
+each, and components above that an iterative one with the component's
+null vector deflated.  The blocks' eigenpairs are merged in ascending
+order.  A dense block is written once, into one buffer, in the triangle
+LAPACK reads, so it costs about one s x s array; an iterative block's
+result is checked for a missed eigenvalue by one more deflated solve, and
+solved again with more Lanczos vectors when one is missed.
+`pair_discrepancy` walks the CSR joint in chunks of rows, so its memory is
+O(nnz) for a function of any width.
 
 This module also hosts the expansion quantity Q_S and its class-restricted
 minimization, which drive the cluster-recovery bounds downstream.
@@ -53,9 +56,11 @@ _TIE_TOL = 1e-12            # eigenvalues closer than this form a tie group
 _VAR_REL_TOL = 1e-14        # relative threshold for "variance is zero"
 _RANGE_REL_TOL = 1e-12      # relative eigenvalue cutoff for covariance range
 _ZERO_TOL = 1e-12           # eigenvalues at or below this count as zero
-_STACK_LIMIT = 256          # equal-size blocks up to this size: one batched eigh
+_STACK_LIMIT = 32           # equal-size blocks up to this size: one batched eigh
+_SUBSET_LIMIT = 256         # a block above this size pays for scipy's LAPACK on its own
 _DENSE_BLOCK_LIMIT = 2048   # larger blocks are solved iteratively (eigsh)
 _COMPLETE_TOL = 1e-10       # eigsh may leave out no eigenvalue below its k-th minus this
+_LANCZOS_RETRIES = 3        # solves again with doubled ncv before giving up
 _EDGE_CHUNK_FLOATS = 1 << 16    # pair_discrepancy gathers about this many floats at once
 
 
@@ -206,26 +211,30 @@ def _dense_blocks(B: int, s: int, b, r, c, e) -> np.ndarray:
     return M
 
 
-def _solve_blocks(M: np.ndarray, k: int):
+def _solve_blocks(M: np.ndarray, k: int, subset: bool):
     """The k smallest nonzero eigenpairs of each block of the stack M
     (B, s, s) from `_dense_blocks`: values (B, k) and vectors (B, s, k).
     Each block is one connected component, so its eigenvalue 0 is simple
-    and is skipped.  A single block is overwritten by the solve."""
-    if M.shape[1] <= _STACK_LIMIT:
-        vals, vecs = np.linalg.eigh(M)
-        return vals[:, 1:k + 1], vecs[:, :, 1:k + 1]
-    vals, vecs = scipy.linalg.eigh(M[0], subset_by_index=[1, k], overwrite_a=True)
-    return vals[None], vecs[None]
+    and is skipped.
+
+    With `subset` the stack holds one block, and scipy solves it in place
+    for only its k pairs; otherwise numpy solves every block in full."""
+    if subset:
+        vals, vecs = scipy.linalg.eigh(M[0], subset_by_index=[1, k], overwrite_a=True)
+        return vals[None], vecs[None]
+    vals, vecs = np.linalg.eigh(M)
+    return vals[:, 1:k + 1], vecs[:, :, 1:k + 1].copy()
 
 
-def _shifted_smallest(M, shift, k: int, start: np.ndarray):
+def _shifted_smallest(M, shift, k: int, start: np.ndarray, ncv=None):
     """The k smallest eigenpairs of the sparse M plus `shift`, the map
     x -> 3 W W^T x that moves the orthonormal columns of some W to 3,
-    above the spectrum."""
+    above the spectrum, from `ncv` Lanczos vectors (eigsh's default when
+    None)."""
     s = M.shape[0]
     op = scipy.sparse.linalg.LinearOperator(
         (s, s), matvec=lambda x: M @ x + shift(x), dtype=np.float64)
-    return scipy.sparse.linalg.eigsh(op, k=k, which="SA", v0=start, tol=0)
+    return scipy.sparse.linalg.eigsh(op, k=k, which="SA", v0=start, tol=0, ncv=ncv)
 
 
 def _solve_large_block(M, null: np.ndarray, k: int):
@@ -235,22 +244,26 @@ def _solve_large_block(M, null: np.ndarray, k: int):
 
     eigsh can converge to k eigenpairs that are not the k smallest, so the
     result is checked: with the returned vectors shifted away too, one more
-    solve finds the smallest eigenvalue left, and EigSolverFailure is raised
-    when it lies below the largest returned one by more than
-    `_COMPLETE_TOL`."""
+    solve finds the smallest eigenvalue left.  When it lies below the
+    largest returned one by more than `_COMPLETE_TOL`, the block is solved
+    again with twice the Lanczos vectors, up to `_LANCZOS_RETRIES` times,
+    and then EigSolverFailure is raised."""
     s = M.shape[0]
     u = null / np.linalg.norm(null)
     start = np.random.default_rng(s).standard_normal(s)
-    vals, vecs = _shifted_smallest(M, lambda x: 3.0 * u * (u @ x), k, start)
-    order = np.argsort(vals, kind="stable")
-    vals, vecs = vals[order], vecs[:, order]
-    W = np.column_stack([u, vecs])
-    rest, _ = _shifted_smallest(M, lambda x: 3.0 * (W @ (W.T @ x)), 1, start)
-    if rest[0] < vals[-1] - _COMPLETE_TOL:
-        raise EigSolverFailure(
-            f"eigsh missed an eigenvalue: {float(rest[0])!r} is left below the "
-            f"largest of the {k} returned, {float(vals[-1])!r}")
-    return vals[None], vecs[None]
+    ncv = min(s, max(2 * k + 1, 20))       # eigsh's default
+    for _ in range(_LANCZOS_RETRIES + 1):
+        vals, vecs = _shifted_smallest(M, lambda x: 3.0 * u * (u @ x), k, start, ncv)
+        order = np.argsort(vals, kind="stable")
+        vals, vecs = vals[order], vecs[:, order]
+        W = np.column_stack([u, vecs])
+        rest, _ = _shifted_smallest(M, lambda x: 3.0 * (W @ (W.T @ x)), 1, start)
+        if rest[0] >= vals[-1] - _COMPLETE_TOL:
+            return vals[None], vecs[None]
+        ncv = min(s, 2 * ncv)
+    raise EigSolverFailure(
+        f"eigsh missed an eigenvalue: {float(rest[0])!r} is left below the "
+        f"largest of the {k} returned, {float(vals[-1])!r}")
 
 
 def _nonzero_pairs(graph: PositivePairGraph, labels: np.ndarray, need: int):
@@ -258,8 +271,18 @@ def _nonzero_pairs(graph: PositivePairGraph, labels: np.ndarray, need: int):
     over the components `labels`: eigenvalues (need,) ascending and
     symmetrized eigenvectors (n, need).
 
-    Components of one size up to `_STACK_LIMIT` are solved as one (B, s, s)
-    stack, larger components one at a time."""
+    Components of one size up to the stack limit are solved in full as one
+    (B, s, s) stack, larger components one at a time, each for only the
+    k = min(need, s - 1) pairs it can give while k is at most s/6.  Above
+    that a subset solve costs more than a full one (measured crossover s/6
+    to s/4 for s = 33 to 1024), so such a block is solved in full.
+
+    The stack limit is `_STACK_LIMIT` when some component has more than
+    `_SUBSET_LIMIT` vertices, and `_SUBSET_LIMIT` otherwise.  scipy's
+    LAPACK, which has the subset solve, runs on a BLAS thread pool of its
+    own, and waking it beside numpy's costs more than a subset solve saves
+    on a block of at most `_SUBSET_LIMIT` vertices.  So such blocks go to
+    scipy only when a larger block takes it anyway."""
     n = graph.n
     sqrt_d = np.sqrt(graph.marginal)
     rows, cols, vals = graph.joint_coo()
@@ -271,24 +294,29 @@ def _nonzero_pairs(graph: PositivePairGraph, labels: np.ndarray, need: int):
     pos[by_comp] = np.arange(n) - first[labels[by_comp]]
 
     entry_comp = labels[rows]
+    entry_by_comp = np.argsort(entry_comp, kind="stable")   # entries, component-major
+    entry_first = np.concatenate([[0], np.cumsum(np.bincount(entry_comp))])
     slot = np.zeros(sizes.size, dtype=np.int64)    # index within its batch
 
+    stack_limit = _STACK_LIMIT if sizes.max() > _SUBSET_LIMIT else _SUBSET_LIMIT
     blocks = []     # (values (B, k), vectors (B, s, k), members (B, s))
     for s in np.unique(sizes[sizes > 1]):
         comps = np.flatnonzero(sizes == s)
         k = min(need, s - 1)
-        if s <= min(_STACK_LIMIT, _DENSE_BLOCK_LIMIT):
+        if s <= stack_limit:
             slot[comps] = np.arange(comps.size)
-            batches = [(comps, sizes[entry_comp] == s)]
+            batches = [(comps, np.flatnonzero(sizes[entry_comp] == s))]
         else:
-            batches = [(comp[None], entry_comp == comp) for comp in comps]
+            batches = [(comp[None], entry_by_comp[entry_first[comp]:entry_first[comp + 1]])
+                       for comp in comps]
         for batch, e in batches:
             members = by_comp[first[batch][:, None] + np.arange(s)]
             r, c = pos[rows[e]], pos[cols[e]]
             if s <= _DENSE_BLOCK_LIMIT:
                 M = _dense_blocks(batch.size, s, slot[entry_comp[e]], r, c,
                                   entries[e])
-                blocks.append(_solve_blocks(M, k) + (members,))
+                subset = s > stack_limit and 6 * k <= s
+                blocks.append(_solve_blocks(M, k, subset) + (members,))
             else:
                 M = sparse.csr_array((-entries[e], (r, c)), shape=(s, s))
                 M = (M + M.T) * 0.5 + sparse.identity(s, format="csr")
@@ -307,6 +335,37 @@ def _nonzero_pairs(graph: PositivePairGraph, labels: np.ndarray, need: int):
         out[members[b], np.flatnonzero(mine)[:, None]] = bvecs[b, :, j]
         offset += B * k
     return flat[which], out
+
+
+def _zero_pairs(graph: PositivePairGraph, labels: np.ndarray, out: np.ndarray):
+    """Write the zero eigenfunctions into `out` (n, n_zero), in their final
+    order, and return the weighted squared residual of each (n_zero,), by
+    component.
+
+    They are the marginal-normalized indicators of the first n_zero
+    components.  `_tie_order` would sort those disjoint nonnegative columns
+    by descending first vertex whose symmetrized value does not round to 0
+    at 10 decimals, so that order is written down directly.  The residual
+    of the sum of all indicators, computed once, is each indicator's
+    residual on its own component and zero elsewhere."""
+    n, n_zero = out.shape
+    mass = np.bincount(labels, weights=graph.marginal)
+    on = np.flatnonzero(labels < n_zero)
+    comp = labels[on]
+    value = 1.0 / np.sqrt(mass[comp])
+    shown = np.round(value * np.sqrt(graph.marginal[on]), 10) != 0.0
+    lead = np.full(n_zero, n)           # a column that rounds to 0 sorts first
+    found, at = np.unique(comp[shown], return_index=True)
+    lead[found] = on[shown][at]
+    column = np.empty(n_zero, dtype=np.int64)
+    column[np.argsort(-lead, kind="stable")] = np.arange(n_zero)
+    out[on, column[comp]] = value
+
+    h = np.zeros(n)
+    h[on] = value
+    res = laplacian_apply(graph, h)
+    return np.bincount(labels, weights=graph.marginal * (res * res),
+                       minlength=n_zero)[:n_zero]
 
 
 def eigendecompose(graph: PositivePairGraph, count: int) -> SpectralDecomposition:
@@ -329,20 +388,23 @@ def eigendecompose(graph: PositivePairGraph, count: int) -> SpectralDecompositio
     part = connected_components(graph)
     labels, n_comp = part.labels, part.n_sets
     n_zero = min(count, n_comp)
-    mass = np.bincount(labels, weights=graph.marginal)
-    sqrt_d = np.sqrt(graph.marginal)
-    on = np.flatnonzero(labels < n_zero)
-    indicators = np.zeros((n, n_zero))
-    indicators[on, labels[on]] = 1.0 / np.sqrt(mass[labels[on]])
-    vals, vecs = np.zeros(n_zero), indicators * sqrt_d[:, None]
+    vals = np.zeros(count)
+    funcs = np.zeros((n, count))
+    res_sq = _zero_pairs(graph, labels, funcs[:, :n_zero])
     if count > n_comp:
         try:
             more_vals, more_vecs = _nonzero_pairs(graph, labels, count - n_comp)
         except (scipy.linalg.LinAlgError,
                 scipy.sparse.linalg.ArpackError) as exc:
             raise EigSolverFailure(str(exc)) from exc
-        vals = np.concatenate([vals, more_vals])
-        vecs = np.hstack([vecs, _fix_signs(more_vecs)])
+        more_vecs = _fix_signs(more_vecs)
+        order = _tie_order(more_vals, more_vecs)
+        vals[n_zero:] = more_vals[order]
+        more = funcs[:, n_zero:]
+        more[:] = more_vecs[:, order] / np.sqrt(graph.marginal)[:, None]
+        # the defining relation, checked per returned pair
+        res = laplacian_apply(graph, more) - more * vals[None, n_zero:]
+        res_sq = np.concatenate([res_sq, graph.marginal @ (res * res)])
 
     if vals.min() < -_EIG_RANGE_TOL or vals.max() > 2.0 + _EIG_RANGE_TOL:
         raise EigSolverFailure(
@@ -355,13 +417,6 @@ def eigendecompose(graph: PositivePairGraph, count: int) -> SpectralDecompositio
             f"(one per component)"
         )
 
-    funcs = np.hstack([indicators, vecs[:, n_zero:] / sqrt_d[:, None]])
-    order = _tie_order(vals, vecs)
-    vals, funcs = vals[order], funcs[:, order]
-
-    # the defining relation, checked per returned pair
-    res = laplacian_apply(graph, funcs) - funcs * vals[None, :]
-    res_sq = graph.marginal @ (res * res)
     worst = float(np.max(res_sq))
     if worst > _RESIDUAL_TOL:
         raise EigSolverFailure(

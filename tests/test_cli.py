@@ -291,10 +291,16 @@ class TestManifest:
         assert manifest["seeds"] == [0]
 
     def test_verify_of_unseeded_scenarios_records_no_seed(self, tmp_path, capsys):
-        # thm56 and thm58 draw no random data, so their verifiers take no seed
+        # thm56 and thm58 draw no random data, so their verifiers take no
+        # seed: --seed is refused rather than ignored, and a run without it
+        # records none
+        for theorem in ("thm56", "thm58"):
+            code, out, err = run(["verify", theorem, "--seed", "4"], capsys)
+            assert code == 2
+            assert out == ""
+            assert f"verify {theorem} takes no --seed" in err
         out_dir = tmp_path / "out"
-        code, _, _ = run(["verify", "thm56", "--seed", "4", "--out", str(out_dir)],
-                         capsys)
+        code, _, _ = run(["verify", "thm56", "--out", str(out_dir)], capsys)
         assert code == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["seeds"] == []

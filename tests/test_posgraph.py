@@ -340,6 +340,65 @@ class TestStrictLoader:
         with pytest.raises(MalformedGraphFile):
             graph_from_dict(doc)
 
+    @staticmethod
+    def _set(doc, field, kind):
+        """Replace one number of `field` by the same number as a JSON
+        string, or by a boolean."""
+        def as_kind(x):
+            return repr(x) if kind == "string" else bool(x)
+
+        if field == "d":
+            doc["d"] = as_kind(doc["d"])
+        elif field == "vertex":
+            doc["vertices"][1][0] = as_kind(doc["vertices"][1][0])
+        elif field == "marginal":
+            doc["marginal"][0] = as_kind(doc["marginal"][0])
+        elif field == "dense_joint":
+            doc["joint"] = [[float(x) for x in row] for row in doc["joint"]]
+            doc["joint"][0][1] = as_kind(doc["joint"][0][1])
+        else:
+            col = 1 if field == "triplet_index" else 2
+            trip = doc["joint"]["triplets"][0]
+            trip[col] = as_kind(trip[col])
+
+    @pytest.mark.parametrize("kind", ["string", "boolean"])
+    @pytest.mark.parametrize("field", ["d", "vertex", "marginal", "triplet_index",
+                                       "triplet_value", "dense_joint"])
+    def test_non_number_rejected(self, two_components_uneven, field, kind):
+        # numpy reads "0.25" and true as numbers; a loader must not
+        doc = json.loads(json.dumps(graph_to_dict(two_components_uneven)))
+        if field == "dense_joint":
+            doc["joint"] = two_components_uneven.joint.toarray().tolist()
+        graph_from_dict(json.loads(json.dumps(doc)))       # loads as written
+        self._set(doc, field, kind)
+        with pytest.raises(MalformedGraphFile):
+            graph_from_dict(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("field", ["vertices", "marginal", "joint"])
+    def test_null_rejected(self, two_vertex_uniform, field):
+        # numpy would read a null as NaN
+        doc = graph_to_dict(two_vertex_uniform)
+        doc["joint"] = two_vertex_uniform.joint.toarray().tolist()
+        target = doc[field][0] if field != "marginal" else doc[field]
+        target[0] = None
+        with pytest.raises(MalformedGraphFile):
+            graph_from_dict(doc)
+
+    @pytest.mark.parametrize("col, number", [(0, 2 ** 70), (2, 10 ** 400)],
+                             ids=["index-2**70", "value-10**400"])
+    def test_numbers_beyond_int64_or_float_rejected(self, two_vertex_uniform,
+                                                    col, number):
+        doc = graph_to_dict(two_vertex_uniform)
+        doc["joint"]["triplets"][0][col] = number
+        with pytest.raises(MalformedGraphFile):
+            graph_from_dict(doc)
+
+    def test_ragged_vertices_rejected(self, two_vertex_uniform):
+        doc = graph_to_dict(two_vertex_uniform)
+        doc["vertices"][1].append(0.0)
+        with pytest.raises(MalformedGraphFile, match="equal-length"):
+            graph_from_dict(doc)
+
     def test_nan_entry_rejected(self, two_vertex_uniform):
         doc = graph_to_dict(two_vertex_uniform)
         doc["joint"]["triplets"][0][2] = float("nan")
