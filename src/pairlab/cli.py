@@ -201,45 +201,32 @@ def graph_from_config(cfg: dict) -> LabeledGraph:
         graph = load_graph(gcfg["file"])
         return LabeledGraph(graph=graph, labels=None, n_classes=0)
     if "random" in gcfg:
-        r = gcfg["random"]
-        graph = random_graph(int(r["n"]), int(r.get("n_components", 1)),
-                             seed=int(r.get("seed", 0)))
+        graph = random_graph(**_given(gcfg["random"], ["n"], n=_integer,
+                                      n_components=_integer, seed=_integer))
         return LabeledGraph(graph=graph, labels=None, n_classes=0)
     if "two_level" in gcfg:
-        t = gcfg["two_level"]
-        return two_level_graph(int(t["m"]), seed=int(t.get("seed", 0)),
-                               cross_scale=float(t.get("cross_scale", 1e-3)))
-    example = gcfg.get("example")
+        return two_level_graph(**_given(gcfg["two_level"], ["m"], m=_integer,
+                                        seed=_integer, cross_scale=_number))
+    example = _given(gcfg, example=_integer).get("example")
     if example == 1 or example == 2:
-        spec = Example1Spec(
-            d=int(gcfg["d"]), s=int(gcfg["s"]),
-            tau_grid=tuple(gcfg.get("tau_grid", (0.5, 1.0))),
-            label_dim=int(gcfg.get("label_dim", 0)),
-        )
+        spec = Example1Spec(**_given(gcfg, ["d", "s"], d=_integer, s=_integer,
+                                     tau_grid=_list_of(_number), label_dim=_integer))
         if example == 1:
             return example1_graph(spec)
         name = gcfg.get("label_map", "xor")
-        if name == "xor":
-            label_map = xor_label_map(spec.s)
-        elif name == "enumeration":
-            label_map = enumeration_label_map(spec.s)
-        else:
+        label_maps = {"xor": xor_label_map, "enumeration": enumeration_label_map}
+        if not isinstance(name, str) or name not in label_maps:
             raise ConfigError(f"unknown label_map {name!r}")
-        return example2_labels(spec, label_map)
+        return example2_labels(spec, label_maps[name](spec.s))
     if example == 3:
-        spec3 = example3_lattice(
-            r=int(gcfg["r"]), points_per_set=int(gcfg.get("points_per_set", 4)),
-            gamma=float(gcfg["gamma"]), rho=float(gcfg["rho"]),
-            labels=tuple(int(x) for x in gcfg["labels"]), m=int(gcfg["m"]),
-            sub_clusters_per_set=int(gcfg.get("sub_clusters_per_set", 1)),
-        )
-        return example3_graph(spec3)
+        return example3_graph(example3_lattice(**{"points_per_set": 4, **_given(
+            gcfg, ["r", "gamma", "rho", "labels", "m"], r=_integer,
+            points_per_set=_integer, gamma=_number, rho=_number,
+            labels=_list_of(_integer), m=_integer, sub_clusters_per_set=_integer)}))
     if example == 4:
-        spec4 = Example4Spec(
-            d=int(gcfg["d"]), s=int(gcfg["s"]), gamma=float(gcfg["gamma"]),
-            tau_grid=tuple(gcfg.get("tau_grid", (0.0, 0.5, 1.0))),
-        )
-        return example4_graph(spec4)
+        return example4_graph(Example4Spec(**_given(
+            gcfg, ["d", "s", "gamma"], d=_integer, s=_integer, gamma=_number,
+            tau_grid=_list_of(_number))))
     raise ConfigError(f"graph section does not describe a known source: {gcfg}")
 
 
@@ -249,15 +236,41 @@ def _value(cfg: dict, key: str, convert, default=None):
         return convert(cfg.get(key, default))
 
 
+def _given(section: dict, required: Sequence[str] = (), **readers) -> dict:
+    """Each key of `readers` that config `section` gives, read with its
+    reader; a key in `required` that it does not give raises KeyError."""
+    given = {}
+    for key, read in readers.items():
+        if key in section or key in required:
+            try:
+                given[key] = read(section[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{key}: {exc}") from exc
+    return given
+
+
+def _integer(value) -> int:
+    """`value` if it is a JSON integer; true and false are not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"need an integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    """`value` as a float if it is a JSON integer or float (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"need a number, got {value!r}")
+    return float(value)
+
+
 def _positive_int(value) -> int:
-    number = int(value)
-    if number < 1:
+    if _integer(value) < 1:
         raise ValueError(f"need an integer >= 1, got {value!r}")
-    return number
+    return value
 
 
 def _positive_float(value) -> float:
-    number = float(value)
+    number = _number(value)
     if not number > 0:
         raise ValueError(f"need a number > 0, got {value!r}")
     return number
@@ -355,12 +368,29 @@ def _zero_loss_row(theorem: str, what: str, model, graph) -> dict:
     return _row(theorem, f"{what}: loss <= 1e-10", loss, 1e-10, loss <= 1e-10)
 
 
-def _probe_row(theorem: str, check: str, graph, F, targets, bound,
-               at_least: bool = False) -> dict:
-    """Row: the probe error of representations F is at most `bound`, or
-    with `at_least` at least `bound`."""
+def _probe_row(theorem: str, check: str, graph, F, targets, bound) -> dict:
+    """Row: the probe error of representations F is at most `bound`."""
     err = probe_error(graph, F, targets)
-    return _row(theorem, check, err, bound, err >= bound if at_least else err <= bound)
+    return _row(theorem, check, err, bound, err <= bound)
+
+
+def _contrast_rows(theorem: str, graph, targets, in_class, adversary,
+                   floor: float, floor_text: str) -> List[dict]:
+    """Rows of an architecture theorem's contrast.  Each in-class entry
+    (name, model, check, bound, with_loss) gives a `name k=...` loss row
+    when `with_loss`, then `name: check` (probe error <= bound); the
+    zero-loss adversary then gives its loss row and its best-head error
+    (>= floor, written `floor_text`).  Forward passes run row by row."""
+    rows = []
+    for name, model, check, bound, with_loss in in_class:
+        if with_loss:
+            rows.append(_zero_loss_row(theorem, f"{name} k={model.k}", model, graph))
+        rows.append(_probe_row(theorem, f"{name}: {check}", graph,
+                               forward(model, graph), targets, bound))
+    rows.append(_zero_loss_row(theorem, f"adversarial k={adversary.k}", adversary, graph))
+    err = probe_error(graph, forward(adversary, graph), targets)
+    return rows + [_row(theorem, f"adversarial best-head error >= {floor_text}",
+                        err, floor, err >= floor)]
 
 
 def verify_prop4(n_graphs: int = 200, seed: int = 0) -> List[dict]:
@@ -439,17 +469,13 @@ def verify_thm42(d: int = 4, s_values: Sequence[int] = (1, 2, 3),
         FE = np.zeros((graph.n, m))
         FE[np.arange(graph.n), part.labels] = 1.0 / np.sqrt(masses[part.labels])
 
-        k = m
-        routes = []
-        _, oracle_model = tabular_min_oracle(graph, k, lam)
-        routes.append(("closed-form", forward(oracle_model, graph)))
-        trained, _ = train(graph, spec_for_graph("tabular", k, graph), lam,
+        _, oracle_model = tabular_min_oracle(graph, m, lam)
+        trained, _ = train(graph, spec_for_graph("tabular", m, graph), lam,
                            TrainConfig(seed=seed))
-        routes.append(("trained", forward(trained, graph)))
-
-        for route, F in routes:
+        for route, model in (("closed-form", oracle_model), ("trained", trained)):
+            F = forward(model, graph)
             rep = measure_eigenspace_quantities(graph, FE, list(F.T), lg.labels)
-            bound = theorem42_bound(rep, k, lam)
+            bound = theorem42_bound(rep, m, lam)
             err = probe_error(graph, F, lg.labels)
             rows.append(_row(
                 "thm42",
@@ -479,22 +505,15 @@ def verify_thm52(d: int = 6, s: int = 2, seed: int = 0) -> List[dict]:
     lg = example1_graph(spec)
     graph = lg.graph
     y = 2.0 * lg.labels.astype(np.float64) - 1.0   # scalar +-1 sign target
-
-    analytic = construct_example1_optimal(spec)
     trained, _ = train(graph, spec_for_graph("linear", s, graph), lam=1.0,
                        config=TrainConfig(seed=seed))
-    k_adv = 2 ** (d - 1)
     key_dims = [j for j in range(d) if j != spec.label_dim]
-    adv = construct_adversarial_universal(graph, k_adv, key_dims)
-    return [
-        _probe_row("thm52", "analytic zero-loss model: probe error <= 1e-6",
-                   graph, forward(analytic, graph), y, 1e-6),
-        _probe_row("thm52", "trained model: probe error <= 1e-6",
-                   graph, forward(trained, graph), y, 1e-6),
-        _zero_loss_row("thm52", f"adversarial k={k_adv}", adv, graph),
-        _probe_row("thm52", "adversarial best-head error >= 1 - 1e-8",
-                   graph, forward(adv, graph), y, 1.0 - 1e-8, at_least=True),
-    ]
+    return _contrast_rows("thm52", graph, y, [
+        ("analytic zero-loss model", construct_example1_optimal(spec),
+         "probe error <= 1e-6", 1e-6, False),
+        ("trained model", trained, "probe error <= 1e-6", 1e-6, False),
+    ], construct_adversarial_universal(graph, 2 ** (d - 1), key_dims),
+        1.0 - 1e-8, "1 - 1e-8")
 
 
 def verify_thm54(d: int = 5, s: int = 2, seed: int = 0) -> List[dict]:
@@ -508,19 +527,11 @@ def verify_thm54(d: int = 5, s: int = 2, seed: int = 0) -> List[dict]:
     spec = Example1Spec(d=d, s=s)
     lg = example2_labels(spec, xor_label_map(s))
     graph = lg.graph
-
-    model = construct_example2_optimal(spec, graph)
-    k_adv = 2 ** (d - s)
-    adv = construct_adversarial_universal(graph, k_adv,
-                                          key_dims=list(range(s, d)))
-    return [
-        _zero_loss_row("thm54", f"one-hot network k={2**s}", model, graph),
-        _probe_row("thm54", "one-hot network: parity probe error <= 1e-8",
-                   graph, forward(model, graph), lg.labels, 1e-8),
-        _zero_loss_row("thm54", f"adversarial k={k_adv}", adv, graph),
-        _probe_row("thm54", "adversarial best-head error >= 1/2 - 1e-6",
-                   graph, forward(adv, graph), lg.labels, 0.5 - 1e-6, at_least=True),
-    ]
+    return _contrast_rows("thm54", graph, lg.labels, [
+        ("one-hot network", construct_example2_optimal(spec, graph),
+         "parity probe error <= 1e-8", 1e-8, True),
+    ], construct_adversarial_universal(graph, 2 ** (d - s), key_dims=list(range(s, d))),
+        0.5 - 1e-6, "1/2 - 1e-6")
 
 
 def verify_thm56(r: int = 3, m: int = 2, gamma: float = 2.0,
@@ -562,18 +573,11 @@ def verify_thm58(d: int = 4, s: int = 1, gamma: float = 2.0) -> List[dict]:
     spec = Example4Spec(d=d, s=s, gamma=gamma)
     lg = example4_graph(spec)
     graph = lg.graph
-
-    model = construct_example4_optimal(spec, graph)
-    k_adv = (d * 2 ** s) // 2
-    adv = construct_example4_adversarial_relu(spec, k_adv, graph)
-    return [
-        _zero_loss_row("thm58", f"patch network k={2**s}", model, graph),
-        _probe_row("thm58", "patch network: probe error <= 1e-8",
-                   graph, forward(model, graph), lg.labels, 1e-8),
-        _zero_loss_row("thm58", f"adversarial k={k_adv}", adv, graph),
-        _probe_row("thm58", "adversarial best-head error >= 1/2 - 1e-6",
-                   graph, forward(adv, graph), lg.labels, 0.5 - 1e-6, at_least=True),
-    ]
+    return _contrast_rows("thm58", graph, lg.labels, [
+        ("patch network", construct_example4_optimal(spec, graph),
+         "probe error <= 1e-8", 1e-8, True),
+    ], construct_example4_adversarial_relu(spec, (d * 2 ** s) // 2, graph),
+        0.5 - 1e-6, "1/2 - 1e-6")
 
 
 VERIFIERS = {
@@ -637,8 +641,8 @@ def _eigensolver(dec) -> dict:
 def _class_spec_from(ccfg: Optional[dict], graph: PositivePairGraph):
     if ccfg is None:
         raise ConfigError("config needs a \"class\" section")
-    return spec_for_graph(ccfg.get("tag", "tabular"), int(ccfg.get("k", 2)), graph,
-                          s=int(ccfg.get("s", 0)))
+    given = _given(ccfg, k=_integer, s=_integer)
+    return spec_for_graph(ccfg.get("tag", "tabular"), given.pop("k", 2), graph, **given)
 
 
 def cmd_train(args, cfg: dict) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -35,7 +35,7 @@ from .errors import (
     IncompleteLabelMap,
     SizeGuardExceeded,
 )
-from .posgraph import PositivePairGraph, build_graph
+from .posgraph import PositivePairGraph, build_graph, connected_components
 
 DEFAULT_SIZE_GUARD = 20000
 
@@ -196,7 +196,7 @@ class Example3Spec:
     m: int
     # one entry per set: a partition of local point indices into
     # sub-clusters; positive pairs are uniform within a sub-cluster.
-    intra_pair_rule: Optional[Tuple[Tuple[Tuple[int, ...], ...], ...]] = None
+    intra_pair_rule: Tuple[Tuple[Tuple[int, ...], ...], ...]
 
     @property
     def r(self) -> int:
@@ -246,16 +246,13 @@ def example3_graph(spec: Example3Spec) -> LabeledGraph:
                     offending_pair=((i, int(worst[0])), (j, int(worst[1]))),
                 )
 
-    rule = spec.intra_pair_rule
-    if rule is None:
-        rule = tuple(tuple([tuple(range(q))]) for q in sizes)
-    if len(rule) != r:
+    if len(spec.intra_pair_rule) != r:
         raise ValueError("intra_pair_rule must have one entry per set")
 
     verts = np.vstack(sets)
     rows, cols, vals = [], [], []
     offsets = np.cumsum([0] + sizes)
-    for i, subclusters in enumerate(rule):
+    for i, subclusters in enumerate(spec.intra_pair_rule):
         covered = sorted(idx for sc in subclusters for idx in sc)
         if covered != list(range(sizes[i])):
             raise ValueError(
@@ -465,8 +462,6 @@ def component_constant_function(
     graph: PositivePairGraph, seed: int = 0
 ) -> np.ndarray:
     """Random function constant on each connected component."""
-    from .posgraph import connected_components
-
     part = connected_components(graph)
     rng = np.random.default_rng(seed)
     values = rng.uniform(-3.0, 3.0, size=part.n_sets)

@@ -8,10 +8,21 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from pairlab.cli import main
+from pairlab.cli import graph_from_config, main
+from pairlab.errors import ConfigError
 from pairlab.posgraph import graph_to_dict, save_graph
+from pairlab.synthdata import (
+    Example1Spec,
+    Example4Spec,
+    enumeration_label_map,
+    example2_labels,
+    example3_graph,
+    example3_lattice,
+    example4_graph,
+)
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -112,11 +123,11 @@ class TestConfigValidation:
         ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2},
                    "train": {"max_iters": "many"}}, "train: "),
         ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2},
-                   "lambda": "ten"}, "lambda: could not convert"),
+                   "lambda": "ten"}, "lambda: need a number, got 'ten'"),
         ("probe", {"graph": {"example": 1, "d": 3, "s": 1}, "class": {"k": 2},
-                   "lambda": "ten"}, "lambda: could not convert"),
+                   "lambda": "ten"}, "lambda: need a number, got 'ten'"),
         ("br", {"graph": {"random": {"n": 6}}, "r_list": [1],
-                "classes": [{"tag": "conv", "s": "x"}]}, "class: invalid literal"),
+                "classes": [{"tag": "conv", "s": "x"}]}, "class: s: need an integer, got 'x'"),
         ("spectrum", {"graph": {"random": {"n": 6}}, "count": "x"}, "count: "),
         ("br", {"graph": {"random": {"n": 6}}, "r_list": [0]},
          "r_list: need an integer >= 1"),
@@ -157,6 +168,25 @@ class TestConfigValidation:
          "spectrum does not read lambda"),
         ("spectrum", {"graph": {"random": {"n": 6}}, "train": {"seed": 3}},
          "spectrum does not read train"),
+        ("spectrum", {"graph": {"example": 1, "d": 4.9, "s": 2}},
+         "graph: d: need an integer, got 4.9"),
+        ("spectrum", {"graph": {"example": 1, "d": 4, "s": "2"}},
+         "graph: s: need an integer, got '2'"),
+        ("spectrum", {"graph": {"example": 1, "d": 4, "s": 2}, "count": 3.7},
+         "count: need an integer, got 3.7"),
+        ("br", {"graph": {"random": {"n": 6}}, "r_list": [2.9]},
+         "r_list: need an integer, got 2.9"),
+        ("graph-info", {"graph": {"random": {"n": 6, "n_components": True}}},
+         "graph: n_components: need an integer, got True"),
+        ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2.0}},
+         "class: k: need an integer, got 2.0"),
+        ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2}, "lambda": True},
+         "lambda: need a number, got True"),
+        ("graph-info", {"graph": {"two_level": {"m": 2, "cross_scale": "1e-3"}}},
+         "graph: cross_scale: need a number, got '1e-3'"),
+        ("graph-info", {"graph": {"example": 4, "d": 4, "s": 1, "gamma": 2.0,
+                                  "tau_grid": [0.0, "1"]}},
+         "graph: tau_grid: need a number, got '1'"),
     ], ids=["missing-d", "s-over-d", "example2-xor-s1", "zero-step", "text-max-iters",
             "text-lambda-train", "text-lambda-probe", "br-classes-text-s",
             "text-count", "zero-r", "empty-lambda-grid", "text-n-graphs",
@@ -164,7 +194,9 @@ class TestConfigValidation:
             "classes-not-list", "negative-lambda-train", "negative-lambda-probe",
             "nonpositive-lambda-grid", "negative-seed", "br-classes-k", "br-class-k",
             "verify-train", "graph-info-class", "graph-info-lambda", "graph-info-train",
-            "spectrum-class", "spectrum-lambda", "spectrum-train"])
+            "spectrum-class", "spectrum-lambda", "spectrum-train", "float-d", "text-s",
+            "float-count", "float-r-list", "bool-n-components", "float-class-k",
+            "bool-lambda", "text-cross-scale", "text-tau-grid"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, doc, message):
         cfg = write_config(tmp_path, {"version": 1, **doc})
         try:
@@ -452,6 +484,94 @@ class TestVerify:
             assert code == 2
             assert out == ""
             assert "verify does not read graph" in err
+
+    def test_verify_all_layout(self, capsys):
+        # rows per scenario, and the exact ordered checks of the four
+        # construction scenarios (thm52/54/58 share one contrast layout)
+        code, out, _ = run(["verify", "all"], capsys)
+        assert code == 0
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        counts = {}
+        for row in rows:
+            counts[row["theorem"]] = counts.get(row["theorem"], 0) + 1
+        assert counts == {"prop4": 1, "thm31": 20, "thm42": 9, "thm52": 4,
+                          "thm54": 4, "thm56": 3, "thm58": 4}
+        checks = {name: [r["check"] for r in rows if r["theorem"] == name]
+                  for name in ("thm52", "thm54", "thm56", "thm58")}
+        assert checks == {
+            "thm52": ["analytic zero-loss model: probe error <= 1e-6",
+                      "trained model: probe error <= 1e-6",
+                      "adversarial k=32: loss <= 1e-10",
+                      "adversarial best-head error >= 1 - 1e-8"],
+            "thm54": ["one-hot network k=4: loss <= 1e-10",
+                      "one-hot network: parity probe error <= 1e-8",
+                      "adversarial k=8: loss <= 1e-10",
+                      "adversarial best-head error >= 1/2 - 1e-6"],
+            "thm56": ["set-indicator model: Lipschitz <= sqrt(2r)/gamma",
+                      "probe error <= 2*r*m*kappa^2*rho^2",
+                      "set-indicator model: loss <= 1e-10"],
+            "thm58": ["patch network k=2: loss <= 1e-10",
+                      "patch network: probe error <= 1e-8",
+                      "adversarial k=4: loss <= 1e-10",
+                      "adversarial best-head error >= 1/2 - 1e-6"],
+        }
+
+
+def assert_same_labeled_graph(got, want):
+    """Bit for bit: coordinates, joint, marginal, labels and class count."""
+    pairs = [(got.graph.vertices, want.graph.vertices),
+             (got.graph.marginal, want.graph.marginal),
+             (got.labels, want.labels)]
+    pairs += [(getattr(got.graph.joint, a), getattr(want.graph.joint, a))
+              for a in ("data", "indices", "indptr")]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got.n_classes == want.n_classes
+
+
+class TestGraphFromConfig:
+    """Each graph section builds what the direct synthdata call builds; a
+    key the section leaves out takes synthdata's default."""
+
+    def test_example3(self):
+        got = graph_from_config({"graph": {"example": 3, "r": 3, "gamma": 2.0,
+                                           "rho": 0.1, "labels": [0, 1, 0], "m": 2}})
+        want = example3_graph(example3_lattice(r=3, points_per_set=4, gamma=2.0,
+                                               rho=0.1, labels=[0, 1, 0], m=2))
+        assert_same_labeled_graph(got, want)
+
+    def test_example3_sub_clusters(self):
+        got = graph_from_config({"graph": {
+            "example": 3, "r": 2, "points_per_set": 6, "sub_clusters_per_set": 3,
+            "gamma": 1.5, "rho": 0.2, "labels": [1, 0], "m": 2}})
+        want = example3_graph(example3_lattice(r=2, points_per_set=6, gamma=1.5,
+                                               rho=0.2, labels=[1, 0], m=2,
+                                               sub_clusters_per_set=3))
+        assert_same_labeled_graph(got, want)
+
+    def test_example4(self):
+        got = graph_from_config({"graph": {"example": 4, "d": 4, "s": 1, "gamma": 2}})
+        want = example4_graph(Example4Spec(d=4, s=1, gamma=2.0))
+        assert_same_labeled_graph(got, want)
+
+    def test_example4_tau_grid(self):
+        got = graph_from_config({"graph": {"example": 4, "d": 5, "s": 2, "gamma": 3.0,
+                                           "tau_grid": [0, 1]}})
+        want = example4_graph(Example4Spec(d=5, s=2, gamma=3.0, tau_grid=(0.0, 1.0)))
+        assert_same_labeled_graph(got, want)
+
+    def test_enumeration_label_map(self):
+        got = graph_from_config({"graph": {"example": 2, "d": 4, "s": 2,
+                                           "label_map": "enumeration"}})
+        spec = Example1Spec(d=4, s=2)
+        assert_same_labeled_graph(got, example2_labels(spec, enumeration_label_map(2)))
+        assert got.n_classes == 4
+
+    @pytest.mark.parametrize("name", ["parity", 3])
+    def test_unknown_label_map(self, name):
+        with pytest.raises(ConfigError, match="unknown label_map"):
+            graph_from_config({"graph": {"example": 2, "d": 4, "s": 2,
+                                         "label_map": name}})
 
 
 class TestBr:

@@ -9,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from pairlab import spectral
-from pairlab.errors import EigSolverFailure, GraphMismatch, ZeroFunction
+from pairlab.errors import (
+    DegenerateCovariance,
+    EigSolverFailure,
+    GraphMismatch,
+    ZeroFunction,
+)
 from pairlab.posgraph import build_graph, connected_components
 from pairlab.spectral import (
     INFINITE,
@@ -241,6 +246,18 @@ class TestMinExpansionOverClass:
         beta, _ = min_expansion_over_class(lab.graph, comp, "linear")
         assert beta is not INFINITE
         assert beta > 1e-6
+
+    def test_linear_without_coordinate_variance_is_degenerate(self):
+        # two vertices 1e-20 apart: the centered covariance falls below the
+        # range cutoff, so no linear function varies on the subset
+        g = build_graph([[0.0], [1e-20]], [[0.25, 0.25], [0.25, 0.25]])
+        with pytest.raises(DegenerateCovariance):
+            min_expansion_over_class(g, [0, 1], "linear")
+
+    def test_linear_single_vertex_infinite(self, two_components):
+        beta, g = min_expansion_over_class(two_components, [1], "linear")
+        assert beta is INFINITE
+        assert g is None
 
 
 class TestIsEigenfunction:
