@@ -79,7 +79,6 @@ from .probe import (
 from .septest import (
     DEFAULT_LAMBDA_GRID,
     SeparabilityReport,
-    br_bruteforce,
     br_oracle_tabular,
     br_table,
     estimate_br,

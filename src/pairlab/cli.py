@@ -105,24 +105,7 @@ _CONFIG_VERSION = 1
 # None means "scalar/list leaf"
 _SCHEMA = {
     "version": None,
-    "graph": {
-        "example": None,
-        "file": None,
-        "d": None,
-        "s": None,
-        "tau_grid": None,
-        "label_dim": None,
-        "label_map": None,
-        "gamma": None,
-        "rho": None,
-        "r": None,
-        "points_per_set": None,
-        "labels": None,
-        "m": None,
-        "sub_clusters_per_set": None,
-        "random": {"n": None, "n_components": None, "seed": None},
-        "two_level": {"m": None, "seed": None, "cross_scale": None},
-    },
+    "graph": None,      # each source's own keys: _GRAPH_SOURCES
     "class": {"tag": None, "k": None, "s": None},
     "classes": None,
     "lambda": None,
@@ -130,14 +113,7 @@ _SCHEMA = {
     "r_list": None,
     "count": None,
     "n_graphs": None,
-    "train": {
-        "step_size": None,
-        "max_iters": None,
-        "seed": None,
-        "init_scale": None,
-        "grad_tol": None,
-        "n_starts": None,
-    },
+    "train": dict.fromkeys(field.name for field in dataclasses.fields(TrainConfig)),
 }
 
 def _check_keys(doc, schema, path: str) -> None:
@@ -165,6 +141,8 @@ def load_config(path: Optional[Path]) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     _check_keys(doc, _SCHEMA, "")
+    if "graph" in doc:
+        _graph_source(doc["graph"])
     if doc.get("version") != _CONFIG_VERSION:
         raise ConfigError(
             f"config must declare \"version\": {_CONFIG_VERSION} "
@@ -180,54 +158,15 @@ def load_config(path: Optional[Path]) -> dict:
 
 @contextlib.contextmanager
 def _config_values(section: str):
-    """Raise a missing key (KeyError) or a bad value (TypeError,
-    ValueError) met while reading config `section` as ConfigError; used
-    as a decorator on the function that reads the section."""
+    """Raise a missing key (KeyError), a bad value (TypeError, ValueError)
+    or an unreadable file (OSError) met while reading config `section` as
+    ConfigError; used as a decorator on the function that reads it."""
     try:
         yield
     except KeyError as exc:
         raise ConfigError(f"{section} needs key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
-
-
-@_config_values("graph")
-def graph_from_config(cfg: dict) -> LabeledGraph:
-    """Build the configured graph; labels may be None for raw graphs."""
-    gcfg = cfg.get("graph")
-    if not gcfg:
-        raise ConfigError("config needs a \"graph\" section")
-    if "file" in gcfg:
-        graph = load_graph(gcfg["file"])
-        return LabeledGraph(graph=graph, labels=None, n_classes=0)
-    if "random" in gcfg:
-        graph = random_graph(**_given(gcfg["random"], ["n"], n=_integer,
-                                      n_components=_integer, seed=_integer))
-        return LabeledGraph(graph=graph, labels=None, n_classes=0)
-    if "two_level" in gcfg:
-        return two_level_graph(**_given(gcfg["two_level"], ["m"], m=_integer,
-                                        seed=_integer, cross_scale=_number))
-    example = _given(gcfg, example=_integer).get("example")
-    if example == 1 or example == 2:
-        spec = Example1Spec(**_given(gcfg, ["d", "s"], d=_integer, s=_integer,
-                                     tau_grid=_list_of(_number), label_dim=_integer))
-        if example == 1:
-            return example1_graph(spec)
-        name = gcfg.get("label_map", "xor")
-        label_maps = {"xor": xor_label_map, "enumeration": enumeration_label_map}
-        if not isinstance(name, str) or name not in label_maps:
-            raise ConfigError(f"unknown label_map {name!r}")
-        return example2_labels(spec, label_maps[name](spec.s))
-    if example == 3:
-        return example3_graph(example3_lattice(**{"points_per_set": 4, **_given(
-            gcfg, ["r", "gamma", "rho", "labels", "m"], r=_integer,
-            points_per_set=_integer, gamma=_number, rho=_number,
-            labels=_list_of(_integer), m=_integer, sub_clusters_per_set=_integer)}))
-    if example == 4:
-        return example4_graph(Example4Spec(**_given(
-            gcfg, ["d", "s", "gamma"], d=_integer, s=_integer, gamma=_number,
-            tau_grid=_list_of(_number))))
-    raise ConfigError(f"graph section does not describe a known source: {gcfg}")
 
 
 def _value(cfg: dict, key: str, convert, default=None):
@@ -283,6 +222,67 @@ def _list_of(convert):
             raise ValueError(f"need a nonempty list, got {value!r}")
         return [convert(item) for item in value]
     return read
+
+
+def _string(value) -> str:
+    """`value` if it is a JSON string."""
+    if not isinstance(value, str):
+        raise TypeError(f"need a string, got {value!r}")
+    return value
+
+
+def _label_map(name):
+    if name not in ("xor", "enumeration"):
+        raise ValueError(f"unknown label_map {name!r}")
+    return xor_label_map if name == "xor" else enumeration_label_map
+
+
+_HYPERCUBE_KEYS = {"d": _integer, "s": _integer, "tau_grid": _list_of(_number),
+                   "label_dim": _integer}
+# graph sources: name -> (required keys, the reader of each key, builder).  Example N
+# is named by "example": N; "random" and "two_level" hold their keys in an object.
+_GRAPH_SOURCES = {
+    "file": (["file"], {"file": _string}, lambda file: LabeledGraph(load_graph(file))),
+    "random": (["n"], {"n": _integer, "n_components": _integer, "seed": _integer},
+               lambda **keys: LabeledGraph(random_graph(**keys))),
+    "two_level": (["m"], {"m": _integer, "seed": _integer, "cross_scale": _number},
+                  two_level_graph),
+    1: (["d", "s"], _HYPERCUBE_KEYS, lambda **keys: example1_graph(Example1Spec(**keys))),
+    2: (["d", "s"], {**_HYPERCUBE_KEYS, "label_map": _label_map},
+        lambda label_map=xor_label_map, **keys: example2_labels(
+            Example1Spec(**keys), label_map(keys["s"]))),
+    3: (["r", "gamma", "rho", "labels", "m"], {
+        "r": _integer, "points_per_set": _integer, "gamma": _number, "rho": _number,
+        "labels": _list_of(_integer), "m": _integer, "sub_clusters_per_set": _integer},
+        lambda **keys: example3_graph(example3_lattice(**{"points_per_set": 4, **keys}))),
+    4: (["d", "s", "gamma"], {"d": _integer, "s": _integer, "gamma": _number,
+                              "tau_grid": _list_of(_number)},
+        lambda **keys: example4_graph(Example4Spec(**keys))),
+}
+
+
+def _graph_source(gcfg) -> tuple:
+    """The name, keys and entry of the one source graph section `gcfg` names."""
+    if not isinstance(gcfg, dict):
+        raise ConfigError("config needs a \"graph\" object")
+    named = [key for key in gcfg if key in _GRAPH_SOURCES or key == "example"]
+    if len(named) != 1:
+        raise ConfigError("graph must name one source of file, random, two_level and "
+                          f"example; it has keys: {', '.join(gcfg) or 'none'}")
+    name = _value(gcfg, "example", _integer) if named == ["example"] else named[0]
+    if name not in _GRAPH_SOURCES:
+        raise ConfigError(f"graph: unknown example {name}")
+    readers = _GRAPH_SOURCES[name][1]
+    nested = isinstance(name, str) and name not in readers
+    _check_keys(gcfg, {name: readers} if nested else {"example": None, **readers}, "graph")
+    return name, gcfg[name] if nested else gcfg, _GRAPH_SOURCES[name]
+
+
+@_config_values("graph")
+def graph_from_config(cfg: dict) -> LabeledGraph:
+    """Build the configured graph; labels may be None for raw graphs."""
+    _, keys, (required, readers, build) = _graph_source(cfg.get("graph"))
+    return build(**_given(keys, required, **readers))
 
 
 @_config_values("train")
@@ -680,9 +680,8 @@ def cmd_probe(args, cfg: dict) -> int:
         bound = theorem31_bound(assumptions)
     except PairLabError:
         bound = None
-    gcfg = cfg.get("graph", {})
     row = {
-        "example": gcfg.get("example", "file"),
+        "example": _graph_source(cfg["graph"])[0],
         "class": class_spec.class_tag,
         "k": class_spec.k,
         "lambda": lam,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -46,11 +46,11 @@ _TAU_GRID_4 = (0.0, 0.5, 1.0)   # default for the patch family (0 must appear
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """A positive-pair graph with a downstream class label per vertex."""
+    """A positive-pair graph with a downstream class label per vertex, or none."""
 
     graph: PositivePairGraph
-    labels: np.ndarray        # (n,) ints in [0, n_classes)
-    n_classes: int
+    labels: Optional[np.ndarray] = None   # (n,) ints in [0, n_classes)
+    n_classes: int = 0
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,13 @@ from pairlab.funclass import spec_for_graph
 from pairlab.objective import TrainConfig, loss_gradient, population_loss
 from pairlab.septest import (
     DEFAULT_LAMBDA_GRID,
-    br_bruteforce,
     br_oracle_tabular,
     br_table,
     estimate_br,
 )
 from pairlab.synthdata import component_cluster_graph, random_graph
+
+from conftest import br_bruteforce
 
 
 def report(num: int, ok: bool, detail: str) -> None:

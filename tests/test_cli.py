@@ -1,17 +1,20 @@
 """Command-line surface: config validation, exit codes, emitted files."""
 
 import contextlib
+import copy
 import csv
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pairlab.cli import graph_from_config, main
+from pairlab.cli import graph_from_config, load_config, main
 from pairlab.errors import ConfigError
 from pairlab.posgraph import graph_to_dict, save_graph
 from pairlab.synthdata import (
@@ -187,6 +190,23 @@ class TestConfigValidation:
         ("graph-info", {"graph": {"example": 4, "d": 4, "s": 1, "gamma": 2.0,
                                   "tau_grid": [0.0, "1"]}},
          "graph: tau_grid: need a number, got '1'"),
+        ("graph-info", {"graph": {"random": {"n": 6}, "example": 1, "d": 4, "s": 1}},
+         "graph must name one source of file, random, two_level and example; "
+         "it has keys: random, example, d, s"),
+        ("graph-info", {"graph": {"example": 1, "d": 4, "s": 1, "gamma": 2.0, "rho": 0.1,
+                                  "labels": [0, 1], "label_map": "bogus"}},
+         "unknown config key: graph.gamma"),
+        ("graph-info", {"graph": {"file": "graph.json", "two_level": {"m": 2}}},
+         "it has keys: file, two_level"),
+        ("graph-info", {"graph": {"d": 4, "s": 1}}, "it has keys: d, s"),
+        ("graph-info", {"graph": {"example": 5}}, "graph: unknown example 5"),
+        ("graph-info", {"graph": {"example": True, "d": 4, "s": 1}},
+         "example: need an integer, got True"),
+        ("graph-info", {"graph": {"file": 0}}, "graph: file: need a string, got 0"),
+        ("graph-info", {"graph": {"file": True}}, "graph: file: need a string, got True"),
+        ("graph-info", {"graph": {"file": 5}}, "graph: file: need a string, got 5"),
+        ("graph-info", {"graph": {"two_level": {"m": 2}, "seed": 1}},
+         "unknown config key: graph.seed"),
     ], ids=["missing-d", "s-over-d", "example2-xor-s1", "zero-step", "text-max-iters",
             "text-lambda-train", "text-lambda-probe", "br-classes-text-s",
             "text-count", "zero-r", "empty-lambda-grid", "text-n-graphs",
@@ -196,7 +216,9 @@ class TestConfigValidation:
             "verify-train", "graph-info-class", "graph-info-lambda", "graph-info-train",
             "spectrum-class", "spectrum-lambda", "spectrum-train", "float-d", "text-s",
             "float-count", "float-r-list", "bool-n-components", "float-class-k",
-            "bool-lambda", "text-cross-scale", "text-tau-grid"])
+            "bool-lambda", "text-cross-scale", "text-tau-grid", "random-and-example",
+            "example1-foreign-keys", "file-and-two-level", "no-source", "unknown-example",
+            "bool-example", "file-zero", "file-true", "file-five", "seed-beside-two-level"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, doc, message):
         cfg = write_config(tmp_path, {"version": 1, **doc})
         try:
@@ -241,6 +263,17 @@ class TestGraphInfo:
         assert report["components"] == 1
         assert report["n_classes"] == 0
         assert report["spectrum_head"] == pytest.approx([0.0], abs=1e-12)
+
+    @pytest.mark.parametrize("name, reason", [("absent.json", "No such file or directory"),
+                                              (".", "Is a directory")],
+                             ids=["missing", "directory"])
+    def test_unreadable_graph_file(self, tmp_path, capsys, name, reason):
+        path = str(tmp_path / name)
+        cfg = write_config(tmp_path, {"version": 1, "graph": {"file": path}})
+        code, _, err = run(["graph-info", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("config error: graph: ") and err.count("\n") == 1
+        assert reason in err and repr(path) in err
 
     def test_malformed_graph_file(self, tmp_path, capsys):
         gpath = tmp_path / "broken.json"
@@ -433,6 +466,15 @@ class TestProbe:
         assert row["assumptions"]["beta"] == 0.0
         assert row["bound"] is None
         assert json.loads(out)["class"] == "tabular"
+        assert row["example"] == 1
+
+    def test_probe_json_names_a_two_level_source(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"version": 1, "graph": {"two_level": {"m": 2}},
+                                      "class": {"tag": "linear", "k": 2}})
+        out_dir = tmp_path / "out"
+        code, _, _ = run(["probe", "--config", str(cfg), "--out", str(out_dir)], capsys)
+        assert code == 0
+        assert json.loads((out_dir / "probe.json").read_text())["example"] == "two_level"
 
 
 class TestVerify:
@@ -572,6 +614,76 @@ class TestGraphFromConfig:
         with pytest.raises(ConfigError, match="unknown label_map"):
             graph_from_config({"graph": {"example": 2, "d": 4, "s": 2,
                                          "label_map": name}})
+
+
+# the keys each graph source reads, as README's table of graph sources lists
+# them, and a config of each that gives every one of those keys
+SOURCE_KEYS = {
+    "file": {"file"},
+    "random": {"n", "n_components", "seed"},
+    "two_level": {"m", "seed", "cross_scale"},
+    1: {"d", "s", "tau_grid", "label_dim"},
+    2: {"d", "s", "tau_grid", "label_dim", "label_map"},
+    3: {"r", "points_per_set", "gamma", "rho", "labels", "m", "sub_clusters_per_set"},
+    4: {"d", "s", "gamma", "tau_grid"},
+}
+NESTED_SOURCES = ("random", "two_level")
+FULL_SOURCES = {
+    "file": {"file": "graph.json"},
+    "random": {"random": {"n": 8, "n_components": 2, "seed": 3}},
+    "two_level": {"two_level": {"m": 2, "seed": 1, "cross_scale": 0.01}},
+    1: {"example": 1, "d": 4, "s": 2, "tau_grid": [0.5, 1.0], "label_dim": 1},
+    2: {"example": 2, "d": 4, "s": 2, "tau_grid": [0.5, 1.0], "label_dim": 1,
+        "label_map": "enumeration"},
+    3: {"example": 3, "r": 2, "points_per_set": 6, "gamma": 1.5, "rho": 0.2,
+        "labels": [1, 0], "m": 2, "sub_clusters_per_set": 3},
+    4: {"example": 4, "d": 5, "s": 2, "gamma": 3.0, "tau_grid": [0, 1]},
+}
+FOREIGN_KEYS = [(source, key) for source, keys in SOURCE_KEYS.items()
+                for key in sorted(set().union(*SOURCE_KEYS.values()) - keys - {"file"})]
+
+
+def source_keys(graph: dict, source) -> dict:
+    """The object of graph section `graph` that holds `source`'s keys."""
+    return graph[source] if source in NESTED_SOURCES else graph
+
+
+class TestGraphSources:
+    @pytest.mark.parametrize("source", list(FULL_SOURCES), ids=str)
+    def test_each_source_takes_all_its_keys(self, tmp_path, source, single_vertex):
+        graph = copy.deepcopy(FULL_SOURCES[source])
+        assert set(source_keys(graph, source)) - {"example"} == SOURCE_KEYS[source]
+        if source == "file":
+            graph["file"] = str(tmp_path / "graph.json")
+            save_graph(single_vertex, graph["file"])
+        assert load_config(write_config(tmp_path, {"version": 1, "graph": graph}))
+        assert graph_from_config({"graph": graph}).graph.n > 0
+
+    @pytest.mark.parametrize("source, key", FOREIGN_KEYS,
+                             ids=[f"{source}-{key}" for source, key in FOREIGN_KEYS])
+    def test_key_of_another_source_is_refused(self, tmp_path, capsys, source, key):
+        graph = copy.deepcopy(FULL_SOURCES[source])
+        source_keys(graph, source)[key] = 1
+        where = f"graph.{source}.{key}" if source in NESTED_SOURCES else f"graph.{key}"
+        cfg = write_config(tmp_path, {"version": 1, "graph": graph})
+        code, _, err = run(["graph-info", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err == f"config error: unknown config key: {where}\n"
+
+    def test_ci_and_readme_configs_load(self, tmp_path):
+        # every config that CI writes with `echo '{...}' > name.json`, and
+        # each JSON block of the README, passes the key checks and builds
+        # its graph (a "file" graph only exists where CI writes it)
+        root = Path(__file__).resolve().parents[1]
+        ci = (root / ".github" / "workflows" / "tier1.yml").read_text()
+        readme = (root / "README.md").read_text()
+        docs = (re.findall(r"echo '(\{.*?\})' > \S+\.json", ci, re.S)
+                + re.findall(r"```json\n(.*?)```", readme, re.S))
+        assert len(docs) >= 11
+        for doc in docs:
+            cfg = load_config(write_config(tmp_path, json.loads(doc)))
+            if "file" not in cfg["graph"]:
+                assert graph_from_config(cfg).graph.n > 0, doc
 
 
 class TestBr:

@@ -12,7 +12,6 @@ from pairlab.objective import TrainConfig
 from pairlab.posgraph import connected_components
 from pairlab.septest import (
     DEFAULT_LAMBDA_GRID,
-    br_bruteforce,
     br_oracle_tabular,
     br_table,
     estimate_br,
@@ -27,6 +26,8 @@ from pairlab.synthdata import (
     random_graph,
     two_level_graph,
 )
+
+from conftest import br_bruteforce
 
 FAST = TrainConfig(n_starts=1)
 SMALL_GRID = (3.0, 30.0)
