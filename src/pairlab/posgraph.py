@@ -52,14 +52,15 @@ def _canonical_coords(vertices) -> np.ndarray:
 
 
 def _check_distinct(vertices: np.ndarray) -> None:
-    seen = {}
-    for i, row in enumerate(vertices):
-        key = row.tobytes()
-        if key in seen:
-            raise DuplicateVertex(
-                f"vertices {seen[key]} and {i} have identical coordinates"
-            )
-        seen[key] = i
+    """Raise DuplicateVertex at the first row that repeats an earlier one."""
+    n, d = vertices.shape
+    rows = np.ascontiguousarray(vertices if d else np.zeros((n, 1)))    # d = 0: one empty row
+    keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first = first[inverse.ravel()]      # each vertex's first vertex with its row
+    dup = np.flatnonzero(first != np.arange(n))
+    if dup.size:
+        raise DuplicateVertex(f"vertices {first[dup[0]]} and {dup[0]} have identical coordinates")
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,7 @@ class AssumptionReport:
     implementable: bool
     implementable_residual: float
     beta_certified: bool        # True when beta comes from the class itself
-    beta_class: str             # the class the pencil was solved for
+    beta_class: str             # the class beta was minimized over
 
 
 def _implementability_residual(graph, class_spec: FunctionClassSpec,

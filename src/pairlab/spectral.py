@@ -26,7 +26,8 @@ solved again with more Lanczos vectors when one is missed.
 O(nnz) for a function of any width.
 
 This module also hosts the expansion quantity Q_S and its class-restricted
-minimization, which drive the cluster-recovery bounds downstream.
+minimum beta (for tabular, one pair from the same block solver; no
+|S| x |S| array), which drive the cluster-recovery bounds downstream.
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ def _solve_large_block(M, null: np.ndarray, k: int):
 def _nonzero_pairs(graph: PositivePairGraph, labels: np.ndarray, need: int):
     """The `need` smallest nonzero eigenpairs of M, solved block by block
     over the components `labels`: eigenvalues (need,) ascending and
-    symmetrized eigenvectors (n, need).
+    symmetrized eigenvectors (n, need).  A failed solve is EigSolverFailure.
 
     Components of one size up to the stack limit are solved in full as one
     (B, s, s) stack, larger components one at a time, each for only the
@@ -312,16 +313,17 @@ def _nonzero_pairs(graph: PositivePairGraph, labels: np.ndarray, need: int):
         for batch, e in batches:
             members = by_comp[first[batch][:, None] + np.arange(s)]
             r, c = pos[rows[e]], pos[cols[e]]
-            if s <= _DENSE_BLOCK_LIMIT:
-                M = _dense_blocks(batch.size, s, slot[entry_comp[e]], r, c,
-                                  entries[e])
-                subset = s > stack_limit and 6 * k <= s
-                blocks.append(_solve_blocks(M, k, subset) + (members,))
-            else:
-                M = sparse.csr_array((-entries[e], (r, c)), shape=(s, s))
-                M = (M + M.T) * 0.5 + sparse.identity(s, format="csr")
-                blocks.append(_solve_large_block(M, sqrt_d[members[0]], k)
-                              + (members,))
+            try:
+                if s <= _DENSE_BLOCK_LIMIT:
+                    M = _dense_blocks(batch.size, s, slot[entry_comp[e]], r, c, entries[e])
+                    subset = s > stack_limit and 6 * k <= s
+                    blocks.append(_solve_blocks(M, k, subset) + (members,))
+                else:
+                    M = sparse.csr_array((-entries[e], (r, c)), shape=(s, s))
+                    M = (M + M.T) * 0.5 + sparse.identity(s, format="csr")
+                    blocks.append(_solve_large_block(M, sqrt_d[members[0]], k) + (members,))
+            except (scipy.linalg.LinAlgError, scipy.sparse.linalg.ArpackError) as exc:
+                raise EigSolverFailure(str(exc)) from exc
 
     # merge: the `need` smallest over all blocks, ties by block order
     flat = np.concatenate([b[0].ravel() for b in blocks])
@@ -392,11 +394,7 @@ def eigendecompose(graph: PositivePairGraph, count: int) -> SpectralDecompositio
     funcs = np.zeros((n, count))
     res_sq = _zero_pairs(graph, labels, funcs[:, :n_zero])
     if count > n_comp:
-        try:
-            more_vals, more_vecs = _nonzero_pairs(graph, labels, count - n_comp)
-        except (scipy.linalg.LinAlgError,
-                scipy.sparse.linalg.ArpackError) as exc:
-            raise EigSolverFailure(str(exc)) from exc
+        more_vals, more_vecs = _nonzero_pairs(graph, labels, count - n_comp)
         more_vecs = _fix_signs(more_vecs)
         order = _tie_order(more_vals, more_vecs)
         vals[n_zero:] = more_vals[order]
@@ -474,32 +472,23 @@ def expansion_Q(graph: PositivePairGraph, subset, g):
     return numerator / denom
 
 
-def _pencil_min(a: np.ndarray, b: np.ndarray):
-    """Smallest generalized eigenpair of (a, b), b positive definite."""
-    try:
-        vals, vecs = scipy.linalg.eigh(a, b, subset_by_index=[0, 0])
-    except scipy.linalg.LinAlgError as exc:
-        raise EigSolverFailure(f"generalized eigensolve failed: {exc}") from exc
-    beta = float(vals[0])
-    if beta < -1e-10:
-        raise EigSolverFailure(f"negative expansion minimum {beta!r}")
-    return max(beta, 0.0), vecs[:, 0]
-
-
 def min_expansion_over_class(graph: PositivePairGraph, subset, class_name: str):
-    """(beta, argmin g): the infimum of Q_S over scalar outputs of a class.
+    """(beta, argmin g): the infimum of Q_S over scalar outputs of a class,
+    g^T L_S g / g^T (Q - q q^T) g for the conditional marginal q on S
+    (Q = diag q) and the Laplacian L_S = diag(d_S) - W of the restricted
+    joint W.  (INFINITE, None) when no in-class function varies on S.
 
-    tabular: all functions on S.  The pair-difference quadratic form and the
-    centered variance form share only the constants as null space, so beta
-    is the second-smallest generalized eigenvalue of the full pencil,
-    computed after deflating constants.
+    tabular: all functions on S.  beta is exactly 0.0 on a cell that is
+    disconnected after restriction, at a restricted component's indicator.
+    Otherwise beta = c * lambda, where c = max(d_S / q) <= P(S) / (P(S) - alpha_S)
+    and lambda is the block solver's smallest nonzero eigenvalue of the graph
+    over S with marginal q and joint J' = (W + diag(c q - d_S)) / c, since
+    I - Q^-1/2 J' Q^-1/2 = Q^-1/2 L_S Q^-1/2 / c.  The argmin is its
+    eigenvector over sqrt(q).
 
-    linear: g(x) = w^T x.  Coordinates are centered under the conditional
-    data distribution and the pencil is solved on the range of the centered
-    covariance.
-
-    Returns (INFINITE, None) when no in-class function has positive variance
-    on S (e.g. a single vertex).
+    linear: g(x) = w^T x, coordinates centered under q.  The pencil
+    (Xc^T L_S Xc, Xc^T Q Xc), L_S applied through the CSR joint, is solved
+    on the range of the centered covariance.
     """
     idx = _subset_indices(graph, subset)
     q = _conditional_marginal(graph, idx)
@@ -508,14 +497,16 @@ def min_expansion_over_class(graph: PositivePairGraph, subset, class_name: str):
         if idx.size == 1:
             return INFINITE, None
         sub = restrict(graph, idx)
-        W = sub.joint.toarray()
-        A = 2.0 * (np.diag(sub.marginal) - W)
-        B = 2.0 * (np.diag(q) - np.outer(q, q))
-        H = scipy.linalg.null_space(q[None, :])
-        beta, u = _pencil_min(H.T @ A @ H, H.T @ B @ H)
         g = np.zeros(graph.n)
-        g[idx] = H @ u
-        return beta, g
+        labels = connected_components(sub).labels
+        if labels.max() > 0:
+            g[idx] = labels == 0
+            return 0.0, g
+        c = float(np.max(sub.marginal / q))
+        joint = (sub.joint + sparse.diags(c * q - sub.marginal, format="csr")) / c
+        lam, v = _nonzero_pairs(PositivePairGraph(sub.vertices, joint, q), labels, 1)
+        g[idx] = v[:, 0] / np.sqrt(q)
+        return max(c * float(lam[0]), 0.0), g
 
     if class_name == "linear":
         X = graph.vertices[idx]
@@ -533,12 +524,14 @@ def min_expansion_over_class(graph: PositivePairGraph, subset, class_name: str):
             return INFINITE, None
         R = evecs[:, keep]
         sub = restrict(graph, idx)
-        W = sub.joint.toarray()
-        lap = np.diag(sub.marginal) - W
-        A = 2.0 * (Xc.T @ (lap @ Xc))
-        beta, u = _pencil_min(R.T @ A @ R, R.T @ C @ R)
-        w = R @ u
-        return beta, graph.vertices @ w
+        A = 2.0 * (Xc.T @ (sub.marginal[:, None] * Xc - sub.joint @ Xc))
+        try:
+            vals, vecs = scipy.linalg.eigh(R.T @ A @ R, R.T @ C @ R, subset_by_index=[0, 0])
+        except scipy.linalg.LinAlgError as exc:
+            raise EigSolverFailure(f"generalized eigensolve failed: {exc}") from exc
+        if vals[0] < -1e-10:
+            raise EigSolverFailure(f"negative expansion minimum {float(vals[0])!r}")
+        return max(float(vals[0]), 0.0), graph.vertices @ (R @ vecs[:, 0])
 
     raise UnknownClass(
         f"min_expansion_over_class supports 'tabular' and 'linear', got {class_name!r}"

@@ -1,11 +1,20 @@
-"""Shared fixtures: tiny hand-checkable graphs, a random-graph helper and
-the brute-force b_r reference that the oracle tests compare against."""
+"""Shared fixtures: tiny hand-checkable graphs, a random-graph helper, the
+brute-force b_r reference that the oracle tests compare against, and the
+dense pencil that the expansion minimum is compared against."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import minimize
 
-from pairlab.posgraph import PositivePairGraph, build_graph
+from pairlab.errors import DegenerateCovariance, EigSolverFailure, UnknownClass
+from pairlab.posgraph import PositivePairGraph, build_graph, restrict
+from pairlab.spectral import (
+    _RANGE_REL_TOL,
+    INFINITE,
+    _conditional_marginal,
+    _subset_indices,
+)
 from pairlab.synthdata import random_graph
 
 
@@ -97,3 +106,69 @@ def br_bruteforce(graph: PositivePairGraph, r: int, n_starts: int = 8,
     if gap > 1e-9:
         raise AssertionError(f"brute-force point infeasible: gap {gap:.3e}")
     return best
+
+
+def _pencil_min(a: np.ndarray, b: np.ndarray):
+    """Smallest generalized eigenpair of (a, b), b positive definite."""
+    try:
+        vals, vecs = scipy.linalg.eigh(a, b, subset_by_index=[0, 0])
+    except scipy.linalg.LinAlgError as exc:
+        raise EigSolverFailure(f"generalized eigensolve failed: {exc}") from exc
+    beta = float(vals[0])
+    if beta < -1e-10:
+        raise EigSolverFailure(f"negative expansion minimum {beta!r}")
+    return max(beta, 0.0), vecs[:, 0]
+
+
+def min_expansion_dense(graph: PositivePairGraph, subset, class_name: str):
+    """`min_expansion_over_class` as a dense generalized eigensolve over
+    |S| x |S| arrays, the reference its spectral form is checked against.
+
+    tabular: the pair-difference quadratic form and the centered variance
+    form share only the constants as null space, so beta is the smallest
+    generalized eigenvalue of the pencil after deflating constants.
+    linear: the same pencil on the range of the centered covariance of the
+    coordinates.  Costs O(|S|^3) time and O(|S|^2) memory.
+    """
+    idx = _subset_indices(graph, subset)
+    q = _conditional_marginal(graph, idx)
+
+    if class_name == "tabular":
+        if idx.size == 1:
+            return INFINITE, None
+        sub = restrict(graph, idx)
+        W = sub.joint.toarray()
+        A = 2.0 * (np.diag(sub.marginal) - W)
+        B = 2.0 * (np.diag(q) - np.outer(q, q))
+        H = scipy.linalg.null_space(q[None, :])
+        beta, u = _pencil_min(H.T @ A @ H, H.T @ B @ H)
+        g = np.zeros(graph.n)
+        g[idx] = H @ u
+        return beta, g
+
+    if class_name == "linear":
+        X = graph.vertices[idx]
+        mu = q @ X
+        Xc = X - mu
+        C = 2.0 * (Xc.T @ (Xc * q[:, None]))
+        evals, evecs = scipy.linalg.eigh(C)
+        top = evals.max() if evals.size else 0.0
+        keep = evals > _RANGE_REL_TOL * max(top, 1.0) if top > 0 else np.zeros_like(evals, bool)
+        if not keep.any():
+            if idx.size > 1:
+                raise DegenerateCovariance(
+                    "coordinates carry no variance on the subset"
+                )
+            return INFINITE, None
+        R = evecs[:, keep]
+        sub = restrict(graph, idx)
+        W = sub.joint.toarray()
+        lap = np.diag(sub.marginal) - W
+        A = 2.0 * (Xc.T @ (lap @ Xc))
+        beta, u = _pencil_min(R.T @ A @ R, R.T @ C @ R)
+        w = R @ u
+        return beta, graph.vertices @ w
+
+    raise UnknownClass(
+        f"min_expansion_over_class supports 'tabular' and 'linear', got {class_name!r}"
+    )

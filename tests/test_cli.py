@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from pairlab.cli import graph_from_config, load_config, main
-from pairlab.errors import ConfigError
-from pairlab.posgraph import graph_to_dict, save_graph
+from pairlab.errors import BetaZero, ConfigError
+from pairlab.funclass import spec_for_graph
+from pairlab.posgraph import graph_to_dict, partition_from_labels, save_graph
+from pairlab.probe import measure_assumptions, theorem31_bound
 from pairlab.synthdata import (
     Example1Spec,
     Example4Spec,
@@ -467,6 +469,27 @@ class TestProbe:
         assert row["bound"] is None
         assert json.loads(out)["class"] == "tabular"
         assert row["example"] == 1
+
+    def test_disconnected_cells_give_no_bound(self, tmp_path, capsys):
+        # two sub-clusters per point set: each label cell falls apart on
+        # restriction, so beta is exactly 0 and theorem 3.1 gives no bound,
+        # where a dense pencil's rounding noise gave beta ~ 6e-17 and bound 0.0
+        graph = {"example": 3, "r": 2, "gamma": 2.0, "rho": 0.1, "labels": [1, 0],
+                 "m": 2, "sub_clusters_per_set": 2}
+        cfg = write_config(tmp_path, {"version": 1, "graph": graph,
+                                      "class": {"tag": "tabular", "k": 2}})
+        out_dir = tmp_path / "out"
+        code, _, _ = run(["probe", "--config", str(cfg), "--out", str(out_dir)], capsys)
+        assert code == 0
+        row = json.loads((out_dir / "probe.json").read_text())
+        assert row["assumptions"]["beta"] == 0.0
+        assert row["bound"] is None
+
+        lg = graph_from_config({"graph": graph})
+        rep = measure_assumptions(lg.graph, partition_from_labels(lg.labels),
+                                  spec_for_graph("tabular", k=2, graph=lg.graph))
+        with pytest.raises(BetaZero):
+            theorem31_bound(rep)
 
     def test_probe_json_names_a_two_level_source(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"version": 1, "graph": {"two_level": {"m": 2}},

@@ -18,6 +18,8 @@ from pairlab.errors import (
     ZeroMassVertex,
 )
 from pairlab.posgraph import (
+    _canonical_coords,
+    _check_distinct,
     build_graph,
     connected_components,
     cross_cluster_mass,
@@ -62,6 +64,38 @@ class TestBuildGraph:
     def test_duplicate_vertices_rejected(self):
         with pytest.raises(DuplicateVertex):
             build_graph([[1.0], [1.0]], [[0.25, 0.25], [0.25, 0.25]])
+
+    def test_first_of_several_duplicates_is_named(self):
+        # rows 1 = 4 = 6 and 3 = 5, with -0.0 read as 0.0: vertex 4 is the
+        # first to repeat an earlier row, and vertex 1 the first with it
+        verts = [[0.0, 1.0], [2.0, 0.0], [1.0, 1.0], [3.0, 3.0], [2.0, -0.0],
+                 [3.0, 3.0], [2.0, 0.0]]
+        with pytest.raises(DuplicateVertex, match=r"^vertices 1 and 4 have identical"):
+            build_graph(verts, np.eye(7) / 7)
+
+    def test_duplicate_check_matches_the_vertex_loop(self):
+        # the per-vertex dict loop is the reference: same verdict and message
+        # on random coordinate sets with repeats, including zero-width rows
+        def loop_message(vertices):
+            seen = {}
+            for i, row in enumerate(vertices):
+                key = row.tobytes()
+                if key in seen:
+                    return f"vertices {seen[key]} and {i} have identical coordinates"
+                seen[key] = i
+            return None
+
+        rng = np.random.default_rng(7)
+        for case in range(200):
+            n, d = int(rng.integers(1, 40)), int(rng.integers(0, 4))
+            pool = rng.integers(-2, 3, size=(int(rng.integers(1, 60)), d)).astype(float)
+            verts = _canonical_coords(pool[rng.integers(0, pool.shape[0], size=n)])
+            try:
+                _check_distinct(verts)
+                message = None
+            except DuplicateVertex as exc:
+                message = str(exc)
+            assert message == loop_message(verts), case
 
     def test_tiny_asymmetry_within_tolerance_symmetrized(self):
         # 1e-12 skew is inside the acceptance tolerance and gets averaged out

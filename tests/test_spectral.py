@@ -15,7 +15,12 @@ from pairlab.errors import (
     GraphMismatch,
     ZeroFunction,
 )
-from pairlab.posgraph import build_graph, connected_components
+from pairlab.posgraph import (
+    build_graph,
+    connected_components,
+    partition_from_labels,
+    restrict,
+)
 from pairlab.spectral import (
     INFINITE,
     eigendecompose,
@@ -32,9 +37,10 @@ from pairlab.synthdata import (
     example1_graph,
     Example1Spec,
     random_graph,
+    two_level_graph,
 )
 
-from conftest import small_random_graphs
+from conftest import min_expansion_dense, small_random_graphs
 
 
 class TestLaplacianApply:
@@ -230,7 +236,64 @@ class TestExpansionQ:
 class TestMinExpansionOverClass:
     def test_two_subclusters_tabular_zero(self, two_components):
         beta, g = min_expansion_over_class(two_components, [0, 1], "tabular")
-        assert beta == pytest.approx(0.0, abs=1e-12)
+        assert beta == 0.0
+        assert expansion_Q(two_components, [0, 1], g) == 0.0
+
+    @pytest.mark.parametrize("size, path", [
+        (20, "stacked"), (600, "subset"), (spectral._DENSE_BLOCK_LIMIT + 52, "iterative")])
+    def test_tabular_matches_dense_pencil(self, size, path, monkeypatch):
+        # a prefix of random_graph's vertices holds its spanning tree's
+        # edges, so the cell stays connected after restriction; the rest of
+        # the graph takes mass off it, so d_S / q is not constant
+        taken = []
+        solve_blocks, solve_large = spectral._solve_blocks, spectral._solve_large_block
+        monkeypatch.setattr(spectral, "_solve_blocks", lambda M, k, subset: (
+            taken.append("subset" if subset else "stacked") or solve_blocks(M, k, subset)))
+        monkeypatch.setattr(spectral, "_solve_large_block", lambda M, null, k: (
+            taken.append("iterative") or solve_large(M, null, k)))
+        g = random_graph(size + size // 8, n_components=1, seed=5)
+        cell = np.arange(size)
+        assert connected_components(restrict(g, cell)).n_sets == 1
+        beta, argmin = min_expansion_over_class(g, cell, "tabular")
+        ref, _ = min_expansion_dense(g, cell, "tabular")
+        assert taken == [path]
+        assert beta == pytest.approx(ref, rel=1e-12)
+        assert expansion_Q(g, cell, argmin) == pytest.approx(beta, rel=1e-12)
+        assert np.all(argmin[size:] == 0.0)
+
+    def test_disconnected_cell_is_exactly_zero(self):
+        # two of three components: the pencil's noise would give ~1e-16
+        g = random_graph(60, n_components=3, seed=2)
+        labels = connected_components(g).labels
+        cell = np.flatnonzero(labels > 0)
+        beta, argmin = min_expansion_over_class(g, cell, "tabular")
+        assert beta == 0.0
+        assert expansion_Q(g, cell, argmin) == 0.0
+        assert set(np.unique(argmin[cell])) == {0.0, 1.0}
+
+    def test_weakly_linked_cell_is_positive(self):
+        # two 5-cliques joined by a 1e-11 pair: eigendecompose takes its
+        # second eigenvalue for a zero and raises, but the cell is connected
+        # and its expansion minimum is a small positive number
+        J = np.zeros((10, 10))
+        J[:5, :5] = J[5:, 5:] = 1.0
+        J[0, 5] = J[5, 0] = 1e-11
+        g = build_graph(np.arange(10.0)[:, None], J / J.sum())
+        beta, argmin = min_expansion_over_class(g, np.arange(10), "tabular")
+        ref, _ = min_expansion_dense(g, np.arange(10), "tabular")
+        assert 0.0 < beta < 1e-11
+        assert beta == pytest.approx(ref, rel=1e-3)
+        assert expansion_Q(g, np.arange(10), argmin) == pytest.approx(beta, rel=1e-3)
+
+    def test_linear_matches_dense_pencil_bit_for_bit(self):
+        # verify thm31's cells: the CSR form of the pencil is the dense one
+        for i in range(6):
+            lg = two_level_graph(2 + i % 3, seed=31 * i)
+            for cell in partition_from_labels(lg.labels).sets():
+                beta, w = min_expansion_over_class(lg.graph, cell, "linear")
+                ref, ref_w = min_expansion_dense(lg.graph, cell, "linear")
+                assert beta == ref
+                np.testing.assert_array_equal(w, ref_w)
 
     def test_single_vertex_infinite(self, two_components):
         beta, g = min_expansion_over_class(two_components, [0], "tabular")
