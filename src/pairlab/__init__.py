@@ -32,13 +32,11 @@ from .spectral import (
 )
 from .synthdata import (
     Example1Spec,
-    Example3Spec,
     Example4Spec,
     LabeledGraph,
     example1_graph,
     example2_labels,
     example3_graph,
-    example3_lattice,
     example4_graph,
     random_graph,
     two_level_graph,

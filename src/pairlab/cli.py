@@ -53,7 +53,6 @@ from .synthdata import (
     example1_graph,
     example2_labels,
     example3_graph,
-    example3_lattice,
     example4_graph,
     random_graph,
     two_level_graph,
@@ -237,8 +236,7 @@ def _label_map(name):
     return xor_label_map if name == "xor" else enumeration_label_map
 
 
-_HYPERCUBE_KEYS = {"d": _integer, "s": _integer, "tau_grid": _list_of(_number),
-                   "label_dim": _integer}
+_HYPERCUBE_KEYS = {"d": _integer, "s": _integer, "tau_grid": _list_of(_number)}
 # graph sources: name -> (required keys, the reader of each key, builder).  Example N
 # is named by "example": N; "random" and "two_level" hold their keys in an object.
 _GRAPH_SOURCES = {
@@ -247,14 +245,15 @@ _GRAPH_SOURCES = {
                lambda **keys: LabeledGraph(random_graph(**keys))),
     "two_level": (["m"], {"m": _integer, "seed": _integer, "cross_scale": _number},
                   two_level_graph),
-    1: (["d", "s"], _HYPERCUBE_KEYS, lambda **keys: example1_graph(Example1Spec(**keys))),
+    1: (["d", "s"], {**_HYPERCUBE_KEYS, "label_dim": _integer},
+        lambda **keys: example1_graph(Example1Spec(**keys))),
     2: (["d", "s"], {**_HYPERCUBE_KEYS, "label_map": _label_map},
         lambda label_map=xor_label_map, **keys: example2_labels(
             Example1Spec(**keys), label_map(keys["s"]))),
     3: (["r", "gamma", "rho", "labels", "m"], {
         "r": _integer, "points_per_set": _integer, "gamma": _number, "rho": _number,
         "labels": _list_of(_integer), "m": _integer, "sub_clusters_per_set": _integer},
-        lambda **keys: example3_graph(example3_lattice(**{"points_per_set": 4, **keys}))),
+        example3_graph),
     4: (["d", "s", "gamma"], {"d": _integer, "s": _integer, "gamma": _number,
                               "tau_grid": _list_of(_number)},
         lambda **keys: example4_graph(Example4Spec(**keys))),
@@ -540,10 +539,7 @@ def verify_thm56(r: int = 3, m: int = 2, gamma: float = 2.0,
     is kappa-Lipschitz with kappa = sqrt(2r)/gamma and probes the labels
     with error <= 2*r*m*kappa^2*rho^2.
     """
-    labels = tuple(i % m for i in range(r))
-    spec = example3_lattice(r=r, points_per_set=4, gamma=gamma, rho=rho,
-                            labels=labels, m=m)
-    lg = example3_graph(spec)
+    lg = example3_graph(r, gamma, rho, [i % m for i in range(r)], m, points_per_set=4)
     graph = lg.graph
 
     sets = np.repeat(np.arange(r), 4)
@@ -641,8 +637,11 @@ def _eigensolver(dec) -> dict:
 def _class_spec_from(ccfg: Optional[dict], graph: PositivePairGraph):
     if ccfg is None:
         raise ConfigError("config needs a \"class\" section")
+    tag = ccfg.get("tag", "tabular")
+    if "s" in ccfg and tag != "conv":
+        raise ConfigError(f"class.s is the conv window length; class {tag} does not read it")
     given = _given(ccfg, k=_integer, s=_integer)
-    return spec_for_graph(ccfg.get("tag", "tabular"), given.pop("k", 2), graph, **given)
+    return spec_for_graph(tag, given.pop("k", 2), graph, **given)
 
 
 def cmd_train(args, cfg: dict) -> int:
@@ -721,7 +720,10 @@ def cmd_verify(args, cfg: dict) -> int:
 def cmd_br(args, cfg: dict) -> int:
     graph = graph_from_config(cfg).graph
     r_list = _value(cfg, "r_list", _list_of(_positive_int))
-    entries = cfg.get("classes") or [cfg.get("class") or {"tag": "tabular"}]
+    if "class" in cfg and "classes" in cfg:
+        raise ConfigError("br takes class or classes, not both")
+    entries = (_value(cfg, "classes", _list_of(dict)) if "classes" in cfg
+               else [cfg.get("class") or {"tag": "tabular"}])
     if any("k" in entry for entry in entries):
         raise ConfigError("br trains every class at k = r; remove \"k\" from its classes")
     class_specs = [_class_spec_from(e, graph) for e in entries]   # k is set to each r

@@ -81,14 +81,6 @@ class IncompleteLabelMap(PairLabError):
     """A label map does not cover every occurring pattern."""
 
 
-class GeometryViolation(PairLabError):
-    """Cluster geometry violates a declared separation/diameter promise."""
-
-    def __init__(self, message, offending_pair=None):
-        super().__init__(message)
-        self.offending_pair = offending_pair
-
-
 # ---------------------------------------------------------------------------
 # function classes / constructions
 

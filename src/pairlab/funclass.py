@@ -22,9 +22,9 @@ built for and verify their own output semantics on every vertex of it
 before returning, with the displayed bias constants; a vertex where they
 fail raises `ConstructionVerificationFailed`.  Their units and targets
 are indexed by sign pattern in the order of `synthdata.sign_patterns`
-(first coordinate most significant, +1 a 1 bit); `_sign_index` is its
-inverse, and `_patch_cells` reads the (location, pattern) cell of every
-example-4 vertex at once.
+(first coordinate most significant, +1 a 1 bit), whose inverse is
+`synthdata._sign_index`; `_patch_cells` reads the (location, pattern) cell
+of every example-4 vertex at once.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .posgraph import PositivePairGraph
 from .spectral import pair_discrepancy
-from .synthdata import Example1Spec, Example4Spec, sign_patterns
+from .synthdata import Example1Spec, Example4Spec, _sign_index, sign_patterns
 
 _VERIFY_TOL = 1e-9   # relative tolerance for construction output checks
 
@@ -229,13 +229,6 @@ def lipschitz_constant(model: RepresentationModel, graph: PositivePairGraph) -> 
 
 # ---------------------------------------------------------------------------
 # closed-form constructions
-
-
-def _sign_index(positive: np.ndarray) -> np.ndarray:
-    """Row index in `sign_patterns` of each sign pattern, given as a
-    boolean (..., bits) array that is True where the sign is +1."""
-    bits = positive.shape[-1]
-    return positive @ (1 << np.arange(bits - 1, -1, -1))
 
 
 def construct_example1_optimal(spec: Example1Spec) -> RepresentationModel:

@@ -5,8 +5,8 @@ Four generator families:
   * hypercube data with scaled spurious coordinates (example 1; example 2 is
     the same graph with a different labeling of the first-block sign
     patterns),
-  * explicit well-separated point sets with a sub-cluster positive-pair rule
-    (example 3),
+  * a lattice of well-separated point sets, its geometry holding by
+    construction, with positive pairs inside sub-clusters (example 3),
   * patch data on a circle: an informative +-gamma patch at some location,
     spurious +-1 coordinates scaled by a grid in [0, 1] (example 4), labeled
     by the index of the patch pattern.
@@ -18,7 +18,8 @@ n×n array, so graphs up to the size guard build in bounded memory.
 
 `sign_patterns` fixes the one sign-pattern <-> index convention of the
 package: the first coordinate is the most significant bit and +1 is a 1
-bit.  Example 4's labels and the constructions' units in `funclass` use it.
+bit; `_sign_index` is its inverse.  Example 2's and example 4's labels and
+the constructions' units in `funclass` use it.
 """
 
 from __future__ import annotations
@@ -30,11 +31,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 
-from .errors import (
-    GeometryViolation,
-    IncompleteLabelMap,
-    SizeGuardExceeded,
-)
+from .errors import IncompleteLabelMap, SizeGuardExceeded
 from .posgraph import PositivePairGraph, build_graph, connected_components
 
 DEFAULT_SIZE_GUARD = 20000
@@ -111,6 +108,13 @@ def sign_patterns(bits: int) -> np.ndarray:
     return np.where(bits_of == 1, 1.0, -1.0)
 
 
+def _sign_index(positive: np.ndarray) -> np.ndarray:
+    """Row index in `sign_patterns` of each sign pattern, given as a
+    boolean (..., bits) array that is True where the sign is +1."""
+    bits = positive.shape[-1]
+    return positive @ (1 << np.arange(bits - 1, -1, -1))
+
+
 def _hypercube_vertices_and_joint(spec: Example1Spec):
     d, s = spec.d, spec.s
     grid = spec.tau_grid
@@ -158,17 +162,15 @@ def example2_labels(
     verts, joint, first_block = _hypercube_vertices_and_joint(spec)
     graph = build_graph(verts, joint)
 
+    # every pattern occurs, first in `sign_patterns` order
     classes: Dict[int, int] = {}
-    labels = np.empty(graph.n, dtype=np.int64)
-    for i, row in enumerate(first_block):
-        key = tuple(row)
+    table = np.empty(2 ** spec.s, dtype=np.int64)
+    for i, key in enumerate(map(tuple, sign_patterns(spec.s).tolist())):
         if key not in label_map:
             raise IncompleteLabelMap(f"label map misses pattern {key}")
-        raw = label_map[key]
-        if raw not in classes:
-            classes[raw] = len(classes)
-        labels[i] = classes[raw]
-    return LabeledGraph(graph=graph, labels=labels, n_classes=len(classes))
+        table[i] = classes.setdefault(label_map[key], len(classes))
+    return LabeledGraph(graph=graph, labels=table[_sign_index(first_block > 0)],
+                        n_classes=len(classes))
 
 
 def xor_label_map(s: int) -> Dict[Tuple[float, ...], int]:
@@ -184,144 +186,55 @@ def enumeration_label_map(s: int) -> Dict[Tuple[float, ...], int]:
 
 
 # ---------------------------------------------------------------------------
-# example 3: explicit point sets with sub-cluster positives
+# example 3: a lattice of point sets with sub-cluster positives
 
 
-@dataclass(frozen=True)
-class Example3Spec:
-    point_sets: Tuple[Tuple[Tuple[float, ...], ...], ...]
-    rho: float
-    gamma: float
-    labels: Tuple[int, ...]            # set index -> class
-    m: int
-    # one entry per set: a partition of local point indices into
-    # sub-clusters; positive pairs are uniform within a sub-cluster.
-    intra_pair_rule: Tuple[Tuple[Tuple[int, ...], ...], ...]
-
-    @property
-    def r(self) -> int:
-        return len(self.point_sets)
-
-
-def example3_graph(spec: Example3Spec) -> LabeledGraph:
-    """Point-set example: each set carries mass 1/r, uniform within.
-
-    Positive pairs occur only inside a sub-cluster of a set.  Sub-cluster
-    c of set i (sizes q_c within q_i points) receives pair mass
-    (1/r)(q_c/q_i) spread uniformly over its ordered pairs, which keeps the
-    marginal uniform on the set.  Geometry is verified: intra-set diameters
-    must be <= rho and inter-set distances >= gamma.
-    """
-    r = spec.r
-    if r == 0:
-        raise ValueError("need at least one point set")
-    if len(spec.labels) != r:
-        raise ValueError("labels must assign a class to every set")
-    sets = [np.asarray(ps, dtype=np.float64) for ps in spec.point_sets]
-    sizes = [ps.shape[0] for ps in sets]
-    n = sum(sizes)
-    if n > DEFAULT_SIZE_GUARD:
-        raise SizeGuardExceeded(f"{n} vertices exceed guard {DEFAULT_SIZE_GUARD}")
-
-    # imported on use: scipy.spatial is a sixth of `import pairlab`
-    from scipy.spatial.distance import cdist
-
-    for i, ps in enumerate(sets):
-        if ps.shape[0] == 0:
-            raise ValueError(f"point set {i} is empty")
-        dist = cdist(ps, ps)
-        worst = np.unravel_index(np.argmax(dist), dist.shape)
-        if dist[worst] > spec.rho:
-            raise GeometryViolation(
-                f"set {i} has diameter {float(dist[worst])!r} > rho={spec.rho!r}",
-                offending_pair=((i, int(worst[0])), (i, int(worst[1]))),
-            )
-    for i in range(r):
-        for j in range(i + 1, r):
-            dist = cdist(sets[i], sets[j])
-            worst = np.unravel_index(np.argmin(dist), dist.shape)
-            if dist[worst] < spec.gamma:
-                raise GeometryViolation(
-                    f"sets {i},{j} at distance {float(dist[worst])!r} < gamma={spec.gamma!r}",
-                    offending_pair=((i, int(worst[0])), (j, int(worst[1]))),
-                )
-
-    if len(spec.intra_pair_rule) != r:
-        raise ValueError("intra_pair_rule must have one entry per set")
-
-    verts = np.vstack(sets)
-    rows, cols, vals = [], [], []
-    offsets = np.cumsum([0] + sizes)
-    for i, subclusters in enumerate(spec.intra_pair_rule):
-        covered = sorted(idx for sc in subclusters for idx in sc)
-        if covered != list(range(sizes[i])):
-            raise ValueError(
-                f"intra_pair_rule for set {i} is not a partition of its points"
-            )
-        q_i = sizes[i]
-        for sc in subclusters:
-            q_c = len(sc)
-            mass = (1.0 / r) * (q_c / q_i)
-            w = mass / (q_c * q_c)
-            idx = offsets[i] + np.asarray(sc, dtype=np.int64)
-            rows.append(np.repeat(idx, q_c))
-            cols.append(np.tile(idx, q_c))
-            vals.append(np.full(q_c * q_c, w))
-
-    graph = build_graph(verts, _triplets(np.concatenate(rows), np.concatenate(cols),
-                                         np.concatenate(vals), n))
-    labels = np.concatenate(
-        [np.full(q, spec.labels[i], dtype=np.int64) for i, q in enumerate(sizes)]
-    )
-    return LabeledGraph(graph=graph, labels=labels, n_classes=spec.m)
-
-
-def example3_lattice(
+def example3_graph(
     r: int,
-    points_per_set: int,
     gamma: float,
     rho: float,
     labels: Sequence[int],
     m: int,
+    points_per_set: int = 4,
     sub_clusters_per_set: int = 1,
-) -> Example3Spec:
-    """Deterministic lattice instance with verifiable slack.
+) -> LabeledGraph:
+    """Point-set example: r sets of `points_per_set` points, set i labeled
+    `labels[i]` of m classes, each set carrying mass 1/r, uniform within.
 
-    Set centers sit on the first axis with actual separation 1.25*gamma +
-    rho (so the declared gamma holds strictly, never at float equality);
-    points spread along the second axis with diameter 0.9*rho.
+    Geometry holds by construction: set centers sit on the first axis
+    1.25*gamma + rho apart (so the declared gamma holds with slack, not at
+    float equality), and each set's points spread along the second axis
+    with diameter 0.9*rho.  Each set splits into `sub_clusters_per_set`
+    runs of consecutive points; a sub-cluster of q_c of the set's q points
+    receives pair mass (1/r)(q_c/q) spread uniformly over its ordered
+    pairs, which keeps the marginal uniform on the set.
     """
+    if sub_clusters_per_set < 1:
+        raise ValueError(f"need sub_clusters_per_set >= 1, got {sub_clusters_per_set}")
     if points_per_set % sub_clusters_per_set:
         raise ValueError("sub_clusters_per_set must divide points_per_set")
-    step = 1.25 * gamma + rho
-    point_sets = []
-    rule = []
-    for i in range(r):
-        base = np.zeros(2)
-        base[0] = i * step
-        if points_per_set == 1:
-            offsets = np.zeros((1, 2))
-        else:
-            offsets = np.zeros((points_per_set, 2))
-            offsets[:, 1] = np.arange(points_per_set) * (
-                0.9 * rho / (points_per_set - 1)
-            )
-        point_sets.append(tuple(tuple(map(float, base + off)) for off in offsets))
-        per = points_per_set // sub_clusters_per_set
-        rule.append(
-            tuple(
-                tuple(range(c * per, (c + 1) * per))
-                for c in range(sub_clusters_per_set)
-            )
-        )
-    return Example3Spec(
-        point_sets=tuple(point_sets),
-        rho=rho,
-        gamma=gamma,
-        labels=tuple(labels),
-        m=m,
-        intra_pair_rule=tuple(rule),
-    )
+    if r < 1:
+        raise ValueError("need at least one point set")
+    if len(labels) != r:
+        raise ValueError("labels must assign a class to every set")
+    n = r * points_per_set
+    if n > DEFAULT_SIZE_GUARD:
+        raise SizeGuardExceeded(f"{n} vertices exceed guard {DEFAULT_SIZE_GUARD}")
+    if points_per_set < 1:
+        raise ValueError(f"need points_per_set >= 1, got {points_per_set}")
+    if rho < 0:
+        raise ValueError(f"need rho >= 0, got {rho!r}")
+
+    spread = 0.9 * rho / (points_per_set - 1) if points_per_set > 1 else 0.0
+    verts = np.empty((n, 2))
+    verts[:, 0] = np.repeat(np.arange(r) * (1.25 * gamma + rho), points_per_set)
+    verts[:, 1] = np.tile(np.arange(points_per_set) * spread, r)
+    per = points_per_set // sub_clusters_per_set
+    w = (1.0 / r) * (per / points_per_set) / (per * per)
+    rows, cols = _block_pairs(np.arange(r * sub_clusters_per_set) * per, per)
+    graph = build_graph(verts, _triplets(rows, cols, np.full(rows.size, w), n))
+    labels = np.repeat(np.asarray(labels, dtype=np.int64), points_per_set)
+    return LabeledGraph(graph=graph, labels=labels, n_classes=m)
 
 
 # ---------------------------------------------------------------------------

@@ -14,18 +14,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pairlab.cli import graph_from_config, load_config, main
+from pairlab.cli import _py, graph_from_config, load_config, main
 from pairlab.errors import BetaZero, ConfigError
 from pairlab.funclass import spec_for_graph
 from pairlab.posgraph import graph_to_dict, partition_from_labels, save_graph
 from pairlab.probe import measure_assumptions, theorem31_bound
+from pairlab.spectral import INFINITE
 from pairlab.synthdata import (
     Example1Spec,
     Example4Spec,
     enumeration_label_map,
     example2_labels,
     example3_graph,
-    example3_lattice,
     example4_graph,
 )
 
@@ -209,6 +209,31 @@ class TestConfigValidation:
         ("graph-info", {"graph": {"file": 5}}, "graph: file: need a string, got 5"),
         ("graph-info", {"graph": {"two_level": {"m": 2}, "seed": 1}},
          "unknown config key: graph.seed"),
+        ("train", {"graph": {"random": {"n": 6}}, "class": {"tag": "relu", "k": 2, "s": 1}},
+         "class.s is the conv window length; class relu does not read it"),
+        ("probe", {"graph": {"example": 1, "d": 3, "s": 1},
+                   "class": {"tag": "linear", "k": 2, "s": 1}}, "class linear does not read it"),
+        ("br", {"graph": {"random": {"n": 6}}, "r_list": [1],
+                "classes": [{"tag": "conv", "s": 1}, {"tag": "tabular", "s": 1}]},
+         "class tabular does not read it"),
+        ("graph-info", {"graph": {"example": 2, "d": 4, "s": 2, "label_dim": 1}},
+         "unknown config key: graph.label_dim"),
+        ("br", {"graph": {"random": {"n": 6}}, "r_list": [1], "class": {"tag": "tabular"},
+                "classes": [{"tag": "linear"}]}, "br takes class or classes, not both"),
+        ("br", {"graph": {"random": {"n": 6}}, "r_list": [1], "classes": []},
+         "classes: need a nonempty list, got []"),
+        ("graph-info", {"graph": {"example": 3, "r": 2, "gamma": 1.0, "rho": 0.1,
+                                  "labels": [0, 1], "m": 2, "sub_clusters_per_set": 0}},
+         "graph: need sub_clusters_per_set >= 1, got 0"),
+        ("graph-info", {"graph": {"example": 3, "r": 2, "gamma": 1.0, "rho": -0.1,
+                                  "labels": [0, 1], "m": 2}}, "graph: need rho >= 0, got -0.1"),
+        ("graph-info", {"graph": {"example": 3, "r": 2, "gamma": 1.0, "rho": 0.1,
+                                  "labels": [0, 1], "m": 2, "points_per_set": 0}},
+         "graph: need points_per_set >= 1, got 0"),
+        ("train", {"graph": {"random": {"n": 6}}, "class": 5}, "class must be an object"),
+        ("train", {"graph": {"random": {"n": 6}}}, "config needs a \"class\" section"),
+        ("probe", {"graph": {"example": 1, "d": 3, "s": 1}},
+         "config needs a \"class\" section"),
     ], ids=["missing-d", "s-over-d", "example2-xor-s1", "zero-step", "text-max-iters",
             "text-lambda-train", "text-lambda-probe", "br-classes-text-s",
             "text-count", "zero-r", "empty-lambda-grid", "text-n-graphs",
@@ -220,7 +245,11 @@ class TestConfigValidation:
             "float-count", "float-r-list", "bool-n-components", "float-class-k",
             "bool-lambda", "text-cross-scale", "text-tau-grid", "random-and-example",
             "example1-foreign-keys", "file-and-two-level", "no-source", "unknown-example",
-            "bool-example", "file-zero", "file-true", "file-five", "seed-beside-two-level"])
+            "bool-example", "file-zero", "file-true", "file-five", "seed-beside-two-level",
+            "train-relu-s", "probe-linear-s", "br-tabular-s", "example2-label-dim",
+            "br-class-and-classes", "br-empty-classes", "example3-zero-sub-clusters",
+            "example3-negative-rho", "example3-zero-points", "class-not-object",
+            "train-without-class", "probe-without-class"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, doc, message):
         cfg = write_config(tmp_path, {"version": 1, **doc})
         try:
@@ -231,6 +260,13 @@ class TestConfigValidation:
         assert code == 2
         assert err.startswith(first) and message in err
         assert "Traceback" not in err
+
+    def test_outputs_hold_plain_json_values(self):
+        doc = _py({"x": np.float64(0.5), "i": np.int64(3), "beta": INFINITE,
+                   "rows": (np.arange(2),)})
+        assert doc == {"x": 0.5, "i": 3, "beta": "INFINITE", "rows": [[0, 1]]}
+        assert json.loads(json.dumps(doc)) == doc
+        assert type(doc["x"]) is float and type(doc["i"]) is int
 
     def test_no_graph_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"version": 1})
@@ -601,17 +637,15 @@ class TestGraphFromConfig:
     def test_example3(self):
         got = graph_from_config({"graph": {"example": 3, "r": 3, "gamma": 2.0,
                                            "rho": 0.1, "labels": [0, 1, 0], "m": 2}})
-        want = example3_graph(example3_lattice(r=3, points_per_set=4, gamma=2.0,
-                                               rho=0.1, labels=[0, 1, 0], m=2))
+        want = example3_graph(r=3, gamma=2.0, rho=0.1, labels=[0, 1, 0], m=2)
         assert_same_labeled_graph(got, want)
 
     def test_example3_sub_clusters(self):
         got = graph_from_config({"graph": {
             "example": 3, "r": 2, "points_per_set": 6, "sub_clusters_per_set": 3,
             "gamma": 1.5, "rho": 0.2, "labels": [1, 0], "m": 2}})
-        want = example3_graph(example3_lattice(r=2, points_per_set=6, gamma=1.5,
-                                               rho=0.2, labels=[1, 0], m=2,
-                                               sub_clusters_per_set=3))
+        want = example3_graph(r=2, gamma=1.5, rho=0.2, labels=[1, 0], m=2,
+                              points_per_set=6, sub_clusters_per_set=3)
         assert_same_labeled_graph(got, want)
 
     def test_example4(self):
@@ -646,7 +680,7 @@ SOURCE_KEYS = {
     "random": {"n", "n_components", "seed"},
     "two_level": {"m", "seed", "cross_scale"},
     1: {"d", "s", "tau_grid", "label_dim"},
-    2: {"d", "s", "tau_grid", "label_dim", "label_map"},
+    2: {"d", "s", "tau_grid", "label_map"},
     3: {"r", "points_per_set", "gamma", "rho", "labels", "m", "sub_clusters_per_set"},
     4: {"d", "s", "gamma", "tau_grid"},
 }
@@ -656,8 +690,7 @@ FULL_SOURCES = {
     "random": {"random": {"n": 8, "n_components": 2, "seed": 3}},
     "two_level": {"two_level": {"m": 2, "seed": 1, "cross_scale": 0.01}},
     1: {"example": 1, "d": 4, "s": 2, "tau_grid": [0.5, 1.0], "label_dim": 1},
-    2: {"example": 2, "d": 4, "s": 2, "tau_grid": [0.5, 1.0], "label_dim": 1,
-        "label_map": "enumeration"},
+    2: {"example": 2, "d": 4, "s": 2, "tau_grid": [0.5, 1.0], "label_map": "enumeration"},
     3: {"example": 3, "r": 2, "points_per_set": 6, "gamma": 1.5, "rho": 0.2,
         "labels": [1, 0], "m": 2, "sub_clusters_per_set": 3},
     4: {"example": 4, "d": 5, "s": 2, "gamma": 3.0, "tau_grid": [0, 1]},

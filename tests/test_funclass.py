@@ -15,7 +15,6 @@ from pairlab.errors import (
 )
 from pairlab.funclass import (
     FunctionClassSpec,
-    _sign_index,
     construct_adversarial_universal,
     construct_example1_optimal,
     construct_example2_optimal,
@@ -39,6 +38,7 @@ from pairlab.synthdata import (
     Example1Spec,
     Example4Spec,
     example1_graph,
+    _sign_index,
     example4_graph,
     sign_patterns,
 )
@@ -104,6 +104,34 @@ class TestForward:
         assert FunctionClassSpec("linear", k=3, d=5).param_count() == 15
         assert FunctionClassSpec("relu", k=3, d=5).param_count() == 18
         assert FunctionClassSpec("conv", k=3, d=5, s=2).param_count() == 9
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda g: FunctionClassSpec("linear", k=0, d=1), DimensionMismatch, "k must be >= 1"),
+    (lambda g: FunctionClassSpec("conv", k=1, d=2, s=3), DimensionMismatch,
+     "conv needs 1 <= s <= d"),
+    (lambda g: forward(FunctionClassSpec("tabular", k=1, n=3).model(np.zeros(3)), g),
+     DimensionMismatch, "tabular model for n=3 evaluated on n=2"),
+    (lambda g: grad_params(FunctionClassSpec("linear", k=1, d=1).model([1.0]), g,
+                           np.zeros((3, 1))), DimensionMismatch, "cotangent shape"),
+    (lambda g: construct_adversarial_universal(g, 1, key_dims=[]), DimensionMismatch,
+     "bad key dims"),
+    (lambda g: construct_adversarial_universal(g, 1, key_dims=[1]), DimensionMismatch,
+     "bad key dims"),
+    (lambda g: construct_adversarial_universal(g, 1, key_dims=[0]), SpecMismatch,
+     r"components do not refine key patterns \(edge at vertex 0\)"),
+], ids=["k-zero", "conv-window", "tabular-n", "cotangent", "no-key-dims",
+        "key-dim-range", "straddling-pair"])
+def test_bad_shapes_rejected(call, error, message):
+    # one connected pair of vertices at -1 and +1
+    with pytest.raises(error, match=message):
+        call(_grid_graph([[-1.0], [1.0]]))
+
+
+def test_example4_adversary_too_many_outputs():
+    spec = Example4Spec(d=3, s=1, gamma=2.0, tau_grid=(1.0,))
+    with pytest.raises(TooManyOutputs, match="k=7 exceeds 6 clusters"):
+        construct_example4_adversarial_relu(spec, 7, example4_graph(spec).graph)
 
 
 class TestGradParams:

@@ -214,6 +214,19 @@ class TestStackedLoss:
                 assert population_loss(g, model, lam).total <= \
                     population_loss(g, m, lam).total
 
+    @pytest.mark.parametrize("lams, kwargs, message", [
+        ([1.0, 2.0], lambda g: {"seeds": [1]}, "need one seed and one extra_inits entry"),
+        ([1.0], lambda g: {"extra_inits": [(), ()]}, "need one seed and one extra_inits entry"),
+        ([], lambda g: {}, "need one seed and one extra_inits entry"),
+        ([1.0], lambda g: {"extra_inits": [[spec_for_graph("linear", 2, g).init_model(
+            np.random.default_rng(0))]]}, "extra_inits must match the trained class"),
+    ], ids=["short-seeds", "long-extra-inits", "no-lambda", "foreign-class"])
+    def test_bad_lists_rejected(self, lams, kwargs, message):
+        g = random_graph(6, n_components=1, seed=3)
+        with pytest.raises(ValueError, match=message):
+            train_grid(g, spec_for_graph("tabular", 2, g), lams, TrainConfig(max_iters=5),
+                       **kwargs(g))
+
     def test_seeds_pick_the_starts(self):
         g = random_graph(8, n_components=1, seed=25)
         spec = spec_for_graph("linear", 2, g)

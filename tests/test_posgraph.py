@@ -97,6 +97,14 @@ class TestBuildGraph:
                 message = str(exc)
             assert message == loop_message(verts), case
 
+    @pytest.mark.parametrize("verts, joint, error, message", [
+        ([0.0, 1.0], np.full((2, 2), 0.25), ValueError, r"vertices must be 2-d, got shape \(2,\)"),
+        (np.zeros((0, 2)), np.zeros((0, 0)), EmptySupport, "at least one vertex"),
+    ], ids=["flat-vertices", "empty"])
+    def test_bad_vertices_rejected(self, verts, joint, error, message):
+        with pytest.raises(error, match=message):
+            build_graph(verts, joint)
+
     def test_tiny_asymmetry_within_tolerance_symmetrized(self):
         # 1e-12 skew is inside the acceptance tolerance and gets averaged out
         g = build_graph([[0.0], [1.0]],
@@ -143,6 +151,17 @@ class TestFromAugmentationProcess:
         with pytest.raises(EmptySupport):
             from_augmentation_process([], [], [])
 
+    @pytest.mark.parametrize("p, kernel, verts, error, message", [
+        ([0.5, 0.5], [[1.0]], [[0.0]], ValueError, r"kernel shape \(1, 1\) does not match 2"),
+        ([1.5, -0.5], [[1.0], [1.0]], [[0.0]], EmptySupport, "must be nonnegative"),
+        ([0.0], [[1.0]], [[0.0]], EmptySupport, "sum to zero"),
+        ([0.5], [[1.0]], [[0.0]], NotNormalized, "natural weights sum to 0.5"),
+        ([1.0], [[1.5, -0.5]], [[0.0], [1.0]], KernelNotNormalized, "negative entries"),
+    ], ids=["kernel-shape", "negative-weight", "zero-weights", "weights-sum", "negative-kernel"])
+    def test_bad_process_rejected(self, p, kernel, verts, error, message):
+        with pytest.raises(error, match=message):
+            from_augmentation_process(p, kernel, verts)
+
 
 class TestComponentsAndCrossMass:
     def test_block_diagonal_three_blocks(self):
@@ -185,6 +204,10 @@ class TestComponentsAndCrossMass:
             assert part.n_sets == m
             assert cross_cluster_mass(g, part) == 0.0
 
+    def test_partition_of_another_size_rejected(self, two_vertex_uniform):
+        with pytest.raises(ValueError, match="partition does not match graph size"):
+            cross_cluster_mass(two_vertex_uniform, partition_from_labels([0, 1, 1]))
+
 
 class TestRestrict:
     def test_full_subset_is_identity(self, two_vertex_uniform):
@@ -215,6 +238,21 @@ class TestRestrict:
         g = build_graph(verts, J)
         with pytest.raises(ZeroConditionalMass):
             restrict(g, [0, 3])
+
+    @pytest.mark.parametrize("subset, message", [
+        ([0, 0], "repeated indices"), ([0, 2], "index out of range"),
+        ([-1], "index out of range"),
+    ])
+    def test_bad_subset_rejected(self, two_vertex_uniform, subset, message):
+        with pytest.raises(ValueError, match=message):
+            restrict(two_vertex_uniform, subset)
+
+    def test_vertex_without_pair_mass_in_subset(self):
+        # vertex 2 pairs only with vertex 1, which the subset leaves out
+        J = np.array([[0.4, 0.0, 0.0], [0.0, 0.4, 0.1], [0.0, 0.1, 0.0]])
+        g = build_graph([[0.0], [1.0], [2.0]], J)
+        with pytest.raises(ZeroMassVertex, match="vertex 2 has no within-subset pair mass"):
+            restrict(g, [0, 2])
 
     def test_restrict_idempotent(self, two_components_uneven):
         once = restrict(two_components_uneven, [0, 1])
@@ -426,6 +464,21 @@ class TestStrictLoader:
         doc["joint"]["triplets"][0][col] = number
         with pytest.raises(MalformedGraphFile):
             graph_from_dict(doc)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [doc], "graph document must be a JSON object"),
+        (lambda doc: {**doc, "marginal": 0.5}, "marginal must be a list"),
+        (lambda doc: {**doc, "vertices": [[10 ** 400], [1.0]]},
+         "unreadable vertices array: int too large"),
+        (lambda doc: {**doc, "joint": {"triplets": [[0, 0]]}},
+         r"triplets must be a list of \[i, j, value\]"),
+        (lambda doc: {**doc, "vertices": [0.0, 1.0]},
+         "unreadable vertices array: vertices must be 2-d"),
+    ], ids=["not-object", "marginal-not-list", "vertex-overflow", "short-triplet",
+            "flat-vertices"])
+    def test_malformed_document_rejected(self, two_vertex_uniform, edit, message):
+        with pytest.raises(MalformedGraphFile, match=message):
+            graph_from_dict(edit(graph_to_dict(two_vertex_uniform)))
 
     def test_ragged_vertices_rejected(self, two_vertex_uniform):
         doc = graph_to_dict(two_vertex_uniform)

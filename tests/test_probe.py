@@ -8,6 +8,7 @@ from pairlab.errors import (
     BetaZero,
     DimensionMismatch,
     NotOrthonormal,
+    ZeroFunction,
 )
 from pairlab.funclass import construct_example1_optimal, forward, spec_for_graph
 from pairlab.posgraph import connected_components, partition_from_labels
@@ -196,6 +197,26 @@ class TestMeasureEigenspaceQuantities:
         F, part = self._indicator_basis(g)
         with pytest.raises(NotOrthonormal):
             measure_eigenspace_quantities(g, 2.0 * F, [F[:, 0]], part.labels)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda g: fit_linear_head(g, np.ones(g.n), np.zeros(g.n, dtype=np.int64)),
+     DimensionMismatch, r"representations shape \(6,\) vs n=6"),
+    (lambda g: measure_eigenspace_quantities(g, np.ones((g.n + 1, 1)), [], [0] * g.n),
+     DimensionMismatch, r"f_eig shape \(7, 1\) vs n=6"),
+    (lambda g: measure_eigenspace_quantities(g, np.ones((g.n, 1)), [np.ones(g.n - 1)], [0] * g.n),
+     DimensionMismatch, "candidate length does not match graph"),
+    (lambda g: measure_eigenspace_quantities(g, np.ones((g.n, 1)), [np.zeros(g.n)], [0] * g.n),
+     ZeroFunction, "identically zero"),
+    (lambda g: theorem42_bound(_eig_report(0.0, 0.0, 0.0, 1.0), 2, 0.0), ValueError,
+     "lambda must be positive"),
+    (lambda g: theorem56_bound(2, 2, 1.0, -0.1), ValueError, "arguments must be positive"),
+], ids=["head-shape", "f-eig-shape", "candidate-length", "zero-candidate", "lambda-zero",
+        "negative-rho"])
+def test_bad_arguments_rejected(call, error, message):
+    # the constant 1 is an orthonormal reference column: the marginal sums to 1
+    with pytest.raises(error, match=message):
+        call(random_graph(6, n_components=1, seed=2))
 
 
 def _assumption_report(alpha, beta, pmin, pmax, m=2):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
@@ -12,7 +13,9 @@ from pairlab import spectral
 from pairlab.errors import (
     DegenerateCovariance,
     EigSolverFailure,
+    EmptySubset,
     GraphMismatch,
+    UnknownClass,
     ZeroFunction,
 )
 from pairlab.posgraph import (
@@ -338,7 +341,65 @@ class TestIsEigenfunction:
             is_eigenfunction(two_vertex_uniform, [0.0, 0.0], 0.0, 1e-10)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda g: eigendecompose(g, 0), GraphMismatch, "count=0 invalid for graph with n=2"),
+    (lambda g: eigendecompose(g, 3), GraphMismatch, "count=3 invalid"),
+    (lambda g: eigendecompose(g, 1.0), GraphMismatch, "count=1.0 invalid"),
+    (lambda g: is_eigenfunction(g, np.ones((2, 2)), 0.0, 1e-10), GraphMismatch,
+     "is_eigenfunction takes a single scalar function"),
+    (lambda g: expansion_Q(g, [0, 1], np.ones((2, 2))), GraphMismatch,
+     "expansion_Q takes a single scalar function"),
+    (lambda g: expansion_Q(g, [], [1.0, -1.0]), EmptySubset, "empty vertex set"),
+    (lambda g: min_expansion_over_class(g, [0, 1], "relu"), UnknownClass,
+     "supports 'tabular' and 'linear', got 'relu'"),
+], ids=["count-zero", "count-above-n", "count-float", "eigenfunction-2d", "expansion-2d",
+        "empty-subset", "relu-class"])
+def test_bad_arguments_rejected(two_vertex_uniform, call, error, message):
+    with pytest.raises(error, match=message):
+        call(two_vertex_uniform)
+
+
+class TestSolverFailures:
+    """Failures of the solvers underneath, planted; each is a typed error."""
+
+    def test_block_solve_failure(self, monkeypatch):
+        def fail(M, k, subset):
+            raise scipy.linalg.LinAlgError("planted")
+
+        monkeypatch.setattr(spectral, "_solve_blocks", fail)
+        with pytest.raises(EigSolverFailure, match="planted"):
+            eigendecompose(random_graph(6, n_components=1, seed=1), 2)
+
+    def test_residual_check(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_RESIDUAL_TOL", -1.0)
+        with pytest.raises(EigSolverFailure, match="eigenpair residual .* exceeds -1.0"):
+            eigendecompose(random_graph(6, n_components=1, seed=1), 2)
+
+    @pytest.mark.parametrize("pencil, message", [
+        ("raise", "generalized eigensolve failed: planted"),
+        ("negative", "negative expansion minimum -0.5"),
+    ])
+    def test_linear_pencil(self, monkeypatch, pencil, message):
+        real = scipy.linalg.eigh
+
+        def eigh(a, b=None, **kwargs):
+            if b is None:               # the covariance, not the pencil
+                return real(a, **kwargs)
+            if pencil == "raise":
+                raise scipy.linalg.LinAlgError("planted")
+            return np.array([-0.5]), np.ones((a.shape[0], 1))
+
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+        g = random_graph(6, n_components=1, seed=1)
+        with pytest.raises(EigSolverFailure, match=message):
+            min_expansion_over_class(g, np.arange(6), "linear")
+
+
 class TestInfiniteSentinel:
+    def test_repr_and_hash(self):
+        assert repr(INFINITE) == "INFINITE"
+        assert {INFINITE: 1}[spectral.INFINITE] == 1
+
     def test_total_order_against_floats(self):
         assert INFINITE > 1e300
         assert INFINITE >= 1e300

@@ -1,6 +1,7 @@
 """Generators: hypercube examples, point-set clusters, patch example,
 random disconnected graphs, and the two-level / component-cluster graphs."""
 
+import hashlib
 import itertools
 import tracemalloc
 
@@ -8,17 +9,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from pairlab.errors import (
-    GeometryViolation,
-    IncompleteLabelMap,
-    SizeGuardExceeded,
-)
+from pairlab.errors import IncompleteLabelMap, SizeGuardExceeded
 from pairlab.posgraph import build_graph, connected_components, cross_cluster_mass
 from pairlab.probe import probe_error
 from pairlab.spectral import eigendecompose, pair_discrepancy
 from pairlab.synthdata import (
     Example1Spec,
-    Example3Spec,
     Example4Spec,
     component_cluster_graph,
     component_constant_function,
@@ -26,9 +22,9 @@ from pairlab.synthdata import (
     example1_graph,
     example2_labels,
     example3_graph,
-    example3_lattice,
     example4_graph,
     random_graph,
+    sign_patterns,
     two_level_graph,
     xor_label_map,
 )
@@ -115,22 +111,47 @@ class TestExample2Labels:
 
     def test_incomplete_map_rejected(self):
         spec = Example1Spec(d=3, s=2, tau_grid=(1.0,))
-        with pytest.raises(IncompleteLabelMap):
-            example2_labels(spec, {(-1.0, -1.0): 0})
+        with pytest.raises(IncompleteLabelMap, match=r"misses pattern \(-1.0, 1.0\)"):
+            example2_labels(spec, {(-1.0, -1.0): 0, (1.0, 1.0): 1})
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_labels_match_vertex_loop(self, d):
+        # reference: look every vertex's first-block signs up in the map,
+        # numbering classes densely in order of first appearance
+        rng = np.random.default_rng(d)
+        for s in range(1, d):
+            maps = [enumeration_label_map(s), xor_label_map(s) if s >= 2 else {},
+                    {tuple(p): int(rng.integers(0, 4)) for p in sign_patterns(s).tolist()}]
+            for label_map in filter(None, maps):
+                spec = Example1Spec(d=d, s=s)
+                got = example2_labels(spec, label_map)
+                classes, want = {}, []
+                for row in got.graph.vertices[:, :s]:
+                    raw = label_map[tuple(np.sign(row))]
+                    want.append(classes.setdefault(raw, len(classes)))
+                assert got.labels.dtype == np.int64
+                np.testing.assert_array_equal(got.labels, want)
+                assert got.n_classes == len(classes)
+
+
+def graph_digest(lg) -> str:
+    """SHA-256 of a labeled graph's vertices, CSR joint and labels."""
+    joint = lg.graph.joint
+    digest = hashlib.sha256()
+    for arr in (lg.graph.vertices, joint.indptr.astype(np.int64),
+                joint.indices.astype(np.int64), joint.data, lg.labels):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
 
 
 class TestExample3:
     def test_singletons_at_distance_gamma(self):
-        spec = example3_lattice(r=2, points_per_set=1, gamma=1.0, rho=0.1,
-                                labels=[0, 1], m=2)
-        lab = example3_graph(spec)
+        lab = example3_graph(2, 1.0, 0.1, [0, 1], 2, points_per_set=1)
         assert connected_components(lab.graph).n_sets == 2
         np.testing.assert_array_equal(lab.labels, [0, 1])
 
     def test_subclusters_split_components_not_labels(self):
-        spec = example3_lattice(r=2, points_per_set=4, gamma=1.0, rho=0.1,
-                                labels=[0, 1], m=2, sub_clusters_per_set=2)
-        lab = example3_graph(spec)
+        lab = example3_graph(2, 1.0, 0.1, [0, 1], 2, sub_clusters_per_set=2)
         assert connected_components(lab.graph).n_sets == 4
         assert lab.n_classes == 2
         part = connected_components(lab.graph)
@@ -138,43 +159,56 @@ class TestExample3:
             assert len(set(lab.labels[cell])) == 1
 
     def test_marginal_uniform_per_set(self):
-        spec = example3_lattice(r=3, points_per_set=4, gamma=2.0, rho=0.1,
-                                labels=[0, 1, 0], m=2)
-        lab = example3_graph(spec)
+        lab = example3_graph(3, 2.0, 0.1, [0, 1, 0], 2)
         np.testing.assert_allclose(lab.graph.marginal, 1.0 / 12.0, atol=1e-12)
 
-    def test_geometry_violation_diameter(self):
-        # second point of set 0 sits rho * 3 away from the first
-        spec = Example3Spec(
-            point_sets=(((0.0, 0.0), (0.0, 0.3)), ((5.0, 0.0),)),
-            rho=0.1, gamma=1.0, labels=(0, 1), m=2,
-            intra_pair_rule=((tuple([0, 1]),), (tuple([0]),)),
-        )
-        with pytest.raises(GeometryViolation) as exc_info:
-            example3_graph(spec)
-        assert exc_info.value.offending_pair is not None
-
-    def test_geometry_violation_separation(self):
-        spec = Example3Spec(
-            point_sets=(((0.0, 0.0),), ((0.5, 0.0),)),
-            rho=0.1, gamma=1.0, labels=(0, 1), m=2,
-            intra_pair_rule=((tuple([0]),), (tuple([0]),)),
-        )
-        with pytest.raises(GeometryViolation):
-            example3_graph(spec)
-
     def test_lattice_honors_declared_geometry(self):
-        spec = example3_lattice(r=3, points_per_set=4, gamma=2.0, rho=0.5,
-                                labels=[0, 1, 1], m=2)
-        pts = [np.array(s) for s in spec.point_sets]
-        for s in pts:
-            d = np.linalg.norm(s[:, None, :] - s[None, :, :], axis=-1)
-            assert d.max() <= spec.rho + 1e-12
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                d = np.linalg.norm(pts[i][:, None, :] - pts[j][None, :, :],
-                                   axis=-1)
-                assert d.min() >= spec.gamma - 1e-12
+        # every set has diameter <= rho and sets lie >= gamma apart, read
+        # from the built graph's coordinates
+        for r, points_per_set, gamma, rho in itertools.product(
+                [1, 2, 3, 7], [1, 2, 4, 6], [0.0, 0.5, 2.0, 3.7], [0.05, 0.5, 1.3]):
+            lab = example3_graph(r, gamma, rho, [0] * r, 1, points_per_set=points_per_set)
+            sets = lab.graph.vertices.reshape(r, points_per_set, 2)
+            for i, j in itertools.product(range(r), repeat=2):
+                dist = np.linalg.norm(sets[i][:, None] - sets[j][None, :], axis=-1)
+                if i == j:
+                    assert dist.max() <= rho
+                else:
+                    assert dist.min() >= gamma
+
+    @pytest.mark.parametrize("args, digest", [
+        ((3, 2.0, 0.1, [0, 1, 0], 2, 4, 1),
+         "d23248b82b0982acbe031a886b2e57faeb601b44241c851ac6989ec2f26d2c66"),
+        ((2, 1.5, 0.2, [1, 0], 2, 6, 3),
+         "5081ec5df9b771119a72c09b4ad8fb4b112bd249f04ee1e30e32214c898e9f84"),
+        ((7, 3.7, 1.3, [0, 1, 2, 0, 1, 2, 0], 3, 12, 2),
+         "8fd92c1b5a55c2bee3c567d56719506d382a07d4fcc5f677a03c1d9da5ea6f27"),
+        ((1, 0.0, 0.0, [0], 1, 1, 1),
+         "c362e02c0f88945467ae6ade54b774fc924b90c62fad1630e73c2136873dcc56"),
+    ], ids=["thm56", "sub-clusters", "wide", "one-point"])
+    def test_graphs_are_pinned(self, args, digest):
+        # digests of graphs built by the earlier spec-and-validate builder
+        *head, points_per_set, sub_clusters_per_set = args
+        lab = example3_graph(*head, points_per_set=points_per_set,
+                             sub_clusters_per_set=sub_clusters_per_set)
+        assert graph_digest(lab) == digest
+
+    @pytest.mark.parametrize("keys, message", [
+        ({"rho": -0.1}, "need rho >= 0, got -0.1"),
+        ({"points_per_set": 0}, "need points_per_set >= 1, got 0"),
+        ({"sub_clusters_per_set": 0}, "need sub_clusters_per_set >= 1, got 0"),
+        ({"sub_clusters_per_set": 3}, "sub_clusters_per_set must divide points_per_set"),
+        ({"r": 0, "labels": []}, "need at least one point set"),
+        ({"labels": [0]}, "labels must assign a class to every set"),
+    ])
+    def test_bad_input_refused(self, keys, message):
+        args = {"r": 2, "gamma": 1.0, "rho": 0.1, "labels": [0, 1], "m": 2, **keys}
+        with pytest.raises(ValueError, match=message):
+            example3_graph(**args)
+
+    def test_size_guard(self):
+        with pytest.raises(SizeGuardExceeded, match="20004 vertices exceed guard"):
+            example3_graph(5001, 1.0, 0.1, [0] * 5001, 1)
 
 
 class TestExample4:
@@ -274,6 +308,27 @@ class TestRandomAndStructuredGraphs:
     def test_component_cluster_graph_full_coordinate_rank(self):
         g = component_cluster_graph(4)
         assert np.linalg.matrix_rank(g.vertices) == g.vertices.shape[1]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Example1Spec(d=3, s=1, label_dim=1), "label_dim must index an invariant"),
+    (lambda: Example1Spec(d=3, s=1, tau_grid=()), "tau_grid must be nonempty"),
+    (lambda: Example4Spec(d=3, s=3, gamma=2.0), "need 1 <= s < d, got s=3, d=3"),
+    (lambda: Example4Spec(d=3, s=1, gamma=1.0), "gamma must exceed 1"),
+    (lambda: Example4Spec(d=3, s=1, gamma=2.0, tau_grid=()), "tau_grid must be nonempty"),
+    (lambda: Example4Spec(d=3, s=1, gamma=2.0, tau_grid=(1.5,)), r"must lie in \[0, 1\]"),
+    (lambda: Example4Spec(d=3, s=1, gamma=2.0, tau_grid=(1.0, 0.0)), "strictly increasing"),
+    (lambda: random_graph(4, n_components=5), "need 1 <= n_components <= n, got 5, 4"),
+    (lambda: random_graph(4, n_components=0), "need 1 <= n_components <= n, got 0, 4"),
+    (lambda: two_level_graph(1), "need at least 2 outer clusters"),
+    (lambda: component_cluster_graph(0), "need at least one cluster"),
+], ids=["example1-label-dim", "example1-empty-grid", "example4-s", "example4-gamma",
+        "example4-empty-grid", "example4-grid-range", "example4-grid-order",
+        "random-too-many-components", "random-no-component", "two-level-one-cluster",
+        "no-cluster"])
+def test_generator_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def _dense_random_joint(n, n_components, seed):
