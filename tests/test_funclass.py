@@ -1,6 +1,7 @@
 """Model classes: forward, gradients, Lipschitz, closed-form constructions,
 adversarial constructions, serialization."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -39,8 +40,10 @@ from pairlab.synthdata import (
     Example4Spec,
     example1_graph,
     _sign_index,
+    example2_labels,
     example4_graph,
     sign_patterns,
+    xor_label_map,
 )
 
 
@@ -132,6 +135,34 @@ def test_example4_adversary_too_many_outputs():
     spec = Example4Spec(d=3, s=1, gamma=2.0, tau_grid=(1.0,))
     with pytest.raises(TooManyOutputs, match="k=7 exceeds 6 clusters"):
         construct_example4_adversarial_relu(spec, 7, example4_graph(spec).graph)
+
+
+def _thm54_graph():
+    return example2_labels(Example1Spec(d=5, s=2), xor_label_map(2)).graph
+
+
+def _thm58_graph():
+    return example4_graph(Example4Spec(d=4, s=1, gamma=2.0)).graph
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: construct_example1_optimal(Example1Spec(d=6, s=2)),
+     "72b93c49ec7e72f1fbc288d734711ed945c876e5ad163651189cbdfba5abdd3d"),
+    (lambda: construct_example2_optimal(Example1Spec(d=5, s=2), _thm54_graph()),
+     "ff6386313b910405b4f1ad4f4fe3284f7a9a87368b79b13cc71705760e35dbc8"),
+    (lambda: construct_example4_optimal(Example4Spec(d=4, s=1, gamma=2.0),
+                                        _thm58_graph()),
+     "c96b5e7e28ab193491094fab299be6c18510bac19aad8424df5766498a994bed"),
+    (lambda: construct_example4_adversarial_relu(Example4Spec(d=4, s=1, gamma=2.0), 4,
+                                                 _thm58_graph()),
+     "4bc24041d6dd63909aecc284fb065eca48e3b6ca3f7fb65c541f734ae8ff7aa0"),
+    (lambda: construct_adversarial_universal(_thm54_graph(), 8, key_dims=[2, 3, 4]),
+     "d46f5e512b10c175cf02ed3f4633fd24f5f10958644d2d11024662eaa8315d25"),
+], ids=["example1", "example2", "example4", "example4-adversarial-relu",
+        "adversarial-universal"])
+def test_construction_parameters_are_pinned(build, digest):
+    # taken before examples 1, 2 and 4 became keyword builders
+    assert hashlib.sha256(build().params.tobytes()).hexdigest() == digest
 
 
 class TestGradParams:

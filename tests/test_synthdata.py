@@ -30,6 +30,16 @@ from pairlab.synthdata import (
 )
 
 
+def graph_digest(lg) -> str:
+    """SHA-256 of a labeled graph's vertices, CSR joint and labels."""
+    joint = lg.graph.joint
+    digest = hashlib.sha256()
+    for arr in (lg.graph.vertices, joint.indptr.astype(np.int64),
+                joint.indices.astype(np.int64), joint.data, lg.labels):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
 class TestExample1:
     def test_identity_augmentation_minimal(self):
         lab = example1_graph(Example1Spec(d=2, s=1, tau_grid=(1.0,)))
@@ -69,6 +79,14 @@ class TestExample1:
         # 2^9 * 2^8 vertices, counted before anything is built
         with pytest.raises(SizeGuardExceeded, match="^131072 vertices exceed guard 20000"):
             example1_graph(Example1Spec(d=9, s=1))
+
+    @pytest.mark.parametrize("d, s, digest", [
+        (4, 1, "16485ebe0c9aa3a82440c1dcaef3f4676d5f5636ece69cdcbdd32f62d72c159c"),
+        (6, 2, "fa077f304a8dcba3c14ebd107c2a91cd18272f10d8073ec5d94471789f7af235"),
+    ], ids=["d4s1", "d6s2"])
+    def test_graphs_are_pinned(self, d, s, digest):
+        # taken before examples 1, 2 and 4 became keyword builders
+        assert graph_digest(example1_graph(Example1Spec(d=d, s=s))) == digest
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -114,6 +132,17 @@ class TestExample2Labels:
         with pytest.raises(IncompleteLabelMap, match=r"misses pattern \(-1.0, 1.0\)"):
             example2_labels(spec, {(-1.0, -1.0): 0, (1.0, 1.0): 1})
 
+    @pytest.mark.parametrize("d, s, label_map, digest", [
+        (5, 2, xor_label_map,
+         "f67e2dbbda893fa78ea018a0c6b78bf5e07fa5c7feac126412b07bf2478acb98"),
+        (4, 2, enumeration_label_map,
+         "6f2e4bd2bfdf0492d7bced7a2399939be639b2c8db89b1532ca8b8f24e6ce472"),
+    ], ids=["d5s2-xor", "d4s2-enumeration"])
+    def test_graphs_are_pinned(self, d, s, label_map, digest):
+        # taken before examples 1, 2 and 4 became keyword builders
+        lab = example2_labels(Example1Spec(d=d, s=s), label_map(s))
+        assert graph_digest(lab) == digest
+
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_labels_match_vertex_loop(self, d):
         # reference: look every vertex's first-block signs up in the map,
@@ -132,16 +161,6 @@ class TestExample2Labels:
                 assert got.labels.dtype == np.int64
                 np.testing.assert_array_equal(got.labels, want)
                 assert got.n_classes == len(classes)
-
-
-def graph_digest(lg) -> str:
-    """SHA-256 of a labeled graph's vertices, CSR joint and labels."""
-    joint = lg.graph.joint
-    digest = hashlib.sha256()
-    for arr in (lg.graph.vertices, joint.indptr.astype(np.int64),
-                joint.indices.astype(np.int64), joint.data, lg.labels):
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    return digest.hexdigest()
 
 
 class TestExample3:
@@ -255,6 +274,17 @@ class TestExample4:
         assert cross_cluster_mass(lab.graph, part) == 0.0
         for cell in part.sets():
             assert len(set(lab.labels[cell])) == 1
+
+    @pytest.mark.parametrize("d, s, gamma, tau_grid, digest", [
+        (4, 1, 2.0, (0.0, 0.5, 1.0),
+         "327fd961be763de4dcd21b7a9c7686e07970fbae84f65a7163c8562d56bf585b"),
+        (3, 1, 2.0, (0.0, 1.0),
+         "45b68db2fdb86341ad967982905b8f802553af642012be297d5f7ebaf8f24743"),
+    ], ids=["d4s1", "d3s1-tau01"])
+    def test_graphs_are_pinned(self, d, s, gamma, tau_grid, digest):
+        # taken before examples 1, 2 and 4 became keyword builders
+        lab = example4_graph(Example4Spec(d=d, s=s, gamma=gamma, tau_grid=tau_grid))
+        assert graph_digest(lab) == digest
 
     def test_size_guard(self):
         # 6 * 2 * 5^5 vertices, counted before anything is built
