@@ -31,8 +31,6 @@ from .spectral import (
     pair_discrepancy,
 )
 from .synthdata import (
-    Example1Spec,
-    Example4Spec,
     LabeledGraph,
     example1_graph,
     example2_labels,

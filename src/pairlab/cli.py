@@ -45,8 +45,6 @@ from .posgraph import (
 )
 from .spectral import INFINITE, eigendecompose, is_eigenfunction, pair_discrepancy
 from .synthdata import (
-    Example1Spec,
-    Example4Spec,
     LabeledGraph,
     component_constant_function,
     enumeration_label_map,
@@ -245,18 +243,15 @@ _GRAPH_SOURCES = {
                lambda **keys: LabeledGraph(random_graph(**keys))),
     "two_level": (["m"], {"m": _integer, "seed": _integer, "cross_scale": _number},
                   two_level_graph),
-    1: (["d", "s"], {**_HYPERCUBE_KEYS, "label_dim": _integer},
-        lambda **keys: example1_graph(Example1Spec(**keys))),
+    1: (["d", "s"], {**_HYPERCUBE_KEYS, "label_dim": _integer}, example1_graph),
     2: (["d", "s"], {**_HYPERCUBE_KEYS, "label_map": _label_map},
-        lambda label_map=xor_label_map, **keys: example2_labels(
-            Example1Spec(**keys), label_map(keys["s"]))),
+        lambda label_map=xor_label_map, **keys: example2_labels(label_map=label_map, **keys)),
     3: (["r", "gamma", "rho", "labels", "m"], {
         "r": _integer, "points_per_set": _integer, "gamma": _number, "rho": _number,
         "labels": _list_of(_integer), "m": _integer, "sub_clusters_per_set": _integer},
         example3_graph),
     4: (["d", "s", "gamma"], {"d": _integer, "s": _integer, "gamma": _number,
-                              "tau_grid": _list_of(_number)},
-        lambda **keys: example4_graph(Example4Spec(**keys))),
+                              "tau_grid": _list_of(_number)}, example4_graph),
 }
 
 
@@ -459,8 +454,7 @@ def verify_thm42(d: int = 4, s_values: Sequence[int] = (1, 2, 3),
     """
     rows = []
     for s in s_values:
-        spec = Example1Spec(d=d, s=s)
-        lg = example1_graph(spec)
+        lg = example1_graph(d, s)
         graph = lg.graph
         part = connected_components(graph)
         m = part.n_sets
@@ -500,18 +494,16 @@ def verify_thm52(d: int = 6, s: int = 2, seed: int = 0) -> List[dict]:
     every coordinate except the label one, reaches loss <= 1e-10 while its
     best linear head has error >= 1 - 1e-8.
     """
-    spec = Example1Spec(d=d, s=s)
-    lg = example1_graph(spec)
+    lg = example1_graph(d, s)
     graph = lg.graph
     y = 2.0 * lg.labels.astype(np.float64) - 1.0   # scalar +-1 sign target
     trained, _ = train(graph, spec_for_graph("linear", s, graph), lam=1.0,
                        config=TrainConfig(seed=seed))
-    key_dims = [j for j in range(d) if j != spec.label_dim]
     return _contrast_rows("thm52", graph, y, [
-        ("analytic zero-loss model", construct_example1_optimal(spec),
+        ("analytic zero-loss model", construct_example1_optimal(d, s),
          "probe error <= 1e-6", 1e-6, False),
         ("trained model", trained, "probe error <= 1e-6", 1e-6, False),
-    ], construct_adversarial_universal(graph, 2 ** (d - 1), key_dims),
+    ], construct_adversarial_universal(graph, 2 ** (d - 1), key_dims=list(range(1, d))),
         1.0 - 1e-8, "1 - 1e-8")
 
 
@@ -523,11 +515,10 @@ def verify_thm54(d: int = 5, s: int = 2, seed: int = 0) -> List[dict]:
     Lower branch: the universal minimizer keyed on the scaled coordinates
     (k = 2^(d-s)) has loss <= 1e-10 and best-head error >= 1/2 - 1e-6.
     """
-    spec = Example1Spec(d=d, s=s)
-    lg = example2_labels(spec, xor_label_map(s))
+    lg = example2_labels(d, s, xor_label_map(s))
     graph = lg.graph
     return _contrast_rows("thm54", graph, lg.labels, [
-        ("one-hot network", construct_example2_optimal(spec, graph),
+        ("one-hot network", construct_example2_optimal(s, graph),
          "parity probe error <= 1e-8", 1e-8, True),
     ], construct_adversarial_universal(graph, 2 ** (d - s), key_dims=list(range(s, d))),
         0.5 - 1e-6, "1/2 - 1e-6")
@@ -566,13 +557,12 @@ def verify_thm58(d: int = 4, s: int = 1, gamma: float = 2.0) -> List[dict]:
     (location, pattern) clusters has loss <= 1e-10 and best-head error
     >= 1/2 - 1e-6.
     """
-    spec = Example4Spec(d=d, s=s, gamma=gamma)
-    lg = example4_graph(spec)
+    lg = example4_graph(d, s, gamma)
     graph = lg.graph
     return _contrast_rows("thm58", graph, lg.labels, [
-        ("patch network", construct_example4_optimal(spec, graph),
+        ("patch network", construct_example4_optimal(s, gamma, graph),
          "probe error <= 1e-8", 1e-8, True),
-    ], construct_example4_adversarial_relu(spec, (d * 2 ** s) // 2, graph),
+    ], construct_example4_adversarial_relu(s, gamma, (d * 2 ** s) // 2, graph),
         0.5 - 1e-6, "1/2 - 1e-6")
 
 

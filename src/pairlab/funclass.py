@@ -18,9 +18,9 @@ Both are the one-model case of `StackedClass`, which evaluates B parameter
 vectors of a class at once (the trainer's stacked cells).
 
 The closed-form constructions of examples 2 and 4 take the graph they are
-built for and verify their own output semantics on every vertex of it
-before returning, with the displayed bias constants; a vertex where they
-fail raises `ConstructionVerificationFailed`.  Their units and targets
+built for, read d from it, and verify their own output semantics on every
+vertex of it before returning, with the displayed bias constants; a vertex
+where they fail raises `ConstructionVerificationFailed`.  Their units and targets
 are indexed by sign pattern in the order of `synthdata.sign_patterns`
 (first coordinate most significant, +1 a 1 bit), whose inverse is
 `synthdata._sign_index`; `_patch_cells` reads the (location, pattern) cell
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .posgraph import PositivePairGraph
 from .spectral import pair_discrepancy
-from .synthdata import Example1Spec, Example4Spec, _sign_index, sign_patterns
+from .synthdata import _check_hypercube, _check_patch, _sign_index, sign_patterns
 
 _VERIFY_TOL = 1e-9   # relative tolerance for construction output checks
 
@@ -231,15 +231,16 @@ def lipschitz_constant(model: RepresentationModel, graph: PositivePairGraph) -> 
 # closed-form constructions
 
 
-def construct_example1_optimal(spec: Example1Spec) -> RepresentationModel:
+def construct_example1_optimal(d: int, s: int) -> RepresentationModel:
     """Linear projection onto the invariant block: rows e_1..e_s (k = s).
 
     On the matching hypercube graph this has pair discrepancy 0 and
     representation covariance exactly I, hence loss 0 for every lambda.
     """
-    U = np.zeros((spec.s, spec.d))
-    U[np.arange(spec.s), np.arange(spec.s)] = 1.0
-    return FunctionClassSpec("linear", k=spec.s, d=spec.d).model(
+    _check_hypercube(d, s)
+    U = np.zeros((s, d))
+    U[np.arange(s), np.arange(s)] = 1.0
+    return FunctionClassSpec("linear", k=s, d=d).model(
         U.ravel(), meta={"construction": "invariant-block projection"})
 
 
@@ -259,8 +260,7 @@ def _verify_onehot_outputs(model: RepresentationModel, graph: PositivePairGraph,
     return model
 
 
-def construct_example2_optimal(spec: Example1Spec,
-                               graph: PositivePairGraph) -> RepresentationModel:
+def construct_example2_optimal(s: int, graph: PositivePairGraph) -> RepresentationModel:
     """ReLU network computing sqrt(k) * one-hot(sign pattern of x_{1:s}).
 
     Row i has weights sqrt(k) * (the i-th sign pattern) on the first s
@@ -268,16 +268,16 @@ def construct_example2_optimal(spec: Example1Spec,
     semantics are verified on every vertex of `graph`;
     `ConstructionVerificationFailed` names the first vertex where they fail.
     """
-    s = spec.s
+    _check_hypercube(graph.d, s)
     want_k = 2 ** s
     scale = np.sqrt(want_k)
 
-    U = np.zeros((want_k, spec.d))
+    U = np.zeros((want_k, graph.d))
     U[:, :s] = scale * sign_patterns(s)
     bias_displayed = -scale * (s - 1)
 
     target_idx = _sign_index(graph.vertices[:, :s] > 0)
-    model = FunctionClassSpec("relu", k=want_k, d=spec.d).model(
+    model = FunctionClassSpec("relu", k=want_k, d=graph.d).model(
         np.concatenate([U.ravel(), np.full(want_k, bias_displayed)]))
     return _verify_onehot_outputs(model, graph, target_idx, scale, "one-hot")
 
@@ -301,7 +301,7 @@ def _patch_cells(X: np.ndarray, d: int, s: int):
     return t, _sign_index(np.take_along_axis(X, widx[t], axis=1) > 0)
 
 
-def construct_example4_optimal(spec: Example4Spec,
+def construct_example4_optimal(s: int, gamma: float,
                                graph: PositivePairGraph) -> RepresentationModel:
     """Convolutional network computing sqrt(k) * one-hot(patch pattern).
 
@@ -311,7 +311,8 @@ def construct_example4_optimal(spec: Example4Spec,
     every vertex of `graph`; `ConstructionVerificationFailed` names the
     first vertex where the semantics fail.
     """
-    s, d, gamma = spec.s, spec.d, spec.gamma
+    d = graph.d
+    _check_patch(d, s, gamma)
     want_k = 2 ** s
     scale = np.sqrt(want_k)
     a = scale / (gamma - 1.0)
@@ -371,7 +372,7 @@ def construct_adversarial_universal(
                          "represented_groups": [int(g) for g in present[:k]]})
 
 
-def construct_example4_adversarial_relu(spec: Example4Spec, k: int,
+def construct_example4_adversarial_relu(s: int, gamma: float, k: int,
                                         graph: PositivePairGraph) -> RepresentationModel:
     """Derived ReLU-class zero-loss model indicating k (location, patch)
     clusters (the first k in lexicographic (t, pattern) order).
@@ -384,7 +385,8 @@ def construct_example4_adversarial_relu(spec: Example4Spec, k: int,
     `ConstructionVerificationFailed` names the first vertex where the
     semantics fail.
     """
-    s, d, gamma = spec.s, spec.d, spec.gamma
+    d = graph.d
+    _check_patch(d, s, gamma)
     n_clusters = d * (2 ** s)
     if k > n_clusters:
         raise TooManyOutputs(f"k={k} exceeds {n_clusters} clusters")

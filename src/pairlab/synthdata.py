@@ -12,7 +12,7 @@ Four generator families:
     by the index of the patch pattern.
 
 Continuous augmentation laws are replaced by finite grids; everything is
-enumerated lexicographically so identical specs give bit-identical graphs.
+enumerated lexicographically so identical arguments give bit-identical graphs.
 Every generator emits its joint as (row, col, value) triplets, never as an
 n×n array, so graphs up to the size guard build in bounded memory.
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -51,29 +51,43 @@ class LabeledGraph:
 
 
 # ---------------------------------------------------------------------------
+# input checks, made before anything is allocated (funclass uses them too)
+
+
+def _check_size(n: int) -> None:
+    """Refuse a graph of n vertices above the size guard, before it is built."""
+    if n > DEFAULT_SIZE_GUARD:
+        raise SizeGuardExceeded(f"{n} vertices exceed guard {DEFAULT_SIZE_GUARD}")
+
+
+def _check_tau_grid(grid, low: float) -> Tuple[float, ...]:
+    """`grid` as floats, once it is nonempty, strictly increasing and in [low, 1]."""
+    grid = tuple(float(t) for t in grid)
+    if not grid:
+        raise ValueError("tau_grid must be nonempty")
+    if any(not (low <= t <= 1.0) for t in grid):
+        raise ValueError(f"tau_grid values must lie in [{low:g}, 1]: {grid}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("tau_grid must be strictly increasing")
+    return grid
+
+
+def _check_hypercube(d: int, s: int) -> None:
+    """Examples 1 and 2 need an invariant block and a spurious one."""
+    if not (0 < s < d):
+        raise ValueError(f"need 0 < s < d, got s={s}, d={d}")
+
+
+def _check_patch(d: int, s: int, gamma: float) -> None:
+    """Example 4 needs a patch shorter than the circle, above unit magnitude."""
+    if not (1 <= s < d):
+        raise ValueError(f"need 1 <= s < d, got s={s}, d={d}")
+    if gamma <= 1.0:
+        raise ValueError("gamma must exceed 1")
+
+
+# ---------------------------------------------------------------------------
 # examples 1 and 2: hypercube with scaled spurious dims
-
-
-@dataclass(frozen=True)
-class Example1Spec:
-    d: int
-    s: int
-    tau_grid: Tuple[float, ...] = _TAU_GRID_1
-    label_dim: int = 0
-
-    def __post_init__(self):
-        if not (0 < self.s < self.d):
-            raise ValueError(f"need 0 < s < d, got s={self.s}, d={self.d}")
-        if not (0 <= self.label_dim < self.s):
-            raise ValueError("label_dim must index an invariant dimension")
-        grid = tuple(float(t) for t in self.tau_grid)
-        if not grid:
-            raise ValueError("tau_grid must be nonempty")
-        if any(not (0.5 <= t <= 1.0) for t in grid):
-            raise ValueError(f"tau_grid values must lie in [0.5, 1]: {grid}")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("tau_grid must be strictly increasing")
-        object.__setattr__(self, "tau_grid", grid)
 
 
 def _triplets(rows, cols, vals, n: int, normalize: bool = False) -> sparse.coo_array:
@@ -115,21 +129,18 @@ def _sign_index(positive: np.ndarray) -> np.ndarray:
     return positive @ (1 << np.arange(bits - 1, -1, -1))
 
 
-def _hypercube_vertices_and_joint(spec: Example1Spec):
-    d, s = spec.d, spec.s
-    grid = spec.tau_grid
+def _hypercube_graph(d: int, s: int, grid: Tuple[float, ...]):
+    """Examples 1 and 2's graph, and the first s signs of each vertex."""
     n_free = d - s
     n_naturals = 2 ** d
     n_combos = len(grid) ** n_free
     n = n_naturals * n_combos
-    if n > DEFAULT_SIZE_GUARD:
-        raise SizeGuardExceeded(f"{n} vertices exceed guard {DEFAULT_SIZE_GUARD}")
+    _check_size(n)
 
     combos = np.array(list(itertools.product(grid, repeat=n_free)))
     patterns = np.repeat(sign_patterns(d), n_combos, axis=0)
     verts = patterns.copy()
     verts[:, s:] *= np.tile(combos, (n_naturals, 1))
-    first_block = patterns[:, :s]
 
     # p(natural) = 2^-d, kernel uniform over the tau combos of that natural;
     # augmentation sets are disjoint across naturals here, so the joint is
@@ -137,39 +148,52 @@ def _hypercube_vertices_and_joint(spec: Example1Spec):
     w = (1.0 / n_naturals) * (1.0 / n_combos) ** 2
     rows, cols = _block_pairs(np.arange(n_naturals) * n_combos, n_combos)
     joint = _triplets(rows, cols, np.full(rows.size, w), n)
-    return verts, joint, first_block
+    return build_graph(verts, joint), patterns[:, :s]
 
 
-def example1_graph(spec: Example1Spec) -> LabeledGraph:
-    """Hypercube example: signs invariant, spurious dims rescaled.
+def example1_graph(d: int, s: int, tau_grid: Sequence[float] = _TAU_GRID_1,
+                   label_dim: int = 0) -> LabeledGraph:
+    """Hypercube example: the 2^d sign patterns are the naturals, the first
+    s coordinates are invariant, and each of the d - s spurious ones is
+    rescaled by a value of `tau_grid` in [0.5, 1].
 
     Labels: sign of coordinate `label_dim`, mapped to classes {0, 1}.
     """
-    verts, joint, first_block = _hypercube_vertices_and_joint(spec)
-    graph = build_graph(verts, joint)
-    labels = (first_block[:, spec.label_dim] > 0).astype(np.int64)
-    return LabeledGraph(graph=graph, labels=labels, n_classes=2)
+    _check_hypercube(d, s)
+    if not (0 <= label_dim < s):
+        raise ValueError("label_dim must index an invariant dimension")
+    graph, signs = _hypercube_graph(d, s, _check_tau_grid(tau_grid, 0.5))
+    return LabeledGraph(graph=graph, labels=(signs[:, label_dim] > 0).astype(np.int64),
+                        n_classes=2)
 
 
 def example2_labels(
-    spec: Example1Spec, label_map: Dict[Tuple[float, ...], int]
+    d: int,
+    s: int,
+    label_map: Union[Dict[Tuple[float, ...], int], Callable[[int], Dict]],
+    tau_grid: Sequence[float] = _TAU_GRID_1,
 ) -> LabeledGraph:
     """Same graph as example 1, labels from a map on first-block signs.
 
     `label_map` must cover every pattern in {-1, 1}^s; class ids are the
-    map's values, re-indexed densely in order of first appearance.
+    map's values, re-indexed densely in order of first appearance.  It may
+    also be a function of s that returns such a map (`xor_label_map`,
+    `enumeration_label_map`), called only once d, s and `tau_grid` pass
+    their checks, so a map of 2^s patterns is never built for a refused s.
     """
-    verts, joint, first_block = _hypercube_vertices_and_joint(spec)
-    graph = build_graph(verts, joint)
+    _check_hypercube(d, s)
+    graph, signs = _hypercube_graph(d, s, _check_tau_grid(tau_grid, 0.5))
+    if callable(label_map):
+        label_map = label_map(s)
 
     # every pattern occurs, first in `sign_patterns` order
     classes: Dict[int, int] = {}
-    table = np.empty(2 ** spec.s, dtype=np.int64)
-    for i, key in enumerate(map(tuple, sign_patterns(spec.s).tolist())):
+    table = np.empty(2 ** s, dtype=np.int64)
+    for i, key in enumerate(map(tuple, sign_patterns(s).tolist())):
         if key not in label_map:
             raise IncompleteLabelMap(f"label map misses pattern {key}")
         table[i] = classes.setdefault(label_map[key], len(classes))
-    return LabeledGraph(graph=graph, labels=table[_sign_index(first_block > 0)],
+    return LabeledGraph(graph=graph, labels=table[_sign_index(signs > 0)],
                         n_classes=len(classes))
 
 
@@ -199,7 +223,7 @@ def example3_graph(
     sub_clusters_per_set: int = 1,
 ) -> LabeledGraph:
     """Point-set example: r sets of `points_per_set` points, set i labeled
-    `labels[i]` of m classes, each set carrying mass 1/r, uniform within.
+    `labels[i]` in [0, m), each set carrying mass 1/r, uniform within.
 
     Geometry holds by construction: set centers sit on the first axis
     1.25*gamma + rho apart (so the declared gamma holds with slack, not at
@@ -218,12 +242,14 @@ def example3_graph(
     if len(labels) != r:
         raise ValueError("labels must assign a class to every set")
     n = r * points_per_set
-    if n > DEFAULT_SIZE_GUARD:
-        raise SizeGuardExceeded(f"{n} vertices exceed guard {DEFAULT_SIZE_GUARD}")
+    _check_size(n)
     if points_per_set < 1:
         raise ValueError(f"need points_per_set >= 1, got {points_per_set}")
     if rho < 0:
         raise ValueError(f"need rho >= 0, got {rho!r}")
+    for i, label in enumerate(labels):
+        if not 0 <= label < m:
+            raise ValueError(f"labels must lie in [0, m={m}), got {label} for set {i}")
 
     spread = 0.9 * rho / (points_per_set - 1) if points_per_set > 1 else 0.0
     verts = np.empty((n, 2))
@@ -241,32 +267,12 @@ def example3_graph(
 # example 4: informative patch on a circle, scaled spurious dims
 
 
-@dataclass(frozen=True)
-class Example4Spec:
-    d: int
-    s: int
-    gamma: float
-    tau_grid: Tuple[float, ...] = _TAU_GRID_4
-
-    def __post_init__(self):
-        if not (1 <= self.s < self.d):
-            raise ValueError(f"need 1 <= s < d, got s={self.s}, d={self.d}")
-        if self.gamma <= 1.0:
-            raise ValueError("gamma must exceed 1")
-        grid = tuple(float(t) for t in self.tau_grid)
-        if not grid:
-            raise ValueError("tau_grid must be nonempty")
-        if any(not (0.0 <= t <= 1.0) for t in grid):
-            raise ValueError(f"tau_grid values must lie in [0, 1]: {grid}")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("tau_grid must be strictly increasing")
-        object.__setattr__(self, "tau_grid", grid)
-
-
-def example4_graph(spec: Example4Spec) -> LabeledGraph:
+def example4_graph(d: int, s: int, gamma: float,
+                   tau_grid: Sequence[float] = _TAU_GRID_4) -> LabeledGraph:
     """Patch example: naturals have a +-gamma patch of length s at circular
     location t and +-1 spurious coordinates; augmentations rescale each
-    spurious coordinate by a grid value in [0, 1], keeping the patch.
+    spurious coordinate by a value of `tau_grid` in [0, 1], keeping the
+    patch.
 
     The label of a vertex is the index of its patch pattern (`sign_patterns`
     order), so it is location-invariant and there are 2^s classes.  When
@@ -276,13 +282,11 @@ def example4_graph(spec: Example4Spec) -> LabeledGraph:
     order of first appearance over (t, patch, spurious signs, tau combo),
     each lexicographic.
     """
-    d, s, gamma = spec.d, spec.s, spec.gamma
-    grid = spec.tau_grid
+    _check_patch(d, s, gamma)
+    grid = _check_tau_grid(tau_grid, 0.0)
     n_free = d - s
     values = sorted({t * sgn for t in grid for sgn in (-1.0, 1.0)})
-    n_exact = d * (2 ** s) * len(values) ** n_free
-    if n_exact > DEFAULT_SIZE_GUARD:
-        raise SizeGuardExceeded(f"{n_exact} vertices exceed guard {DEFAULT_SIZE_GUARD}")
+    _check_size(d * (2 ** s) * len(values) ** n_free)
 
     combos = np.array(list(itertools.product(grid, repeat=n_free)))
     n_combos = combos.shape[0]
@@ -336,6 +340,7 @@ def random_graph(
     """
     if not (1 <= n_components <= n):
         raise ValueError(f"need 1 <= n_components <= n, got {n_components}, {n}")
+    _check_size(n)
     rng = np.random.default_rng(seed)
 
     if n_components == 1:
@@ -406,9 +411,10 @@ def two_level_graph(
     """
     if m < 2:
         raise ValueError("need at least 2 outer clusters")
+    n = 4 * m
+    _check_size(n)
     rng = np.random.default_rng(seed)
     inner = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
-    n = 4 * m
     d = m + 2
 
     verts = np.zeros((n, d))
@@ -451,8 +457,9 @@ def component_cluster_graph(n_components: int) -> PositivePairGraph:
     """
     if n_components < 1:
         raise ValueError("need at least one cluster")
-    inner = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
     n = 4 * n_components
+    _check_size(n)
+    inner = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
     d = 3 * n_components
     verts = np.zeros((n, d))
     for j in range(n_components):

@@ -21,8 +21,6 @@ from pairlab.posgraph import graph_to_dict, partition_from_labels, save_graph
 from pairlab.probe import measure_assumptions, theorem31_bound
 from pairlab.spectral import INFINITE
 from pairlab.synthdata import (
-    Example1Spec,
-    Example4Spec,
     enumeration_label_map,
     example2_labels,
     example3_graph,
@@ -234,6 +232,12 @@ class TestConfigValidation:
         ("train", {"graph": {"random": {"n": 6}}}, "config needs a \"class\" section"),
         ("probe", {"graph": {"example": 1, "d": 3, "s": 1}},
          "config needs a \"class\" section"),
+        ("graph-info", {"graph": {"example": 3, "r": 2, "gamma": 1.0, "rho": 0.1,
+                                  "labels": [0, 5], "m": 2}},
+         "graph: labels must lie in [0, m=2), got 5 for set 1"),
+        ("probe", {"graph": {"example": 3, "r": 2, "gamma": 1.0, "rho": 0.1,
+                             "labels": [0, 5], "m": 2}, "class": {"tag": "tabular", "k": 2}},
+         "graph: labels must lie in [0, m=2), got 5 for set 1"),
     ], ids=["missing-d", "s-over-d", "example2-xor-s1", "zero-step", "text-max-iters",
             "text-lambda-train", "text-lambda-probe", "br-classes-text-s",
             "text-count", "zero-r", "empty-lambda-grid", "text-n-graphs",
@@ -249,7 +253,8 @@ class TestConfigValidation:
             "train-relu-s", "probe-linear-s", "br-tabular-s", "example2-label-dim",
             "br-class-and-classes", "br-empty-classes", "example3-zero-sub-clusters",
             "example3-negative-rho", "example3-zero-points", "class-not-object",
-            "train-without-class", "probe-without-class"])
+            "train-without-class", "probe-without-class", "example3-label-over-m",
+            "probe-example3-label-over-m"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, doc, message):
         cfg = write_config(tmp_path, {"version": 1, **doc})
         try:
@@ -312,6 +317,13 @@ class TestGraphInfo:
         assert code == 2
         assert err.startswith("config error: graph: ") and err.count("\n") == 1
         assert reason in err and repr(path) in err
+
+    def test_size_guard_is_an_error(self, tmp_path, capsys):
+        # refused before random_graph draws anything
+        cfg = write_config(tmp_path, {"version": 1, "graph": {"random": {"n": 20001}}})
+        code, out, err = run(["graph-info", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: SizeGuardExceeded: 20001 vertices exceed guard 20000\n"
 
     def test_malformed_graph_file(self, tmp_path, capsys):
         gpath = tmp_path / "broken.json"
@@ -650,20 +662,19 @@ class TestGraphFromConfig:
 
     def test_example4(self):
         got = graph_from_config({"graph": {"example": 4, "d": 4, "s": 1, "gamma": 2}})
-        want = example4_graph(Example4Spec(d=4, s=1, gamma=2.0))
+        want = example4_graph(4, 1, 2.0)
         assert_same_labeled_graph(got, want)
 
     def test_example4_tau_grid(self):
         got = graph_from_config({"graph": {"example": 4, "d": 5, "s": 2, "gamma": 3.0,
                                            "tau_grid": [0, 1]}})
-        want = example4_graph(Example4Spec(d=5, s=2, gamma=3.0, tau_grid=(0.0, 1.0)))
+        want = example4_graph(5, 2, 3.0, tau_grid=(0.0, 1.0))
         assert_same_labeled_graph(got, want)
 
     def test_enumeration_label_map(self):
         got = graph_from_config({"graph": {"example": 2, "d": 4, "s": 2,
                                            "label_map": "enumeration"}})
-        spec = Example1Spec(d=4, s=2)
-        assert_same_labeled_graph(got, example2_labels(spec, enumeration_label_map(2)))
+        assert_same_labeled_graph(got, example2_labels(4, 2, enumeration_label_map(2)))
         assert got.n_classes == 4
 
     @pytest.mark.parametrize("name", ["parity", 3])

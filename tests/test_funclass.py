@@ -36,8 +36,6 @@ from pairlab.posgraph import build_graph
 from pairlab.probe import probe_error
 from pairlab.spectral import pair_discrepancy
 from pairlab.synthdata import (
-    Example1Spec,
-    Example4Spec,
     example1_graph,
     _sign_index,
     example2_labels,
@@ -131,30 +129,42 @@ def test_bad_shapes_rejected(call, error, message):
         call(_grid_graph([[-1.0], [1.0]]))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: construct_example1_optimal(3, 3), "need 0 < s < d, got s=3, d=3"),
+    (lambda: construct_example2_optimal(3, example1_graph(3, 1).graph),
+     "need 0 < s < d, got s=3, d=3"),
+    (lambda: construct_example4_optimal(0, 2.0, example4_graph(3, 1, 2.0).graph),
+     "need 1 <= s < d, got s=0, d=3"),
+    (lambda: construct_example4_adversarial_relu(1, 1.0, 2, example4_graph(3, 1, 2.0).graph),
+     "gamma must exceed 1"),
+], ids=["example1-s", "example2-s", "example4-s", "example4-adversarial-relu-gamma"])
+def test_construction_parameters_checked(call, message):
+    # the example generators' own checks, on d read from the graph
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_example4_adversary_too_many_outputs():
-    spec = Example4Spec(d=3, s=1, gamma=2.0, tau_grid=(1.0,))
     with pytest.raises(TooManyOutputs, match="k=7 exceeds 6 clusters"):
-        construct_example4_adversarial_relu(spec, 7, example4_graph(spec).graph)
+        construct_example4_adversarial_relu(1, 2.0, 7, example4_graph(3, 1, 2.0, (1.0,)).graph)
 
 
 def _thm54_graph():
-    return example2_labels(Example1Spec(d=5, s=2), xor_label_map(2)).graph
+    return example2_labels(5, 2, xor_label_map(2)).graph
 
 
 def _thm58_graph():
-    return example4_graph(Example4Spec(d=4, s=1, gamma=2.0)).graph
+    return example4_graph(4, 1, 2.0).graph
 
 
 @pytest.mark.parametrize("build, digest", [
-    (lambda: construct_example1_optimal(Example1Spec(d=6, s=2)),
+    (lambda: construct_example1_optimal(6, 2),
      "72b93c49ec7e72f1fbc288d734711ed945c876e5ad163651189cbdfba5abdd3d"),
-    (lambda: construct_example2_optimal(Example1Spec(d=5, s=2), _thm54_graph()),
+    (lambda: construct_example2_optimal(2, _thm54_graph()),
      "ff6386313b910405b4f1ad4f4fe3284f7a9a87368b79b13cc71705760e35dbc8"),
-    (lambda: construct_example4_optimal(Example4Spec(d=4, s=1, gamma=2.0),
-                                        _thm58_graph()),
+    (lambda: construct_example4_optimal(1, 2.0, _thm58_graph()),
      "c96b5e7e28ab193491094fab299be6c18510bac19aad8424df5766498a994bed"),
-    (lambda: construct_example4_adversarial_relu(Example4Spec(d=4, s=1, gamma=2.0), 4,
-                                                 _thm58_graph()),
+    (lambda: construct_example4_adversarial_relu(1, 2.0, 4, _thm58_graph()),
      "4bc24041d6dd63909aecc284fb065eca48e3b6ca3f7fb65c541f734ae8ff7aa0"),
     (lambda: construct_adversarial_universal(_thm54_graph(), 8, key_dims=[2, 3, 4]),
      "d46f5e512b10c175cf02ed3f4633fd24f5f10958644d2d11024662eaa8315d25"),
@@ -234,9 +244,8 @@ class TestLipschitzConstant:
 
 class TestConstructions:
     def test_example1_optimal_covariance_and_discrepancy(self):
-        spec = Example1Spec(d=4, s=2, tau_grid=(0.5, 1.0))
-        lab = example1_graph(spec)
-        model = construct_example1_optimal(spec)
+        lab = example1_graph(4, 2, tau_grid=(0.5, 1.0))
+        model = construct_example1_optimal(4, 2)
         F = forward(model, lab.graph)
         cov = F.T @ (F * lab.graph.marginal[:, None])
         np.testing.assert_allclose(cov, np.eye(2), atol=1e-12)
@@ -245,9 +254,8 @@ class TestConstructions:
             assert population_loss(lab.graph, model, lam).total <= 1e-15
 
     def test_example2_optimal_onehot_semantics(self):
-        spec = Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0))
-        lab = example1_graph(spec)
-        model = construct_example2_optimal(spec, graph=lab.graph)
+        lab = example1_graph(3, 1, tau_grid=(0.5, 1.0))
+        model = construct_example2_optimal(1, graph=lab.graph)
         F = forward(model, lab.graph)
         k = 2
         # every row is sqrt(k) times a one-hot vector
@@ -258,9 +266,8 @@ class TestConstructions:
         assert pair_discrepancy(lab.graph, F) <= 1e-18
 
     def test_example2_outputs_ignore_spurious_dims(self):
-        spec = Example1Spec(d=4, s=2, tau_grid=(0.5, 1.0))
-        lab = example1_graph(spec)
-        model = construct_example2_optimal(spec, graph=lab.graph)
+        lab = example1_graph(4, 2, tau_grid=(0.5, 1.0))
+        model = construct_example2_optimal(2, graph=lab.graph)
         F = forward(model, lab.graph)
         # group vertices by their first-s sign pattern; outputs must agree
         keys = [tuple(np.sign(v[:2])) for v in lab.graph.vertices]
@@ -271,9 +278,8 @@ class TestConstructions:
             seen[key] = row
 
     def test_example4_optimal_properties(self):
-        spec = Example4Spec(d=3, s=1, gamma=2.0, tau_grid=(0.0, 1.0))
-        lab = example4_graph(spec)
-        model = construct_example4_optimal(spec, graph=lab.graph)
+        lab = example4_graph(3, 1, 2.0, tau_grid=(0.0, 1.0))
+        model = construct_example4_optimal(1, 2.0, graph=lab.graph)
         F = forward(model, lab.graph)
         k = 2
         np.testing.assert_allclose(np.sort(F, axis=1)[:, :-1], 0.0, atol=1e-9)
@@ -282,9 +288,8 @@ class TestConstructions:
         assert pair_discrepancy(lab.graph, F) <= 1e-18
 
     def test_example4_zeroed_point_same_output(self):
-        spec = Example4Spec(d=3, s=1, gamma=2.0, tau_grid=(0.0, 1.0))
-        lab = example4_graph(spec)
-        model = construct_example4_optimal(spec, graph=lab.graph)
+        lab = example4_graph(3, 1, 2.0, tau_grid=(0.0, 1.0))
+        model = construct_example4_optimal(1, 2.0, graph=lab.graph)
         F = forward(model, lab.graph)
         verts = lab.graph.vertices
         # patch +gamma at position 0: compare full spurious vs zeroed point
@@ -293,27 +298,25 @@ class TestConstructions:
         assert full.size == 1 and zeroed.size == 1
         np.testing.assert_allclose(F[full[0]], F[zeroed[0]], atol=1e-9)
 
-    @pytest.mark.parametrize("construct, spec, make_graph", [
-        (construct_example2_optimal, Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0)),
-         example1_graph),
-        (construct_example4_optimal, Example4Spec(d=3, s=1, gamma=2.0,
-                                                  tau_grid=(0.0, 1.0)),
-         example4_graph),
-        (lambda spec, graph: construct_example4_adversarial_relu(spec, 3, graph),
-         Example4Spec(d=3, s=1, gamma=2.0, tau_grid=(0.0, 1.0)), example4_graph),
+    @pytest.mark.parametrize("construct, g", [
+        (lambda graph: construct_example2_optimal(1, graph),
+         example1_graph(3, 1, tau_grid=(0.5, 1.0)).graph),
+        (lambda graph: construct_example4_optimal(1, 2.0, graph),
+         example4_graph(3, 1, 2.0, tau_grid=(0.0, 1.0)).graph),
+        (lambda graph: construct_example4_adversarial_relu(1, 2.0, 3, graph),
+         example4_graph(3, 1, 2.0, tau_grid=(0.0, 1.0)).graph),
     ], ids=["example2", "example4", "example4-adversarial-relu"])
-    def test_displayed_bias_failure_raises(self, construct, spec, make_graph):
+    def test_displayed_bias_failure_raises(self, construct, g):
         # the example's joint on coordinates scaled by 3/4: sign patterns and
         # patch locations survive, but the displayed bias no longer gives
         # sqrt(k) on the matching unit
-        g = make_graph(spec).graph
         scaled = build_graph(0.75 * g.vertices, g.joint)
         with pytest.raises(ConstructionVerificationFailed, match="fail at vertex"):
-            construct(spec, graph=scaled)
+            construct(scaled)
 
     @pytest.mark.parametrize("construct", [
-        construct_example4_optimal,
-        lambda spec, graph: construct_example4_adversarial_relu(spec, 3, graph),
+        lambda graph: construct_example4_optimal(2, 2.0, graph),
+        lambda graph: construct_example4_adversarial_relu(2, 2.0, 3, graph),
     ], ids=["optimal", "adversarial-relu"])
     @pytest.mark.parametrize("move, message", [
         # a spurious entry raised above unit magnitude: s + 1 patch entries
@@ -324,15 +327,14 @@ class TestConstructions:
          "patch entries of vertex 7 are not circularly consecutive"),
     ], ids=["count", "not-consecutive"])
     def test_patch_cells_reject_bad_vertex(self, construct, move, message):
-        spec = Example4Spec(d=4, s=2, gamma=2.0, tau_grid=(0.0, 1.0))
-        g = example4_graph(spec).graph
+        g = example4_graph(4, 2, 2.0, tau_grid=(0.0, 1.0)).graph
         verts = g.vertices.copy()
         # vertex 7 is a view of a natural with its patch at coordinates 0, 1
         assert np.all(np.abs(verts[7, :2]) > 1.0)
         verts[7] = move(verts[7])
         bad = build_graph(verts, g.joint)
         with pytest.raises(SpecMismatch, match=message):
-            construct(spec, graph=bad)
+            construct(bad)
 
     def test_sign_index_inverts_sign_patterns(self):
         for bits in range(1, 6):
@@ -340,8 +342,7 @@ class TestConstructions:
                 _sign_index(sign_patterns(bits) > 0), np.arange(2 ** bits))
 
     def test_adversarial_universal_zero_loss_and_sqrt_k_scale(self):
-        spec = Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0))
-        lab = example1_graph(spec)
+        lab = example1_graph(3, 1, tau_grid=(0.5, 1.0))
         k = 2 ** (3 - 1)
         model = construct_adversarial_universal(
             lab.graph, k, key_dims=list(range(1, 3)))
@@ -352,8 +353,7 @@ class TestConstructions:
         np.testing.assert_allclose(F.max(axis=1), np.sqrt(k), atol=1e-12)
 
     def test_adversarial_universal_k1_single_indicator(self):
-        spec = Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0))
-        lab = example1_graph(spec)
+        lab = example1_graph(3, 1, tau_grid=(0.5, 1.0))
         m1 = construct_adversarial_universal(lab.graph, 1, key_dims=[1, 2])
         F1 = forward(m1, lab.graph)
         assert F1.shape[1] == 1
@@ -364,14 +364,12 @@ class TestConstructions:
         assert zero_loss_certificate(m1, lab.graph)["loss"] <= 1e-12
 
     def test_adversarial_universal_too_many_outputs(self):
-        spec = Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0))
-        lab = example1_graph(spec)
+        lab = example1_graph(3, 1, tau_grid=(0.5, 1.0))
         with pytest.raises(TooManyOutputs):
             construct_adversarial_universal(lab.graph, 5, key_dims=[1, 2])
 
     def test_adversarial_universal_defeats_probe(self):
-        spec = Example1Spec(d=4, s=1, tau_grid=(0.5, 1.0))
-        lab = example1_graph(spec)
+        lab = example1_graph(4, 1, tau_grid=(0.5, 1.0))
         model = construct_adversarial_universal(
             lab.graph, 2 ** 3, key_dims=list(range(1, 4)))
         F = forward(model, lab.graph)
@@ -379,9 +377,8 @@ class TestConstructions:
         assert probe_error(lab.graph, F, y) >= 1.0 - 1e-8
 
     def test_example4_adversarial_relu_zero_loss(self):
-        spec = Example4Spec(d=3, s=1, gamma=2.0, tau_grid=(0.0, 1.0))
-        lab = example4_graph(spec)
-        model = construct_example4_adversarial_relu(spec, k=3, graph=lab.graph)
+        lab = example4_graph(3, 1, 2.0, tau_grid=(0.0, 1.0))
+        model = construct_example4_adversarial_relu(1, 2.0, k=3, graph=lab.graph)
         assert model.class_tag == "relu"
         cert = zero_loss_certificate(model, lab.graph)
         assert cert["loss"] <= 1e-10

@@ -30,14 +30,13 @@ from pairlab.objective import (
 from pairlab.posgraph import connected_components
 from pairlab.septest import br_oracle_tabular
 from pairlab.spectral import eigendecompose
-from pairlab.synthdata import Example1Spec, example1_graph, random_graph, two_level_graph
+from pairlab.synthdata import example1_graph, random_graph, two_level_graph
 
 
 class TestPopulationLoss:
     def test_example1_construction_is_zero(self):
-        spec = Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0))
-        lab = example1_graph(spec)
-        model = construct_example1_optimal(spec)
+        lab = example1_graph(3, 1, tau_grid=(0.5, 1.0))
+        model = construct_example1_optimal(3, 1)
         for lam in (0.1, 1.0, 10.0):
             assert population_loss(lab.graph, model, lam).total <= 1e-15
 
@@ -70,7 +69,7 @@ class TestPopulationLoss:
 
 class TestTrain:
     def test_example1_linear_reaches_zero(self):
-        lab = example1_graph(Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0)))
+        lab = example1_graph(3, 1, tau_grid=(0.5, 1.0))
         spec = spec_for_graph("linear", 1, lab.graph)
         model, trace = train(lab.graph, spec, lam=1.0,
                              config=TrainConfig(max_iters=3000, seed=0))
@@ -384,7 +383,7 @@ class TestScaledDescent:
     def test_uniform_marginal_runs_the_unscaled_bits(self):
         # on the hypercube every vertex has the same mass, so the tabular
         # scale is exactly 1, and multiplying or dividing by it changes no bit
-        g = example1_graph(Example1Spec(d=4, s=2)).graph
+        g = example1_graph(4, 2).graph
         spec = spec_for_graph("tabular", 2, g)
         assert np.all(StackedLoss(g, spec).scale == 1.0)
 
@@ -466,7 +465,7 @@ class TestTabularMinOracle:
 
 class TestLinearMinOracle:
     def test_example1_k_eq_s_reaches_zero(self):
-        lab = example1_graph(Example1Spec(d=4, s=2, tau_grid=(0.5, 1.0)))
+        lab = example1_graph(4, 2, tau_grid=(0.5, 1.0))
         val, model = linear_min_oracle(lab.graph, 2, 1.0)
         assert val <= 1e-10
         assert model.class_tag == "linear"

@@ -25,8 +25,6 @@ from pairlab.probe import (
 )
 from pairlab.spectral import INFINITE
 from pairlab.synthdata import (
-    Example1Spec,
-    Example4Spec,
     example1_graph,
     example4_graph,
     random_graph,
@@ -59,9 +57,8 @@ class TestFitLinearHead:
         assert res.error == pytest.approx(1.0, abs=1e-6)
 
     def test_example1_construction_perfect_probe(self):
-        spec = Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0))
-        lab = example1_graph(spec)
-        model = construct_example1_optimal(spec)
+        lab = example1_graph(3, 1, tau_grid=(0.5, 1.0))
+        model = construct_example1_optimal(3, 1)
         F = forward(model, lab.graph)
         y = 2.0 * lab.labels - 1.0
         res = fit_linear_head(lab.graph, F, y)
@@ -121,7 +118,7 @@ class TestMeasureAssumptions:
         assert 0.0 < rep.P_min <= rep.P_max
 
     def test_example1_components_not_linear_implementable(self):
-        lab = example1_graph(Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0)))
+        lab = example1_graph(3, 1, tau_grid=(0.5, 1.0))
         part = connected_components(lab.graph)
         rep = measure_assumptions(
             lab.graph, part, spec_for_graph("linear", part.n_sets, lab.graph))
@@ -129,7 +126,7 @@ class TestMeasureAssumptions:
         assert rep.implementable_residual > 1e-8
 
     def test_example1_sign_partition_linear_beta_positive(self):
-        lab = example1_graph(Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0)))
+        lab = example1_graph(3, 1, tau_grid=(0.5, 1.0))
         part = partition_from_labels(lab.labels)
         rep = measure_assumptions(
             lab.graph, part, spec_for_graph("linear", 2, lab.graph))
@@ -137,15 +134,13 @@ class TestMeasureAssumptions:
         assert rep.beta > 0.0
         assert rep.beta_certified
 
-    @pytest.mark.parametrize("tag, s, make_graph, spec", [
-        ("conv", 1, example4_graph, Example4Spec(d=4, s=1, gamma=2.0)),
-        ("relu", 0, example1_graph, Example1Spec(d=3, s=1)),
+    @pytest.mark.parametrize("tag, s, lab", [
+        ("conv", 1, example4_graph(4, 1, 2.0)),
+        ("relu", 0, example1_graph(3, 1)),
     ], ids=["example4-conv", "example1-relu"])
-    def test_nonconvex_class_implements_label_partition(self, tag, s, make_graph,
-                                                        spec):
+    def test_nonconvex_class_implements_label_partition(self, tag, s, lab):
         # the conv case is construct_example4_optimal scaled by 1/sqrt(k),
         # the relu case construct_example2_optimal likewise
-        lab = make_graph(spec)
         part = partition_from_labels(lab.labels)
         rep = measure_assumptions(
             lab.graph, part, spec_for_graph(tag, part.n_sets, lab.graph, s=s))

@@ -20,7 +20,6 @@ from pairlab.septest import (
 )
 from pairlab.spectral import eigendecompose
 from pairlab.synthdata import (
-    Example1Spec,
     component_cluster_graph,
     example1_graph,
     random_graph,
@@ -214,7 +213,7 @@ class TestBrTable:
         assert tab8.b_r <= lin8.b_r + 1e-9
 
     def test_example1_linear_separation(self):
-        lab = example1_graph(Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0)))
+        lab = example1_graph(3, 1, tau_grid=(0.5, 1.0))
         g = lab.graph
         report = br_table(
             g, [spec_for_graph("tabular", 2, g), spec_for_graph("linear", 2, g)],

@@ -38,7 +38,6 @@ from pairlab.synthdata import (
     component_cluster_graph,
     component_constant_function,
     example1_graph,
-    Example1Spec,
     random_graph,
     two_level_graph,
 )
@@ -307,7 +306,7 @@ class TestMinExpansionOverClass:
         # one natural datum's augmentation set: spurious dim takes 2 values,
         # invariant dims fixed; linear functions cannot zero out the
         # within-set positive mass, so the expansion minimum is positive.
-        lab = example1_graph(Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0)))
+        lab = example1_graph(3, 1, tau_grid=(0.5, 1.0))
         comp = connected_components(lab.graph).sets()[0]
         beta, _ = min_expansion_over_class(lab.graph, comp, "linear")
         assert beta is not INFINITE

@@ -14,8 +14,6 @@ from pairlab.posgraph import build_graph, connected_components, cross_cluster_ma
 from pairlab.probe import probe_error
 from pairlab.spectral import eigendecompose, pair_discrepancy
 from pairlab.synthdata import (
-    Example1Spec,
-    Example4Spec,
     component_cluster_graph,
     component_constant_function,
     enumeration_label_map,
@@ -42,7 +40,7 @@ def graph_digest(lg) -> str:
 
 class TestExample1:
     def test_identity_augmentation_minimal(self):
-        lab = example1_graph(Example1Spec(d=2, s=1, tau_grid=(1.0,)))
+        lab = example1_graph(2, 1, tau_grid=(1.0,))
         assert lab.graph.n == 4
         assert connected_components(lab.graph).n_sets == 4
         # labels follow the sign of the first coordinate
@@ -50,26 +48,26 @@ class TestExample1:
         np.testing.assert_array_equal(lab.labels, signs.astype(int))
 
     def test_d4_s1_two_grid_sizes(self):
-        lab = example1_graph(Example1Spec(d=4, s=1, tau_grid=(0.5, 1.0)))
+        lab = example1_graph(4, 1, tau_grid=(0.5, 1.0))
         assert lab.graph.n == 128       # 2^4 sign patterns * 2^3 tau combos
         assert connected_components(lab.graph).n_sets == 16
 
     def test_components_track_sign_patterns(self):
         # one component per sign pattern, for several (d, s) pairs
         for d, s in [(2, 1), (3, 1), (3, 2), (4, 2), (5, 1), (6, 1)]:
-            lab = example1_graph(Example1Spec(d=d, s=s, tau_grid=(0.5, 1.0)))
+            lab = example1_graph(d, s, tau_grid=(0.5, 1.0))
             assert connected_components(lab.graph).n_sets == 2 ** d, (d, s)
 
     def test_labels_constant_on_components_and_alpha_zero(self):
-        lab = example1_graph(Example1Spec(d=4, s=2, tau_grid=(0.5, 1.0)))
+        lab = example1_graph(4, 2, tau_grid=(0.5, 1.0))
         part = connected_components(lab.graph)
         assert cross_cluster_mass(lab.graph, part) == 0.0
         for cell in part.sets():
             assert len(set(lab.labels[cell])) == 1
 
     def test_deterministic(self):
-        a = example1_graph(Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0)))
-        b = example1_graph(Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0)))
+        a = example1_graph(3, 1, tau_grid=(0.5, 1.0))
+        b = example1_graph(3, 1, tau_grid=(0.5, 1.0))
         np.testing.assert_array_equal(a.graph.vertices, b.graph.vertices)
         np.testing.assert_array_equal(a.graph.joint.toarray(),
                                       b.graph.joint.toarray())
@@ -78,7 +76,7 @@ class TestExample1:
     def test_size_guard(self):
         # 2^9 * 2^8 vertices, counted before anything is built
         with pytest.raises(SizeGuardExceeded, match="^131072 vertices exceed guard 20000"):
-            example1_graph(Example1Spec(d=9, s=1))
+            example1_graph(9, 1)
 
     @pytest.mark.parametrize("d, s, digest", [
         (4, 1, "16485ebe0c9aa3a82440c1dcaef3f4676d5f5636ece69cdcbdd32f62d72c159c"),
@@ -86,28 +84,25 @@ class TestExample1:
     ], ids=["d4s1", "d6s2"])
     def test_graphs_are_pinned(self, d, s, digest):
         # taken before examples 1, 2 and 4 became keyword builders
-        assert graph_digest(example1_graph(Example1Spec(d=d, s=s))) == digest
+        assert graph_digest(example1_graph(d, s)) == digest
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            Example1Spec(d=3, s=3, tau_grid=(1.0,))
-        with pytest.raises(ValueError):
-            Example1Spec(d=3, s=1, tau_grid=(0.3,))
-        with pytest.raises(ValueError):
-            Example1Spec(d=3, s=1, tau_grid=(1.0, 0.5))
+        with pytest.raises(ValueError, match="need 0 < s < d, got s=3, d=3"):
+            example1_graph(3, 3, tau_grid=(1.0,))
+        with pytest.raises(ValueError, match=r"must lie in \[0.5, 1\]: \(0.3,\)"):
+            example1_graph(3, 1, tau_grid=(0.3,))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            example1_graph(3, 1, tau_grid=(1.0, 0.5))
 
 
 class TestExample2Labels:
     def test_sign_map_recovers_example1(self):
-        spec = Example1Spec(d=3, s=1, tau_grid=(0.5, 1.0))
-        base = example1_graph(spec)
-        relabeled = example2_labels(
-            spec, {(-1.0,): 0, (1.0,): 1})
+        base = example1_graph(3, 1, tau_grid=(0.5, 1.0))
+        relabeled = example2_labels(3, 1, {(-1.0,): 0, (1.0,): 1}, tau_grid=(0.5, 1.0))
         np.testing.assert_array_equal(base.labels, relabeled.labels)
 
     def test_xor_labels_not_linear(self):
-        spec = Example1Spec(d=4, s=2, tau_grid=(0.5, 1.0))
-        lab = example2_labels(spec, xor_label_map(2))
+        lab = example2_labels(4, 2, xor_label_map(2), tau_grid=(0.5, 1.0))
         # no linear head on the raw coordinates fits the parity labels
         err = probe_error(lab.graph, lab.graph.vertices, lab.labels)
         assert err > 0.1
@@ -120,17 +115,32 @@ class TestExample2Labels:
 
     def test_enumeration_masses_uniform(self):
         s = 2
-        spec = Example1Spec(d=4, s=s, tau_grid=(0.5, 1.0))
-        lab = example2_labels(spec, enumeration_label_map(s))
+        lab = example2_labels(4, s, enumeration_label_map(s), tau_grid=(0.5, 1.0))
         assert lab.n_classes == 2 ** s
         w = lab.graph.marginal
         for c in range(2 ** s):
             assert np.sum(w[lab.labels == c]) == pytest.approx(0.25, abs=1e-12)
 
     def test_incomplete_map_rejected(self):
-        spec = Example1Spec(d=3, s=2, tau_grid=(1.0,))
         with pytest.raises(IncompleteLabelMap, match=r"misses pattern \(-1.0, 1.0\)"):
-            example2_labels(spec, {(-1.0, -1.0): 0, (1.0, 1.0): 1})
+            example2_labels(3, 2, {(-1.0, -1.0): 0, (1.0, 1.0): 1}, tau_grid=(1.0,))
+
+    def test_map_function_called_after_the_checks(self):
+        # a refused s or grid names its own fault, not the map's, and a
+        # map function gives the labels of the map it returns
+        with pytest.raises(ValueError, match="need 0 < s < d, got s=0, d=4"):
+            example2_labels(4, 0, xor_label_map)
+        with pytest.raises(ValueError, match="tau_grid must be nonempty"):
+            example2_labels(4, 1, xor_label_map, tau_grid=())
+        with pytest.raises(ValueError, match="XOR labels need s >= 2"):
+            example2_labels(4, 1, xor_label_map)
+        assert graph_digest(example2_labels(5, 2, xor_label_map)) == \
+            graph_digest(example2_labels(5, 2, xor_label_map(2)))
+
+    def test_takes_no_label_dim(self):
+        # the labels come from the map alone
+        with pytest.raises(TypeError, match="label_dim"):
+            example2_labels(4, 2, xor_label_map(2), label_dim=1)
 
     @pytest.mark.parametrize("d, s, label_map, digest", [
         (5, 2, xor_label_map,
@@ -140,7 +150,7 @@ class TestExample2Labels:
     ], ids=["d5s2-xor", "d4s2-enumeration"])
     def test_graphs_are_pinned(self, d, s, label_map, digest):
         # taken before examples 1, 2 and 4 became keyword builders
-        lab = example2_labels(Example1Spec(d=d, s=s), label_map(s))
+        lab = example2_labels(d, s, label_map(s))
         assert graph_digest(lab) == digest
 
     @pytest.mark.parametrize("d", [3, 5, 7])
@@ -152,8 +162,7 @@ class TestExample2Labels:
             maps = [enumeration_label_map(s), xor_label_map(s) if s >= 2 else {},
                     {tuple(p): int(rng.integers(0, 4)) for p in sign_patterns(s).tolist()}]
             for label_map in filter(None, maps):
-                spec = Example1Spec(d=d, s=s)
-                got = example2_labels(spec, label_map)
+                got = example2_labels(d, s, label_map)
                 classes, want = {}, []
                 for row in got.graph.vertices[:, :s]:
                     raw = label_map[tuple(np.sign(row))]
@@ -219,6 +228,8 @@ class TestExample3:
         ({"sub_clusters_per_set": 3}, "sub_clusters_per_set must divide points_per_set"),
         ({"r": 0, "labels": []}, "need at least one point set"),
         ({"labels": [0]}, "labels must assign a class to every set"),
+        ({"labels": [0, 5]}, r"labels must lie in \[0, m=2\), got 5 for set 1"),
+        ({"labels": [-1, 0]}, r"labels must lie in \[0, m=2\), got -1 for set 0"),
     ])
     def test_bad_input_refused(self, keys, message):
         args = {"r": 2, "gamma": 1.0, "rho": 0.1, "labels": [0, 1], "m": 2, **keys}
@@ -232,21 +243,18 @@ class TestExample3:
 
 class TestExample4:
     def test_identity_tau_grid_naturals_only(self):
-        lab = example4_graph(Example4Spec(d=3, s=1, gamma=2.0,
-                                          tau_grid=(1.0,)))
+        lab = example4_graph(3, 1, 2.0, tau_grid=(1.0,))
         # naturals: 3 locations * 2 patch signs * 2^2 spurious sign patterns
         assert lab.graph.n == 3 * 2 * 4
 
     def test_same_patch_different_location_share_label(self):
-        lab = example4_graph(Example4Spec(d=3, s=1, gamma=2.0,
-                                          tau_grid=(1.0,)))
+        lab = example4_graph(3, 1, 2.0, tau_grid=(1.0,))
         verts = lab.graph.vertices
         plus_patch = np.abs(verts - 2.0).min(axis=1) < 1e-12
         assert len(set(lab.labels[plus_patch])) == 1
 
     def test_zeroed_spurious_vertex_present(self):
-        lab = example4_graph(Example4Spec(d=3, s=1, gamma=2.0,
-                                          tau_grid=(0.0, 1.0)))
+        lab = example4_graph(3, 1, 2.0, tau_grid=(0.0, 1.0))
         verts = lab.graph.vertices
         # a vertex with the patch at +gamma and all spurious dims zeroed
         target = np.array([2.0, 0.0, 0.0])
@@ -256,20 +264,17 @@ class TestExample4:
     def test_component_count_equals_naturals_without_zero_tau(self):
         # every tau > 0 preserves spurious signs, so augmentation sets of
         # distinct naturals never intersect
-        lab = example4_graph(Example4Spec(d=3, s=1, gamma=2.0,
-                                          tau_grid=(0.5, 1.0)))
+        lab = example4_graph(3, 1, 2.0, tau_grid=(0.5, 1.0))
         assert connected_components(lab.graph).n_sets == 3 * 2 * 4
 
     def test_zero_tau_merges_spurious_patterns(self):
         # tau = 0 collapses all spurious sign patterns of a (location, patch)
         # pair onto one shared zeroed vertex: components = d * 2^s
-        lab = example4_graph(Example4Spec(d=3, s=1, gamma=2.0,
-                                          tau_grid=(0.0, 1.0)))
+        lab = example4_graph(3, 1, 2.0, tau_grid=(0.0, 1.0))
         assert connected_components(lab.graph).n_sets == 3 * 2
 
     def test_labels_constant_on_components(self):
-        lab = example4_graph(Example4Spec(d=4, s=2, gamma=2.0,
-                                          tau_grid=(0.0, 1.0)))
+        lab = example4_graph(4, 2, 2.0, tau_grid=(0.0, 1.0))
         part = connected_components(lab.graph)
         assert cross_cluster_mass(lab.graph, part) == 0.0
         for cell in part.sets():
@@ -283,13 +288,13 @@ class TestExample4:
     ], ids=["d4s1", "d3s1-tau01"])
     def test_graphs_are_pinned(self, d, s, gamma, tau_grid, digest):
         # taken before examples 1, 2 and 4 became keyword builders
-        lab = example4_graph(Example4Spec(d=d, s=s, gamma=gamma, tau_grid=tau_grid))
+        lab = example4_graph(d, s, gamma, tau_grid=tau_grid)
         assert graph_digest(lab) == digest
 
     def test_size_guard(self):
         # 6 * 2 * 5^5 vertices, counted before anything is built
         with pytest.raises(SizeGuardExceeded, match="^37500 vertices exceed guard 20000"):
-            example4_graph(Example4Spec(d=6, s=1, gamma=2.0))
+            example4_graph(6, 1, 2.0)
 
 
 class TestRandomAndStructuredGraphs:
@@ -307,6 +312,16 @@ class TestRandomAndStructuredGraphs:
         a = random_graph(12, n_components=2, seed=42)
         b = random_graph(12, n_components=2, seed=42)
         np.testing.assert_array_equal(a.joint.toarray(), b.joint.toarray())
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: random_graph(20001), "^20001 vertices exceed guard 20000"),
+        (lambda: two_level_graph(5001), "^20004 vertices exceed guard 20000"),
+        (lambda: component_cluster_graph(5001), "^20004 vertices exceed guard 20000"),
+    ], ids=["random", "two-level", "component-cluster"])
+    def test_size_guard(self, build, message):
+        # refused before the first draw or allocation
+        with pytest.raises(SizeGuardExceeded, match=message):
+            build()
 
     def test_two_level_graph_structure(self):
         for m in (2, 3, 4):
@@ -341,13 +356,13 @@ class TestRandomAndStructuredGraphs:
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: Example1Spec(d=3, s=1, label_dim=1), "label_dim must index an invariant"),
-    (lambda: Example1Spec(d=3, s=1, tau_grid=()), "tau_grid must be nonempty"),
-    (lambda: Example4Spec(d=3, s=3, gamma=2.0), "need 1 <= s < d, got s=3, d=3"),
-    (lambda: Example4Spec(d=3, s=1, gamma=1.0), "gamma must exceed 1"),
-    (lambda: Example4Spec(d=3, s=1, gamma=2.0, tau_grid=()), "tau_grid must be nonempty"),
-    (lambda: Example4Spec(d=3, s=1, gamma=2.0, tau_grid=(1.5,)), r"must lie in \[0, 1\]"),
-    (lambda: Example4Spec(d=3, s=1, gamma=2.0, tau_grid=(1.0, 0.0)), "strictly increasing"),
+    (lambda: example1_graph(3, 1, label_dim=1), "label_dim must index an invariant"),
+    (lambda: example1_graph(3, 1, tau_grid=()), "tau_grid must be nonempty"),
+    (lambda: example4_graph(3, 3, 2.0), "need 1 <= s < d, got s=3, d=3"),
+    (lambda: example4_graph(3, 1, 1.0), "gamma must exceed 1"),
+    (lambda: example4_graph(3, 1, 2.0, tau_grid=()), "tau_grid must be nonempty"),
+    (lambda: example4_graph(3, 1, 2.0, tau_grid=(1.5,)), r"must lie in \[0, 1\]"),
+    (lambda: example4_graph(3, 1, 2.0, tau_grid=(1.0, 0.0)), "strictly increasing"),
     (lambda: random_graph(4, n_components=5), "need 1 <= n_components <= n, got 5, 4"),
     (lambda: random_graph(4, n_components=0), "need 1 <= n_components <= n, got 0, 4"),
     (lambda: two_level_graph(1), "need at least 2 outer clusters"),
@@ -383,13 +398,12 @@ def _dense_random_joint(n, n_components, seed):
     return W / W.sum()
 
 
-def _example4_by_natural(spec):
+def _example4_by_natural(d, s, gamma, tau_grid):
     """example4_graph built one natural and one augmentation at a time:
     vertices numbered by first appearance, labeled by patch index."""
-    d, s, gamma = spec.d, spec.s, spec.gamma
     n_free = d - s
     n_naturals = d * (2 ** s) * (2 ** n_free)
-    combos = list(itertools.product(spec.tau_grid, repeat=n_free))
+    combos = list(itertools.product(tau_grid, repeat=n_free))
     w = (1.0 / n_naturals) * (1.0 / len(combos)) * (1.0 / len(combos))
     index, verts, labels, rows, cols = {}, [], [], [], []
     for t in range(d):
@@ -417,18 +431,18 @@ def _example4_by_natural(spec):
 
 
 class TestTripletGenerators:
-    @pytest.mark.parametrize("spec", [
-        Example4Spec(d=3, s=1, gamma=2.0),
-        Example4Spec(d=3, s=2, gamma=2.0, tau_grid=(1.0,)),
-        Example4Spec(d=4, s=2, gamma=2.0, tau_grid=(0.0, 1.0)),
-        Example4Spec(d=4, s=1, gamma=1.5, tau_grid=(0.5, 1.0)),
-        Example4Spec(d=4, s=3, gamma=3.0),
-        Example4Spec(d=5, s=1, gamma=2.0),
+    @pytest.mark.parametrize("args", [
+        (3, 1, 2.0, (0.0, 0.5, 1.0)),
+        (3, 2, 2.0, (1.0,)),
+        (4, 2, 2.0, (0.0, 1.0)),
+        (4, 1, 1.5, (0.5, 1.0)),
+        (4, 3, 3.0, (0.0, 0.5, 1.0)),
+        (5, 1, 2.0, (0.0, 0.5, 1.0)),
     ], ids=["d3s1-tau0", "d3s2-naturals", "d4s2-tau0", "d4s1-no-collision",
             "d4s3-tau0", "d5s1-tau0"])
-    def test_example4_graph_matches_per_natural_construction(self, spec):
-        lab = example4_graph(spec)
-        ref, ref_labels = _example4_by_natural(spec)
+    def test_example4_graph_matches_per_natural_construction(self, args):
+        lab = example4_graph(*args)
+        ref, ref_labels = _example4_by_natural(*args)
         g = lab.graph
         for got, want in [(g.vertices, ref.vertices), (lab.labels, ref_labels),
                           (g.joint.data, ref.joint.data),
@@ -436,7 +450,7 @@ class TestTripletGenerators:
                           (g.joint.indptr, ref.joint.indptr),
                           (g.marginal, ref.marginal)]:
             np.testing.assert_array_equal(got, want, strict=True)
-        assert lab.n_classes == 2 ** spec.s
+        assert lab.n_classes == 2 ** args[1]
 
     @pytest.mark.parametrize("n,m,seed", [(30, 3, 1), (80, 7, 2), (200, 1, 3)])
     def test_random_graph_matches_dense_construction(self, n, m, seed):
@@ -448,7 +462,7 @@ class TestTripletGenerators:
         # n = 16384 under the 20000 guard; an n x n float64 array is 2 GiB
         tracemalloc.start()
         try:
-            lab = example1_graph(Example1Spec(d=8, s=2))
+            lab = example1_graph(8, 2)
         finally:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
