@@ -1,10 +1,12 @@
 """Shared fixtures: tiny hand-checkable graphs, a random-graph helper, the
-brute-force b_r reference that the oracle tests compare against, and the
-dense pencil that the expansion minimum is compared against."""
+reference loop that `random_graph` is checked against, the brute-force b_r
+reference that the oracle tests compare against, and the dense pencil that
+the expansion minimum is compared against."""
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from scipy.optimize import minimize
 
 from pairlab.errors import DegenerateCovariance, EigSolverFailure, UnknownClass
@@ -63,6 +65,51 @@ def small_random_graphs(count: int, seed: int = 0, max_n: int = 20):
         g = random_graph(n, n_components=m, seed=int(rng.integers(0, 2**31)))
         out.append((g, m))
     return out
+
+
+def reference_random_graph(n: int, n_components: int = 1,
+                           seed: int = 0) -> PositivePairGraph:
+    """`synthdata.random_graph` as it stood before its draws were read into
+    plain Python ints: the same loop, word for word, with numpy integer
+    scalars in the triplet lists.  The graphs it builds are the ones
+    `random_graph` must keep bit for bit."""
+    rng = np.random.default_rng(seed)
+
+    if n_components == 1:
+        bounds = [0, n]
+    else:
+        cuts = np.sort(rng.choice(np.arange(1, n), size=n_components - 1,
+                                  replace=False))
+        bounds = [0] + [int(c) for c in cuts] + [n]
+
+    rows, cols, vals = [], [], []
+    for b in range(n_components):
+        lo, hi = bounds[b], bounds[b + 1]
+        for i in range(lo + 1, hi):
+            j = int(rng.integers(lo, i))
+            w = float(rng.uniform(0.2, 1.0))
+            rows += [i, j]
+            cols += [j, i]
+            vals += [w, w]
+        for _ in range(hi - lo):
+            u, v = rng.integers(lo, hi, size=2)
+            if u == v:
+                continue
+            w = float(rng.uniform(0.05, 0.5))
+            rows += [u, v]
+            cols += [v, u]
+            vals += [w, w]
+    diag = np.arange(n)
+    vals = np.asarray(np.concatenate([vals, rng.uniform(0.05, 0.3, size=n)]),
+                      dtype=np.float64)
+    joint = scipy.sparse.coo_array(
+        (vals / vals.sum(),
+         (np.asarray(np.concatenate([rows, diag]), dtype=np.int64),
+          np.asarray(np.concatenate([cols, diag]), dtype=np.int64))),
+        shape=(n, n))
+
+    verts = rng.standard_normal((n, 3))
+    return build_graph(verts, joint)
 
 
 def br_bruteforce(graph: PositivePairGraph, r: int, n_starts: int = 8,

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.csgraph
 
 from pairlab.errors import (
     AsymmetricJoint,
@@ -31,7 +32,16 @@ from pairlab.posgraph import (
     restrict,
     save_graph,
 )
-from pairlab.synthdata import random_graph
+from pairlab.synthdata import (
+    component_cluster_graph,
+    example1_graph,
+    example2_labels,
+    example3_graph,
+    example4_graph,
+    random_graph,
+    two_level_graph,
+    xor_label_map,
+)
 
 from conftest import small_random_graphs
 
@@ -365,6 +375,44 @@ class TestCsrStorage:
             assert partition_from_labels(labels).labels.tolist() == labels.tolist()
 
 
+def _permuted(g, rng):
+    perm = rng.permutation(g.n)
+    return build_graph(g.vertices[perm], g.joint[perm][:, perm])
+
+
+def _permuted_random_graphs():
+    rng = np.random.default_rng(12)
+    for i in range(120):
+        n = int(rng.integers(2, 60))
+        yield _permuted(random_graph(n, int(rng.integers(1, n + 1)), seed=i), rng)
+    yield _permuted(random_graph(3000, 40, seed=5), rng)
+
+
+def _example_graphs():
+    """Examples 1-4 and the two-level graph, each with its label cells (the
+    subsets that the tabular beta restricts to)."""
+    for lab in (example1_graph(4, 1), example2_labels(5, 2, xor_label_map),
+                example3_graph(3, 2.0, 0.1, [0, 1, 0], 2, points_per_set=6,
+                               sub_clusters_per_set=3),
+                example4_graph(4, 1, 2.0), two_level_graph(5, seed=1)):
+        yield lab.graph
+        for c in range(lab.n_classes):
+            yield restrict(lab.graph, np.flatnonzero(lab.labels == c))
+    yield _permuted(example4_graph(4, 2, 2.0).graph, np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("graphs", [_permuted_random_graphs, _example_graphs],
+                         ids=["permuted-random", "examples-and-cells"])
+def test_components_match_undirected_labels(graphs):
+    # a joint's pattern is symmetric, so its strong components are the
+    # undirected ones, numbered by smallest vertex
+    for i, g in enumerate(graphs()):
+        _, want = scipy.sparse.csgraph.connected_components(g.joint, directed=False)
+        got = connected_components(g).labels
+        assert got.dtype == np.int64, i
+        np.testing.assert_array_equal(got, want, err_msg=str(i))
+
+
 def _three_vertex_doc(joint):
     J = np.array(joint, dtype=np.float64)
     rows, cols = np.nonzero(J)
@@ -508,6 +556,24 @@ class TestStrictLoader:
 
     def test_documents_always_hold_triplets(self, two_vertex_uniform):
         assert set(graph_to_dict(two_vertex_uniform)["joint"]) == {"triplets"}
+
+    @pytest.mark.parametrize("build", [
+        lambda: random_graph(40, n_components=3, seed=2),
+        lambda: two_level_graph(4, seed=1).graph,
+        lambda: component_cluster_graph(3),
+        lambda: example1_graph(4, 1).graph,
+        lambda: example2_labels(4, 2, xor_label_map).graph,
+        lambda: example3_graph(3, 2.0, 0.1, [0, 1, 0], 2, sub_clusters_per_set=2).graph,
+        lambda: example4_graph(4, 1, 2.0).graph,
+    ], ids=["random", "two-level", "component-cluster", "example1", "example2",
+            "example3", "example4"])
+    def test_every_generator_round_trips(self, build):
+        g = build()
+        back = graph_from_dict(json.loads(json.dumps(graph_to_dict(g))))
+        for a, b in ((g.vertices, back.vertices), (g.marginal, back.marginal),
+                     (g.joint.indptr, back.joint.indptr),
+                     (g.joint.indices, back.joint.indices), (g.joint.data, back.joint.data)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_large_round_trip_is_bit_exact(self):
         g = random_graph(6000, n_components=20)

@@ -27,6 +27,8 @@ from pairlab.synthdata import (
     xor_label_map,
 )
 
+from conftest import reference_random_graph
+
 
 def graph_digest(lg) -> str:
     """SHA-256 of a labeled graph's vertices, CSR joint and labels."""
@@ -36,6 +38,14 @@ def graph_digest(lg) -> str:
                 joint.indices.astype(np.int64), joint.data, lg.labels):
         digest.update(np.ascontiguousarray(arr).tobytes())
     return digest.hexdigest()
+
+
+def _prop4_triples(seed: int, n_graphs: int = 200):
+    """The (n, n_components, seed) of each graph `verify_prop4` draws."""
+    rng = np.random.default_rng(seed)
+    for i in range(n_graphs):
+        n = int(rng.integers(5, 25))
+        yield n, int(rng.integers(2, min(6, n))), seed + 7919 * i + 1
 
 
 class TestExample1:
@@ -312,6 +322,30 @@ class TestRandomAndStructuredGraphs:
         a = random_graph(12, n_components=2, seed=42)
         b = random_graph(12, n_components=2, seed=42)
         np.testing.assert_array_equal(a.joint.toarray(), b.joint.toarray())
+
+    @pytest.mark.parametrize("triples", [
+        *(pytest.param(list(_prop4_triples(seed)), id=f"prop4-seed{seed}")
+          for seed in (0, 1, 2)),
+        pytest.param([(n, 1 + i % 4, i) for i, n in enumerate(range(40, 201, 10))],
+                     id="br-sweep-sizes"),
+        pytest.param([(4000, 10, 0), (6000, 20, 1)], id="large"),
+    ])
+    def test_random_graph_matches_reference_loop(self, triples):
+        for n, m, seed in triples:
+            got, want = random_graph(n, m, seed), reference_random_graph(n, m, seed)
+            joint, ref = got.joint, want.joint
+            for a, b in ((got.vertices, want.vertices), (joint.indptr, ref.indptr),
+                         (joint.indices, ref.indices), (joint.data, ref.data),
+                         (got.marginal, want.marginal)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, m, seed)
+
+    @pytest.mark.parametrize("m, seed, cross_scale, digest", [
+        (2, 0, 1e-3, "14046026e07517adcaa9771b32936ed20940e8731b81f6638e7e46ed5694dad6"),
+        (4, 7, 1e-2, "7c67fa9f48254b6b92b8680bbb380b97bccdac74ca869235b3e05e3864604666"),
+        (9, 3, 1e-3, "0d2dca9599df740c21820e95709437a3d7368bebffe5348adf2ca9f98e74147d"),
+    ])
+    def test_two_level_graphs_are_pinned(self, m, seed, cross_scale, digest):
+        assert graph_digest(two_level_graph(m, seed, cross_scale)) == digest
 
     @pytest.mark.parametrize("build, message", [
         (lambda: random_graph(20001), "^20001 vertices exceed guard 20000"),
