@@ -28,6 +28,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -193,10 +194,17 @@ def _integer(value) -> int:
 
 
 def _number(value) -> float:
-    """`value` as a float if it is a JSON integer or float (not a bool)."""
+    """`value` as a float if it is a finite JSON integer or float (not a
+    bool, and not the NaN and Infinity that Python's json reads)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"need a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:               # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"need a finite number, got {value!r}")
+    return number
 
 
 def _positive_int(value) -> int:

@@ -29,6 +29,10 @@ class DuplicateVertex(PairLabError):
     """Two vertices share identical coordinates."""
 
 
+class NonFiniteVertex(PairLabError):
+    """A vertex coordinate is NaN or infinite."""
+
+
 class KernelNotNormalized(PairLabError):
     """An augmentation kernel row does not sum to 1."""
 

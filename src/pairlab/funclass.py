@@ -254,7 +254,7 @@ def _verify_onehot_outputs(model: RepresentationModel, graph: PositivePairGraph,
     target = np.zeros(F.shape)
     shown = target_idx < F.shape[1]
     target[shown, target_idx[shown]] = scale
-    bad = np.flatnonzero(np.max(np.abs(F - target), axis=1) > _VERIFY_TOL * scale)
+    bad = np.flatnonzero(~(np.max(np.abs(F - target), axis=1) <= _VERIFY_TOL * scale))  # NaN too
     if bad.size:
         raise ConstructionVerificationFailed(f"{semantics} semantics fail at vertex {bad[0]}")
     return model

@@ -12,7 +12,8 @@ duplicate entries are summed).  The stored object satisfies the invariants
 to machine precision: inputs are validated against loose tolerances, then
 symmetrized and renormalized exactly once.  Loading a saved graph runs the
 same validation with the tight consistency tolerance but keeps the stored
-values, so a save/load round trip is bit-exact.
+values, so a save/load round trip is bit-exact; it also refuses a stored
+entry without its mirror, so every graph's pattern is symmetric.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -33,6 +34,7 @@ from .errors import (
     EmptySupport,
     KernelNotNormalized,
     MalformedGraphFile,
+    NonFiniteVertex,
     NotNormalized,
     ZeroConditionalMass,
     ZeroMassVertex,
@@ -48,6 +50,9 @@ def _canonical_coords(vertices) -> np.ndarray:
     arr = np.asarray(vertices, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"vertices must be 2-d, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        bad = int(np.argmin(np.isfinite(arr).all(axis=1)))
+        raise NonFiniteVertex(f"vertex {bad} has a non-finite coordinate: {arr[bad].tolist()}")
     return arr + 0.0
 
 
@@ -56,11 +61,12 @@ def _check_distinct(vertices: np.ndarray) -> None:
     n, d = vertices.shape
     rows = np.ascontiguousarray(vertices if d else np.zeros((n, 1)))    # d = 0: one empty row
     keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    first = first[inverse.ravel()]      # each vertex's first vertex with its row
-    dup = np.flatnonzero(first != np.arange(n))
-    if dup.size:
-        raise DuplicateVertex(f"vertices {first[dup[0]]} and {dup[0]} have identical coordinates")
+    order = np.argsort(keys, kind="stable")     # equal rows in index order
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if repeats.size:
+        dup = int(repeats.min())
+        first = int(np.flatnonzero(keys == keys[dup])[0])
+        raise DuplicateVertex(f"vertices {first} and {dup} have identical coordinates")
 
 
 @dataclass(frozen=True)
@@ -99,8 +105,8 @@ class PositivePairGraph:
 
 
 def _canonical(rows, cols, vals, n: int):
-    """Triplets sorted by (row, col), with repeated pairs summed in the
-    order given and zeros dropped."""
+    """(key, vals): triplets sorted by key = row * n + col, with repeated
+    pairs summed in the order given and zeros dropped."""
     key = np.asarray(rows, dtype=np.int64) * n + np.asarray(cols, dtype=np.int64)
     order = np.argsort(key, kind="stable")
     key, vals = key[order], np.asarray(vals, dtype=np.float64)[order]
@@ -108,18 +114,30 @@ def _canonical(rows, cols, vals, n: int):
         first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
         key, vals = key[first], np.add.reduceat(vals, first)
     keep = vals != 0.0
-    key, vals = key[keep], vals[keep]
-    return key // n, key % n, vals
+    return key[keep], vals[keep]
 
 
 def _csr(rows, cols, vals, n: int) -> sparse.csr_array:
     """The n×n CSR array of canonical triplets."""
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    indptr = np.searchsorted(rows, np.arange(n + 1))     # rows are sorted
     return sparse.csr_array((vals, cols, indptr), shape=(n, n))
 
 
+class _Triplets(NamedTuple):
+    """A joint as (row, col, value) triplets with indices in [0, n), whose
+    repeated pairs add up.  The generators hand `build_graph` their joints
+    in this form, which it reads without building a scipy array first."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
 def _matrix_triplets(joint, n: int):
-    """Triplets of a dense array or scipy sparse array that must be n×n."""
+    """Triplets of a dense array or scipy sparse array that must be n×n;
+    `_Triplets` pass as they are."""
+    if isinstance(joint, _Triplets):
+        return joint
     if not sparse.issparse(joint):
         joint = np.asarray(joint, dtype=np.float64)
     if joint.shape != (n, n):
@@ -131,25 +149,33 @@ def _matrix_triplets(joint, n: int):
 def _checked_joint(rows, cols, vals, n: int, sym_tol: float):
     """(rows, cols, vals, total, sym): the joint's canonical triplets, their
     sum and the canonical triplets of J + J^T, after the checks that
-    building and loading share.  One stable sort of J's keys followed by
-    J^T's gives both J - J^T and J + J^T, each summed J's entry first."""
-    rows, cols, vals = _canonical(rows, cols, vals, n)
+    building and loading share.  J^T's entries, sorted by key, line up
+    with J's when the pattern is symmetric; otherwise one stable sort of
+    both merges them, each pair summed J's entry first."""
+    key, vals = _canonical(rows, cols, vals, n)
     if not (vals >= 0).all():
         raise NotNormalized("joint has negative or NaN entries")
-    key = np.concatenate([rows * n + cols, cols * n + rows])
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.diff(key, prepend=-1) != 0
-    slot = np.cumsum(first) - 1
-    gap = np.abs(np.bincount(slot, np.concatenate([vals, -vals])[order])).max(initial=0.0)
+    rows, cols = key // n, key % n
+    t_key = cols * n + rows
+    order = np.argsort(t_key)
+    t_key, t_vals = t_key[order], vals[order]
+    if (t_key == key).all():
+        sym, gap = (rows, cols, vals + t_vals), np.abs(vals - t_vals).max(initial=0.0)
+    else:
+        merged = np.concatenate([key, t_key])
+        order = np.argsort(merged, kind="stable")
+        merged = merged[order]
+        first = np.diff(merged, prepend=-1) != 0
+        slot = np.cumsum(first) - 1
+        merged = merged[first]
+        gap = np.abs(np.bincount(slot, np.concatenate([vals, -t_vals])[order])).max()
+        sym = (merged // n, merged % n, np.bincount(slot, np.concatenate([vals, t_vals])[order]))
     if gap > sym_tol:
         raise AsymmetricJoint(f"max |J - J^T| = {gap:.3e}")
     total = float(vals.sum())
     if not abs(total - 1.0) <= _SUM_TOL:
         raise NotNormalized(f"joint sums to {total!r}")
-    key = key[first]
-    return rows, cols, vals, total, (
-        key // n, key % n, np.bincount(slot, np.concatenate([vals, vals])[order]))
+    return rows, cols, vals, total, sym
 
 
 def _check_positive(marginal: np.ndarray) -> None:
@@ -163,7 +189,8 @@ def build_graph(vertices, joint) -> PositivePairGraph:
 
     `joint` is a dense (n, n) array or any scipy sparse array; duplicate
     sparse entries are summed.  Raises AsymmetricJoint / NotNormalized /
-    ZeroMassVertex / DuplicateVertex when the input is out of tolerance.
+    ZeroMassVertex / DuplicateVertex when the input is out of tolerance, and
+    NonFiniteVertex for a NaN or infinite coordinate.
     Accepted input is symmetrized and renormalized so the stored graph holds
     the invariants to ~1e-16.
     """
@@ -249,11 +276,17 @@ def partition_from_labels(labels: Sequence[int]) -> Partition:
 def connected_components(graph: PositivePairGraph) -> Partition:
     """Components of the positive-pair edge set (entries with joint > 0).
 
-    Component ids are assigned by smallest contained vertex index (scipy
-    labels components in order of their first vertex), so the component of
-    vertex 0 always has id 0.
+    Component ids are assigned by smallest contained vertex index, so the
+    component of vertex 0 always has id 0.  Every stored joint has a
+    symmetric pattern (building symmetrizes it, loading refuses an entry
+    without its mirror), so its strong components are its components.
+    scipy's strong-component search finishes the whole component of the
+    smallest unvisited vertex before it starts the next, which numbers them
+    by first vertex, and it skips the transposed copy that the undirected
+    pass makes.
     """
-    _, labels = csgraph.connected_components(graph.joint, directed=False)
+    _, labels = csgraph.connected_components(graph.joint, directed=True,
+                                             connection="strong")
     return Partition(labels=labels.astype(np.int64))
 
 
@@ -287,8 +320,8 @@ def restrict(graph: PositivePairGraph, subset) -> PositivePairGraph:
     local[idx] = np.arange(idx.size)
     rows, cols, vals = graph.joint_coo()
     inside = (local[rows] >= 0) & (local[cols] >= 0)
-    rows, cols, vals = _canonical(local[rows[inside]], local[cols[inside]],
-                                  vals[inside], idx.size)
+    key, vals = _canonical(local[rows[inside]], local[cols[inside]], vals[inside], idx.size)
+    rows, cols = key // idx.size, key % idx.size
     mass = float(vals.sum())
     if mass <= 0.0:
         raise ZeroConditionalMass("subset carries no joint mass")
@@ -372,9 +405,11 @@ def graph_from_dict(doc: dict) -> PositivePairGraph:
 
     Every number must be a JSON number: a string or a boolean in any field
     raises MalformedGraphFile.  The joint passes the same checks as in
-    `build_graph`, with symmetry held to the consistency tolerance, and the
-    stored marginal must match its row sums to that tolerance.  Nothing is
-    renormalized: the stored joint and marginal are kept bit for bit.
+    `build_graph`, with symmetry held to the consistency tolerance, and
+    every stored entry must have its mirror, so that the pattern is
+    symmetric as a built graph's is.  The stored marginal must match its
+    row sums to that tolerance.  Nothing is renormalized: the stored joint
+    and marginal are kept bit for bit.
     """
     if not isinstance(doc, dict):
         raise MalformedGraphFile("graph document must be a JSON object")
@@ -399,7 +434,11 @@ def graph_from_dict(doc: dict) -> PositivePairGraph:
             triplets = _matrix_triplets(_number_array(joint, "joint"), n)
     except (ValueError, KeyError, OverflowError) as exc:
         raise MalformedGraphFile(f"unreadable joint: {exc}") from exc
-    rows, cols, vals, *_ = _checked_joint(*triplets, n, _CONSISTENCY_TOL)
+    rows, cols, vals, _, (sym_rows, *_) = _checked_joint(*triplets, n, _CONSISTENCY_TOL)
+    if sym_rows.size != rows.size:      # J + J^T has an entry that J lacks
+        lone = np.flatnonzero(~np.isin(cols * n + rows, rows * n + cols))[0]
+        i, j = int(rows[lone]), int(cols[lone])
+        raise AsymmetricJoint(f"stored entry ({i}, {j}) has no mirror ({j}, {i})")
     marg = _number_array(doc["marginal"], "marginal")
     row_sums = np.bincount(rows, weights=vals, minlength=n)
     if marg.shape != (n,) or not np.max(np.abs(marg - row_sums)) <= _CONSISTENCY_TOL:

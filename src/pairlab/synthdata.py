@@ -25,14 +25,14 @@ the constructions' units in `funclass` use it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import sparse
 
 from .errors import IncompleteLabelMap, SizeGuardExceeded
-from .posgraph import PositivePairGraph, build_graph, connected_components
+from .posgraph import PositivePairGraph, _Triplets, build_graph, connected_components
 
 DEFAULT_SIZE_GUARD = 20000
 
@@ -82,6 +82,8 @@ def _check_patch(d: int, s: int, gamma: float) -> None:
     """Example 4 needs a patch shorter than the circle, above unit magnitude."""
     if not (1 <= s < d):
         raise ValueError(f"need 1 <= s < d, got s={s}, d={d}")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
     if gamma <= 1.0:
         raise ValueError("gamma must exceed 1")
 
@@ -90,15 +92,15 @@ def _check_patch(d: int, s: int, gamma: float) -> None:
 # examples 1 and 2: hypercube with scaled spurious dims
 
 
-def _triplets(rows, cols, vals, n: int, normalize: bool = False) -> sparse.coo_array:
-    """An n×n joint from triplets; repeated (row, col) entries add up.
-    With `normalize`, the values are first divided by their sum."""
+def _graph(verts, rows, cols, vals, normalize: bool = False) -> PositivePairGraph:
+    """The graph of `verts` whose joint has the (row, col, value) triplets;
+    repeated (row, col) entries add up.  With `normalize`, the values are
+    first divided by their sum."""
     vals = np.asarray(vals, dtype=np.float64)
     if normalize:
         vals = vals / vals.sum()
-    return sparse.coo_array(
-        (vals, (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-        shape=(n, n))
+    return build_graph(verts, _Triplets(np.asarray(rows, dtype=np.int64),
+                                        np.asarray(cols, dtype=np.int64), vals))
 
 
 def _block_pairs(starts, size: int):
@@ -147,8 +149,7 @@ def _hypercube_graph(d: int, s: int, grid: Tuple[float, ...]):
     # block diagonal with constant blocks.
     w = (1.0 / n_naturals) * (1.0 / n_combos) ** 2
     rows, cols = _block_pairs(np.arange(n_naturals) * n_combos, n_combos)
-    joint = _triplets(rows, cols, np.full(rows.size, w), n)
-    return build_graph(verts, joint), patterns[:, :s]
+    return _graph(verts, rows, cols, np.full(rows.size, w)), patterns[:, :s]
 
 
 def example1_graph(d: int, s: int, tau_grid: Sequence[float] = _TAU_GRID_1,
@@ -258,7 +259,7 @@ def example3_graph(
     per = points_per_set // sub_clusters_per_set
     w = (1.0 / r) * (per / points_per_set) / (per * per)
     rows, cols = _block_pairs(np.arange(r * sub_clusters_per_set) * per, per)
-    graph = build_graph(verts, _triplets(rows, cols, np.full(rows.size, w), n))
+    graph = _graph(verts, rows, cols, np.full(rows.size, w))
     labels = np.repeat(np.asarray(labels, dtype=np.int64), points_per_set)
     return LabeledGraph(graph=graph, labels=labels, n_classes=m)
 
@@ -316,8 +317,7 @@ def example4_graph(d: int, s: int, gamma: float,
     aug = vid.reshape(n_naturals, n_combos)
     rows = np.repeat(aug, n_combos, axis=1).ravel()
     cols = np.tile(aug, (1, n_combos)).ravel()
-    graph = build_graph(views[first],
-                        _triplets(rows, cols, np.full(rows.size, w), first.size))
+    graph = _graph(views[first], rows, cols, np.full(rows.size, w))
     return LabeledGraph(graph=graph, labels=labels, n_classes=2 ** s)
 
 
@@ -360,7 +360,8 @@ def random_graph(
             cols += [j, i]
             vals += [w, w]
         for _ in range(hi - lo):
-            u, v = rng.integers(lo, hi, size=2)
+            # two scalar draws: the stream of one size=2 draw, without numpy scalars
+            u, v = int(rng.integers(lo, hi)), int(rng.integers(lo, hi))
             if u == v:
                 continue
             w = float(rng.uniform(0.05, 0.5))
@@ -368,12 +369,10 @@ def random_graph(
             cols += [v, u]
             vals += [w, w]
     diag = np.arange(n)
-    joint = _triplets(np.concatenate([rows, diag]), np.concatenate([cols, diag]),
-                      np.concatenate([vals, rng.uniform(0.05, 0.3, size=n)]), n,
-                      normalize=True)
-
+    rows, cols = np.concatenate([rows, diag]), np.concatenate([cols, diag])
+    vals = np.concatenate([vals, rng.uniform(0.05, 0.3, size=n)])
     verts = rng.standard_normal((n, 3))
-    return build_graph(verts, joint)
+    return _graph(verts, rows, cols, vals, normalize=True)
 
 
 def component_constant_function(
@@ -427,7 +426,7 @@ def two_level_graph(
 
     # 4 ordered pairs x 1/8 = 1/2 per sub-cluster
     rows, cols = _block_pairs(np.arange(0, n, 2), 2)
-    rows, cols, vals = list(rows), list(cols), [1.0 / 8.0] * rows.size
+    rows, cols, vals = rows.tolist(), cols.tolist(), [1.0 / 8.0] * rows.size
     n_cross = (m - 1) + int(rng.integers(0, m))
     for idx in range(n_cross):
         if idx < m - 1:
@@ -441,7 +440,7 @@ def two_level_graph(
         cols += [v, u]
         vals += [w / 2.0, w / 2.0]
 
-    graph = build_graph(verts, _triplets(rows, cols, vals, n, normalize=True))
+    graph = _graph(verts, rows, cols, vals, normalize=True)
     return LabeledGraph(graph=graph, labels=labels, n_classes=m)
 
 
@@ -467,4 +466,4 @@ def component_cluster_graph(n_components: int) -> PositivePairGraph:
         verts[rows, j] = 1.0
         verts[rows, n_components + 2 * j: n_components + 2 * j + 2] = inner
     rows, cols = _block_pairs(np.arange(0, n, 4), 4)
-    return build_graph(verts, _triplets(rows, cols, np.ones(rows.size), n, normalize=True))
+    return _graph(verts, rows, cols, np.ones(rows.size), normalize=True)

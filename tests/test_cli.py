@@ -238,6 +238,15 @@ class TestConfigValidation:
         ("probe", {"graph": {"example": 3, "r": 2, "gamma": 1.0, "rho": 0.1,
                              "labels": [0, 5], "m": 2}, "class": {"tag": "tabular", "k": 2}},
          "graph: labels must lie in [0, m=2), got 5 for set 1"),
+        ("graph-info", {"graph": {"example": 4, "d": 3, "s": 1, "gamma": float("inf")}},
+         "graph: gamma: need a finite number, got inf"),
+        ("graph-info", {"graph": {"example": 4, "d": 3, "s": 1, "gamma": float("nan")}},
+         "graph: gamma: need a finite number, got nan"),
+        ("graph-info", {"graph": {"example": 4, "d": 3, "s": 1, "gamma": 10 ** 400}},
+         "graph: gamma: need a finite number, got 1000"),
+        ("train", {"graph": {"random": {"n": 6}}, "class": {"tag": "linear", "k": 1},
+                   "lambda": float("-inf")},
+         "need a finite number, got -inf"),
     ], ids=["missing-d", "s-over-d", "example2-xor-s1", "zero-step", "text-max-iters",
             "text-lambda-train", "text-lambda-probe", "br-classes-text-s",
             "text-count", "zero-r", "empty-lambda-grid", "text-n-graphs",
@@ -254,7 +263,8 @@ class TestConfigValidation:
             "br-class-and-classes", "br-empty-classes", "example3-zero-sub-clusters",
             "example3-negative-rho", "example3-zero-points", "class-not-object",
             "train-without-class", "probe-without-class", "example3-label-over-m",
-            "probe-example3-label-over-m"])
+            "probe-example3-label-over-m", "infinite-gamma", "nan-gamma", "huge-int-gamma",
+            "infinite-lambda"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, doc, message):
         cfg = write_config(tmp_path, {"version": 1, **doc})
         try:

@@ -16,6 +16,7 @@ from pairlab.errors import (
 )
 from pairlab.funclass import (
     FunctionClassSpec,
+    _verify_onehot_outputs,
     construct_adversarial_universal,
     construct_example1_optimal,
     construct_example2_optimal,
@@ -137,7 +138,13 @@ def test_bad_shapes_rejected(call, error, message):
      "need 1 <= s < d, got s=0, d=3"),
     (lambda: construct_example4_adversarial_relu(1, 1.0, 2, example4_graph(3, 1, 2.0).graph),
      "gamma must exceed 1"),
-], ids=["example1-s", "example2-s", "example4-s", "example4-adversarial-relu-gamma"])
+    (lambda: construct_example4_optimal(1, float("inf"), example4_graph(4, 1, 2.0).graph),
+     "gamma must be finite, got inf"),
+    (lambda: construct_example4_adversarial_relu(1, float("nan"), 2,
+                                                 example4_graph(3, 1, 2.0).graph),
+     "gamma must be finite, got nan"),
+], ids=["example1-s", "example2-s", "example4-s", "example4-adversarial-relu-gamma",
+        "example4-infinite-gamma", "example4-adversarial-relu-nan-gamma"])
 def test_construction_parameters_checked(call, message):
     # the example generators' own checks, on d read from the graph
     with pytest.raises(ValueError, match=message):
@@ -297,6 +304,17 @@ class TestConstructions:
         zeroed = np.where(np.all(verts == [2.0, 0.0, 0.0], axis=1))[0]
         assert full.size == 1 and zeroed.size == 1
         np.testing.assert_allclose(F[full[0]], F[zeroed[0]], atol=1e-9)
+
+    def test_nan_outputs_fail_verification(self):
+        # NaN is neither within nor beyond the tolerance of its target
+        g = example4_graph(4, 1, 2.0).graph
+        model = construct_example4_optimal(1, 2.0, g)
+        F = forward(model, g)
+        params = model.params.copy()
+        params[-1] = np.nan
+        broken = model.spec.model(params)
+        with pytest.raises(ConstructionVerificationFailed, match="fail at vertex 0"):
+            _verify_onehot_outputs(broken, g, np.argmax(F, axis=1), np.sqrt(2.0), "one-hot")
 
     @pytest.mark.parametrize("construct, g", [
         (lambda graph: construct_example2_optimal(1, graph),

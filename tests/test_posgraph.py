@@ -14,6 +14,7 @@ from pairlab.errors import (
     EmptySupport,
     KernelNotNormalized,
     MalformedGraphFile,
+    NonFiniteVertex,
     NotNormalized,
     ZeroConditionalMass,
     ZeroMassVertex,
@@ -110,7 +111,11 @@ class TestBuildGraph:
     @pytest.mark.parametrize("verts, joint, error, message", [
         ([0.0, 1.0], np.full((2, 2), 0.25), ValueError, r"vertices must be 2-d, got shape \(2,\)"),
         (np.zeros((0, 2)), np.zeros((0, 0)), EmptySupport, "at least one vertex"),
-    ], ids=["flat-vertices", "empty"])
+        ([[0.0], [np.inf]], np.full((2, 2), 0.25), NonFiniteVertex,
+         r"^vertex 1 has a non-finite coordinate: \[inf\]"),
+        ([[0.0, np.nan], [1.0, -np.inf]], np.full((2, 2), 0.25), NonFiniteVertex,
+         r"^vertex 0 has a non-finite coordinate: \[0.0, nan\]"),
+    ], ids=["flat-vertices", "empty", "infinite", "nan"])
     def test_bad_vertices_rejected(self, verts, joint, error, message):
         with pytest.raises(error, match=message):
             build_graph(verts, joint)
@@ -121,6 +126,16 @@ class TestBuildGraph:
                         [[0.25, 0.25 + 1e-12], [0.25 - 1e-12, 0.25]])
         J = g.joint.toarray()
         assert J[0, 1] == J[1, 0]
+
+    def test_entry_without_mirror_within_tolerance_symmetrized(self):
+        # building, unlike loading, accepts a lone entry inside the symmetry
+        # tolerance and stores it with its mirror, half the mass each way
+        J = np.kron(np.eye(2), np.full((2, 2), 0.125))
+        J[1, 2] = 5e-13
+        g = build_graph([[0.0], [1.0], [2.0], [3.0]], scipy.sparse.coo_array(J))
+        K = g.joint.toarray()
+        assert K[1, 2] == K[2, 1] == 0.5 * 5e-13 / J.sum()
+        assert connected_components(g).n_sets == 1
 
 
 class TestFromAugmentationProcess:
@@ -376,8 +391,12 @@ class TestCsrStorage:
 
 
 def _permuted(g, rng):
+    """g with vertex perm[i] renumbered i."""
     perm = rng.permutation(g.n)
-    return build_graph(g.vertices[perm], g.joint[perm][:, perm])
+    new = np.argsort(perm)
+    rows, cols, vals = g.joint_coo()
+    return build_graph(g.vertices[perm],
+                       scipy.sparse.coo_array((vals, (new[rows], new[cols])), shape=(g.n, g.n)))
 
 
 def _permuted_random_graphs():
@@ -540,6 +559,14 @@ class TestStrictLoader:
         with pytest.raises(NotNormalized):
             graph_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_vertex_rejected(self, two_vertex_uniform, value):
+        # the loader reads coordinates through the same check as build_graph
+        doc = json.loads(json.dumps(graph_to_dict(two_vertex_uniform)))
+        doc["vertices"][1][0] = value
+        with pytest.raises(NonFiniteVertex, match="^vertex 1 has a non-finite"):
+            graph_from_dict(doc)
+
     def test_inconsistent_marginal_rejected(self, two_vertex_uniform):
         doc = graph_to_dict(two_vertex_uniform)
         doc["marginal"] = [0.5 + 1e-11, 0.5 - 1e-11]
@@ -556,6 +583,21 @@ class TestStrictLoader:
 
     def test_documents_always_hold_triplets(self, two_vertex_uniform):
         assert set(graph_to_dict(two_vertex_uniform)["joint"]) == {"triplets"}
+
+    @pytest.mark.parametrize("form", ["triplets", "dense"])
+    def test_entry_without_mirror_rejected(self, form):
+        # two 2-vertex blocks and a lone (1, 2) entry inside the symmetry
+        # tolerance: loading it would join the blocks one way only
+        J = np.kron(np.eye(2), np.full((2, 2), 0.125))
+        J[1, 2] = 5e-13
+        doc = {"d": 1, "vertices": [[0.0], [1.0], [2.0], [3.0]],
+               "marginal": J.sum(axis=1).tolist(),
+               "joint": J.tolist()}
+        if form == "triplets":
+            doc["joint"] = {"triplets": [[int(i), int(j), float(J[i, j])]
+                                         for i, j in zip(*np.nonzero(J))]}
+        with pytest.raises(AsymmetricJoint, match=r"entry \(1, 2\) has no mirror"):
+            graph_from_dict(doc)
 
     @pytest.mark.parametrize("build", [
         lambda: random_graph(40, n_components=3, seed=2),

@@ -339,11 +339,26 @@ class TestRandomAndStructuredGraphs:
                          (got.marginal, want.marginal)):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, m, seed)
 
+    @pytest.mark.parametrize("args, digest", [
+        ((15, 3, 4), "71986e25235acfd1e86d8140c117f3e19ab43f20df3988e94372e8deed4092c8"),
+        ((200, 4, 1), "73a0f5ee0386d436ad622ebc0628860ac57de040e1dbccd5e8059dff121c2271"),
+        ((6000, 20, 1), "c1273ff9f8d19ff2cec8b19edd09b0342a5ceb6640ec4b7cb20d8a6c0ea94a78"),
+    ], ids=["n15", "n200", "n6000"])
+    def test_random_graphs_are_pinned(self, args, digest):
+        # the reference loop above builds through today's build_graph; these
+        # pins, taken before the loop changed, hold build_graph's output too
+        g = random_graph(*args)
+        h = hashlib.sha256()
+        for arr in (g.vertices, g.joint.indptr.astype(np.int64),
+                    g.joint.indices.astype(np.int64), g.joint.data, g.marginal):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == digest
+
     @pytest.mark.parametrize("m, seed, cross_scale, digest", [
         (2, 0, 1e-3, "14046026e07517adcaa9771b32936ed20940e8731b81f6638e7e46ed5694dad6"),
         (4, 7, 1e-2, "7c67fa9f48254b6b92b8680bbb380b97bccdac74ca869235b3e05e3864604666"),
         (9, 3, 1e-3, "0d2dca9599df740c21820e95709437a3d7368bebffe5348adf2ca9f98e74147d"),
-    ])
+    ], ids=["m2", "m4", "m9"])
     def test_two_level_graphs_are_pinned(self, m, seed, cross_scale, digest):
         assert graph_digest(two_level_graph(m, seed, cross_scale)) == digest
 
@@ -394,6 +409,8 @@ class TestRandomAndStructuredGraphs:
     (lambda: example1_graph(3, 1, tau_grid=()), "tau_grid must be nonempty"),
     (lambda: example4_graph(3, 3, 2.0), "need 1 <= s < d, got s=3, d=3"),
     (lambda: example4_graph(3, 1, 1.0), "gamma must exceed 1"),
+    (lambda: example4_graph(3, 1, float("inf")), "gamma must be finite, got inf"),
+    (lambda: example4_graph(3, 1, float("nan")), "gamma must be finite, got nan"),
     (lambda: example4_graph(3, 1, 2.0, tau_grid=()), "tau_grid must be nonempty"),
     (lambda: example4_graph(3, 1, 2.0, tau_grid=(1.5,)), r"must lie in \[0, 1\]"),
     (lambda: example4_graph(3, 1, 2.0, tau_grid=(1.0, 0.0)), "strictly increasing"),
@@ -402,6 +419,7 @@ class TestRandomAndStructuredGraphs:
     (lambda: two_level_graph(1), "need at least 2 outer clusters"),
     (lambda: component_cluster_graph(0), "need at least one cluster"),
 ], ids=["example1-label-dim", "example1-empty-grid", "example4-s", "example4-gamma",
+        "example4-infinite-gamma", "example4-nan-gamma",
         "example4-empty-grid", "example4-grid-range", "example4-grid-order",
         "random-too-many-components", "random-no-component", "two-level-one-cluster",
         "no-cluster"])
