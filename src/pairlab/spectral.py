@@ -13,15 +13,21 @@ of 0 equals the number of connected components.
 returns.  M is block-diagonal over connected components, so the zero
 eigenpairs (the marginal-normalized component indicators) are written
 straight into the result, in their final order, with an O(nnz) residual.
-Each component is solved on its own for only the nonzero eigenpairs it can
-contribute: small components of equal size share one batched dense
-solve, larger ones up to `_DENSE_BLOCK_LIMIT` get a subset dense solve
-each, and components above that an iterative one with the component's
-null vector deflated.  The blocks' eigenpairs are merged in ascending
-order.  A dense block is written once, into one buffer, in the triangle
-LAPACK reads, so it costs about one s x s array; an iterative block's
-result is checked for a missed eigenvalue by one more deflated solve, and
-solved again with more Lanczos vectors when one is missed.
+Each component is solved on its own for only the k nonzero eigenpairs it
+can contribute, by whichever solver is cheaper at its size s and that k:
+small components of equal size share one batched dense solve, larger ones
+get a dense solve each, and a component with s^2 > `_LANCZOS_S2` *
+(k + `_LANCZOS_K0`), or above `_DENSE_BLOCK_LIMIT` vertices, an iterative
+one with the component's null vector deflated.  The blocks'
+eigenpairs are merged in ascending order.  A dense block is written once,
+into one buffer, in the triangle LAPACK reads, so it costs about one s x s
+array; an iterative block's result is checked for a missed eigenvalue by
+one more deflated solve, and solved again with more Lanczos vectors when
+one is missed.  A block that still misses one is solved densely when it
+fits in `_DENSE_BLOCK_LIMIT`.  Single blocks are taken largest first, and
+a dense one whose Cholesky factorization shows no eigenvalue below the
+pairs already found is not solved.  The result counts the blocks each
+route took.
 `pair_discrepancy` walks the CSR joint in chunks of rows, so its memory is
 O(nnz) for a function of any width.
 
@@ -32,7 +38,7 @@ minimum beta (for tabular, one pair from the same block solver; no
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -56,12 +62,16 @@ _SIGN_TOL = 1e-12           # first coordinate larger than this fixes the sign
 _TIE_TOL = 1e-12            # eigenvalues closer than this form a tie group
 _VAR_REL_TOL = 1e-14        # relative threshold for "variance is zero"
 _RANGE_REL_TOL = 1e-12      # relative eigenvalue cutoff for covariance range
-_ZERO_TOL = 1e-12           # eigenvalues at or below this count as zero
+_ZERO_ULPS = 8 * np.finfo(float).eps     # 4 ulps of ||M|| <= 2: a solved 0 within rounding
 _STACK_LIMIT = 32           # equal-size blocks up to this size: one batched eigh
 _SUBSET_LIMIT = 256         # a block above this size pays for scipy's LAPACK on its own
 _DENSE_BLOCK_LIMIT = 2048   # larger blocks are solved iteratively (eigsh)
+_LANCZOS_S2 = 77_000        # and so is a block of s vertices asked for k pairs
+_LANCZOS_K0 = 8             # when s^2 > _LANCZOS_S2 * (k + _LANCZOS_K0)
 _COMPLETE_TOL = 1e-10       # eigsh may leave out no eigenvalue below its k-th minus this
 _LANCZOS_RETRIES = 3        # solves again with doubled ncv before giving up
+_LANCZOS_MAXITER = 200      # eigsh restarts before a block that fits goes dense
+_CUT_MARGIN = 1e-9          # skip a block only this far past the cut: >> s eps ||M|| rounding
 _EDGE_CHUNK_FLOATS = 1 << 16    # pair_discrepancy gathers about this many floats at once
 
 
@@ -147,16 +157,24 @@ def pair_discrepancy(graph: PositivePairGraph, f) -> float:
     return float(np.sum(J.data * sq))
 
 
+def _no_solves() -> dict:
+    """Blocks solved by each route of `_nonzero_pairs`, and Lanczos re-solves."""
+    return dict.fromkeys(("stacked", "subset", "full", "iterative", "dense_fallback",
+                          "skipped", "lanczos_retries"), 0)
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenpairs of L, functions orthonormal under the marginal, with the
-    graph's component count and the largest weighted squared residual of
-    the returned pairs (None when not computed)."""
+    graph's component count, the largest weighted squared residual of
+    the returned pairs (None when not computed), and how many blocks each
+    solver route took."""
 
     eigenvalues: np.ndarray   # (count,) ascending
     functions: np.ndarray     # (n, count); column j satisfies L g_j = psi_j g_j
     n_components: Optional[int] = None
     max_residual: Optional[float] = None
+    solves: dict = field(default_factory=_no_solves)
 
     @property
     def count(self) -> int:
@@ -227,38 +245,43 @@ def _solve_blocks(M: np.ndarray, k: int, subset: bool):
     return vals[:, 1:k + 1], vecs[:, :, 1:k + 1].copy()
 
 
-def _shifted_smallest(M, shift, k: int, start: np.ndarray, ncv=None):
+def _shifted_smallest(M, shift, k: int, start: np.ndarray, ncv=None, maxiter=None):
     """The k smallest eigenpairs of the sparse M plus `shift`, the map
     x -> 3 W W^T x that moves the orthonormal columns of some W to 3,
-    above the spectrum, from `ncv` Lanczos vectors (eigsh's default when
-    None)."""
+    above the spectrum, from `ncv` Lanczos vectors in at most `maxiter`
+    restarts (eigsh's defaults when None)."""
     s = M.shape[0]
     op = scipy.sparse.linalg.LinearOperator(
         (s, s), matvec=lambda x: M @ x + shift(x), dtype=np.float64)
-    return scipy.sparse.linalg.eigsh(op, k=k, which="SA", v0=start, tol=0, ncv=ncv)
+    return scipy.sparse.linalg.eigsh(op, k=k, which="SA", v0=start, tol=0, ncv=ncv,
+                                     maxiter=maxiter)
 
 
-def _solve_large_block(M, null: np.ndarray, k: int):
+def _solve_large_block(M, null: np.ndarray, k: int, solves: dict, maxiter=None):
     """As `_solve_blocks` for one sparse block M (s, s) with null vector
     `null`, iteratively: the null vector is shifted to 3, above the
-    spectrum, and eigsh takes the k smallest of what is left.
+    spectrum, and eigsh takes the k smallest of what is left, each solve in
+    at most `maxiter` restarts (eigsh's default, 10 * s, when None).
 
     eigsh can converge to k eigenpairs that are not the k smallest, so the
     result is checked: with the returned vectors shifted away too, one more
     solve finds the smallest eigenvalue left.  When it lies below the
     largest returned one by more than `_COMPLETE_TOL`, the block is solved
-    again with twice the Lanczos vectors, up to `_LANCZOS_RETRIES` times,
-    and then EigSolverFailure is raised."""
+    again with twice the Lanczos vectors, up to `_LANCZOS_RETRIES` times
+    (each counted in solves["lanczos_retries"]), and then EigSolverFailure
+    is raised."""
     s = M.shape[0]
     u = null / np.linalg.norm(null)
     start = np.random.default_rng(s).standard_normal(s)
     ncv = min(s, max(2 * k + 1, 20))       # eigsh's default
-    for _ in range(_LANCZOS_RETRIES + 1):
-        vals, vecs = _shifted_smallest(M, lambda x: 3.0 * u * (u @ x), k, start, ncv)
+    for attempt in range(_LANCZOS_RETRIES + 1):
+        solves["lanczos_retries"] += attempt > 0
+        vals, vecs = _shifted_smallest(M, lambda x: 3.0 * u * (u @ x), k, start, ncv, maxiter)
         order = np.argsort(vals, kind="stable")
         vals, vecs = vals[order], vecs[:, order]
         W = np.column_stack([u, vecs])
-        rest, _ = _shifted_smallest(M, lambda x: 3.0 * (W @ (W.T @ x)), 1, start)
+        rest, _ = _shifted_smallest(M, lambda x: 3.0 * (W @ (W.T @ x)), 1, start,
+                                    maxiter=maxiter)
         if rest[0] >= vals[-1] - _COMPLETE_TOL:
             return vals[None], vecs[None]
         ncv = min(s, 2 * ncv)
@@ -267,23 +290,64 @@ def _solve_large_block(M, null: np.ndarray, k: int):
         f"largest of the {k} returned, {float(vals[-1])!r}")
 
 
+def _all_above(M: np.ndarray, null: np.ndarray, bound: float) -> bool:
+    """Whether every eigenvalue of the dense block M (s, s), lower triangle
+    from `_dense_blocks`, but its smallest is above `bound`; M is consumed.
+
+    With u the unit `null`, the compression of M to u's complement has its
+    smallest eigenvalue at most M's second smallest (Cauchy interlacing),
+    whether or not u is exactly M's null vector.  So when
+    (I - uu^T) M (I - uu^T) + 3 uu^T - bound I, one rank-2 update of M, is
+    positive definite, which a Cholesky factorization tells at a fraction
+    of the cost of a subset solve, every eigenvalue past the 0 is above
+    `bound`."""
+    u = null / np.linalg.norm(null)
+    w = scipy.linalg.blas.dsymv(1.0, M, u, lower=1)        # M u
+    w -= (0.5 * (u @ w) + 1.5) * u     # so that -(uw^T + wu^T) adds 3 uu^T too
+    M = scipy.linalg.blas.dsyr2(-1.0, u, w, a=M, lower=1, overwrite_a=1)
+    M[np.diag_indices_from(M)] -= bound
+    _, info = scipy.linalg.lapack.dpotrf(M, lower=1, overwrite_a=1, clean=0)
+    return info == 0
+
+
 def _nonzero_pairs(graph: PositivePairGraph, labels: np.ndarray, need: int):
     """The `need` smallest nonzero eigenpairs of M, solved block by block
-    over the components `labels`: eigenvalues (need,) ascending and
-    symmetrized eigenvectors (n, need).  A failed solve is EigSolverFailure.
+    over the components `labels`: eigenvalues (need,) ascending,
+    symmetrized eigenvectors (n, need), and the blocks solved by each
+    route (`_no_solves`).  A failed solve is EigSolverFailure.
+
+    A component of s vertices gives k = min(need, s - 1) pairs.  It is
+    solved iteratively when s^2 > `_LANCZOS_S2` * (k + `_LANCZOS_K0`) or
+    s > `_DENSE_BLOCK_LIMIT`.  LAPACK's dense reduction costs about s^3 at
+    any k, eigsh with its completeness check about s (k + 8), and the
+    constants put the crossover where the two were timed equal on the
+    components of `random_graph`s: about 830 vertices at k = 1, 1,180 at
+    k = 10 and 1,920 at k = 40.  When the retries run out on a block of at
+    most `_DENSE_BLOCK_LIMIT` vertices, or eigsh does not converge there in
+    `_LANCZOS_MAXITER` restarts, the block gets the dense subset solve
+    instead.  Every other block is solved densely:
 
     Components of one size up to the stack limit are solved in full as one
-    (B, s, s) stack, larger components one at a time, each for only the
-    k = min(need, s - 1) pairs it can give while k is at most s/6.  Above
-    that a subset solve costs more than a full one (measured crossover s/6
-    to s/4 for s = 33 to 1024), so such a block is solved in full.
+    (B, s, s) stack, larger components one at a time, each for only its k
+    pairs while k is at most s/6.  Above that a subset solve costs more than
+    a full one (measured crossover s/6 to s/4 for s = 33 to 1024), so such
+    a block is solved in full.
 
     The stack limit is `_STACK_LIMIT` when some component has more than
     `_SUBSET_LIMIT` vertices, and `_SUBSET_LIMIT` otherwise.  scipy's
     LAPACK, which has the subset solve, runs on a BLAS thread pool of its
     own, and waking it beside numpy's costs more than a subset solve saves
     on a block of at most `_SUBSET_LIMIT` vertices.  So such blocks go to
-    scipy only when a larger block takes it anyway."""
+    scipy only when a larger block takes it anyway.
+
+    Single blocks are solved largest first, since large components tend to
+    hold the smallest eigenvalues, and the stacks last.  Once `need`
+    eigenvalues are found, a block bound for the subset solve is first
+    tested by `_all_above` against the need-th smallest of them plus
+    `_CUT_MARGIN`; when it has no eigenvalue there, none of its pairs
+    could be merged into the result, and it is skipped.  The merge keeps
+    the blocks' order above, so the result is the one solving every block
+    gives, bit for bit."""
     n = graph.n
     sqrt_d = np.sqrt(graph.marginal)
     rows, cols, vals = graph.joint_coo()
@@ -300,30 +364,61 @@ def _nonzero_pairs(graph: PositivePairGraph, labels: np.ndarray, need: int):
     slot = np.zeros(sizes.size, dtype=np.int64)    # index within its batch
 
     stack_limit = _STACK_LIMIT if sizes.max() > _SUBSET_LIMIT else _SUBSET_LIMIT
-    blocks = []     # (values (B, k), vectors (B, s, k), members (B, s))
+    jobs = []       # (s, k, route, components (B,), their entries), in merge order
     for s in np.unique(sizes[sizes > 1]):
         comps = np.flatnonzero(sizes == s)
         k = min(need, s - 1)
         if s <= stack_limit:
             slot[comps] = np.arange(comps.size)
             batches = [(comps, np.flatnonzero(sizes[entry_comp] == s))]
+            route = "stacked"
         else:
             batches = [(comp[None], entry_by_comp[entry_first[comp]:entry_first[comp + 1]])
                        for comp in comps]
-        for batch, e in batches:
-            members = by_comp[first[batch][:, None] + np.arange(s)]
-            r, c = pos[rows[e]], pos[cols[e]]
-            try:
-                if s <= _DENSE_BLOCK_LIMIT:
-                    M = _dense_blocks(batch.size, s, slot[entry_comp[e]], r, c, entries[e])
-                    subset = s > stack_limit and 6 * k <= s
-                    blocks.append(_solve_blocks(M, k, subset) + (members,))
-                else:
-                    M = sparse.csr_array((-entries[e], (r, c)), shape=(s, s))
-                    M = (M + M.T) * 0.5 + sparse.identity(s, format="csr")
-                    blocks.append(_solve_large_block(M, sqrt_d[members[0]], k) + (members,))
-            except (scipy.linalg.LinAlgError, scipy.sparse.linalg.ArpackError) as exc:
-                raise EigSolverFailure(str(exc)) from exc
+            route = "subset" if 6 * k <= s else "full"
+        if s > _DENSE_BLOCK_LIMIT or s * s > _LANCZOS_S2 * (k + _LANCZOS_K0):
+            route = "iterative"
+        jobs += [(s, k, route, batch, e) for batch, e in batches]
+
+    # single blocks largest first, then the stacks: large components tend
+    # to hold the smallest eigenvalues, so the cut falls early
+    order = sorted(range(len(jobs)), key=lambda i: (jobs[i][2] == "stacked", -jobs[i][0], i))
+    solves = _no_solves()
+    blocks = [None] * len(jobs)     # (values (B, k), vectors (B, s, k), members (B, s))
+    found = []                      # the eigenvalues of each block solved so far
+    for i in order:
+        s, k, taken, batch, e = jobs[i]
+        members = by_comp[first[batch][:, None] + np.arange(s)]
+        r, c = pos[rows[e]], pos[cols[e]]
+        try:
+            if taken == "iterative":
+                M = sparse.csr_array((-entries[e], (r, c)), shape=(s, s))
+                M = (M + M.T) * 0.5 + sparse.identity(s, format="csr")
+                fits = s <= _DENSE_BLOCK_LIMIT
+                try:
+                    pairs = _solve_large_block(M, sqrt_d[members[0]], k, solves,
+                                               _LANCZOS_MAXITER if fits else None)
+                except (EigSolverFailure, scipy.sparse.linalg.ArpackError):
+                    if not fits:
+                        raise
+                    taken = "dense_fallback"
+            if taken != "iterative":
+                # the test's buffer is freed before the solve's is made
+                def dense():
+                    return _dense_blocks(batch.size, s, slot[entry_comp[e]], r, c, entries[e])
+
+                if taken == "subset" and sum(map(len, found)) >= need:
+                    cut = np.partition(np.concatenate(found), need - 1)[need - 1]
+                    if _all_above(dense()[0], sqrt_d[members[0]], cut + _CUT_MARGIN):
+                        solves["skipped"] += 1
+                        continue
+                pairs = _solve_blocks(dense(), k, taken in ("subset", "dense_fallback"))
+        except (scipy.linalg.LinAlgError, scipy.sparse.linalg.ArpackError) as exc:
+            raise EigSolverFailure(str(exc)) from exc
+        solves[taken] += batch.size
+        blocks[i] = pairs + (members,)
+        found.append(pairs[0].ravel())
+    blocks = [b for b in blocks if b is not None]
 
     # merge: the `need` smallest over all blocks, ties by block order
     flat = np.concatenate([b[0].ravel() for b in blocks])
@@ -336,7 +431,7 @@ def _nonzero_pairs(graph: PositivePairGraph, labels: np.ndarray, need: int):
         b, j = np.divmod(which[mine] - offset, k)
         out[members[b], np.flatnonzero(mine)[:, None]] = bvecs[b, :, j]
         offset += B * k
-    return flat[which], out
+    return flat[which], out, solves
 
 
 def _zero_pairs(graph: PositivePairGraph, labels: np.ndarray, out: np.ndarray):
@@ -380,8 +475,9 @@ def eigendecompose(graph: PositivePairGraph, count: int) -> SpectralDecompositio
     Deterministic output: ascending eigenvalues, lexicographic tie order,
     first nonzero coordinate of each eigenvector positive.  Raises
     EigSolverFailure when a block solve fails, an eigenvalue leaves
-    [0, 2], the number of ~0 eigenvalues is not min(count, #components),
-    or a pair misses the defining relation.
+    [0, 2], a solved eigenvalue is not above its residual norm (a zero
+    beyond the min(count, #components) written), or a pair misses the
+    defining relation.
     """
     n = graph.n
     if not isinstance(count, (int, np.integer)) or count < 1 or count > n:
@@ -393,8 +489,9 @@ def eigendecompose(graph: PositivePairGraph, count: int) -> SpectralDecompositio
     vals = np.zeros(count)
     funcs = np.zeros((n, count))
     res_sq = _zero_pairs(graph, labels, funcs[:, :n_zero])
+    solves = _no_solves()
     if count > n_comp:
-        more_vals, more_vecs = _nonzero_pairs(graph, labels, count - n_comp)
+        more_vals, more_vecs, solves = _nonzero_pairs(graph, labels, count - n_comp)
         more_vecs = _fix_signs(more_vecs)
         order = _tie_order(more_vals, more_vecs)
         vals[n_zero:] = more_vals[order]
@@ -408,10 +505,12 @@ def eigendecompose(graph: PositivePairGraph, count: int) -> SpectralDecompositio
         raise EigSolverFailure(
             f"eigenvalues outside [0, 2]: [{float(vals.min())!r}, {float(vals.max())!r}]"
         )
-    zeros = int(np.sum(vals <= _ZERO_TOL))
+    # the zeros are written from the components; a solved eigenvalue is
+    # one more only if its own residual norm, or rounding, cannot exclude 0
+    zeros = n_zero + int(np.sum(vals[n_zero:] <= np.sqrt(res_sq[n_zero:]) + _ZERO_ULPS))
     if zeros != n_zero:
         raise EigSolverFailure(
-            f"{zeros} eigenvalues <= {_ZERO_TOL:g}, expected {n_zero} "
+            f"{zeros} eigenvalues within their residual of 0, expected {n_zero} "
             f"(one per component)"
         )
 
@@ -420,8 +519,8 @@ def eigendecompose(graph: PositivePairGraph, count: int) -> SpectralDecompositio
         raise EigSolverFailure(
             f"eigenpair residual {worst:.3e} exceeds {_RESIDUAL_TOL}"
         )
-    return SpectralDecomposition(eigenvalues=vals, functions=funcs,
-                                 n_components=n_comp, max_residual=worst)
+    return SpectralDecomposition(eigenvalues=vals, functions=funcs, n_components=n_comp,
+                                 max_residual=worst, solves=solves)
 
 
 def is_eigenfunction(graph: PositivePairGraph, g, eigenvalue: float, tol: float) -> bool:
@@ -504,7 +603,7 @@ def min_expansion_over_class(graph: PositivePairGraph, subset, class_name: str):
             return 0.0, g
         c = float(np.max(sub.marginal / q))
         joint = (sub.joint + sparse.diags(c * q - sub.marginal, format="csr")) / c
-        lam, v = _nonzero_pairs(PositivePairGraph(sub.vertices, joint, q), labels, 1)
+        lam, v, _ = _nonzero_pairs(PositivePairGraph(sub.vertices, joint, q), labels, 1)
         g[idx] = v[:, 0] / np.sqrt(q)
         return max(c * float(lam[0]), 0.0), g
 

@@ -78,12 +78,17 @@ def _check_hypercube(d: int, s: int) -> None:
         raise ValueError(f"need 0 < s < d, got s={s}, d={d}")
 
 
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _check_patch(d: int, s: int, gamma: float) -> None:
     """Example 4 needs a patch shorter than the circle, above unit magnitude."""
     if not (1 <= s < d):
         raise ValueError(f"need 1 <= s < d, got s={s}, d={d}")
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma!r}")
+    _check_finite(gamma=gamma)
     if gamma <= 1.0:
         raise ValueError("gamma must exceed 1")
 
@@ -246,6 +251,7 @@ def example3_graph(
     _check_size(n)
     if points_per_set < 1:
         raise ValueError(f"need points_per_set >= 1, got {points_per_set}")
+    _check_finite(gamma=gamma, rho=rho)
     if rho < 0:
         raise ValueError(f"need rho >= 0, got {rho!r}")
     for i, label in enumerate(labels):

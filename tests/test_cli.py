@@ -303,6 +303,10 @@ class TestGraphInfo:
         assert report["alpha_component_partition"] == 0.0
         assert report["eigensolver"]["n_components"] == 16
         assert 0.0 <= report["eigensolver"]["max_residual"] <= 1e-20
+        # ten pairs of sixteen components are all zeros: no block is solved
+        assert report["eigensolver"]["solves"] == {
+            "stacked": 0, "subset": 0, "full": 0, "iterative": 0,
+            "dense_fallback": 0, "skipped": 0, "lanczos_retries": 0}
 
     def test_raw_graph_file(self, tmp_path, capsys, single_vertex):
         gpath = tmp_path / "graph.json"
@@ -462,6 +466,9 @@ class TestSpectrum:
         solver = json.loads((out_dir / "eigensolver.json").read_text())
         assert solver["n_components"] == 8
         assert 0.0 <= solver["max_residual"] <= 1e-20
+        assert set(solver["solves"]) == {"stacked", "subset", "full", "iterative",
+                                         "dense_fallback", "skipped", "lanczos_retries"}
+        assert solver["solves"]["iterative"] == solver["solves"]["lanczos_retries"] == 0
 
 
 class TestTrain:

@@ -242,23 +242,27 @@ class TestMinExpansionOverClass:
         assert expansion_Q(two_components, [0, 1], g) == 0.0
 
     @pytest.mark.parametrize("size, path", [
-        (20, "stacked"), (600, "subset"), (spectral._DENSE_BLOCK_LIMIT + 52, "iterative")])
+        (20, "stacked"), (600, "subset"), (1200, "iterative"),
+        (spectral._DENSE_BLOCK_LIMIT + 52, "iterative")])
     def test_tabular_matches_dense_pencil(self, size, path, monkeypatch):
         # a prefix of random_graph's vertices holds its spanning tree's
         # edges, so the cell stays connected after restriction; the rest of
         # the graph takes mass off it, so d_S / q is not constant
-        taken = []
-        solve_blocks, solve_large = spectral._solve_blocks, spectral._solve_large_block
-        monkeypatch.setattr(spectral, "_solve_blocks", lambda M, k, subset: (
-            taken.append("subset" if subset else "stacked") or solve_blocks(M, k, subset)))
-        monkeypatch.setattr(spectral, "_solve_large_block", lambda M, null, k: (
-            taken.append("iterative") or solve_large(M, null, k)))
+        solves = []
+        nonzero_pairs = spectral._nonzero_pairs
+
+        def counted(*args):
+            out = nonzero_pairs(*args)
+            solves.append({route: n for route, n in out[2].items() if n})
+            return out
+
+        monkeypatch.setattr(spectral, "_nonzero_pairs", counted)
         g = random_graph(size + size // 8, n_components=1, seed=5)
         cell = np.arange(size)
         assert connected_components(restrict(g, cell)).n_sets == 1
         beta, argmin = min_expansion_over_class(g, cell, "tabular")
         ref, _ = min_expansion_dense(g, cell, "tabular")
-        assert taken == [path]
+        assert solves == [{path: 1}]
         assert beta == pytest.approx(ref, rel=1e-12)
         assert expansion_Q(g, cell, argmin) == pytest.approx(beta, rel=1e-12)
         assert np.all(argmin[size:] == 0.0)
@@ -274,9 +278,8 @@ class TestMinExpansionOverClass:
         assert set(np.unique(argmin[cell])) == {0.0, 1.0}
 
     def test_weakly_linked_cell_is_positive(self):
-        # two 5-cliques joined by a 1e-11 pair: eigendecompose takes its
-        # second eigenvalue for a zero and raises, but the cell is connected
-        # and its expansion minimum is a small positive number
+        # two 5-cliques joined by a 1e-11 pair: the cell is connected and
+        # its expansion minimum is a small positive number
         J = np.zeros((10, 10))
         J[:5, :5] = J[5:, 5:] = 1.0
         J[0, 5] = J[5, 0] = 1e-11
@@ -446,10 +449,14 @@ class TestBlockEigensolver:
             np.testing.assert_allclose(G, np.eye(count), atol=1e-12)
 
     def test_iterative_branch_matches_dense(self, monkeypatch):
-        g = random_graph(300, n_components=1, seed=5)
-        dense = eigendecompose(g, 8)
-        monkeypatch.setattr(spectral, "_DENSE_BLOCK_LIMIT", 64)
+        # 1,100 vertices at k = 7 lie above the crossover; an infinite
+        # crossover solves the same block densely
+        g = random_graph(1100, n_components=1, seed=5)
         iterative = eigendecompose(g, 8)
+        monkeypatch.setattr(spectral, "_LANCZOS_S2", float("inf"))
+        dense = eigendecompose(g, 8)
+        assert iterative.solves["iterative"] == dense.solves["subset"] == 1
+        assert iterative.solves["subset"] == dense.solves["iterative"] == 0
         np.testing.assert_allclose(iterative.eigenvalues, dense.eigenvalues,
                                    rtol=0, atol=1e-10)
         # same eigenspaces: the projectors agree
@@ -527,10 +534,24 @@ class TestBlockEigensolver:
         with pytest.raises(EigSolverFailure, match="expected 1"):
             eigendecompose(g, 2)
 
+    @pytest.mark.parametrize("link", [5e-12, 1e-13])
+    def test_weakly_linked_cliques_decompose(self, link):
+        # two 5-cliques joined by one light pair: one component, so the
+        # second eigenvalue is solved, and it stands well above its residual
+        J = np.zeros((10, 10))
+        J[:5, :5] = J[5:, 5:] = 1.0
+        J[0, 5] = J[5, 0] = link
+        g = build_graph(np.arange(10.0)[:, None], J / J.sum())
+        dec = eigendecompose(g, 2)
+        assert dec.eigenvalues[0] == 0.0
+        assert 0.0 < dec.eigenvalues[1] < 1e-12
+        assert dec.eigenvalues[1] == pytest.approx(_dense_spectrum(g)[1], rel=0, abs=1e-15)
+        assert dec.max_residual <= 1e-16
+
     def test_eigenvalue_out_of_range_raises(self, monkeypatch):
         # a block solve that returned 2.5; the message prints plain numbers
         monkeypatch.setattr(spectral, "_nonzero_pairs", lambda graph, labels, need: (
-            np.full(need, 2.5), np.ones((graph.n, need))))
+            np.full(need, 2.5), np.ones((graph.n, need)), spectral._no_solves()))
         g = random_graph(6, n_components=2, seed=1)
         with pytest.raises(EigSolverFailure,
                            match=r"^eigenvalues outside \[0, 2\]: \[0\.0, 2\.5\]$"):
@@ -592,7 +613,7 @@ class TestSolvedPairs:
         labels = connected_components(graph).labels
         sizes = np.bincount(labels)
         need = need or int(np.sum(sizes - 1))
-        vals, vecs = spectral._nonzero_pairs(graph, labels, need)
+        vals, vecs, _ = spectral._nonzero_pairs(graph, labels, need)
 
         inv_sqrt = 1.0 / np.sqrt(graph.marginal)
         M = np.eye(graph.n) - graph.joint.toarray() * inv_sqrt[:, None] * inv_sqrt[None, :]
@@ -675,13 +696,15 @@ def _torus(m: int):
 
 class TestIterativeBlockCompleteness:
     """The 13^3 torus is one 2197-vertex component, above the dense block
-    limit.  Its first nonzero eigenvalue (1 - cos(2pi/13))/3 has
-    multiplicity 6 and the next, 2(1 - cos(2pi/13))/3, multiplicity 12."""
+    limit, so it is solved iteratively at every count and a missed
+    eigenvalue raises instead of falling back to a dense solve.  Its first
+    nonzero eigenvalue (1 - cos(2pi/13))/3 has multiplicity 6 and the
+    next, 2(1 - cos(2pi/13))/3, multiplicity 12."""
 
     @pytest.fixture(scope="class")
     def torus(self):
         g, closed = _torus(13)
-        assert g.n > spectral._DENSE_BLOCK_LIMIT
+        assert g.n > spectral._DENSE_BLOCK_LIMIT    # no dense fallback
         first = (1.0 - np.cos(2.0 * np.pi / 13)) / 3.0
         np.testing.assert_allclose(closed[1:7], first, rtol=1e-14)
         assert closed[7] > first + 0.01
@@ -695,6 +718,7 @@ class TestIterativeBlockCompleteness:
         dec = eigendecompose(g, count)
         np.testing.assert_allclose(dec.eigenvalues, closed[:count], rtol=0, atol=1e-12)
         assert dec.max_residual <= 1e-16
+        assert dec.solves["iterative"] == 1
 
     def test_never_silently_incomplete(self, torus):
         # at counts 19, 20 and 25 eigsh with its default Lanczos vectors
@@ -722,3 +746,158 @@ class TestIterativeBlockCompleteness:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", drop_smallest)
         with pytest.raises(EigSolverFailure, match="missed an eigenvalue"):
             eigendecompose(torus[0], 8)
+
+
+def _dropping_eigsh():
+    """An eigsh that leaves out the smallest of k + 1 pairs when asked for
+    k > 1: still k true eigenpairs, but not the k smallest."""
+    real = scipy.sparse.linalg.eigsh
+
+    def eigsh(A, k, **kwargs):
+        if k == 1:
+            return real(A, k=k, **kwargs)
+        vals, vecs = real(A, k=k + 1, **kwargs)
+        keep = np.argsort(vals, kind="stable")[1:]
+        return vals[keep], vecs[:, keep]
+
+    return eigsh
+
+
+class TestRouteAcrossCrossover:
+    """Blocks of 257 to 2,048 vertices go to eigsh above the (size, k)
+    crossover and to the dense subset solve below it.  Both sides must give
+    what scipy's dense solver gives for each component."""
+
+    @staticmethod
+    def _reference(g, k: int):
+        """The k + 1 smallest nonzero eigenpairs of each component from
+        scipy's dense solver, in ascending order: values and symmetrized
+        vectors (n, .)."""
+        labels = connected_components(g).labels
+        inv_sqrt = 1.0 / np.sqrt(g.marginal)
+        J = g.joint.tocsr()
+        vals, vecs = [], []
+        for comp in range(labels.max() + 1):
+            on = np.flatnonzero(labels == comp)
+            M = np.eye(on.size) - (J[on][:, on].toarray()
+                                   * inv_sqrt[on][:, None] * inv_sqrt[on][None, :])
+            w, v = scipy.linalg.eigh((M + M.T) * 0.5, subset_by_index=[1, k + 1])
+            block = np.zeros((g.n, k + 1))
+            block[on] = v
+            vals.append(w)
+            vecs.append(block)
+        vals, vecs = np.concatenate(vals), np.hstack(vecs)
+        order = np.argsort(vals, kind="stable")
+        return vals[order], vecs[:, order]
+
+    def _check(self, g, k: int):
+        """eigendecompose at k nonzero pairs against the reference."""
+        n_comp = connected_components(g).n_sets
+        dec = eigendecompose(g, n_comp + k)
+        ref_vals, ref_vecs = self._reference(g, k)
+        assert np.all(dec.eigenvalues[:n_comp] == 0.0)
+        np.testing.assert_allclose(dec.eigenvalues[n_comp:], ref_vals[:k], rtol=0, atol=1e-12)
+        assert ref_vals[k] - ref_vals[k - 1] > 1e-6     # the cut splits no cluster
+        h = dec.functions[:, n_comp:] * np.sqrt(g.marginal)[:, None]
+        np.testing.assert_allclose(h @ h.T, ref_vecs[:, :k] @ ref_vecs[:, :k].T,
+                                   rtol=0, atol=1e-10)
+        assert dec.max_residual <= 1e-16
+        return {route: n for route, n in dec.solves.items() if n}
+
+    @pytest.mark.parametrize("size, k, route", [
+        (600, 1, "subset"), (1000, 1, "iterative"),
+        (600, 4, "subset"), (1000, 4, "iterative"),
+        (1000, 10, "subset"), (1300, 10, "iterative")])
+    def test_one_block_either_side(self, size, k, route):
+        # 1,000 vertices are above the crossover up to k = 4 and below it
+        # at k = 10, where 1,300 are above it
+        g = random_graph(size, n_components=1, seed=29)
+        assert self._check(g, k) == {route: 1}
+
+    @pytest.mark.parametrize("k, routes", [
+        (1, {"iterative": 2, "skipped": 1}),
+        (4, {"subset": 2, "iterative": 1}),
+        (10, {"subset": 2, "iterative": 1})])
+    def test_blocks_of_both_routes_merge(self, k, routes):
+        # 400, 900 and 1,300 vertices: at k = 1 the two larger ones are
+        # iterative and the 400 block holds no pair below theirs; at k = 4
+        # and 10 the 900 block is dense and gives pairs too
+        g = _graph_of_sizes((400, 900, 1300), seed=29)
+        assert self._check(g, k) == routes
+
+    def test_all_above_is_the_second_eigenvalue(self):
+        # true just below the smallest nonzero eigenvalue and false just
+        # above it, also when u is only near the null vector
+        g = random_graph(300, n_components=1, seed=3)
+        sqrt_d = np.sqrt(g.marginal)
+        r, c, v = g.joint_coo()
+        e = v / (sqrt_d[r] * sqrt_d[c])
+        lam = _dense_spectrum(g)[1]
+        noisy = sqrt_d * (1.0 + 1e-3 * np.random.default_rng(0).standard_normal(g.n))
+        for null in (sqrt_d, noisy):
+            for bound, above in ((lam - 1e-9, True), (lam + 1e-9, False), (0.5, False)):
+                M = spectral._dense_blocks(1, g.n, np.zeros(r.size, np.int64), r, c, e)
+                assert spectral._all_above(M[0], null, bound) == above
+
+    @pytest.mark.parametrize("count", [11, 14, 20])
+    def test_skipping_changes_no_bit(self, count, monkeypatch):
+        # ten components of 257 to 700 vertices: a skipped block has no pair
+        # below the cut, so solving it too returns the same bytes
+        g = _graph_of_sizes((257, 300, 350, 400, 450, 500, 550, 600, 650, 700), seed=4)
+        dec = eigendecompose(g, count)
+        monkeypatch.setattr(spectral, "_CUT_MARGIN", float("inf"))
+        every = eigendecompose(g, count)
+        assert dec.solves["skipped"] >= 1
+        assert every.solves["skipped"] == 0
+        assert every.solves["subset"] == dec.solves["subset"] + dec.solves["skipped"]
+        assert dec.eigenvalues.tobytes() == every.eigenvalues.tobytes()
+        assert dec.functions.tobytes() == every.functions.tobytes()
+        ref_vals, _ = self._reference(g, count - 10)
+        np.testing.assert_allclose(dec.eigenvalues[10:], ref_vals[:count - 10],
+                                   rtol=0, atol=1e-12)
+
+    @pytest.fixture(scope="class")
+    def torus(self):
+        """The 10^3 torus: one 1,000-vertex component whose first nonzero
+        eigenvalue is 6-fold."""
+        g, closed = _torus(10)
+        np.testing.assert_allclose(closed[1:7], closed[1], rtol=1e-14)
+        assert closed[7] > closed[1] + 0.01
+        return g, closed
+
+    @pytest.mark.parametrize("count, route", [(2, "iterative"), (5, "iterative"),
+                                              (8, "subset")])
+    def test_torus_matches_closed_form(self, torus, count, route):
+        # below the dense block limit, yet iterative up to k = 4; count 5
+        # cuts through the 6-fold eigenvalue
+        g, closed = torus
+        dec = eigendecompose(g, count)
+        assert dec.solves[route] == 1
+        np.testing.assert_allclose(dec.eigenvalues, closed[:count], rtol=0, atol=1e-12)
+        assert dec.max_residual <= 1e-16
+
+    def test_exhausted_retries_fall_back_to_dense(self, monkeypatch):
+        # the 11^3 torus at k = 7 is iterative; eigsh drops a pair at every
+        # try, which leaves one of the 6 first nonzero eigenvalues out.  With
+        # no retries the block goes to the dense subset solve at the first
+        # miss, and answers
+        g, closed = _torus(11)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _dropping_eigsh())
+        dec = eigendecompose(g, 8)
+        assert dec.solves["dense_fallback"] == 1
+        assert dec.solves["lanczos_retries"] == spectral._LANCZOS_RETRIES
+        monkeypatch.setattr(spectral, "_LANCZOS_RETRIES", 0)
+        dec = eigendecompose(g, 8)
+        assert dec.solves["dense_fallback"] == 1
+        assert dec.solves["lanczos_retries"] == dec.solves["iterative"] == 0
+        np.testing.assert_allclose(dec.eigenvalues, closed[:8], rtol=0, atol=1e-12)
+        assert dec.max_residual <= 1e-16
+
+    def test_unconverged_solve_falls_back_to_dense(self, torus, monkeypatch):
+        # one Lanczos restart cannot converge: ArpackNoConvergence, and the
+        # block is solved densely
+        g, closed = torus
+        monkeypatch.setattr(spectral, "_LANCZOS_MAXITER", 1)
+        dec = eigendecompose(g, 2)
+        assert dec.solves["dense_fallback"] == 1
+        np.testing.assert_allclose(dec.eigenvalues, closed[:2], rtol=0, atol=1e-12)

@@ -250,6 +250,20 @@ class TestExample3:
         with pytest.raises(SizeGuardExceeded, match="20004 vertices exceed guard"):
             example3_graph(5001, 1.0, 0.1, [0] * 5001, 1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("keys, message", [
+        ({"gamma": float("inf")}, "gamma must be finite, got inf"),
+        ({"gamma": float("nan")}, "gamma must be finite, got nan"),
+        ({"rho": float("nan")}, "rho must be finite, got nan"),
+        ({"rho": float("inf")}, "rho must be finite, got inf"),
+    ])
+    def test_non_finite_parameter_named(self, keys, message):
+        # refused before any array is built: no numpy warning, and the
+        # error names the parameter, not a vertex made from it
+        args = {"r": 2, "gamma": 1.0, "rho": 0.1, "labels": [0, 1], "m": 2, **keys}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            example3_graph(**args)
+
 
 class TestExample4:
     def test_identity_tau_grid_naturals_only(self):
