@@ -99,18 +99,10 @@ from .septest import (
 
 _CONFIG_VERSION = 1
 
-# allowed key tree; a dict value means "nested keys checked recursively",
-# None means "scalar/list leaf"
-_SCHEMA = {
-    "version": None,
-    "graph": None,      # each source's own keys: _GRAPH_SOURCES
+# the keys of the config sections checked key by key ("graph" is checked
+# against its source's own keys, _GRAPH_SOURCES)
+_SECTIONS = {
     "class": {"tag": None, "k": None, "s": None},
-    "classes": None,
-    "lambda": None,
-    "lambda_grid": None,
-    "r_list": None,
-    "count": None,
-    "n_graphs": None,
     "train": dict.fromkeys(field.name for field in dataclasses.fields(TrainConfig)),
 }
 
@@ -150,7 +142,7 @@ def load_config(path: Optional[Path]) -> dict:
     if not isinstance(classes, list):
         raise ConfigError("classes must be a list")
     for entry in classes:
-        _check_keys(entry, _SCHEMA["class"], "classes")
+        _check_keys(entry, _SECTIONS["class"], "classes")
     return doc
 
 
@@ -791,6 +783,10 @@ _HANDLERS = {
     "verify": (cmd_verify, {"n_graphs"}),
     "br": (cmd_br, {"graph", "class", "classes", "lambda_grid", "r_list", "train"}),
 }
+# allowed key tree: "version" and every key some command reads; a dict
+# value means "nested keys checked recursively", None means "scalar/list leaf"
+_SCHEMA = {key: _SECTIONS.get(key)
+           for key in {"version"}.union(*(reads for _, reads in _HANDLERS.values()))}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -55,11 +55,10 @@ from .funclass import (
     spec_for_graph,
 )
 from .posgraph import PositivePairGraph
-from .spectral import eigendecompose
+from .spectral import _on_range, eigendecompose
 
 _DIVERGENCE_LIMIT = 1e12
 _MIN_STEP = 1e-18         # smallest fraction of a direction a cell tries
-_COV_FLOOR = 1e-12        # eigenvalue floor for covariance square roots
 _WHITEN_MIN_EIG = 1e-10   # below this, whitening refuses
 # StackedLoss multiplies by a dense copy of the joint up to this many
 # vertices and by the CSR joint above it.  Measured for one (B, n, k)
@@ -492,17 +491,16 @@ def tabular_min_oracle(graph: PositivePairGraph, k: int, lam: float):
 
 
 def _coordinate_moment(graph: PositivePairGraph):
-    """Sigma = E[x x^T] and its eigenpairs on its range, the eigenvalues
-    above `_COV_FLOOR` * max(largest, 1)."""
+    """Sigma = E[x x^T] and its eigenpairs on its range (`_on_range`)."""
     X = graph.vertices
     Sigma = X.T @ (X * graph.marginal[:, None])
     evals, evecs = scipy.linalg.eigh(Sigma)
-    keep = evals > max(evals.max(), 1.0) * _COV_FLOOR
+    keep = _on_range(evals)
     return Sigma, evals[keep], evecs[:, keep]
 
 
 def linear_rank(graph: PositivePairGraph) -> int:
-    """rank(E[x x^T]) under `linear_min_oracle`'s floor: a linear model
+    """rank(E[x x^T]) by `linear_min_oracle`'s range rule: a linear model
     f = Ux has at most this many independent outputs, so it cannot be
     whitened at a larger k."""
     return _coordinate_moment(graph)[1].size

@@ -15,19 +15,19 @@ eigenpairs (the marginal-normalized component indicators) are written
 straight into the result, in their final order, with an O(nnz) residual.
 Each component is solved on its own for only the k nonzero eigenpairs it
 can contribute, by whichever solver is cheaper at its size s and that k:
-small components of equal size share one batched dense solve, larger ones
-get a dense solve each, and a component with s^2 > `_LANCZOS_S2` *
-(k + `_LANCZOS_K0`), or above `_DENSE_BLOCK_LIMIT` vertices, an iterative
-one with the component's null vector deflated.  The blocks'
-eigenpairs are merged in ascending order.  A dense block is written once,
-into one buffer, in the triangle LAPACK reads, so it costs about one s x s
-array; an iterative block's result is checked for a missed eigenvalue by
-one more deflated solve, and solved again with more Lanczos vectors when
-one is missed.  A block that still misses one is solved densely when it
-fits in `_DENSE_BLOCK_LIMIT`.  Single blocks are taken largest first, and
-a dense one whose Cholesky factorization shows no eigenvalue below the
-pairs already found is not solved.  The result counts the blocks each
-route took.
+small components of equal size share one batched dense solve, larger
+ones get scipy's dense subset solve each, and a component with s^2 >
+`_LANCZOS_S2` * (k + `_LANCZOS_K0`), or above `_DENSE_BLOCK_LIMIT`
+vertices, an iterative one with the component's null vector deflated.
+The blocks' eigenpairs are merged in ascending order.  A dense block is
+written once, into one buffer, in the triangle LAPACK reads, so it costs
+about one s x s array; an iterative block's result is checked for a
+missed eigenvalue by one more deflated solve, and solved again with more
+Lanczos vectors when one is missed.  A block that still misses one is
+solved densely when it fits in `_DENSE_BLOCK_LIMIT`.  Single blocks are
+taken largest first, and a dense one whose Cholesky factorization shows
+no eigenvalue below the pairs already found is not solved.  The result
+counts the blocks each route took.
 `pair_discrepancy` walks the CSR joint in chunks of rows, so its memory is
 O(nnz) for a function of any width.
 
@@ -159,8 +159,8 @@ def pair_discrepancy(graph: PositivePairGraph, f) -> float:
 
 def _no_solves() -> dict:
     """Blocks solved by each route of `_nonzero_pairs`, and Lanczos re-solves."""
-    return dict.fromkeys(("stacked", "subset", "full", "iterative", "dense_fallback",
-                          "skipped", "lanczos_retries"), 0)
+    return dict.fromkeys(("stacked", "subset", "iterative", "dense_fallback", "skipped",
+                          "lanczos_retries"), 0)
 
 
 @dataclass(frozen=True)
@@ -325,13 +325,10 @@ def _nonzero_pairs(graph: PositivePairGraph, labels: np.ndarray, need: int):
     k = 10 and 1,920 at k = 40.  When the retries run out on a block of at
     most `_DENSE_BLOCK_LIMIT` vertices, or eigsh does not converge there in
     `_LANCZOS_MAXITER` restarts, the block gets the dense subset solve
-    instead.  Every other block is solved densely:
-
-    Components of one size up to the stack limit are solved in full as one
-    (B, s, s) stack, larger components one at a time, each for only its k
-    pairs while k is at most s/6.  Above that a subset solve costs more than
-    a full one (measured crossover s/6 to s/4 for s = 33 to 1024), so such
-    a block is solved in full.
+    instead.  Every other block is solved densely: components of one size
+    up to the stack limit in full, as one (B, s, s) stack by numpy, and
+    larger ones one at a time, for only their k pairs, by scipy's subset
+    solve.
 
     The stack limit is `_STACK_LIMIT` when some component has more than
     `_SUBSET_LIMIT` vertices, and `_SUBSET_LIMIT` otherwise.  scipy's
@@ -375,7 +372,7 @@ def _nonzero_pairs(graph: PositivePairGraph, labels: np.ndarray, need: int):
         else:
             batches = [(comp[None], entry_by_comp[entry_first[comp]:entry_first[comp + 1]])
                        for comp in comps]
-            route = "subset" if 6 * k <= s else "full"
+            route = "subset"
         if s > _DENSE_BLOCK_LIMIT or s * s > _LANCZOS_S2 * (k + _LANCZOS_K0):
             route = "iterative"
         jobs += [(s, k, route, batch, e) for batch, e in batches]
@@ -412,7 +409,7 @@ def _nonzero_pairs(graph: PositivePairGraph, labels: np.ndarray, need: int):
                     if _all_above(dense()[0], sqrt_d[members[0]], cut + _CUT_MARGIN):
                         solves["skipped"] += 1
                         continue
-                pairs = _solve_blocks(dense(), k, taken in ("subset", "dense_fallback"))
+                pairs = _solve_blocks(dense(), k, taken != "stacked")
         except (scipy.linalg.LinAlgError, scipy.sparse.linalg.ArpackError) as exc:
             raise EigSolverFailure(str(exc)) from exc
         solves[taken] += batch.size
@@ -571,6 +568,11 @@ def expansion_Q(graph: PositivePairGraph, subset, g):
     return numerator / denom
 
 
+def _on_range(evals: np.ndarray) -> np.ndarray:
+    """Mask of the covariance eigenvalues on its range: > `_RANGE_REL_TOL` * max(top, 1)."""
+    return evals > _RANGE_REL_TOL * max(evals.max(initial=0.0), 1.0)
+
+
 def min_expansion_over_class(graph: PositivePairGraph, subset, class_name: str):
     """(beta, argmin g): the infimum of Q_S over scalar outputs of a class,
     g^T L_S g / g^T (Q - q q^T) g for the conditional marginal q on S
@@ -613,8 +615,7 @@ def min_expansion_over_class(graph: PositivePairGraph, subset, class_name: str):
         Xc = X - mu
         C = 2.0 * (Xc.T @ (Xc * q[:, None]))
         evals, evecs = scipy.linalg.eigh(C)
-        top = evals.max() if evals.size else 0.0
-        keep = evals > _RANGE_REL_TOL * max(top, 1.0) if top > 0 else np.zeros_like(evals, bool)
+        keep = _on_range(evals)
         if not keep.any():
             if idx.size > 1:
                 raise DegenerateCovariance(

@@ -35,6 +35,7 @@ from .errors import IncompleteLabelMap, SizeGuardExceeded
 from .posgraph import PositivePairGraph, _Triplets, build_graph, connected_components
 
 DEFAULT_SIZE_GUARD = 20000
+_COORDINATE_GUARD = 16 * DEFAULT_SIZE_GUARD     # vertex coordinates, n x d
 
 _TAU_GRID_1 = (0.5, 1.0)        # default scale grid for the hypercube family
 _TAU_GRID_4 = (0.0, 0.5, 1.0)   # default for the patch family (0 must appear
@@ -54,10 +55,14 @@ class LabeledGraph:
 # input checks, made before anything is allocated (funclass uses them too)
 
 
-def _check_size(n: int) -> None:
-    """Refuse a graph of n vertices above the size guard, before it is built."""
+def _check_size(n: int, d: int) -> None:
+    """Refuse a graph of n vertices in R^d above the size guard, or with
+    more than `_COORDINATE_GUARD` coordinates, before it is built."""
     if n > DEFAULT_SIZE_GUARD:
         raise SizeGuardExceeded(f"{n} vertices exceed guard {DEFAULT_SIZE_GUARD}")
+    if n * d > _COORDINATE_GUARD:
+        raise SizeGuardExceeded(
+            f"{n} x {d} = {n * d} coordinates exceed guard {_COORDINATE_GUARD}")
 
 
 def _check_tau_grid(grid, low: float) -> Tuple[float, ...]:
@@ -142,7 +147,7 @@ def _hypercube_graph(d: int, s: int, grid: Tuple[float, ...]):
     n_naturals = 2 ** d
     n_combos = len(grid) ** n_free
     n = n_naturals * n_combos
-    _check_size(n)
+    _check_size(n, d)
 
     combos = np.array(list(itertools.product(grid, repeat=n_free)))
     patterns = np.repeat(sign_patterns(d), n_combos, axis=0)
@@ -248,7 +253,7 @@ def example3_graph(
     if len(labels) != r:
         raise ValueError("labels must assign a class to every set")
     n = r * points_per_set
-    _check_size(n)
+    _check_size(n, 2)
     if points_per_set < 1:
         raise ValueError(f"need points_per_set >= 1, got {points_per_set}")
     _check_finite(gamma=gamma, rho=rho)
@@ -293,7 +298,7 @@ def example4_graph(d: int, s: int, gamma: float,
     grid = _check_tau_grid(tau_grid, 0.0)
     n_free = d - s
     values = sorted({t * sgn for t in grid for sgn in (-1.0, 1.0)})
-    _check_size(d * (2 ** s) * len(values) ** n_free)
+    _check_size(d * (2 ** s) * len(values) ** n_free, d)
 
     combos = np.array(list(itertools.product(grid, repeat=n_free)))
     n_combos = combos.shape[0]
@@ -346,7 +351,7 @@ def random_graph(
     """
     if not (1 <= n_components <= n):
         raise ValueError(f"need 1 <= n_components <= n, got {n_components}, {n}")
-    _check_size(n)
+    _check_size(n, 3)
     rng = np.random.default_rng(seed)
 
     if n_components == 1:
@@ -416,11 +421,10 @@ def two_level_graph(
     """
     if m < 2:
         raise ValueError("need at least 2 outer clusters")
-    n = 4 * m
-    _check_size(n)
+    n, d = 4 * m, m + 2
+    _check_size(n, d)
     rng = np.random.default_rng(seed)
     inner = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
-    d = m + 2
 
     verts = np.zeros((n, d))
     labels = np.empty(n, dtype=np.int64)
@@ -462,10 +466,9 @@ def component_cluster_graph(n_components: int) -> PositivePairGraph:
     """
     if n_components < 1:
         raise ValueError("need at least one cluster")
-    n = 4 * n_components
-    _check_size(n)
+    n, d = 4 * n_components, 3 * n_components
+    _check_size(n, d)
     inner = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
-    d = 3 * n_components
     verts = np.zeros((n, d))
     for j in range(n_components):
         rows = slice(4 * j, 4 * j + 4)

@@ -305,8 +305,8 @@ class TestGraphInfo:
         assert 0.0 <= report["eigensolver"]["max_residual"] <= 1e-20
         # ten pairs of sixteen components are all zeros: no block is solved
         assert report["eigensolver"]["solves"] == {
-            "stacked": 0, "subset": 0, "full": 0, "iterative": 0,
-            "dense_fallback": 0, "skipped": 0, "lanczos_retries": 0}
+            "stacked": 0, "subset": 0, "iterative": 0, "dense_fallback": 0,
+            "skipped": 0, "lanczos_retries": 0}
 
     def test_raw_graph_file(self, tmp_path, capsys, single_vertex):
         gpath = tmp_path / "graph.json"
@@ -338,6 +338,15 @@ class TestGraphInfo:
         code, out, err = run(["graph-info", "--config", str(cfg)], capsys)
         assert (code, out) == (2, "")
         assert err == "error: SizeGuardExceeded: 20001 vertices exceed guard 20000\n"
+
+    def test_coordinate_guard_is_an_error(self, tmp_path, capsys):
+        # 20,000 vertices in R^5002: under the vertex guard, refused before
+        # the 800 MB of coordinates are allocated
+        cfg = write_config(tmp_path, {"version": 1, "graph": {"two_level": {"m": 5000}}})
+        code, out, err = run(["graph-info", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: SizeGuardExceeded: 20000 x 5002 = 100040000 coordinates "
+                       "exceed guard 320000\n")
 
     def test_malformed_graph_file(self, tmp_path, capsys):
         gpath = tmp_path / "broken.json"
@@ -466,7 +475,7 @@ class TestSpectrum:
         solver = json.loads((out_dir / "eigensolver.json").read_text())
         assert solver["n_components"] == 8
         assert 0.0 <= solver["max_residual"] <= 1e-20
-        assert set(solver["solves"]) == {"stacked", "subset", "full", "iterative",
+        assert set(solver["solves"]) == {"stacked", "subset", "iterative",
                                          "dense_fallback", "skipped", "lanczos_retries"}
         assert solver["solves"]["iterative"] == solver["solves"]["lanczos_retries"] == 0
 
@@ -834,6 +843,18 @@ class TestBr:
         assert out == ""
         assert "config error: class=linear, r=5:" in err
         assert "rank(X^T D X) = 3" in err
+
+    def test_linear_row_on_coordinates_of_dimension_zero(self, tmp_path, capsys):
+        # rank(X^T D X) of a 0-dimensional graph is 0: no r = 1 linear cell
+        gpath = tmp_path / "graph.json"
+        gpath.write_text(json.dumps({"d": 0, "vertices": [[]], "marginal": [1.0],
+                                     "joint": {"triplets": [[0, 0, 1.0]]}}))
+        cfg = write_config(tmp_path, {"version": 1, "graph": {"file": str(gpath)},
+                                      "class": {"tag": "linear"}, "r_list": [1]})
+        code, out, err = run(["br", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: class=linear, r=1: ")
+        assert "rank(X^T D X) = 0" in err
 
     def test_writes_report_and_summary(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

@@ -605,15 +605,20 @@ class TestSolvedPairs:
     @pytest.mark.parametrize("need", [1, 40, None])
     def test_nonzero_pairs_match_dense_reference(self, graph, need):
         # with the 257 block, 31/32 vertices go to the stacked solve and 33
-        # and up alone: at need 40 the 33 block is solved in full and the
-        # 25x blocks by subset.  Without it, every block is stacked.  need
-        # None takes every nonzero pair.
+        # and up alone, each to scipy's subset solve unless it is skipped,
+        # the 33 block at need 40 too.  Without it, every block is stacked.
+        # need None takes every nonzero pair.
         assert max(self.SIZES[:3]) <= spectral._STACK_LIMIT < min(self.SIZES[3:])
         assert self.SIZES[-2] <= spectral._SUBSET_LIMIT < self.SIZES[-1]
         labels = connected_components(graph).labels
         sizes = np.bincount(labels)
         need = need or int(np.sum(sizes - 1))
-        vals, vecs, _ = spectral._nonzero_pairs(graph, labels, need)
+        vals, vecs, solves = spectral._nonzero_pairs(graph, labels, need)
+        large = sizes.max() > spectral._SUBSET_LIMIT
+        alone = int(np.sum(sizes > spectral._STACK_LIMIT)) if large else 0
+        assert "full" not in solves
+        assert solves["stacked"] == sizes.size - alone
+        assert solves["subset"] + solves["skipped"] == alone
 
         inv_sqrt = 1.0 / np.sqrt(graph.marginal)
         M = np.eye(graph.n) - graph.joint.toarray() * inv_sqrt[:, None] * inv_sqrt[None, :]
@@ -781,8 +786,9 @@ class TestRouteAcrossCrossover:
             on = np.flatnonzero(labels == comp)
             M = np.eye(on.size) - (J[on][:, on].toarray()
                                    * inv_sqrt[on][:, None] * inv_sqrt[on][None, :])
-            w, v = scipy.linalg.eigh((M + M.T) * 0.5, subset_by_index=[1, k + 1])
-            block = np.zeros((g.n, k + 1))
+            w, v = scipy.linalg.eigh((M + M.T) * 0.5,
+                                     subset_by_index=[1, min(k + 1, on.size - 1)])
+            block = np.zeros((g.n, w.size))
             block[on] = v
             vals.append(w)
             vecs.append(block)
@@ -824,6 +830,16 @@ class TestRouteAcrossCrossover:
         # and 10 the 900 block is dense and gives pairs too
         g = _graph_of_sizes((400, 900, 1300), seed=29)
         assert self._check(g, k) == routes
+
+    @pytest.mark.parametrize("k", [10, 40])
+    def test_small_blocks_solved_alone_beside_a_large_one(self, k):
+        # a 300-vertex component takes scipy's LAPACK, so the 33 to 59
+        # vertex ones are solved alone too: each by the subset solve, at k
+        # above s/6 as well, or skipped
+        g = _graph_of_sizes((300, 33, 40, 47, 52, 59, 59, 2, 5), seed=7)
+        routes = self._check(g, k)
+        assert routes.pop("stacked") == 2
+        assert set(routes) <= {"subset", "skipped"} and sum(routes.values()) == 7
 
     def test_all_above_is_the_second_eigenvalue(self):
         # true just below the smallest nonzero eigenvalue and false just

@@ -380,11 +380,25 @@ class TestRandomAndStructuredGraphs:
         (lambda: random_graph(20001), "^20001 vertices exceed guard 20000"),
         (lambda: two_level_graph(5001), "^20004 vertices exceed guard 20000"),
         (lambda: component_cluster_graph(5001), "^20004 vertices exceed guard 20000"),
-    ], ids=["random", "two-level", "component-cluster"])
+        (lambda: two_level_graph(282), r"^1128 x 284 = 320352 coordinates exceed guard 320000"),
+        (lambda: component_cluster_graph(164),
+         r"^656 x 492 = 322752 coordinates exceed guard 320000"),
+    ], ids=["random", "two-level", "component-cluster", "two-level-coordinates",
+            "component-cluster-coordinates"])
     def test_size_guard(self, build, message):
         # refused before the first draw or allocation
         with pytest.raises(SizeGuardExceeded, match=message):
             build()
+
+    @pytest.mark.parametrize("build, n, d", [
+        (lambda: two_level_graph(281).graph, 1124, 283),
+        (lambda: component_cluster_graph(163), 652, 489),
+        (lambda: example1_graph(14, 13, tau_grid=[1.0]).graph, 16384, 14),
+        (lambda: example4_graph(11, 10, 2.0, tau_grid=[0.0]).graph, 11264, 11),
+    ], ids=["two-level-281", "component-cluster-163", "example-1", "example-4"])
+    def test_largest_coordinate_counts_still_build(self, build, n, d):
+        g = build()
+        assert (g.n, g.d) == (n, d)
 
     def test_two_level_graph_structure(self):
         for m in (2, 3, 4):
