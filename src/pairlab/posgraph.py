@@ -10,10 +10,12 @@ Every graph stores its joint as one scipy CSR array, whatever form the input
 took (a dense array, or any scipy sparse array such as COO triplets, whose
 duplicate entries are summed).  The stored object satisfies the invariants
 to machine precision: inputs are validated against loose tolerances, then
-symmetrized and renormalized exactly once.  Loading a saved graph runs the
-same validation with the tight consistency tolerance but keeps the stored
-values, so a save/load round trip is bit-exact; it also refuses a stored
-entry without its mirror, so every graph's pattern is symmetric.
+symmetrized and renormalized exactly once.  A saved graph holds each pair
+of its joint once, i <= j, and no marginal.  Loading mirrors the pairs, runs
+the same validation and derives the marginal as the row sums, keeping the
+stored values, so every graph built here round-trips bit for bit; saving
+refuses a graph that is not exactly symmetric or whose marginal is not its
+row sums, since no file could restore it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .errors import (
 
 _SUM_TOL = 1e-9          # acceptance tolerance for input normalization
 _SYM_TOL = 1e-9          # acceptance tolerance for input symmetry
-_CONSISTENCY_TOL = 1e-12  # stored graphs: symmetry, and marginal vs row sums
 
 
 def _canonical_coords(vertices) -> np.ndarray:
@@ -153,8 +154,8 @@ def _checked_joint(rows, cols, vals, n: int, sym_tol: float):
     with J's when the pattern is symmetric; otherwise one stable sort of
     both merges them, each pair summed J's entry first."""
     key, vals = _canonical(rows, cols, vals, n)
-    if not (vals >= 0).all():
-        raise NotNormalized("joint has negative or NaN entries")
+    if not ((vals >= 0) & (vals < np.inf)).all():
+        raise NotNormalized("joint has negative, NaN or infinite entries")
     rows, cols = key // n, key % n
     t_key = cols * n + rows
     order = np.argsort(t_key)
@@ -278,8 +279,8 @@ def connected_components(graph: PositivePairGraph) -> Partition:
 
     Component ids are assigned by smallest contained vertex index, so the
     component of vertex 0 always has id 0.  Every stored joint has a
-    symmetric pattern (building symmetrizes it, loading refuses an entry
-    without its mirror), so its strong components are its components.
+    symmetric pattern (building symmetrizes it, loading mirrors each stored
+    pair), so its strong components are its components.
     scipy's strong-component search finishes the whole component of the
     smallest unvisited vertex before it starts the next, which numbers them
     by first vertex, and it skips the transposed copy that the undirected
@@ -338,27 +339,37 @@ def restrict(graph: PositivePairGraph, subset) -> PositivePairGraph:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (lossless: floats go through repr round-trip)
+# JSON serialization.  A graph document stores each pair of the symmetric
+# joint once, i <= j, in CSR order, and no marginal: loading mirrors the
+# pairs and derives the marginal as the row sums, as building does.  Floats
+# go through repr, so every graph that pairlab builds round-trips bit for bit.
+
+_LAYOUT = '{"d", "vertices", "joint": {"rows", "cols", "vals"}}, each pair once with i <= j'
 
 
 def graph_to_dict(graph: PositivePairGraph) -> dict:
-    rows, cols, vals = graph.joint_coo()
-    return {
-        "d": graph.d,
-        "vertices": graph.vertices.tolist(),
-        "marginal": graph.marginal.tolist(),
-        "joint": {"triplets": [list(t) for t in
-                               zip(rows.tolist(), cols.tolist(), vals.tolist())]},
-    }
+    """The graph's document.  A loaded graph is exactly symmetric and its
+    marginal is its row sums, so a graph that is not raises AsymmetricJoint
+    or NotNormalized instead of being written wrong."""
+    n = graph.n
+    rows, cols, vals, *_ = _checked_joint(*graph.joint_coo(), n, 0.0)
+    if not np.array_equal(np.bincount(rows, weights=vals, minlength=n), graph.marginal):
+        raise NotNormalized("marginal differs from the joint's row sums, "
+                            "which a graph file restores")
+    upper = rows <= cols
+    return {"d": graph.d, "vertices": graph.vertices.tolist(),
+            "joint": {"rows": rows[upper].tolist(), "cols": cols[upper].tolist(),
+                      "vals": vals[upper].tolist()}}
 
 
-_JSON_NUMBER = {int, float}     # exact types: a JSON true is a bool, an int subclass
+# exact JSON types each array reads: a JSON true is a bool, an int subclass
+_JSON_KINDS = {np.float64: ({int, float}, "numbers"), np.int64: ({int}, "integers")}
 
 
-def _number_array(value, field: str) -> np.ndarray:
-    """The float64 array of a JSON list of numbers, or of a list of such
-    lists.  Strings, booleans and nulls are refused, although numpy would
-    read "0.5" and true as numbers and null as NaN."""
+def _number_array(value, field: str, dtype=np.float64) -> np.ndarray:
+    """The array of a JSON list of numbers (integers for int64), or of a
+    list of such lists.  Strings, booleans and nulls are refused, although
+    numpy would read "0.5" and true as numbers and null as NaN."""
     if type(value) is not list:
         raise MalformedGraphFile(f"{field} must be a list")
     nested = bool(value) and type(value[0]) is list
@@ -367,55 +378,54 @@ def _number_array(value, field: str) -> np.ndarray:
         if not set(map(type, value)) <= {list} or len(set(map(len, value))) != 1:
             raise MalformedGraphFile(f"{field} must be a list of equal-length lists")
         items = list(chain.from_iterable(value))
-    if not set(map(type, items)) <= _JSON_NUMBER:
-        raise MalformedGraphFile(f"{field} must hold numbers only")
+    kinds, what = _JSON_KINDS[dtype]
+    if not set(map(type, items)) <= kinds:
+        raise MalformedGraphFile(f"{field} must hold {what} only")
     try:
-        arr = np.array(items, dtype=np.float64)
+        arr = np.array(items, dtype=dtype)
     except OverflowError as exc:
         raise MalformedGraphFile(f"unreadable {field} array: {exc}") from exc
     return arr.reshape(len(value), -1) if nested else arr
 
 
-def _triplet_joint(trip, n: int):
-    """(rows, cols, vals) of a [[i, j, value], ...] list, read in one typed
-    pass.  Indices must be integers in [0, n), values numbers, and no
-    (i, j) may appear twice."""
-    if (type(trip) is not list or not set(map(type, trip)) <= {list}
-            or not set(map(len, trip)) <= {3}):
-        raise MalformedGraphFile("triplets must be a list of [i, j, value]")
-    flat = list(chain.from_iterable(trip))
-    rows, cols, vals = flat[0::3], flat[1::3], flat[2::3]
-    if not set(map(type, rows)) | set(map(type, cols)) <= {int}:
-        raise MalformedGraphFile("triplet indices must be integers")
-    if not set(map(type, vals)) <= _JSON_NUMBER:
-        raise MalformedGraphFile("triplet values must be numbers")
-    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
-    vals = np.array(vals, dtype=np.float64)
-    if trip:
-        if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n:
-            raise MalformedGraphFile(f"triplet index out of range for n={n}")
-        key = np.sort(rows * n + cols)
-        if (key[1:] == key[:-1]).any():
-            raise MalformedGraphFile("duplicate (i, j) triplets")
+def _stored_pairs(joint, n: int):
+    """(rows, cols, vals) of a document's joint: integer indices in [0, n)
+    with i <= j, strictly increasing in CSR order (so no pair twice)."""
+    if type(joint) is not dict or set(joint) != {"rows", "cols", "vals"}:
+        raise MalformedGraphFile(f"joint must be {{\"rows\", \"cols\", \"vals\"}}; "
+                                 f"expected the layout {_LAYOUT}")
+    rows = _number_array(joint["rows"], "joint rows", np.int64)
+    cols = _number_array(joint["cols"], "joint cols", np.int64)
+    vals = _number_array(joint["vals"], "joint vals")
+    if not rows.shape == cols.shape == vals.shape == (len(rows),):
+        raise MalformedGraphFile(f"joint rows, cols and vals must be flat lists of one "
+                                 f"length, got shapes {rows.shape}, {cols.shape}, {vals.shape}")
+    if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+        raise MalformedGraphFile(f"joint index out of range for n={n}")
+    if (rows > cols).any():
+        t = int(np.argmax(rows > cols))
+        raise MalformedGraphFile(f"stored pair ({rows[t]}, {cols[t]}) has i > j; "
+                                 f"expected the layout {_LAYOUT}")
+    step = np.diff(rows * n + cols)
+    if (step <= 0).any():
+        t = int(np.argmax(step <= 0)) + 1
+        raise MalformedGraphFile(f"pair ({rows[t]}, {cols[t]}) is "
+                                 f"{'a duplicate' if step[t - 1] == 0 else 'out of CSR order'}")
     return rows, cols, vals
 
 
 def graph_from_dict(doc: dict) -> PositivePairGraph:
-    """Load a graph document: the joint as triplets or as a dense n×n list.
+    """Load a graph document of the layout `_LAYOUT`.
 
-    Every number must be a JSON number: a string or a boolean in any field
-    raises MalformedGraphFile.  The joint passes the same checks as in
-    `build_graph`, with symmetry held to the consistency tolerance, and
-    every stored entry must have its mirror, so that the pattern is
-    symmetric as a built graph's is.  The stored marginal must match its
-    row sums to that tolerance.  Nothing is renormalized: the stored joint
-    and marginal are kept bit for bit.
+    Every number must be a JSON number: a string, a boolean or a null in any
+    field raises MalformedGraphFile, and so does a document of any other
+    layout, such as the older one with both mirrors and a stored marginal.
+    The mirrored joint passes the same checks as in `build_graph`; nothing
+    is renormalized, and the marginal is the row sums in canonical order.
     """
-    if not isinstance(doc, dict):
-        raise MalformedGraphFile("graph document must be a JSON object")
-    missing = [k for k in ("d", "vertices", "joint", "marginal") if k not in doc]
-    if missing:
-        raise MalformedGraphFile(f"graph document missing fields: {missing}")
+    if type(doc) is not dict or set(doc) != {"d", "vertices", "joint"}:
+        keys = sorted(doc) if type(doc) is dict else type(doc).__name__
+        raise MalformedGraphFile(f"graph document {keys} is not of the layout {_LAYOUT}")
     if type(doc["d"]) is not int:
         raise MalformedGraphFile(f"d must be an integer, got {doc['d']!r}")
     try:
@@ -426,31 +436,20 @@ def graph_from_dict(doc: dict) -> PositivePairGraph:
     if verts.shape[1] != doc["d"]:
         raise MalformedGraphFile("declared d does not match vertex width")
     _check_distinct(verts)
-    joint = doc["joint"]
-    try:
-        if isinstance(joint, dict):
-            triplets = _triplet_joint(joint["triplets"], n)
-        else:
-            triplets = _matrix_triplets(_number_array(joint, "joint"), n)
-    except (ValueError, KeyError, OverflowError) as exc:
-        raise MalformedGraphFile(f"unreadable joint: {exc}") from exc
-    rows, cols, vals, _, (sym_rows, *_) = _checked_joint(*triplets, n, _CONSISTENCY_TOL)
-    if sym_rows.size != rows.size:      # J + J^T has an entry that J lacks
-        lone = np.flatnonzero(~np.isin(cols * n + rows, rows * n + cols))[0]
-        i, j = int(rows[lone]), int(cols[lone])
-        raise AsymmetricJoint(f"stored entry ({i}, {j}) has no mirror ({j}, {i})")
-    marg = _number_array(doc["marginal"], "marginal")
-    row_sums = np.bincount(rows, weights=vals, minlength=n)
-    if marg.shape != (n,) or not np.max(np.abs(marg - row_sums)) <= _CONSISTENCY_TOL:
-        raise NotNormalized("stored marginal inconsistent with joint row sums")
-    _check_positive(np.minimum(marg, row_sums))
+    rows, cols, vals = _stored_pairs(doc["joint"], n)
+    off = rows != cols
+    rows, cols, vals, *_ = _checked_joint(np.concatenate([rows, cols[off]]),
+                                          np.concatenate([cols, rows[off]]),
+                                          np.concatenate([vals, vals[off]]), n, 0.0)
+    marg = np.bincount(rows, weights=vals, minlength=n)
+    _check_positive(marg)
     return PositivePairGraph(vertices=verts, joint=_csr(rows, cols, vals, n),
                              marginal=marg)
 
 
 def save_graph(graph: PositivePairGraph, path) -> None:
     with open(path, "w") as fh:
-        json.dump(graph_to_dict(graph), fh)
+        fh.write(json.dumps(graph_to_dict(graph)))      # the C encoder; json.dump is pure Python
 
 
 def load_graph(path) -> PositivePairGraph:

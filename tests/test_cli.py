@@ -17,7 +17,7 @@ import pytest
 from pairlab.cli import _py, graph_from_config, load_config, main
 from pairlab.errors import BetaZero, ConfigError
 from pairlab.funclass import spec_for_graph
-from pairlab.posgraph import graph_to_dict, partition_from_labels, save_graph
+from pairlab.posgraph import partition_from_labels, save_graph
 from pairlab.probe import measure_assumptions, theorem31_bound
 from pairlab.spectral import INFINITE
 from pairlab.synthdata import (
@@ -357,19 +357,19 @@ class TestGraphInfo:
         assert code == 2
         assert "MalformedGraphFile" in err
 
-    def test_asymmetric_graph_file(self, tmp_path, capsys, single_vertex):
-        doc = graph_to_dict(single_vertex)
-        doc["vertices"] = [[0.0], [1.0]]
-        doc["d"] = 1
-        doc["joint"] = [[0.5, 0.5], [0.0, 0.0]]
-        doc["marginal"] = [0.75, 0.25]
-        gpath = tmp_path / "asym.json"
-        gpath.write_text(json.dumps(doc))
-        cfg = write_config(
-            tmp_path, {"version": 1, "graph": {"file": str(gpath)}})
-        code, _, err = run(["graph-info", "--config", str(cfg)], capsys)
-        assert code == 2
-        assert "AsymmetricJoint" in err
+    def test_asymmetric_graph_file(self, tmp_path, capsys):
+        # a file stores each pair once with i <= j, so it cannot hold an
+        # asymmetric joint: the older dense layout and a pair with i > j
+        # are malformed files
+        for joint in ([[0.5, 0.5], [0.0, 0.0]],
+                      {"rows": [0, 1], "cols": [0, 0], "vals": [0.5, 0.5]}):
+            gpath = tmp_path / "asym.json"
+            gpath.write_text(json.dumps({"d": 1, "vertices": [[0.0], [1.0]], "joint": joint}))
+            cfg = write_config(
+                tmp_path, {"version": 1, "graph": {"file": str(gpath)}})
+            code, out, err = run(["graph-info", "--config", str(cfg)], capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: MalformedGraphFile: "), joint
 
 
 class TestManifest:
@@ -847,8 +847,8 @@ class TestBr:
     def test_linear_row_on_coordinates_of_dimension_zero(self, tmp_path, capsys):
         # rank(X^T D X) of a 0-dimensional graph is 0: no r = 1 linear cell
         gpath = tmp_path / "graph.json"
-        gpath.write_text(json.dumps({"d": 0, "vertices": [[]], "marginal": [1.0],
-                                     "joint": {"triplets": [[0, 0, 1.0]]}}))
+        gpath.write_text(json.dumps({"d": 0, "vertices": [[]],
+                                     "joint": {"rows": [0], "cols": [0], "vals": [1.0]}}))
         cfg = write_config(tmp_path, {"version": 1, "graph": {"file": str(gpath)},
                                       "class": {"tag": "linear"}, "r_list": [1]})
         code, out, err = run(["br", "--config", str(cfg)], capsys)

@@ -20,6 +20,7 @@ from pairlab.errors import (
     ZeroMassVertex,
 )
 from pairlab.posgraph import (
+    PositivePairGraph,
     _canonical_coords,
     _check_distinct,
     build_graph,
@@ -299,14 +300,13 @@ class TestSerialization:
                                       two_components_uneven.marginal)
 
     def test_triplet_document_loads(self, two_vertex_uniform):
-        doc = graph_to_dict(two_vertex_uniform)
-        rows, cols, vals = two_vertex_uniform.joint_coo()
-        doc["joint"] = {"triplets": [
-            [int(i), int(j), float(v)] for i, j, v in zip(rows, cols, vals)
-        ]}
+        # written by hand: each pair once, i <= j, in CSR order; no marginal
+        doc = {"d": 1, "vertices": [[0.0], [1.0]],
+               "joint": {"rows": [0, 0, 1], "cols": [0, 1, 1], "vals": [0.25, 0.25, 0.25]}}
         back = graph_from_dict(doc)
-        np.testing.assert_allclose(back.joint.toarray(),
-                                   two_vertex_uniform.joint.toarray())
+        np.testing.assert_array_equal(back.joint.toarray(),
+                                      two_vertex_uniform.joint.toarray())
+        np.testing.assert_array_equal(back.marginal, [0.5, 0.5])
 
     def test_missing_fields_rejected(self):
         with pytest.raises(MalformedGraphFile):
@@ -325,10 +325,19 @@ class TestSerialization:
             graph_from_dict(doc)
 
     def test_asymmetric_stored_joint_rejected(self, two_vertex_uniform):
-        doc = graph_to_dict(two_vertex_uniform)
-        doc["joint"] = [[0.25, 0.30], [0.20, 0.25]]
-        with pytest.raises(AsymmetricJoint):
-            graph_from_dict(doc)
+        # a file holds each pair once, so it cannot keep a joint that is one
+        # ulp asymmetric: saving refuses it rather than write it symmetric
+        g = two_vertex_uniform
+        J = g.joint.toarray()
+        J[0, 1] = np.nextafter(J[0, 1], 1.0)
+        with pytest.raises(AsymmetricJoint, match=r"max \|J - J\^T\| = 5.551e-17"):
+            graph_to_dict(PositivePairGraph(g.vertices, scipy.sparse.csr_array(J), g.marginal))
+
+    def test_save_graph_writes_the_document(self, tmp_path):
+        g = random_graph(300, n_components=4, seed=3)
+        path = tmp_path / "g.json"
+        save_graph(g, path)
+        assert path.read_text() == json.dumps(graph_to_dict(g))
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -434,13 +443,12 @@ def test_components_match_undirected_labels(graphs):
 
 def _three_vertex_doc(joint):
     J = np.array(joint, dtype=np.float64)
-    rows, cols = np.nonzero(J)
+    rows, cols = np.nonzero(np.triu(J))
     return {
         "d": 1,
         "vertices": [[0.0], [1.0], [2.0]],
-        "marginal": J.sum(axis=1).tolist(),
-        "joint": {"triplets": [[int(i), int(j), float(J[i, j])]
-                               for i, j in zip(rows, cols)]},
+        "joint": {"rows": rows.tolist(), "cols": cols.tolist(),
+                  "vals": J[rows, cols].tolist()},
     }
 
 
@@ -452,31 +460,39 @@ class TestStrictLoader:
             graph_from_dict(_three_vertex_doc(self.NEGATIVE))
 
     def test_negative_dense_entries_rejected(self):
+        # a dense-list joint is refused whatever it holds
         doc = _three_vertex_doc(self.NEGATIVE)
         doc["joint"] = self.NEGATIVE
-        with pytest.raises(NotNormalized):
+        with pytest.raises(MalformedGraphFile, match="joint must be"):
+            graph_from_dict(doc)
+
+    def test_dense_list_document_rejected(self, two_components_uneven):
+        doc = graph_to_dict(two_components_uneven)
+        doc["joint"] = two_components_uneven.joint.toarray().tolist()
+        with pytest.raises(MalformedGraphFile, match="expected the layout"):
             graph_from_dict(doc)
 
     def test_duplicate_triplets_rejected(self, two_vertex_uniform):
         doc = graph_to_dict(two_vertex_uniform)
-        trip = doc["joint"]["triplets"]
-        i, j, v = trip[1]
-        doc["joint"]["triplets"] = trip[:1] + [[i, j, v / 2], [i, j, v / 2]] + trip[2:]
-        with pytest.raises(MalformedGraphFile, match="duplicate"):
+        joint = doc["joint"]
+        for field in ("rows", "cols", "vals"):
+            joint[field].insert(1, joint[field][1])
+        joint["vals"][1] = joint["vals"][2] = joint["vals"][1] / 2
+        with pytest.raises(MalformedGraphFile, match=r"pair \(0, 1\) is a duplicate"):
             graph_from_dict(doc)
 
     @pytest.mark.parametrize("index", [2, -1, 7])
     def test_out_of_range_index_rejected(self, two_vertex_uniform, index):
         doc = graph_to_dict(two_vertex_uniform)
-        doc["joint"]["triplets"][0][1] = index
+        doc["joint"]["cols"][0] = index
         with pytest.raises(MalformedGraphFile, match="out of range"):
             graph_from_dict(doc)
 
-    @pytest.mark.parametrize("index", [1.0, 0.5, "1", None])
+    @pytest.mark.parametrize("index", [1.0, 0.5, "1", None, True])
     def test_non_integer_index_rejected(self, two_vertex_uniform, index):
         doc = graph_to_dict(two_vertex_uniform)
-        doc["joint"]["triplets"][1][0] = index
-        with pytest.raises(MalformedGraphFile):
+        doc["joint"]["rows"][1] = index
+        with pytest.raises(MalformedGraphFile, match="joint rows must hold integers only"):
             graph_from_dict(doc)
 
     @staticmethod
@@ -490,62 +506,82 @@ class TestStrictLoader:
             doc["d"] = as_kind(doc["d"])
         elif field == "vertex":
             doc["vertices"][1][0] = as_kind(doc["vertices"][1][0])
-        elif field == "marginal":
-            doc["marginal"][0] = as_kind(doc["marginal"][0])
-        elif field == "dense_joint":
-            doc["joint"] = [[float(x) for x in row] for row in doc["joint"]]
-            doc["joint"][0][1] = as_kind(doc["joint"][0][1])
-        else:
-            col = 1 if field == "triplet_index" else 2
-            trip = doc["joint"]["triplets"][0]
-            trip[col] = as_kind(trip[col])
+        else:       # the t-th stored triplet is (rows[t], cols[t], vals[t])
+            key = {"triplet_row": "rows", "triplet_index": "cols",
+                   "triplet_value": "vals"}[field]
+            doc["joint"][key][1] = as_kind(doc["joint"][key][1])
 
     @pytest.mark.parametrize("kind", ["string", "boolean"])
-    @pytest.mark.parametrize("field", ["d", "vertex", "marginal", "triplet_index",
-                                       "triplet_value", "dense_joint"])
+    @pytest.mark.parametrize("field", ["d", "vertex", "triplet_row", "triplet_index",
+                                       "triplet_value"])
     def test_non_number_rejected(self, two_components_uneven, field, kind):
         # numpy reads "0.25" and true as numbers; a loader must not
         doc = json.loads(json.dumps(graph_to_dict(two_components_uneven)))
-        if field == "dense_joint":
-            doc["joint"] = two_components_uneven.joint.toarray().tolist()
         graph_from_dict(json.loads(json.dumps(doc)))       # loads as written
         self._set(doc, field, kind)
         with pytest.raises(MalformedGraphFile):
             graph_from_dict(json.loads(json.dumps(doc)))
 
-    @pytest.mark.parametrize("field", ["vertices", "marginal", "joint"])
+    @pytest.mark.parametrize("field", ["vertices", "joint", "joint-rows"])
     def test_null_rejected(self, two_vertex_uniform, field):
         # numpy would read a null as NaN
         doc = graph_to_dict(two_vertex_uniform)
-        doc["joint"] = two_vertex_uniform.joint.toarray().tolist()
-        target = doc[field][0] if field != "marginal" else doc[field]
-        target[0] = None
+        if field == "vertices":
+            doc["vertices"][0][0] = None
+        else:
+            doc["joint"]["rows" if field == "joint-rows" else "vals"][0] = None
         with pytest.raises(MalformedGraphFile):
             graph_from_dict(doc)
 
-    @pytest.mark.parametrize("col, number", [(0, 2 ** 70), (2, 10 ** 400)],
+    @pytest.mark.parametrize("field, number", [("rows", 2 ** 70), ("vals", 10 ** 400)],
                              ids=["index-2**70", "value-10**400"])
     def test_numbers_beyond_int64_or_float_rejected(self, two_vertex_uniform,
-                                                    col, number):
+                                                    field, number):
         doc = graph_to_dict(two_vertex_uniform)
-        doc["joint"]["triplets"][0][col] = number
-        with pytest.raises(MalformedGraphFile):
+        doc["joint"][field][0] = number
+        with pytest.raises(MalformedGraphFile, match=f"unreadable joint {field} array"):
             graph_from_dict(doc)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: [doc], "graph document must be a JSON object"),
-        (lambda doc: {**doc, "marginal": 0.5}, "marginal must be a list"),
+        (lambda doc: [doc], "graph document list is not of the layout"),
+        (lambda doc: {**doc, "marginal": 0.5}, "is not of the layout"),
         (lambda doc: {**doc, "vertices": [[10 ** 400], [1.0]]},
          "unreadable vertices array: int too large"),
-        (lambda doc: {**doc, "joint": {"triplets": [[0, 0]]}},
-         r"triplets must be a list of \[i, j, value\]"),
+        (lambda doc: {**doc, "joint": {**doc["joint"], "vals": doc["joint"]["vals"][:-1]}},
+         r"flat lists of one length, got shapes \(3,\), \(3,\), \(2,\)"),
         (lambda doc: {**doc, "vertices": [0.0, 1.0]},
          "unreadable vertices array: vertices must be 2-d"),
+        (lambda doc: {**doc, "marginal": [0.5, 0.5]},
+         r"\['d', 'joint', 'marginal', 'vertices'\] is not of the layout"),
+        (lambda doc: {**doc, "joint": {**doc["joint"], "triplets": []}},
+         "joint must be"),
+        (lambda doc: {**doc, "joint": {"rows": [0, 1, 1], "cols": [0, 0, 1],
+                                       "vals": [0.25, 0.25, 0.25]}},
+         r"stored pair \(1, 0\) has i > j"),
+        (lambda doc: {**doc, "joint": {"rows": [0, 1, 0], "cols": [0, 1, 1],
+                                       "vals": [0.25, 0.25, 0.25]}},
+         r"pair \(0, 1\) is out of CSR order"),
+        (lambda doc: {**doc, "joint": {**doc["joint"], "vals": [[0.25], [0.25], [0.25]]}},
+         r"flat lists of one length, got shapes \(3,\), \(3,\), \(3, 1\)"),
     ], ids=["not-object", "marginal-not-list", "vertex-overflow", "short-triplet",
-            "flat-vertices"])
+            "flat-vertices", "stored-marginal", "joint-triplets", "lower-pair",
+            "out-of-order", "nested-vals"])
     def test_malformed_document_rejected(self, two_vertex_uniform, edit, message):
         with pytest.raises(MalformedGraphFile, match=message):
             graph_from_dict(edit(graph_to_dict(two_vertex_uniform)))
+
+    @pytest.mark.parametrize("vertices, joint, error, message", [
+        ([[0.0], [0.0]], ([0, 0, 1], [0, 1, 1], [0.25, 0.25, 0.25]), DuplicateVertex,
+         "vertices 0 and 1 have identical"),
+        ([[0.0], [1.0]], ([0, 0, 1], [0, 1, 1], [0.25, 0.25, 0.2]), NotNormalized,
+         "joint sums to 0.95"),
+        ([[0.0], [1.0]], ([0], [0], [1.0]), ZeroMassVertex, "vertex 1 has marginal 0.0"),
+    ], ids=["duplicate-vertex", "total-not-one", "zero-mass"])
+    def test_invalid_graph_rejected(self, vertices, joint, error, message):
+        # the loader's checks are build_graph's
+        doc = {"d": 1, "vertices": vertices, "joint": dict(zip(("rows", "cols", "vals"), joint))}
+        with pytest.raises(error, match=message):
+            graph_from_dict(doc)
 
     def test_ragged_vertices_rejected(self, two_vertex_uniform):
         doc = graph_to_dict(two_vertex_uniform)
@@ -554,10 +590,11 @@ class TestStrictLoader:
             graph_from_dict(doc)
 
     def test_nan_entry_rejected(self, two_vertex_uniform):
-        doc = graph_to_dict(two_vertex_uniform)
-        doc["joint"]["triplets"][0][2] = float("nan")
-        with pytest.raises(NotNormalized):
-            graph_from_dict(doc)
+        for value in (float("nan"), float("inf")):
+            doc = graph_to_dict(two_vertex_uniform)
+            doc["joint"]["vals"][0] = value
+            with pytest.raises(NotNormalized, match="negative, NaN or infinite"):
+                graph_from_dict(doc)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_vertex_rejected(self, two_vertex_uniform, value):
@@ -568,35 +605,37 @@ class TestStrictLoader:
             graph_from_dict(doc)
 
     def test_inconsistent_marginal_rejected(self, two_vertex_uniform):
-        doc = graph_to_dict(two_vertex_uniform)
-        doc["marginal"] = [0.5 + 1e-11, 0.5 - 1e-11]
+        # a loaded marginal is the row sums, so saving refuses a graph whose
+        # marginal is one ulp off them (as min_expansion_over_class's is)
+        g = two_vertex_uniform
+        marg = g.marginal.copy()
+        marg[0] = np.nextafter(marg[0], 1.0)
         with pytest.raises(NotNormalized, match="marginal"):
-            graph_from_dict(doc)
+            graph_to_dict(PositivePairGraph(g.vertices, g.joint, marg))
 
-    def test_dense_list_document_loads(self, two_components_uneven):
+    def test_documents_always_hold_triplets(self, two_components_uneven):
         doc = graph_to_dict(two_components_uneven)
-        doc["joint"] = two_components_uneven.joint.toarray().tolist()
-        back = graph_from_dict(doc)
-        np.testing.assert_array_equal(back.joint.toarray(),
-                                      two_components_uneven.joint.toarray())
-        assert back.is_sparse
-
-    def test_documents_always_hold_triplets(self, two_vertex_uniform):
-        assert set(graph_to_dict(two_vertex_uniform)["joint"]) == {"triplets"}
+        assert set(doc) == {"d", "vertices", "joint"}
+        assert doc["joint"] == {"rows": [0, 0, 1, 2, 2, 3], "cols": [0, 1, 1, 2, 3, 3],
+                                "vals": [0.1, 0.2, 0.1, 0.05, 0.15, 0.05]}
 
     @pytest.mark.parametrize("form", ["triplets", "dense"])
     def test_entry_without_mirror_rejected(self, form):
-        # two 2-vertex blocks and a lone (1, 2) entry inside the symmetry
-        # tolerance: loading it would join the blocks one way only
+        # two 2-vertex blocks and a lone (1, 2) entry inside build_graph's
+        # symmetry tolerance: saving refuses it, and a document of the older
+        # layouts that holds it is refused for its layout
         J = np.kron(np.eye(2), np.full((2, 2), 0.125))
         J[1, 2] = 5e-13
-        doc = {"d": 1, "vertices": [[0.0], [1.0], [2.0], [3.0]],
-               "marginal": J.sum(axis=1).tolist(),
+        vertices = [[0.0], [1.0], [2.0], [3.0]]
+        with pytest.raises(AsymmetricJoint):
+            graph_to_dict(PositivePairGraph(np.array(vertices), scipy.sparse.csr_array(J),
+                                            J.sum(axis=1)))
+        doc = {"d": 1, "vertices": vertices, "marginal": J.sum(axis=1).tolist(),
                "joint": J.tolist()}
         if form == "triplets":
             doc["joint"] = {"triplets": [[int(i), int(j), float(J[i, j])]
                                          for i, j in zip(*np.nonzero(J))]}
-        with pytest.raises(AsymmetricJoint, match=r"entry \(1, 2\) has no mirror"):
+        with pytest.raises(MalformedGraphFile, match="is not of the layout"):
             graph_from_dict(doc)
 
     @pytest.mark.parametrize("build", [
@@ -607,8 +646,9 @@ class TestStrictLoader:
         lambda: example2_labels(4, 2, xor_label_map).graph,
         lambda: example3_graph(3, 2.0, 0.1, [0, 1, 0], 2, sub_clusters_per_set=2).graph,
         lambda: example4_graph(4, 1, 2.0).graph,
+        lambda: restrict(random_graph(40, n_components=3, seed=2), np.arange(1, 40, 2)),
     ], ids=["random", "two-level", "component-cluster", "example1", "example2",
-            "example3", "example4"])
+            "example3", "example4", "restrict"])
     def test_every_generator_round_trips(self, build):
         g = build()
         back = graph_from_dict(json.loads(json.dumps(graph_to_dict(g))))
