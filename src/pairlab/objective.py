@@ -55,7 +55,7 @@ from .funclass import (
     spec_for_graph,
 )
 from .posgraph import PositivePairGraph
-from .spectral import _on_range, eigendecompose
+from .spectral import _graph_product, _on_range, eigendecompose
 
 _DIVERGENCE_LIMIT = 1e12
 _MIN_STEP = 1e-18         # smallest fraction of a direction a cell tries
@@ -551,7 +551,7 @@ def _covariance(F: np.ndarray, marginal: np.ndarray):
     """Eigenvalues (ascending) and eigenvectors of the covariance F^T D F
     of a representation matrix F (n, k), and whether F can be whitened:
     whether the smallest eigenvalue is above `_WHITEN_MIN_EIG`."""
-    evals, evecs = scipy.linalg.eigh(F.T @ (F * marginal[:, None]))
+    evals, evecs = scipy.linalg.eigh(_graph_product(F.shape[0], F.T, F * marginal[:, None]))
     return evals, evecs, bool(evals.min() > _WHITEN_MIN_EIG)
 
 
@@ -569,4 +569,4 @@ def whiten(graph: PositivePairGraph, model: RepresentationModel) -> np.ndarray:
             f"covariance eigenvalue {float(evals.min())!r} too small to whiten"
         )
     inv_sqrt = evecs @ ((1.0 / np.sqrt(evals))[:, None] * evecs.T)
-    return (F @ inv_sqrt) / np.sqrt(k)
+    return _graph_product(graph.n, F, inv_sqrt) / np.sqrt(k)

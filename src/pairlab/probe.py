@@ -29,7 +29,7 @@ from .errors import (
 from .funclass import FunctionClassSpec, StackedClass
 from .objective import TrainConfig, _descend
 from .posgraph import Partition, PositivePairGraph, cross_cluster_mass
-from .spectral import INFINITE, min_expansion_over_class, pair_discrepancy
+from .spectral import INFINITE, _graph_product, min_expansion_over_class, pair_discrepancy
 
 _RIDGE = 1e-10
 _ORTHO_TOL = 1e-6
@@ -68,13 +68,15 @@ def fit_linear_head(graph: PositivePairGraph, representations: np.ndarray,
     F = np.asarray(representations, dtype=np.float64)
     if F.ndim != 2 or F.shape[0] != graph.n:
         raise DimensionMismatch(f"representations shape {F.shape} vs n={graph.n}")
-    Y = _as_targets(targets, graph.n)
+    n = graph.n
+    Y = _as_targets(targets, n)
     w = graph.marginal
 
-    G = F.T @ (F * w[:, None]) + _RIDGE * np.eye(F.shape[1])
-    C = Y.T @ (F * w[:, None])
+    Fw = F * w[:, None]
+    G = _graph_product(n, F.T, Fw) + _RIDGE * np.eye(F.shape[1])
+    C = _graph_product(n, Y.T, Fw)
     head = scipy.linalg.solve(G, C.T, assume_a="pos").T
-    resid = F @ head.T - Y
+    resid = _graph_product(n, F, head.T) - Y
     return ProbeResult(head=head,
                        error=float(np.sum(w * np.einsum("ij,ij->i", resid, resid))),
                        head_norm=float(np.linalg.norm(head)))

@@ -31,6 +31,14 @@ counts the blocks each route took.
 `pair_discrepancy` walks the CSR joint in chunks of rows, so its memory is
 O(nnz) for a function of any width.
 
+numpy and scipy each run BLAS on a thread pool of their own, and waking
+one beside the other stalls both.  On a graph above `_SCIPY_BLAS_ABOVE`
+(2,048) vertices scipy's LAPACK and ARPACK solve the large blocks, so the
+dense products over the graph's n (the residual check here, `whiten`'s and
+`fit_linear_head`'s) take scipy's dgemm and dgemv too, through
+`_graph_product`; on smaller graphs they stay on numpy.  The deflation of
+the completeness check always takes scipy's dgemv, between ARPACK's calls.
+
 This module also hosts the expansion quantity Q_S and its class-restricted
 minimum beta (for tabular, one pair from the same block solver; no
 |S| x |S| array), which drive the cluster-recovery bounds downstream.
@@ -73,6 +81,7 @@ _LANCZOS_RETRIES = 3        # solves again with doubled ncv before giving up
 _LANCZOS_MAXITER = 200      # eigsh restarts before a block that fits goes dense
 _CUT_MARGIN = 1e-9          # skip a block only this far past the cut: >> s eps ||M|| rounding
 _EDGE_CHUNK_FLOATS = 1 << 16    # pair_discrepancy gathers about this many floats at once
+_SCIPY_BLAS_ABOVE = _DENSE_BLOCK_LIMIT  # graphs above this n: products on scipy's BLAS
 
 
 class _Infinite:
@@ -122,6 +131,43 @@ def _as_function(graph: PositivePairGraph, g) -> np.ndarray:
             f"function shape {arr.shape} does not fit graph with n={graph.n}"
         )
     return arr
+
+
+def _blas_transposed(x: np.ndarray):
+    """x^T as a Fortran-ordered array, and the BLAS trans flag that turns
+    that array into x^T: a C-ordered x is transposed as a view, a
+    Fortran-ordered one is passed with the flag set, so f2py copies
+    neither."""
+    if x.flags.c_contiguous:
+        return x.T, 0
+    if x.flags.f_contiguous:
+        return x, 1
+    return np.ascontiguousarray(x).T, 0
+
+
+def _scipy_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for float64 a and b, one of them 2-D, by scipy's dgemm (or
+    dgemv for a vector).  The call is the column-major one numpy's
+    row-major BLAS call becomes, (b^T a^T)^T, so the product is C-ordered
+    like numpy's and equal to it but for the two BLAS builds' rounding."""
+    if a.ndim == 1:
+        bt, trans = _blas_transposed(b)
+        return scipy.linalg.blas.dgemv(1.0, bt, a, trans=trans)
+    at, trans_a = _blas_transposed(a)
+    if b.ndim == 1:
+        return scipy.linalg.blas.dgemv(1.0, at, b, trans=1 - trans_a)
+    bt, trans_b = _blas_transposed(b)
+    return scipy.linalg.blas.dgemm(1.0, bt, at, trans_a=trans_b, trans_b=trans_a).T
+
+
+def _graph_product(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a product one of whose dimensions is the n of a graph:
+    by scipy's BLAS when n > `_SCIPY_BLAS_ABOVE`, where scipy's LAPACK and
+    ARPACK solve the graph's large blocks, so that a large graph's work
+    wakes one BLAS thread pool and not two; by numpy otherwise."""
+    if n > _SCIPY_BLAS_ABOVE:
+        return _scipy_product(a, b)
+    return a @ b
 
 
 def laplacian_apply(graph: PositivePairGraph, g) -> np.ndarray:
@@ -280,8 +326,9 @@ def _solve_large_block(M, null: np.ndarray, k: int, solves: dict, maxiter=None):
         order = np.argsort(vals, kind="stable")
         vals, vecs = vals[order], vecs[:, order]
         W = np.column_stack([u, vecs])
-        rest, _ = _shifted_smallest(M, lambda x: 3.0 * (W @ (W.T @ x)), 1, start,
-                                    maxiter=maxiter)
+        # on scipy's BLAS, which ARPACK uses between these calls
+        rest, _ = _shifted_smallest(M, lambda x: 3.0 * _scipy_product(W, _scipy_product(W.T, x)),
+                                    1, start, maxiter=maxiter)
         if rest[0] >= vals[-1] - _COMPLETE_TOL:
             return vals[None], vecs[None]
         ncv = min(s, 2 * ncv)
@@ -496,7 +543,7 @@ def eigendecompose(graph: PositivePairGraph, count: int) -> SpectralDecompositio
         more[:] = more_vecs[:, order] / np.sqrt(graph.marginal)[:, None]
         # the defining relation, checked per returned pair
         res = laplacian_apply(graph, more) - more * vals[None, n_zero:]
-        res_sq = np.concatenate([res_sq, graph.marginal @ (res * res)])
+        res_sq = np.concatenate([res_sq, _graph_product(n, graph.marginal, res * res)])
 
     if vals.min() < -_EIG_RANGE_TOL or vals.max() > 2.0 + _EIG_RANGE_TOL:
         raise EigSolverFailure(
@@ -577,7 +624,9 @@ def min_expansion_over_class(graph: PositivePairGraph, subset, class_name: str):
     """(beta, argmin g): the infimum of Q_S over scalar outputs of a class,
     g^T L_S g / g^T (Q - q q^T) g for the conditional marginal q on S
     (Q = diag q) and the Laplacian L_S = diag(d_S) - W of the restricted
-    joint W.  (INFINITE, None) when no in-class function varies on S.
+    joint W.  (INFINITE, None) when S is a single vertex, where no function
+    varies.  For linear, a subset of more than one vertex on which the
+    coordinates carry no variance raises DegenerateCovariance instead.
 
     tabular: all functions on S.  beta is exactly 0.0 on a cell that is
     disconnected after restriction, at a restricted component's indicator.

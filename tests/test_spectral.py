@@ -18,6 +18,8 @@ from pairlab.errors import (
     UnknownClass,
     ZeroFunction,
 )
+from pairlab.funclass import spec_for_graph
+from pairlab.objective import whiten
 from pairlab.posgraph import (
     build_graph,
     connected_components,
@@ -33,6 +35,7 @@ from pairlab.spectral import (
     min_expansion_over_class,
     pair_discrepancy,
 )
+from pairlab.probe import fit_linear_head
 from pairlab.septest import br_oracle_tabular
 from pairlab.synthdata import (
     component_cluster_graph,
@@ -917,3 +920,94 @@ class TestRouteAcrossCrossover:
         dec = eigendecompose(g, 2)
         assert dec.solves["dense_fallback"] == 1
         np.testing.assert_allclose(dec.eigenvalues, closed[:2], rtol=0, atol=1e-12)
+
+
+@pytest.fixture
+def blas_calls(monkeypatch):
+    """Calls of scipy's dgemm and dgemv, counted while a test runs."""
+    calls = {"dgemm": 0, "dgemv": 0}
+    for name in calls:
+        def spy(*args, _real=getattr(scipy.linalg.blas, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg.blas, name, spy)
+    return calls
+
+
+class TestGraphScaleProducts:
+    """Above `_SCIPY_BLAS_ABOVE` (2,048) vertices the products over a
+    graph's n in whiten, fit_linear_head and the eigendecompose residual run
+    on scipy's BLAS, and at or below it on numpy's; both must give the same
+    numbers.  The completeness check's deflation always runs on scipy's."""
+
+    @staticmethod
+    def _each(g, count, calls):
+        """Each step's output and the scipy BLAS calls it made."""
+        labels = connected_components(g).labels
+        c = int(labels.max()) + 1
+        basis = np.eye(c)[labels] + 0.01 * np.random.default_rng(0).standard_normal((g.n, c))
+        model = spec_for_graph("tabular", c, g).model(basis.ravel())
+        out = {}
+
+        def step(name, run):
+            before = dict(calls)
+            out[name] = run(), {k: calls[k] - before[k] for k in calls}
+            return out[name][0]
+
+        step("eigendecompose", lambda: eigendecompose(g, count))
+        white = step("whiten", lambda: whiten(g, model))
+        step("fit_linear_head", lambda: fit_linear_head(g, white, labels))
+        return out
+
+    def test_large_graph_products_run_on_scipy_and_match_numpy(self, blas_calls,
+                                                               monkeypatch):
+        # components of 315, 448 and 1,337 vertices: at count 8 the largest
+        # is iterative, so the deflation runs too
+        g = random_graph(2100, n_components=3, seed=0)
+        got = self._each(g, 8, blas_calls)
+        assert got["eigendecompose"][0].solves["iterative"] == 1
+        assert got["eigendecompose"][1]["dgemv"] > 0
+        assert got["whiten"][1] == {"dgemm": 2, "dgemv": 0}
+        assert got["fit_linear_head"][1] == {"dgemm": 3, "dgemv": 0}
+
+        monkeypatch.setattr(spectral, "_SCIPY_BLAS_ABOVE", g.n)     # numpy's route
+        ref = self._each(g, 8, blas_calls)
+        assert ref["whiten"][1] == ref["fit_linear_head"][1] == {"dgemm": 0, "dgemv": 0}
+        dec, ref_dec = got["eigendecompose"][0], ref["eigendecompose"][0]
+        for a, b in [(dec.eigenvalues, ref_dec.eigenvalues),
+                     (dec.functions, ref_dec.functions),
+                     (got["whiten"][0], ref["whiten"][0]),
+                     (got["fit_linear_head"][0].head, ref["fit_linear_head"][0].head)]:
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
+        assert got["fit_linear_head"][0].error == pytest.approx(
+            ref["fit_linear_head"][0].error, rel=0, abs=1e-13)
+        assert dec.max_residual == pytest.approx(ref_dec.max_residual, rel=1e-12)
+
+    def test_graph_at_the_limit_stays_on_numpy(self, blas_calls):
+        # components of at most 552 vertices: every block dense, no deflation
+        g = random_graph(spectral._SCIPY_BLAS_ABOVE, n_components=6, seed=0)
+        got = self._each(g, 8, blas_calls)
+        assert got["eigendecompose"][0].solves["iterative"] == 0
+        for name, (_, calls) in got.items():
+            assert calls == {"dgemm": 0, "dgemv": 0}, name
+
+    def test_deflation_runs_on_scipy_below_the_limit(self, blas_calls):
+        # the 10^3 torus is one 1,000-vertex block, iterative at count 2
+        g, closed = _torus(10)
+        dec = eigendecompose(g, 2)
+        assert dec.solves["iterative"] == 1
+        assert blas_calls["dgemv"] > 0 and blas_calls["dgemm"] == 0
+        np.testing.assert_allclose(dec.eigenvalues, closed[:2], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_scipy_product_is_numpys(self, layout):
+        rng = np.random.default_rng(1)
+        F = rng.standard_normal((300, 7))
+        H = rng.standard_normal((7, 7))
+        F = {"C": F, "F": np.asfortranarray(F),
+             "strided": np.repeat(F, 2, axis=1)[:, ::2]}[layout]
+        v, x = rng.random(300), rng.random(7)
+        for a, b in [(F.T, F), (F, H), (F, H.T), (F.T, v), (v, F), (F, x)]:
+            got = spectral._scipy_product(a, b)
+            assert got.flags.c_contiguous
+            np.testing.assert_allclose(got, a @ b, rtol=1e-14, atol=1e-14)
