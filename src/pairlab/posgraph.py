@@ -209,37 +209,48 @@ def build_graph(vertices, joint) -> PositivePairGraph:
                              marginal=marg)
 
 
-def from_augmentation_process(natural_weights, kernel, vertices) -> PositivePairGraph:
-    """Graph induced by augmenting naturals: J = Aᵀ diag(p) A.
+def _augmentation_triplets(p, views, kernel) -> _Triplets:
+    """Triplets (x, x', p·a·a') of every ordered pair of each natural's
+    views, natural by natural, each value computed as (p·a)·a'."""
+    c = views.shape[1]
+    return _Triplets(np.repeat(views, c, axis=1).ravel(), np.tile(views, (1, c)).ravel(),
+                     ((p[:, None] * kernel)[:, :, None] * kernel[:, None, :]).ravel())
 
-    `natural_weights` is the distribution p over naturals (length m),
-    `kernel` the m×n augmentation matrix with rows summing to 1 (row i is
-    the augmentation distribution of natural i), and `vertices` the n
-    coordinate rows of the augmented points.
+
+def from_augmentation_process(natural_weights, views, kernel, vertices) -> PositivePairGraph:
+    """Graph of two augmentations of one natural: J(x, x') = Σ p(x̄) A(x|x̄) A(x'|x̄).
+
+    `natural_weights` is the distribution p over m naturals; row i of the
+    (m, c) arrays `views` and `kernel` holds natural i's view vertex ids, which
+    may repeat across naturals, and their probabilities, summing to 1.  The
+    joint reaches `build_graph`, with the n `vertices`, as m·c² triplets.
     """
     p = np.asarray(natural_weights, dtype=np.float64).ravel()
     A = np.asarray(kernel, dtype=np.float64)
+    ids = np.asarray(views)
     if p.size == 0 or A.size == 0:
         raise EmptySupport("empty natural distribution or kernel")
     if A.ndim != 2 or A.shape[0] != p.size:
         raise ValueError(f"kernel shape {A.shape} does not match {p.size} naturals")
+    if ids.shape != A.shape:
+        raise ValueError(f"views shape {ids.shape} does not match kernel shape {A.shape}")
+    n = len(vertices)
+    if ids.dtype.kind not in "iu" or not ((ids >= 0) & (ids < n)).all():
+        raise ValueError(f"views must be integer vertex ids in [0, {n})")
     if p.min() < 0:
         raise EmptySupport("natural weights must be nonnegative")
     total = float(p.sum())
     if total <= 0:
         raise EmptySupport("natural weights sum to zero")
-    if abs(total - 1.0) > _SUM_TOL:
+    if not abs(total - 1.0) <= _SUM_TOL:     # NaN too
         raise NotNormalized(f"natural weights sum to {total!r}")
     if A.min() < 0:
         raise KernelNotNormalized("kernel has negative entries")
     row_sums = A.sum(axis=1)
-    bad = np.abs(row_sums - 1.0) > _SUM_TOL
-    if bad.any():
-        i = int(np.argmax(np.abs(row_sums - 1.0)))
+    i = int(np.argmax(np.abs(row_sums - 1.0)))
+    if not abs(row_sums[i] - 1.0) <= _SUM_TOL:
         raise KernelNotNormalized(f"kernel row {i} sums to {float(row_sums[i])!r}")
-
-    joint = A.T @ (A * p[:, None])
-    return build_graph(vertices, joint)
+    return build_graph(vertices, _augmentation_triplets(p, ids.astype(np.int64), A))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,10 @@ Four generator families:
 
 Continuous augmentation laws are replaced by finite grids; everything is
 enumerated lexicographically so identical arguments give bit-identical graphs.
-Every generator emits its joint as (row, col, value) triplets, never as an
+Examples 1-4 and `component_cluster_graph` build through
+`posgraph.from_augmentation_process`, given each natural's views as vertex
+ids; `two_level_graph` takes its sub-cluster pairs from the same triplets.
+Every joint reaches `build_graph` as (row, col, value) triplets, never as an
 n×n array, so graphs up to the size guard build in bounded memory.
 
 `sign_patterns` fixes the one sign-pattern <-> index convention of the
@@ -32,7 +35,14 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import IncompleteLabelMap, SizeGuardExceeded
-from .posgraph import PositivePairGraph, _Triplets, build_graph, connected_components
+from .posgraph import (
+    PositivePairGraph,
+    _augmentation_triplets,
+    _Triplets,
+    build_graph,
+    connected_components,
+    from_augmentation_process,
+)
 
 DEFAULT_SIZE_GUARD = 20000
 _COORDINATE_GUARD = 16 * DEFAULT_SIZE_GUARD     # vertex coordinates, n x d
@@ -102,25 +112,20 @@ def _check_patch(d: int, s: int, gamma: float) -> None:
 # examples 1 and 2: hypercube with scaled spurious dims
 
 
-def _graph(verts, rows, cols, vals, normalize: bool = False) -> PositivePairGraph:
-    """The graph of `verts` whose joint has the (row, col, value) triplets;
-    repeated (row, col) entries add up.  With `normalize`, the values are
-    first divided by their sum."""
+def _graph(verts, rows, cols, vals) -> PositivePairGraph:
+    """The graph of `verts` whose joint has the (row, col, value) triplets,
+    the values first divided by their sum; repeated (row, col) entries add up."""
     vals = np.asarray(vals, dtype=np.float64)
-    if normalize:
-        vals = vals / vals.sum()
     return build_graph(verts, _Triplets(np.asarray(rows, dtype=np.int64),
-                                        np.asarray(cols, dtype=np.int64), vals))
+                                        np.asarray(cols, dtype=np.int64), vals / vals.sum()))
 
 
-def _block_pairs(starts, size: int):
-    """(rows, cols) of every ordered pair inside blocks of `size` vertices
-    that begin at `starts`."""
-    local = np.arange(size)
-    starts = np.asarray(starts, dtype=np.int64)[:, None]
-    rows = starts + np.repeat(local, size)[None, :]
-    cols = starts + np.tile(local, size)[None, :]
-    return rows.ravel(), cols.ravel()
+def _uniform_process(verts, views: np.ndarray) -> PositivePairGraph:
+    """The graph of uniform naturals, each augmented uniformly to one of
+    the vertex ids in its row of `views`."""
+    m, c = views.shape
+    return from_augmentation_process(np.full(m, 1.0 / m), views,
+                                     np.full((m, c), 1.0 / c), verts)
 
 
 def sign_patterns(bits: int) -> np.ndarray:
@@ -154,12 +159,9 @@ def _hypercube_graph(d: int, s: int, grid: Tuple[float, ...]):
     verts = patterns.copy()
     verts[:, s:] *= np.tile(combos, (n_naturals, 1))
 
-    # p(natural) = 2^-d, kernel uniform over the tau combos of that natural;
-    # augmentation sets are disjoint across naturals here, so the joint is
-    # block diagonal with constant blocks.
-    w = (1.0 / n_naturals) * (1.0 / n_combos) ** 2
-    rows, cols = _block_pairs(np.arange(n_naturals) * n_combos, n_combos)
-    return _graph(verts, rows, cols, np.full(rows.size, w)), patterns[:, :s]
+    # natural i's views are its tau combos, vertices i*n_combos onwards;
+    # naturals share no view, so the joint is block diagonal
+    return _uniform_process(verts, np.arange(n).reshape(n_naturals, n_combos)), patterns[:, :s]
 
 
 def example1_graph(d: int, s: int, tau_grid: Sequence[float] = _TAU_GRID_1,
@@ -260,6 +262,8 @@ def example3_graph(
     if rho < 0:
         raise ValueError(f"need rho >= 0, got {rho!r}")
     for i, label in enumerate(labels):
+        if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+            raise ValueError(f"labels must be integers, got {label!r} for set {i}")
         if not 0 <= label < m:
             raise ValueError(f"labels must lie in [0, m={m}), got {label} for set {i}")
 
@@ -267,10 +271,8 @@ def example3_graph(
     verts = np.empty((n, 2))
     verts[:, 0] = np.repeat(np.arange(r) * (1.25 * gamma + rho), points_per_set)
     verts[:, 1] = np.tile(np.arange(points_per_set) * spread, r)
-    per = points_per_set // sub_clusters_per_set
-    w = (1.0 / r) * (per / points_per_set) / (per * per)
-    rows, cols = _block_pairs(np.arange(r * sub_clusters_per_set) * per, per)
-    graph = _graph(verts, rows, cols, np.full(rows.size, w))
+    # each sub-cluster is a natural whose views are its points
+    graph = _uniform_process(verts, np.arange(n).reshape(r * sub_clusters_per_set, -1))
     labels = np.repeat(np.asarray(labels, dtype=np.int64), points_per_set)
     return LabeledGraph(graph=graph, labels=labels, n_classes=m)
 
@@ -322,13 +324,8 @@ def example4_graph(d: int, s: int, gamma: float,
     # collisions only merge views that share the patch
     assert np.array_equal(labels[vid], view_label)
 
-    # p(natural) uniform, kernel uniform over the natural's tau combos
-    p_nat, k_combo = 1.0 / n_naturals, 1.0 / n_combos
-    w = p_nat * k_combo * k_combo
-    aug = vid.reshape(n_naturals, n_combos)
-    rows = np.repeat(aug, n_combos, axis=1).ravel()
-    cols = np.tile(aug, (1, n_combos)).ravel()
-    graph = _graph(views[first], rows, cols, np.full(rows.size, w))
+    # natural i's views are its tau combos, merged views shared
+    graph = _uniform_process(views[first], vid.reshape(n_naturals, n_combos))
     return LabeledGraph(graph=graph, labels=labels, n_classes=2 ** s)
 
 
@@ -383,7 +380,7 @@ def random_graph(
     rows, cols = np.concatenate([rows, diag]), np.concatenate([cols, diag])
     vals = np.concatenate([vals, rng.uniform(0.05, 0.3, size=n)])
     verts = rng.standard_normal((n, 3))
-    return _graph(verts, rows, cols, vals, normalize=True)
+    return _graph(verts, rows, cols, vals)
 
 
 def component_constant_function(
@@ -399,6 +396,9 @@ def component_constant_function(
 # ---------------------------------------------------------------------------
 # two-level clustered graphs (outer clusters linearly indicated; inner
 # sub-clusters invisible to the linear class)
+
+# the four sign patterns a cluster's private coordinates hold
+_INNER = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
 
 
 def two_level_graph(
@@ -424,19 +424,12 @@ def two_level_graph(
     n, d = 4 * m, m + 2
     _check_size(n, d)
     rng = np.random.default_rng(seed)
-    inner = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+    verts = np.hstack([np.repeat(np.eye(m), 4, axis=0), np.tile(_INNER, (m, 1))])
+    labels = np.repeat(np.arange(m, dtype=np.int64), 4)
 
-    verts = np.zeros((n, d))
-    labels = np.empty(n, dtype=np.int64)
-    for j in range(m):
-        rows = slice(4 * j, 4 * j + 4)
-        verts[rows, j] = 1.0
-        verts[rows, m:] = inner
-        labels[rows] = j
-
-    # 4 ordered pairs x 1/8 = 1/2 per sub-cluster
-    rows, cols = _block_pairs(np.arange(0, n, 2), 2)
-    rows, cols, vals = rows.tolist(), cols.tolist(), [1.0 / 8.0] * rows.size
+    # each sub-cluster a natural of weight 1/2 with two views: 4 pairs x 1/8
+    rows, cols, vals = (a.tolist() for a in _augmentation_triplets(
+        np.full(2 * m, 0.5), np.arange(n).reshape(2 * m, 2), np.full((2 * m, 2), 0.5)))
     n_cross = (m - 1) + int(rng.integers(0, m))
     for idx in range(n_cross):
         if idx < m - 1:
@@ -450,7 +443,7 @@ def two_level_graph(
         cols += [v, u]
         vals += [w / 2.0, w / 2.0]
 
-    graph = _graph(verts, rows, cols, vals, normalize=True)
+    graph = _graph(verts, rows, cols, vals)
     return LabeledGraph(graph=graph, labels=labels, n_classes=m)
 
 
@@ -468,11 +461,6 @@ def component_cluster_graph(n_components: int) -> PositivePairGraph:
         raise ValueError("need at least one cluster")
     n, d = 4 * n_components, 3 * n_components
     _check_size(n, d)
-    inner = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
-    verts = np.zeros((n, d))
-    for j in range(n_components):
-        rows = slice(4 * j, 4 * j + 4)
-        verts[rows, j] = 1.0
-        verts[rows, n_components + 2 * j: n_components + 2 * j + 2] = inner
-    rows, cols = _block_pairs(np.arange(0, n, 4), 4)
-    return _graph(verts, rows, cols, np.ones(rows.size), normalize=True)
+    verts = np.hstack([np.repeat(np.eye(n_components), 4, axis=0),
+                       np.kron(np.eye(n_components), _INNER)])
+    return _uniform_process(verts, np.arange(n).reshape(n_components, 4))

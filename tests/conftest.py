@@ -1,7 +1,10 @@
 """Shared fixtures: tiny hand-checkable graphs, a random-graph helper, the
-reference loop that `random_graph` is checked against, the brute-force b_r
-reference that the oracle tests compare against, and the dense pencil that
-the expansion minimum is compared against."""
+reference loop that `random_graph` is checked against, the hand-written
+joints that the augmentation-process generators are checked against, the
+brute-force b_r reference that the oracle tests compare against, and the
+dense pencil that the expansion minimum is compared against."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -10,14 +13,14 @@ import scipy.sparse
 from scipy.optimize import minimize
 
 from pairlab.errors import DegenerateCovariance, EigSolverFailure, UnknownClass
-from pairlab.posgraph import PositivePairGraph, build_graph, restrict
+from pairlab.posgraph import PositivePairGraph, _Triplets, build_graph, restrict
 from pairlab.spectral import (
     _RANGE_REL_TOL,
     INFINITE,
     _conditional_marginal,
     _subset_indices,
 )
-from pairlab.synthdata import random_graph
+from pairlab.synthdata import random_graph, sign_patterns
 
 
 @pytest.fixture
@@ -110,6 +113,125 @@ def reference_random_graph(n: int, n_components: int = 1,
 
     verts = rng.standard_normal((n, 3))
     return build_graph(verts, joint)
+
+
+# ---------------------------------------------------------------------------
+# the generators' joints as they were written before they built through
+# `from_augmentation_process`: each product p(natural) A(x|natural) A(x'|natural)
+# spelled out by hand, block by block.  The graphs they build are the ones the
+# generators must keep, bit for bit or within the ulps that CHANGES.md lists.
+
+
+def _block_pairs(starts, size: int):
+    """(rows, cols) of every ordered pair inside blocks of `size` vertices
+    that begin at `starts`."""
+    local = np.arange(size)
+    starts = np.asarray(starts, dtype=np.int64)[:, None]
+    rows = starts + np.repeat(local, size)[None, :]
+    cols = starts + np.tile(local, size)[None, :]
+    return rows.ravel(), cols.ravel()
+
+
+def _triplet_graph(verts, rows, cols, vals, normalize: bool = False) -> PositivePairGraph:
+    vals = np.asarray(vals, dtype=np.float64)
+    if normalize:
+        vals = vals / vals.sum()
+    return build_graph(verts, _Triplets(np.asarray(rows, dtype=np.int64),
+                                        np.asarray(cols, dtype=np.int64), vals))
+
+
+def reference_example1_graph(d: int, s: int, grid) -> PositivePairGraph:
+    """Examples 1 and 2's graph: constant blocks of (1/2^d)(1/n_combos)^2."""
+    n_free = d - s
+    n_naturals = 2 ** d
+    n_combos = len(grid) ** n_free
+    combos = np.array(list(itertools.product(grid, repeat=n_free)))
+    verts = np.repeat(sign_patterns(d), n_combos, axis=0)
+    verts[:, s:] *= np.tile(combos, (n_naturals, 1))
+    w = (1.0 / n_naturals) * (1.0 / n_combos) ** 2
+    rows, cols = _block_pairs(np.arange(n_naturals) * n_combos, n_combos)
+    return _triplet_graph(verts, rows, cols, np.full(rows.size, w))
+
+
+def reference_example3_graph(r: int, gamma: float, rho: float, points_per_set: int,
+                             sub_clusters_per_set: int) -> PositivePairGraph:
+    """Example 3's graph: each sub-cluster a block of (1/r)(q_c/q)/q_c^2."""
+    n = r * points_per_set
+    spread = 0.9 * rho / (points_per_set - 1) if points_per_set > 1 else 0.0
+    verts = np.empty((n, 2))
+    verts[:, 0] = np.repeat(np.arange(r) * (1.25 * gamma + rho), points_per_set)
+    verts[:, 1] = np.tile(np.arange(points_per_set) * spread, r)
+    per = points_per_set // sub_clusters_per_set
+    w = (1.0 / r) * (per / points_per_set) / (per * per)
+    rows, cols = _block_pairs(np.arange(r * sub_clusters_per_set) * per, per)
+    return _triplet_graph(verts, rows, cols, np.full(rows.size, w))
+
+
+def reference_example4_graph(d: int, s: int, gamma: float, grid) -> PositivePairGraph:
+    """Example 4's graph: every natural's (view, view) pairs at
+    (1/n_naturals)(1/n_combos)(1/n_combos), merged views adding up."""
+    n_free = d - s
+    combos = np.array(list(itertools.product(grid, repeat=n_free)))
+    n_combos = combos.shape[0]
+    n_naturals = d * (2 ** s) * (2 ** n_free)
+    local = np.empty((2 ** s, 2 ** n_free, n_combos, d))
+    local[..., :s] = gamma * sign_patterns(s)[:, None, None, :]
+    local[..., s:] = sign_patterns(n_free)[:, None, :] * combos
+    shift = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d
+    views = np.moveaxis(local[..., shift], -2, 0).reshape(-1, d) + 0.0
+    _, first, inverse = np.unique(views, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    vid = np.argsort(order)[inverse.ravel()]
+    first = first[order]
+    p_nat, k_combo = 1.0 / n_naturals, 1.0 / n_combos
+    w = p_nat * k_combo * k_combo
+    aug = vid.reshape(n_naturals, n_combos)
+    rows = np.repeat(aug, n_combos, axis=1).ravel()
+    cols = np.tile(aug, (1, n_combos)).ravel()
+    return _triplet_graph(views[first], rows, cols, np.full(rows.size, w))
+
+
+_INNER = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+
+
+def reference_two_level_graph(m: int, seed: int = 0,
+                              cross_scale: float = 1e-3) -> PositivePairGraph:
+    """`two_level_graph`'s graph: 1/8 on each sub-cluster's 4 ordered pairs,
+    then the random cross links, all divided by their sum."""
+    n, d = 4 * m, m + 2
+    rng = np.random.default_rng(seed)
+    verts = np.zeros((n, d))
+    for j in range(m):
+        verts[4 * j: 4 * j + 4, j] = 1.0
+        verts[4 * j: 4 * j + 4, m:] = _INNER
+    rows, cols = _block_pairs(np.arange(0, n, 2), 2)
+    rows, cols, vals = rows.tolist(), cols.tolist(), [1.0 / 8.0] * rows.size
+    n_cross = (m - 1) + int(rng.integers(0, m))
+    for idx in range(n_cross):
+        if idx < m - 1:
+            a, b = idx, idx + 1
+        else:
+            a, b = rng.choice(m, size=2, replace=False)
+        u = int(4 * a + rng.integers(0, 4))
+        v = int(4 * b + rng.integers(0, 4))
+        w = float(rng.uniform(0.5, 1.0)) * cross_scale
+        rows += [u, v]
+        cols += [v, u]
+        vals += [w / 2.0, w / 2.0]
+    return _triplet_graph(verts, rows, cols, vals, normalize=True)
+
+
+def reference_component_cluster_graph(n_components: int) -> PositivePairGraph:
+    """`component_cluster_graph`: ones on each cluster's 16 ordered pairs,
+    divided by their sum."""
+    n, d = 4 * n_components, 3 * n_components
+    verts = np.zeros((n, d))
+    for j in range(n_components):
+        rows = slice(4 * j, 4 * j + 4)
+        verts[rows, j] = 1.0
+        verts[rows, n_components + 2 * j: n_components + 2 * j + 2] = _INNER
+    rows, cols = _block_pairs(np.arange(0, n, 4), 4)
+    return _triplet_graph(verts, rows, cols, np.ones(rows.size), normalize=True)
 
 
 def br_bruteforce(graph: PositivePairGraph, r: int, n_starts: int = 8,

@@ -141,7 +141,7 @@ class TestBuildGraph:
 
 class TestFromAugmentationProcess:
     def test_identity_augmentation_single_natural(self):
-        g = from_augmentation_process([1.0], [[1.0]], [[0.0, 0.0]])
+        g = from_augmentation_process([1.0], [[0]], [[1.0]], [[0.0, 0.0]])
         assert g.n == 1
         np.testing.assert_array_equal(g.joint.toarray(), [[1.0]])
 
@@ -149,10 +149,10 @@ class TestFromAugmentationProcess:
         # two equiprobable naturals, each with two equiprobable private views:
         # each component block is uniform 1/8 = (1/2) * (1/2) * (1/2)
         p = [0.5, 0.5]
-        kernel = [[0.5, 0.5, 0.0, 0.0],
-                  [0.0, 0.0, 0.5, 0.5]]
+        views = [[0, 1], [2, 3]]
+        kernel = [[0.5, 0.5], [0.5, 0.5]]
         verts = [[0.0], [1.0], [10.0], [11.0]]
-        g = from_augmentation_process(p, kernel, verts)
+        g = from_augmentation_process(p, views, kernel, verts)
         assert g.n == 4
         assert connected_components(g).n_sets == 2
         J = g.joint.toarray()
@@ -163,30 +163,61 @@ class TestFromAugmentationProcess:
         rng = np.random.default_rng(5)
         p = rng.dirichlet(np.ones(6))
         kernel = rng.dirichlet(np.ones(9), size=6)
+        views = np.tile(np.arange(9), (6, 1))
         verts = rng.standard_normal((9, 2))
-        g = from_augmentation_process(p, kernel, verts)
+        g = from_augmentation_process(p, views, kernel, verts)
         J = g.joint.toarray()
         assert np.max(np.abs(J - J.T)) == 0.0
         assert abs(J.sum() - 1.0) <= 1e-12
 
+    def test_shared_views_match_dense_product(self):
+        # views repeat across naturals and within one: the joint is the
+        # product A^T diag(p) A of the dense m x n kernel they stand for
+        rng = np.random.default_rng(8)
+        p = rng.dirichlet(np.ones(5))
+        views = rng.integers(0, 7, size=(5, 4))
+        views[:, 0] = np.arange(5)                  # every vertex seen
+        views[0, 1:3] = 5, 6
+        kernel = rng.dirichlet(np.ones(4), size=5)
+        A = np.zeros((5, 7))
+        np.add.at(A, (np.repeat(np.arange(5), 4), views.ravel()), kernel.ravel())
+        g = from_augmentation_process(p, views, kernel, rng.standard_normal((7, 2)))
+        np.testing.assert_allclose(g.joint.toarray(), A.T @ (A * p[:, None]),
+                                   rtol=1e-13, atol=1e-16)
+
     def test_kernel_not_normalized(self):
         with pytest.raises(KernelNotNormalized):
-            from_augmentation_process([1.0], [[0.7]], [[0.0]])
+            from_augmentation_process([1.0], [[0]], [[0.7]], [[0.0]])
 
     def test_empty_support(self):
         with pytest.raises(EmptySupport):
-            from_augmentation_process([], [], [])
+            from_augmentation_process([], [], [], [])
 
-    @pytest.mark.parametrize("p, kernel, verts, error, message", [
-        ([0.5, 0.5], [[1.0]], [[0.0]], ValueError, r"kernel shape \(1, 1\) does not match 2"),
-        ([1.5, -0.5], [[1.0], [1.0]], [[0.0]], EmptySupport, "must be nonnegative"),
-        ([0.0], [[1.0]], [[0.0]], EmptySupport, "sum to zero"),
-        ([0.5], [[1.0]], [[0.0]], NotNormalized, "natural weights sum to 0.5"),
-        ([1.0], [[1.5, -0.5]], [[0.0], [1.0]], KernelNotNormalized, "negative entries"),
-    ], ids=["kernel-shape", "negative-weight", "zero-weights", "weights-sum", "negative-kernel"])
-    def test_bad_process_rejected(self, p, kernel, verts, error, message):
+    @pytest.mark.parametrize("p, views, kernel, verts, error, message", [
+        ([0.5, 0.5], [[0]], [[1.0]], [[0.0]], ValueError,
+         r"kernel shape \(1, 1\) does not match 2"),
+        ([1.5, -0.5], [[0], [0]], [[1.0], [1.0]], [[0.0]], EmptySupport, "must be nonnegative"),
+        ([0.0], [[0]], [[1.0]], [[0.0]], EmptySupport, "sum to zero"),
+        ([0.5], [[0]], [[1.0]], [[0.0]], NotNormalized, "natural weights sum to 0.5"),
+        ([1.0], [[0, 1]], [[1.5, -0.5]], [[0.0], [1.0]], KernelNotNormalized,
+         "negative entries"),
+        ([1.0], [[0]], [[0.5, 0.5]], [[0.0]], ValueError,
+         r"views shape \(1, 1\) does not match kernel shape \(1, 2\)"),
+        ([1.0], [[0, 2]], [[0.5, 0.5]], [[0.0], [1.0]], ValueError,
+         r"views must be integer vertex ids in \[0, 2\)"),
+        ([1.0], [[-1, 0]], [[0.5, 0.5]], [[0.0], [1.0]], ValueError,
+         r"views must be integer vertex ids in \[0, 2\)"),
+        ([1.0], [[0.0, 1.0]], [[0.5, 0.5]], [[0.0], [1.0]], ValueError,
+         r"views must be integer vertex ids in \[0, 2\)"),
+        ([float("nan")], [[0]], [[1.0]], [[0.0]], NotNormalized, "natural weights sum to nan"),
+        ([1.0], [[0, 1]], [[0.5, float("nan")]], [[0.0], [1.0]], KernelNotNormalized,
+         "kernel row 0 sums to nan"),
+    ], ids=["kernel-shape", "negative-weight", "zero-weights", "weights-sum", "negative-kernel",
+            "views-shape", "view-above-n", "negative-view", "float-views", "nan-weight",
+            "nan-kernel"])
+    def test_bad_process_rejected(self, p, views, kernel, verts, error, message):
         with pytest.raises(error, match=message):
-            from_augmentation_process(p, kernel, verts)
+            from_augmentation_process(p, views, kernel, verts)
 
 
 class TestComponentsAndCrossMass:

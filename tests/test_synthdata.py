@@ -27,7 +27,14 @@ from pairlab.synthdata import (
     xor_label_map,
 )
 
-from conftest import reference_random_graph
+from conftest import (
+    reference_component_cluster_graph,
+    reference_example1_graph,
+    reference_example3_graph,
+    reference_example4_graph,
+    reference_random_graph,
+    reference_two_level_graph,
+)
 
 
 def graph_digest(lg) -> str:
@@ -36,6 +43,15 @@ def graph_digest(lg) -> str:
     digest = hashlib.sha256()
     for arr in (lg.graph.vertices, joint.indptr.astype(np.int64),
                 joint.indices.astype(np.int64), joint.data, lg.labels):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+def plain_graph_digest(g) -> str:
+    """SHA-256 of a graph's vertices, CSR joint and marginal."""
+    digest = hashlib.sha256()
+    for arr in (g.vertices, g.joint.indptr.astype(np.int64),
+                g.joint.indices.astype(np.int64), g.joint.data, g.marginal):
         digest.update(np.ascontiguousarray(arr).tobytes())
     return digest.hexdigest()
 
@@ -240,6 +256,9 @@ class TestExample3:
         ({"labels": [0]}, "labels must assign a class to every set"),
         ({"labels": [0, 5]}, r"labels must lie in \[0, m=2\), got 5 for set 1"),
         ({"labels": [-1, 0]}, r"labels must lie in \[0, m=2\), got -1 for set 0"),
+        ({"labels": [0.5, 1]}, r"labels must be integers, got 0.5 for set 0"),
+        ({"labels": [0, 1.0]}, r"labels must be integers, got 1.0 for set 1"),
+        ({"labels": [0, True]}, r"labels must be integers, got True for set 1"),
     ])
     def test_bad_input_refused(self, keys, message):
         args = {"r": 2, "gamma": 1.0, "rho": 0.1, "labels": [0, 1], "m": 2, **keys}
@@ -550,3 +569,81 @@ class TestTripletGenerators:
         assert g.n == 16384 and g.joint.nnz == 256 * 64 * 64
         assert connected_components(g).n_sets == 256
         assert peak < 1 << 30
+
+
+# The example-3 configurations whose joint moved when the examples began to
+# build through `from_augmentation_process`, keyed (r, points_per_set,
+# sub_clusters_per_set), with the largest move of a joint or marginal entry
+# in units in the last place.  Each pair weight is now (p·a)·a' with
+# p = 1/(r·sub-clusters) and a = 1/q_c, where it was (1/r)(q_c/q)/q_c²;
+# CHANGES.md lists the same table.
+_EXAMPLE3_ULPS = {
+    (5, 6, 1): 1, (5, 6, 2): 1, (5, 9, 3): 2, (5, 12, 1): 1, (5, 12, 2): 1,
+    (5, 12, 4): 1, (11, 3, 1): 2, (11, 9, 3): 2, (11, 12, 1): 1, (11, 12, 2): 1,
+}
+
+
+class TestAugmentationProcessReferences:
+    """Every generator that builds through `from_augmentation_process` keeps
+    the graph its hand-written triplets built: the same vertices and CSR
+    pattern, and the same values bit for bit, except for the example-3
+    configurations in `_EXAMPLE3_ULPS`, which may move by as many ulps as
+    listed there."""
+
+    @staticmethod
+    def _ulps(got, want, key=None):
+        for a, b in ((got.vertices, want.vertices), (got.joint.indptr, want.joint.indptr),
+                     (got.joint.indices, want.joint.indices)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
+        return max(int(np.abs(a.view(np.int64) - b.view(np.int64)).max())
+                   for a, b in ((got.joint.data, want.joint.data),
+                                (got.marginal, want.marginal)))
+
+    def test_example1(self):
+        grids = [(1.0,), (0.5, 1.0), (0.5, 0.75, 1.0), (0.6, 0.7, 0.8, 1.0)]
+        configs = [(d, s, grid)
+                   for d, s, grid in itertools.product(range(2, 8), range(1, 7), grids)
+                   if s < d and 2 ** d * len(grid) ** (d - s) <= 4096]
+        assert len(configs) == 71
+        for d, s, grid in configs:
+            got = example1_graph(d, s, grid).graph
+            assert self._ulps(got, reference_example1_graph(d, s, grid)) == 0, (d, s, grid)
+
+    def test_example3(self):
+        configs = [(r, q, sub) for r, q, sub in itertools.product(
+            [1, 2, 3, 5, 7, 11, 16], [1, 2, 3, 4, 6, 8, 9, 12], [1, 2, 3, 4, 6]) if q % sub == 0]
+        assert len(configs) == 154
+        for r, q, sub in configs:
+            got = example3_graph(r, 2.0, 0.1, [i % 2 for i in range(r)], 2, q, sub).graph
+            ulps = self._ulps(got, reference_example3_graph(r, 2.0, 0.1, q, sub), (r, q, sub))
+            assert ulps <= _EXAMPLE3_ULPS.get((r, q, sub), 0), (r, q, sub, ulps)
+
+    def test_example4(self):
+        grids = [(0.0,), (1.0,), (0.0, 1.0), (0.0, 0.5, 1.0), (0.25, 1.0)]
+        configs = [(d, s, grid)
+                   for d, s, grid in itertools.product(range(2, 7), range(1, 6), grids)
+                   if s < d and d * 2 ** s * (2 * len(grid)) ** (d - s) <= 20000]
+        assert len(configs) == 73
+        for d, s, grid in configs:
+            got = example4_graph(d, s, 2.0, grid).graph
+            assert self._ulps(got, reference_example4_graph(d, s, 2.0, grid)) == 0, (d, s, grid)
+
+    @pytest.mark.parametrize("n_components", [1, 2, 3, 5, 10, 30, 100])
+    def test_component_cluster_graph(self, n_components):
+        got = component_cluster_graph(n_components)
+        assert self._ulps(got, reference_component_cluster_graph(n_components)) == 0
+
+    def test_two_level_graph(self):
+        for m, seed, cross_scale in itertools.product([2, 3, 4, 9, 20], [0, 3, 7],
+                                                      [1e-3, 1e-2]):
+            got = two_level_graph(m, seed, cross_scale).graph
+            want = reference_two_level_graph(m, seed, cross_scale)
+            assert self._ulps(got, want) == 0, (m, seed, cross_scale)
+
+    @pytest.mark.parametrize("n_components, digest", [
+        (3, "c524b45c60f6359cdf6eebdf63fdc32855ed20a969d2188033a0269c2df98f53"),
+        (10, "d021cd3555e74eb56cc1840302e23e0917f58a2990cb06191c28ca3064a9375b"),
+    ], ids=["c3", "c10"])
+    def test_component_cluster_graphs_are_pinned(self, n_components, digest):
+        # taken before the cluster graph built through from_augmentation_process
+        assert plain_graph_digest(component_cluster_graph(n_components)) == digest
