@@ -38,11 +38,12 @@ import numpy as np
 from .errors import (
     ConstructionVerificationFailed,
     DimensionMismatch,
+    MalformedGraphFile,
     SpecMismatch,
     TooManyOutputs,
     UnknownClass,
 )
-from .posgraph import PositivePairGraph
+from .posgraph import PositivePairGraph, _number_array
 from .spectral import pair_discrepancy
 from .synthdata import _check_hypercube, _check_patch, _sign_index, sign_patterns
 
@@ -424,15 +425,33 @@ def model_to_dict(model: RepresentationModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> RepresentationModel:
-    """The model of a `model_to_dict` document, checked against its class."""
-    shape = {key: int(v) for key, v in doc["shape"].items()}
+    """The model of a `model_to_dict` document, checked against its class.
+
+    Shape values must be JSON integers and params a flat list of finite JSON
+    numbers; a missing field or any other value raises DimensionMismatch.
+    """
+    missing = sorted({"class", "shape", "params"} - set(doc))
+    if missing:
+        raise DimensionMismatch(f"model document has no {', '.join(missing)}")
+    shape = doc["shape"]
+    if type(shape) is not dict:
+        raise DimensionMismatch(f"model shape must be an object, got {shape!r}")
+    for key, value in shape.items():
+        if type(value) is not int:
+            raise DimensionMismatch(f"shape {key} must be an integer, got {value!r}")
+    try:
+        params = _number_array(doc["params"], "params")
+    except MalformedGraphFile as exc:
+        raise DimensionMismatch(f"model {exc}") from exc
+    if not np.isfinite(params).all():
+        raise DimensionMismatch("model params must be finite")
     try:
         spec = FunctionClassSpec(doc["class"], **shape)
     except TypeError as exc:     # a shape key that no class has, or no k
         raise DimensionMismatch(f"{doc['class']} shape {shape}: {exc}") from exc
     if shape != spec.shape_dict():
         raise DimensionMismatch(f"{spec.class_tag} shape has keys {list(spec.shape_dict())}")
-    return spec.model(doc["params"], doc.get("meta", {}))
+    return spec.model(params, doc.get("meta", {}))
 
 
 def save_model(model: RepresentationModel, path) -> None:

@@ -55,7 +55,7 @@ from .funclass import (
     spec_for_graph,
 )
 from .posgraph import PositivePairGraph
-from .spectral import _graph_product, _on_range, eigendecompose
+from .spectral import _graph_product, _range_basis, eigendecompose
 
 _DIVERGENCE_LIMIT = 1e12
 _MIN_STEP = 1e-18         # smallest fraction of a direction a cell tries
@@ -187,6 +187,12 @@ class TrainConfig:
                 or (self.n_starts is not None and self.n_starts < 1)):
             raise ValueError("need positive step size, max_iters >= 1, "
                              "n_starts >= 1 and seed >= 0")
+        # NaN fails every comparison, so each test below also refuses it
+        if not (self.step_size < np.inf and 0 < self.init_scale < np.inf
+                and 0 <= self.grad_tol < np.inf):
+            raise ValueError(f"need finite step_size, init_scale > 0 and grad_tol >= 0; got "
+                             f"step_size={self.step_size!r}, init_scale={self.init_scale!r}, "
+                             f"grad_tol={self.grad_tol!r}")
 
 
 def _default_starts(class_tag: str) -> int:
@@ -470,40 +476,35 @@ def save_trace(trace, path) -> None:
 # analytic minimizers (oracles)
 
 
+def _per_direction(psi: np.ndarray, lam: float):
+    """(loss, scale c) of each output direction at pair eigenvalue psi: c^2 =
+    max(0, 1 - psi/lam), and the loss is 2 psi - psi^2/lam, or lam above lam."""
+    contrib = np.where(psi <= lam, 2.0 * psi - psi * psi / lam, np.full_like(psi, lam))
+    return contrib, np.sqrt(np.maximum(0.0, 1.0 - psi / lam))
+
+
 def tabular_min_oracle(graph: PositivePairGraph, k: int, lam: float):
     """Exact minimum of the population loss over all tabular models.
 
     In symmetrized coordinates the loss decouples along eigenpairs of the
     pair operator: each of the k output directions aligned with eigenvalue
-    psi contributes min(lam, 2 psi - psi^2 / lam), attained by the
-    eigenfunction scaled by c with c^2 = max(0, 1 - psi/lam).
-    Returns (min_loss, minimizing tabular model).
+    psi contributes `_per_direction(psi, lam)`, attained by the
+    eigenfunction scaled by c.  Returns (min_loss, minimizing tabular model).
     """
     dec = eigendecompose(graph, k)
-    psi = dec.eigenvalues
-    c_sq = np.maximum(0.0, 1.0 - psi / lam)
-    contrib = np.where(psi <= lam, 2.0 * psi - psi * psi / lam,
-                       np.full_like(psi, lam))
-    F = dec.functions * np.sqrt(c_sq)[None, :]
+    contrib, c = _per_direction(dec.eigenvalues, lam)
+    F = dec.functions * c[None, :]
     model = spec_for_graph("tabular", k, graph).model(
         F.ravel(), meta={"oracle": "per-direction spectral minimization"})
     return float(np.sum(contrib)), model
 
 
-def _coordinate_moment(graph: PositivePairGraph):
-    """Sigma = E[x x^T] and its eigenpairs on its range (`_on_range`)."""
-    X = graph.vertices
-    Sigma = X.T @ (X * graph.marginal[:, None])
-    evals, evecs = scipy.linalg.eigh(Sigma)
-    keep = _on_range(evals)
-    return Sigma, evals[keep], evecs[:, keep]
-
-
 def linear_rank(graph: PositivePairGraph) -> int:
-    """rank(E[x x^T]) by `linear_min_oracle`'s range rule: a linear model
-    f = Ux has at most this many independent outputs, so it cannot be
-    whitened at a larger k."""
-    return _coordinate_moment(graph)[1].size
+    """rank(E[x x^T]) on its range (`_range_basis`): a linear model f = Ux
+    has at most this many independent outputs, so it cannot be whitened at
+    a larger k."""
+    X = graph.vertices
+    return _range_basis(X.T @ (X * graph.marginal[:, None]))[0].size
 
 
 def linear_min_oracle(graph: PositivePairGraph, k: int, lam: float):
@@ -511,32 +512,24 @@ def linear_min_oracle(graph: PositivePairGraph, k: int, lam: float):
 
     With Sigma = E[x x^T] and A = E_pos[(x-x+)(x-x+)^T], substituting
     V = U Sigma^{1/2} decouples the loss along the eigenvalues mu of
-    Sigma^{-1/2} A Sigma^{-1/2} (on the range of Sigma): each direction
-    contributes mu - mu^2/(4 lam) when mu <= 2 lam, else lam; output
-    directions beyond rank(Sigma) contribute lam each.
+    Sigma^{-1/2} A Sigma^{-1/2} on the range of Sigma (`_range_basis`): each
+    direction contributes `_per_direction(mu/2, lam)`; output directions
+    beyond rank(Sigma) contribute lam each.
     """
     X = graph.vertices
-    Sigma, evals, evecs = _coordinate_moment(graph)
+    Sigma = X.T @ (X * graph.marginal[:, None])
+    evals, evecs = _range_basis(Sigma)
     A = 2.0 * (Sigma - X.T @ (graph.joint @ X))
     rank = evals.size
     T = evecs / np.sqrt(evals)[None, :]
     M = T.T @ A @ T
     M = (M + M.T) * 0.5
     mu, V = scipy.linalg.eigh(M)
-    mu = np.maximum(mu, 0.0)
-
     use = min(k, rank)
-    contrib = []
+    contrib, c = _per_direction(np.maximum(mu[:use], 0.0) / 2.0, lam)
     U = np.zeros((k, X.shape[1]))
-    for i in range(use):
-        m_i = mu[i]
-        if m_i <= 2.0 * lam:
-            contrib.append(m_i - m_i * m_i / (4.0 * lam))
-            c = np.sqrt(1.0 - m_i / (2.0 * lam))
-        else:
-            contrib.append(lam)
-            c = 0.0
-        U[i] = c * (T @ V[:, i])
+    # one matrix-vector product T v per direction: T V would change their bits
+    U[:use] = c[:, None] * (T @ V[:, :use].T[:, :, None])[:, :, 0]
     total = float(np.sum(contrib)) + lam * max(0, k - rank)
     model = spec_for_graph("linear", k, graph).model(
         U.ravel(), meta={"oracle": "whitened-pencil minimization", "rank": rank})

@@ -29,7 +29,8 @@ from .errors import (
 from .funclass import FunctionClassSpec, StackedClass
 from .objective import TrainConfig, _descend
 from .posgraph import Partition, PositivePairGraph, cross_cluster_mass
-from .spectral import INFINITE, _graph_product, min_expansion_over_class, pair_discrepancy
+from .spectral import (INFINITE, _graph_product, _range_basis, min_expansion_over_class,
+                       pair_discrepancy)
 
 _RIDGE = 1e-10
 _ORTHO_TOL = 1e-6
@@ -107,25 +108,26 @@ def _implementability_residual(graph, class_spec: FunctionClassSpec,
                                targets: np.ndarray) -> float:
     """Weighted least-squares residual of fitting targets inside the class.
 
-    Exact for tabular (always 0) and linear (convex).  For relu/conv it is
+    Exact for tabular (always 0) and linear: the D-weighted distance from
+    the targets to their projection on X T, with T the range basis of
+    E[x x^T] that `linear_min_oracle` whitens with.  For relu/conv it is
     the smallest final loss of 3 seeded starts fitted by the trainer's
     L-BFGS loop (`_descend`, 500 iterations), an upper bound: callers must
     not treat a large value as a certificate of non-implementability for
     those classes.
     """
-    w = graph.marginal
+    w = graph.marginal[:, None]
     if class_spec.class_tag == "tabular":
         return 0.0
     if class_spec.class_tag == "linear":
-        X = graph.vertices * np.sqrt(w)[:, None]
-        Y = targets * np.sqrt(w)[:, None]
-        sol, _, _, _ = np.linalg.lstsq(X, Y, rcond=None)
-        resid = X @ sol - Y
-        return float(np.sum(resid * resid))
+        X = graph.vertices
+        evals, evecs = _range_basis(X.T @ (X * w))
+        B = X @ (evecs / np.sqrt(evals)[None, :])      # D-orthonormal columns
+        resid = targets - B @ (B.T @ (w * targets))
+        return float(np.sum(w * resid * resid))
 
     spec = replace(class_spec, k=targets.shape[1], d=graph.d)
     net = StackedClass(spec, graph)
-    w = w[:, None]
 
     def fit(params):
         F, pre = net.forward(params)

@@ -615,9 +615,12 @@ def expansion_Q(graph: PositivePairGraph, subset, g):
     return numerator / denom
 
 
-def _on_range(evals: np.ndarray) -> np.ndarray:
-    """Mask of the covariance eigenvalues on its range: > `_RANGE_REL_TOL` * max(top, 1)."""
-    return evals > _RANGE_REL_TOL * max(evals.max(initial=0.0), 1.0)
+def _range_basis(C: np.ndarray):
+    """Eigenpairs (evals, evecs) of a PSD second moment C with eigenvalue above
+    `_RANGE_REL_TOL` * max(top, 1): the range every exact linear-class tool uses."""
+    evals, evecs = scipy.linalg.eigh(C)
+    keep = evals > _RANGE_REL_TOL * max(evals.max(initial=0.0), 1.0)
+    return evals[keep], evecs[:, keep]
 
 
 def min_expansion_over_class(graph: PositivePairGraph, subset, class_name: str):
@@ -638,7 +641,7 @@ def min_expansion_over_class(graph: PositivePairGraph, subset, class_name: str):
 
     linear: g(x) = w^T x, coordinates centered under q.  The pencil
     (Xc^T L_S Xc, Xc^T Q Xc), L_S applied through the CSR joint, is solved
-    on the range of the centered covariance.
+    on the range (`_range_basis`) of the centered covariance.
     """
     idx = _subset_indices(graph, subset)
     q = _conditional_marginal(graph, idx)
@@ -663,15 +666,13 @@ def min_expansion_over_class(graph: PositivePairGraph, subset, class_name: str):
         mu = q @ X
         Xc = X - mu
         C = 2.0 * (Xc.T @ (Xc * q[:, None]))
-        evals, evecs = scipy.linalg.eigh(C)
-        keep = _on_range(evals)
-        if not keep.any():
+        evals, R = _range_basis(C)
+        if not evals.size:
             if idx.size > 1:
                 raise DegenerateCovariance(
                     "coordinates carry no variance on the subset"
                 )
             return INFINITE, None
-        R = evecs[:, keep]
         sub = restrict(graph, idx)
         A = 2.0 * (Xc.T @ (sub.marginal[:, None] * Xc - sub.joint @ Xc))
         try:

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pairlab import cli
 from pairlab.cli import _py, graph_from_config, load_config, main
 from pairlab.errors import BetaZero, ConfigError
 from pairlab.funclass import spec_for_graph
@@ -247,6 +248,18 @@ class TestConfigValidation:
         ("train", {"graph": {"random": {"n": 6}}, "class": {"tag": "linear", "k": 1},
                    "lambda": float("-inf")},
          "need a finite number, got -inf"),
+        ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2},
+                   "train": {"step_size": float("nan")}}, "train: need finite step_size"),
+        ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2},
+                   "train": {"step_size": float("inf")}}, "got step_size=inf,"),
+        ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2},
+                   "train": {"init_scale": 0}}, "init_scale=0,"),
+        ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2},
+                   "train": {"init_scale": -0.1}}, "init_scale=-0.1,"),
+        ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2},
+                   "train": {"init_scale": float("inf")}}, "init_scale=inf,"),
+        ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2},
+                   "train": {"grad_tol": float("nan")}}, "grad_tol=nan"),
     ], ids=["missing-d", "s-over-d", "example2-xor-s1", "zero-step", "text-max-iters",
             "text-lambda-train", "text-lambda-probe", "br-classes-text-s",
             "text-count", "zero-r", "empty-lambda-grid", "text-n-graphs",
@@ -264,7 +277,8 @@ class TestConfigValidation:
             "example3-negative-rho", "example3-zero-points", "class-not-object",
             "train-without-class", "probe-without-class", "example3-label-over-m",
             "probe-example3-label-over-m", "infinite-gamma", "nan-gamma", "huge-int-gamma",
-            "infinite-lambda"])
+            "infinite-lambda", "nan-step-size", "infinite-step-size", "zero-init-scale",
+            "negative-init-scale", "infinite-init-scale", "nan-grad-tol"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, doc, message):
         cfg = write_config(tmp_path, {"version": 1, **doc})
         try:
@@ -595,6 +609,12 @@ class TestVerify:
         assert code == 0
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert "3 random disconnected graphs" in rows[0]["check"]
+
+    def test_prop4_counts_each_graph_that_fails(self, monkeypatch):
+        monkeypatch.setattr(cli, "pair_discrepancy", lambda graph, g: 1e-3)
+        row, = cli.verify_prop4(n_graphs=3)
+        assert (row["measured"], row["pass"]) == (3, False)
+        assert "worst discrepancy 1.00e-03" in row["check"]
 
     def test_thm31_accepts_n_graphs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"version": 1, "n_graphs": 1})

@@ -3,6 +3,7 @@ adversarial constructions, serialization."""
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -437,3 +438,29 @@ class TestSerialization:
                                     "params": [0.5] * n_params, "meta": {}}))
         with pytest.raises(DimensionMismatch):
             load_model(path)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"shape": {"k": 1.9, "d": 2}}, "shape k must be an integer, got 1.9"),
+        ({"shape": {"k": True, "d": 2}}, "shape k must be an integer, got True"),
+        ({"shape": {"k": "1", "d": 2}}, "shape k must be an integer, got '1'"),
+        ({"shape": [1, 2]}, "model shape must be an object"),
+        ({"params": [float("nan"), 0.25]}, "model params must be finite"),
+        ({"params": [0.5, float("inf")]}, "model params must be finite"),
+        ({"params": ["0.5", True]}, "model params must hold numbers only"),
+        ({"params": "0.5"}, "model params must be a list"),
+        ({"params": None}, "model params must be a list"),
+    ], ids=["float-k", "bool-k", "text-k", "list-shape", "nan-param", "infinite-param",
+            "text-and-bool-params", "text-params", "null-params"])
+    def test_load_refuses_values_that_are_not_json_numbers(self, tmp_path, change, message):
+        doc = {"class": "linear", "shape": {"k": 1, "d": 2}, "params": [0.5, 0.25], "meta": {}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**doc, **change}))
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            load_model(path)
+
+    @pytest.mark.parametrize("field", ["class", "shape", "params"])
+    def test_load_refuses_a_document_without_a_field(self, field):
+        doc = {"class": "linear", "shape": {"k": 1, "d": 2}, "params": [0.5, 0.25]}
+        del doc[field]
+        with pytest.raises(DimensionMismatch, match=f"model document has no {field}"):
+            model_from_dict(doc)

@@ -121,6 +121,10 @@ class TestBuildGraph:
         with pytest.raises(error, match=message):
             build_graph(verts, joint)
 
+    def test_joint_of_another_size_rejected(self):
+        with pytest.raises(ValueError, match=r"joint shape \(3, 3\) does not match n=4"):
+            build_graph(np.arange(4.0)[:, None], np.full((3, 3), 1.0 / 9.0))
+
     def test_tiny_asymmetry_within_tolerance_symmetrized(self):
         # 1e-12 skew is inside the acceptance tolerance and gets averaged out
         g = build_graph([[0.0], [1.0]],
@@ -594,9 +598,10 @@ class TestStrictLoader:
          r"pair \(0, 1\) is out of CSR order"),
         (lambda doc: {**doc, "joint": {**doc["joint"], "vals": [[0.25], [0.25], [0.25]]}},
          r"flat lists of one length, got shapes \(3,\), \(3,\), \(3, 1\)"),
+        (lambda doc: {**doc, "vertices": "[[0.0], [1.0]]"}, "vertices must be a list"),
     ], ids=["not-object", "marginal-not-list", "vertex-overflow", "short-triplet",
             "flat-vertices", "stored-marginal", "joint-triplets", "lower-pair",
-            "out-of-order", "nested-vals"])
+            "out-of-order", "nested-vals", "text-vertices"])
     def test_malformed_document_rejected(self, two_vertex_uniform, edit, message):
         with pytest.raises(MalformedGraphFile, match=message):
             graph_from_dict(edit(graph_to_dict(two_vertex_uniform)))

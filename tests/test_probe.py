@@ -11,7 +11,8 @@ from pairlab.errors import (
     ZeroFunction,
 )
 from pairlab.funclass import construct_example1_optimal, forward, spec_for_graph
-from pairlab.posgraph import connected_components, partition_from_labels
+from pairlab.objective import linear_rank
+from pairlab.posgraph import build_graph, connected_components, partition_from_labels
 from pairlab.probe import (
     AssumptionReport,
     EigenspaceReport,
@@ -28,6 +29,7 @@ from pairlab.synthdata import (
     example1_graph,
     example4_graph,
     random_graph,
+    two_level_graph,
 )
 
 
@@ -146,6 +148,20 @@ class TestMeasureAssumptions:
             lab.graph, part, spec_for_graph(tag, part.n_sets, lab.graph, s=s))
         assert rep.implementable
         assert rep.implementable_residual <= 1e-10
+
+    def test_linear_residual_reads_the_oracle_range(self):
+        # a fifth coordinate of +-1e-7 splits each outer cluster into its two
+        # sub-clusters, but its moment (1e-14) is below the range rule, so
+        # the linear class has rank 4 and must not fit the sub-clusters with it
+        g = two_level_graph(2, seed=0).graph
+        split = np.tile([1e-7, 1e-7, -1e-7, -1e-7], g.n // 4)
+        g5 = build_graph(np.hstack([g.vertices, split[:, None]]), g.joint)
+        part = partition_from_labels(np.arange(g.n) // 2)
+        residuals = [measure_assumptions(h, part, spec_for_graph("linear", 4, h))
+                     .implementable_residual for h in (g, g5)]
+        assert linear_rank(g5) == linear_rank(g) == 4
+        assert residuals[0] > 0.49
+        assert abs(residuals[1] - residuals[0]) <= 1e-12
 
     def test_relu_class_reports_tabular_standin(self):
         g = random_graph(8, n_components=2, seed=8)
