@@ -292,13 +292,13 @@ def train_config_from(cfg: dict, seed_override: Optional[int]) -> TrainConfig:
 
 
 def _py(obj):
-    """Make numpy values / dataclasses JSON-serializable."""
+    """Make numpy values / dataclasses JSON-serializable; +inf is written "INFINITE"."""
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and obj == INFINITE:
+        return "INFINITE"
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if obj is INFINITE:
-        return "INFINITE"
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return { k: _py(v) for k, v in dataclasses.asdict(obj).items() }
     if isinstance(obj, dict):
@@ -433,10 +433,9 @@ def verify_thm31(n_graphs: int = 20, seed: int = 0) -> List[dict]:
         _, model = linear_min_oracle(graph, m, lam=1.0)
         err = probe_error(graph, forward(model, graph), lg.labels)
         ok = err <= bound and rep.implementable and rep.beta_certified
-        beta_txt = "inf" if rep.beta is INFINITE else f"{rep.beta:.3g}"
         rows.append(_row(
             "thm31",
-            f"graph {i} (m={m}, alpha={rep.alpha:.2e}, beta={beta_txt}): "
+            f"graph {i} (m={m}, alpha={rep.alpha:.2e}, beta={rep.beta:.3g}): "
             f"probe error <= bound",
             err, bound, ok))
     return rows
@@ -718,14 +717,16 @@ def cmd_br(args, cfg: dict) -> int:
     if any("k" in entry for entry in entries):
         raise ConfigError("br trains every class at k = r; remove \"k\" from its classes")
     class_specs = [_class_spec_from(e, graph) for e in entries]   # k is set to each r
-    if any(spec.class_tag == "linear" for spec in class_specs):
-        rank = linear_rank(graph)
-        for r in r_list:
-            if r > rank:
+    for spec in class_specs:     # each class has at most `limit` independent outputs
+        limit = linear_rank(graph) if spec.class_tag == "linear" else graph.n
+        for r in (r for r in r_list if r > limit):
+            if spec.class_tag == "linear":
                 raise ConfigError(
                     f"class=linear, r={r}: f = Ux has at most rank(X^T D X) = "
-                    f"{rank} independent outputs on this graph, so no r={r} "
+                    f"{limit} independent outputs on this graph, so no r={r} "
                     f"cell can be whitened")
+            raise ConfigError(f"class={spec.class_tag}, r={r}: the graph has "
+                              f"{limit} vertices, so r can be at most {limit}")
     grid = tuple(_value(cfg, "lambda_grid", _list_of(_positive_float),
                         list(DEFAULT_LAMBDA_GRID)))
     config = train_config_from(cfg, args.seed)

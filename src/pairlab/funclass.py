@@ -4,7 +4,7 @@ Four classes of functions from vertex coordinates to R^k:
 
   tabular  one free output vector per vertex (the universal class),
   linear   f(x) = U x,
-  relu     f(x) = sigma(U x + b), elementwise max(0, .),
+  relu     f(x) = sigma(U x + b), elementwise max(0, .): conv's one-window case,
   conv     f(x)_i = sum_t sigma(u_i . x_{t:t+s-1} + b_i), circular windows.
 
 Models are value types: a class tag, a shape descriptor, and a flat float64
@@ -135,8 +135,9 @@ class StackedClass:
     Parameters come stacked as a (B, P) array, one flat vector per row,
     and representations go out as a (B, n, k) array.  `forward` returns
     that array and the pre-activation the adjoint needs; `adjoint` maps a
-    (B, n, k) cotangent back to the (B, P) gradient.  The ReLU subgradient
-    at exactly 0 is taken to be 0.
+    (B, n, k) cotangent back to the (B, P) gradient.  relu and conv share
+    one path: relu is conv with one window, the whole vertex.  The ReLU
+    subgradient at exactly 0 is taken to be 0.
     """
 
     def __init__(self, spec: FunctionClassSpec, graph: PositivePairGraph):
@@ -165,9 +166,7 @@ class StackedClass:
         if self.tag == "linear":
             return pre, None
         pre += params[:, None, self.n_weights:]
-        if self.tag == "relu":
-            return np.maximum(pre, 0.0), pre
-        pre = pre.reshape(B, n, -1, k)
+        pre = pre.reshape(B, n, -1, k)      # (B, n, windows, k); relu has one window
         return np.maximum(pre, 0.0).sum(axis=2), pre
 
     def adjoint(self, pre, cotangent: np.ndarray) -> np.ndarray:
@@ -176,10 +175,7 @@ class StackedClass:
             return cotangent.reshape(B, -1)
         if self.tag == "linear":
             return np.matmul(cotangent.transpose(0, 2, 1), self.inputs).reshape(B, -1)
-        if self.tag == "relu":
-            G = cotangent * (pre > 0.0)
-        else:
-            G = (cotangent[:, :, None, :] * (pre > 0.0)).reshape(B, -1, self.k)
+        G = (cotangent[:, :, None, :] * (pre > 0.0)).reshape(B, -1, self.k)
         dU = np.matmul(G.transpose(0, 2, 1), self.inputs)
         return np.concatenate([dU.reshape(B, -1), G.sum(axis=1)], axis=1)
 

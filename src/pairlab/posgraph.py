@@ -151,26 +151,23 @@ def _checked_joint(rows, cols, vals, n: int, sym_tol: float):
     """(rows, cols, vals, total, sym): the joint's canonical triplets, their
     sum and the canonical triplets of J + J^T, after the checks that
     building and loading share.  J^T's entries, sorted by key, line up
-    with J's when the pattern is symmetric; otherwise one stable sort of
-    both merges them, each pair summed J's entry first."""
+    with J's when the pattern is symmetric; otherwise `_canonical` sums
+    J's triplets followed by J^T's, so each pair adds J's entry first,
+    and J - J^T likewise."""
     key, vals = _canonical(rows, cols, vals, n)
     if not ((vals >= 0) & (vals < np.inf)).all():
         raise NotNormalized("joint has negative, NaN or infinite entries")
     rows, cols = key // n, key % n
     t_key = cols * n + rows
     order = np.argsort(t_key)
-    t_key, t_vals = t_key[order], vals[order]
-    if (t_key == key).all():
+    t_vals = vals[order]
+    if (t_key[order] == key).all():
         sym, gap = (rows, cols, vals + t_vals), np.abs(vals - t_vals).max(initial=0.0)
     else:
-        merged = np.concatenate([key, t_key])
-        order = np.argsort(merged, kind="stable")
-        merged = merged[order]
-        first = np.diff(merged, prepend=-1) != 0
-        slot = np.cumsum(first) - 1
-        merged = merged[first]
-        gap = np.abs(np.bincount(slot, np.concatenate([vals, -t_vals])[order])).max()
-        sym = (merged // n, merged % n, np.bincount(slot, np.concatenate([vals, t_vals])[order]))
+        both = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+        gap = np.abs(_canonical(*both, np.concatenate([vals, -vals]), n)[1]).max(initial=0.0)
+        s_key, s_vals = _canonical(*both, np.concatenate([vals, vals]), n)
+        sym = (s_key // n, s_key % n, s_vals)
     if gap > sym_tol:
         raise AsymmetricJoint(f"max |J - J^T| = {gap:.3e}")
     total = float(vals.sum())
@@ -268,9 +265,7 @@ class Partition:
 
     def masses(self, graph: PositivePairGraph) -> np.ndarray:
         """Marginal mass of each set."""
-        out = np.zeros(self.n_sets)
-        np.add.at(out, self.labels, graph.marginal)
-        return out
+        return np.bincount(self.labels, weights=graph.marginal, minlength=self.n_sets)
 
 
 def partition_from_labels(labels: Sequence[int]) -> Partition:
@@ -312,6 +307,22 @@ def cross_cluster_mass(graph: PositivePairGraph, partition: Partition) -> float:
     return float(np.sum(vals[cross]))
 
 
+def _subset_index(subset, n: int, use: str) -> np.ndarray:
+    """`subset` as int64 indices of distinct vertices in [0, n): the one rule
+    by which `restrict` and the expansion quantities read a vertex subset.
+    An empty subset raises EmptySubset("<use> an empty vertex set")."""
+    idx = np.asarray(subset).ravel()
+    if idx.size == 0:
+        raise EmptySubset(f"{use} an empty vertex set")
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"subset must hold integer vertex indices, got {idx.dtype}")
+    if np.unique(idx).size != idx.size:
+        raise ValueError("subset contains repeated indices")
+    if idx.min() < 0 or idx.max() >= n:
+        raise ValueError("subset index out of range")
+    return idx.astype(np.int64, copy=False)
+
+
 def restrict(graph: PositivePairGraph, subset) -> PositivePairGraph:
     """Condition the pair distribution on both endpoints lying in `subset`.
 
@@ -320,14 +331,7 @@ def restrict(graph: PositivePairGraph, subset) -> PositivePairGraph:
     is conditioning of the *joint*; quantities that need the restricted
     *marginal* distribution compute it directly from graph.marginal.)
     """
-    idx = np.asarray(subset, dtype=np.int64).ravel()
-    if idx.size == 0:
-        raise EmptySubset("restriction to an empty vertex set")
-    if len(set(idx.tolist())) != idx.size:
-        raise ValueError("subset contains repeated indices")
-    if idx.min() < 0 or idx.max() >= graph.n:
-        raise ValueError("subset index out of range")
-
+    idx = _subset_index(subset, graph.n, "restriction to")
     local = np.full(graph.n, -1)
     local[idx] = np.arange(idx.size)
     rows, cols, vals = graph.joint_coo()

@@ -94,7 +94,7 @@ def probe_error(graph: PositivePairGraph, representations, targets) -> float:
 @dataclass(frozen=True)
 class AssumptionReport:
     alpha: float
-    beta: object                # float or INFINITE sentinel
+    beta: float                 # INFINITE (math.inf) where no cell can be split
     P_min: float
     P_max: float
     m: int
@@ -253,8 +253,6 @@ def theorem31_bound(report: AssumptionReport) -> float:
         raise AlphaExceedsPmin(
             f"alpha={report.alpha!r} >= P_min={report.P_min!r}"
         )
-    if report.beta is INFINITE:
-        return 0.0
     if report.beta <= 0.0:
         raise BetaZero(f"beta={report.beta!r} gives no finite bound")
     return (report.alpha / report.beta) * (

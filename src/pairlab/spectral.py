@@ -46,6 +46,7 @@ minimum beta (for tabular, one pair from the same block solver; no
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -57,12 +58,11 @@ from scipy import sparse
 from .errors import (
     DegenerateCovariance,
     EigSolverFailure,
-    EmptySubset,
     GraphMismatch,
     UnknownClass,
     ZeroFunction,
 )
-from .posgraph import PositivePairGraph, connected_components, restrict
+from .posgraph import PositivePairGraph, _subset_index, connected_components, restrict
 
 _EIG_RANGE_TOL = 1e-10      # eigenvalues must lie in [-tol, 2+tol]
 _RESIDUAL_TOL = 1e-16       # weighted squared residual of the defining relation
@@ -82,46 +82,7 @@ _LANCZOS_MAXITER = 200      # eigsh restarts before a block that fits goes dense
 _CUT_MARGIN = 1e-9          # skip a block only this far past the cut: >> s eps ||M|| rounding
 _EDGE_CHUNK_FLOATS = 1 << 16    # pair_discrepancy gathers about this many floats at once
 _SCIPY_BLAS_ABOVE = _DENSE_BLOCK_LIMIT  # graphs above this n: products on scipy's BLAS
-
-
-class _Infinite:
-    """Totally-ordered +infinity sentinel (no arithmetic on purpose).
-
-    Used where a ratio is defined to be infinite (zero denominator) so that
-    comparisons like `beta <= INFINITE` work but accidental arithmetic with
-    floats fails loudly instead of propagating float('inf').
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITE"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("pairlab-INFINITE")
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-
-INFINITE = _Infinite()
+INFINITE = math.inf         # Q_S and beta where no function varies on S; JSON writes "INFINITE"
 
 
 def _as_function(graph: PositivePairGraph, g) -> np.ndarray:
@@ -581,10 +542,7 @@ def is_eigenfunction(graph: PositivePairGraph, g, eigenvalue: float, tol: float)
 
 
 def _subset_indices(graph: PositivePairGraph, subset) -> np.ndarray:
-    idx = np.asarray(subset, dtype=np.int64).ravel()
-    if idx.size == 0:
-        raise EmptySubset("expansion over an empty vertex set")
-    return idx
+    return _subset_index(subset, graph.n, "expansion over")
 
 
 def _conditional_marginal(graph: PositivePairGraph, idx: np.ndarray) -> np.ndarray:

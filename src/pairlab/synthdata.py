@@ -259,8 +259,9 @@ def example3_graph(
     if points_per_set < 1:
         raise ValueError(f"need points_per_set >= 1, got {points_per_set}")
     _check_finite(gamma=gamma, rho=rho)
-    if rho < 0:
-        raise ValueError(f"need rho >= 0, got {rho!r}")
+    for name, value in (("gamma", gamma), ("rho", rho)):
+        if value < 0:
+            raise ValueError(f"need {name} >= 0, got {value!r}")
     for i, label in enumerate(labels):
         if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
             raise ValueError(f"labels must be integers, got {label!r} for set {i}")

@@ -260,6 +260,10 @@ class TestConfigValidation:
                    "train": {"init_scale": float("inf")}}, "init_scale=inf,"),
         ("train", {"graph": {"random": {"n": 6}}, "class": {"k": 2},
                    "train": {"grad_tol": float("nan")}}, "grad_tol=nan"),
+        ("br", {"graph": {"random": {"n": 6}}, "r_list": [10]},
+         "class=tabular, r=10: the graph has 6 vertices, so r can be at most 6"),
+        ("graph-info", {"graph": {"example": 3, "r": 2, "gamma": -1.0, "rho": 0.1,
+                                  "labels": [0, 1], "m": 2}}, "graph: need gamma >= 0, got -1.0"),
     ], ids=["missing-d", "s-over-d", "example2-xor-s1", "zero-step", "text-max-iters",
             "text-lambda-train", "text-lambda-probe", "br-classes-text-s",
             "text-count", "zero-r", "empty-lambda-grid", "text-n-graphs",
@@ -278,7 +282,8 @@ class TestConfigValidation:
             "train-without-class", "probe-without-class", "example3-label-over-m",
             "probe-example3-label-over-m", "infinite-gamma", "nan-gamma", "huge-int-gamma",
             "infinite-lambda", "nan-step-size", "infinite-step-size", "zero-init-scale",
-            "negative-init-scale", "infinite-init-scale", "nan-grad-tol"])
+            "negative-init-scale", "infinite-init-scale", "nan-grad-tol", "br-r-over-n",
+            "example3-negative-gamma"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, doc, message):
         cfg = write_config(tmp_path, {"version": 1, **doc})
         try:
@@ -578,6 +583,22 @@ class TestProbe:
                                   spec_for_graph("tabular", k=2, graph=lg.graph))
         with pytest.raises(BetaZero):
             theorem31_bound(rep)
+
+    def test_infinite_beta_written_as_infinite(self, tmp_path, capsys):
+        # one point per set: no function varies on a label cell, so beta is
+        # +inf, JSON writes it as "INFINITE", and the bound is alpha/beta * ... = 0
+        cfg = write_config(tmp_path, {
+            "version": 1,
+            "graph": {"example": 3, "r": 2, "gamma": 1.0, "rho": 0.1, "labels": [0, 1],
+                      "m": 2, "points_per_set": 1},
+            "class": {"tag": "tabular", "k": 1},
+        })
+        out_dir = tmp_path / "out"
+        code, out, _ = run(["probe", "--config", str(cfg), "--out", str(out_dir)], capsys)
+        assert code == 0
+        text = (out_dir / "probe.json").read_text()
+        assert '"beta": "INFINITE"' in text and '"beta": "INFINITE"' in out
+        assert json.loads(text)["bound"] == 0.0
 
     def test_probe_json_names_a_two_level_source(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"version": 1, "graph": {"two_level": {"m": 2}},

@@ -17,6 +17,7 @@ from pairlab.errors import (
 )
 from pairlab.funclass import (
     FunctionClassSpec,
+    StackedClass,
     _verify_onehot_outputs,
     construct_adversarial_universal,
     construct_example1_optimal,
@@ -225,6 +226,32 @@ class TestGradParams:
             fd = (value(up) - value(dn)) / (2 * h)
             denom = max(abs(fd), abs(grad[i]), 1e-8)
             assert abs(fd - grad[i]) / denom <= 1e-4, (tag, i)
+
+
+class TestStackedRelu:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_dense_formula_bit_for_bit(self, seed):
+        # three parameter vectors at once: each row of the forward pass is
+        # max(X W^T + b, 0), and of the adjoint ((cot * [Z > 0])^T X, column
+        # sums); unit 0 of the first row is all zeros, so its pre-activation
+        # is exactly 0 and its subgradient 0
+        rng = np.random.default_rng(seed)
+        n, d, k = int(rng.integers(2, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        g = _grid_graph(rng.standard_normal((n, d)))
+        spec = FunctionClassSpec("relu", k=k, d=d)
+        params = rng.standard_normal((3, spec.param_count()))
+        params[0, :d] = params[0, k * d] = 0.0
+        cot = rng.standard_normal((3, n, k))
+        net = StackedClass(spec, g)
+        F, pre = net.forward(params)
+        grad = net.adjoint(pre, cot)
+        X = g.vertices
+        for b in range(3):
+            Z = X @ params[b, :k * d].reshape(k, d).T + params[b, k * d:]
+            G = cot[b] * (Z > 0.0)
+            assert F[b].tobytes() == np.maximum(Z, 0.0).tobytes()
+            want = np.concatenate([(G.T @ X).ravel(), G.sum(axis=0)])
+            assert grad[b].tobytes() == want.tobytes()
 
 
 class TestLipschitzConstant:

@@ -34,6 +34,7 @@ from pairlab.posgraph import (
     restrict,
     save_graph,
 )
+from pairlab.spectral import expansion_Q, min_expansion_over_class
 from pairlab.synthdata import (
     component_cluster_graph,
     example1_graph,
@@ -141,6 +142,26 @@ class TestBuildGraph:
         K = g.joint.toarray()
         assert K[1, 2] == K[2, 1] == 0.5 * 5e-13 / J.sum()
         assert connected_components(g).n_sets == 1
+
+    @pytest.mark.parametrize("form", ["dense", "coo"])
+    def test_asymmetric_pattern_symmetrized_bit_for_bit(self, form):
+        # lone entries of 1e-12 to 4e-10, inside the symmetry tolerance, make
+        # the pattern asymmetric; the stored joint is (A + A^T) / (2 total)
+        # with total the sum of A's entries in row-major order
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 12))
+            S = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+            A = S + S.T + np.diag(rng.random(n) + 0.1)
+            empty = np.argwhere((A == 0) & (A.T == 0))
+            for i, j in empty[rng.permutation(len(empty))[:3]]:
+                if A[j, i] == 0:
+                    A[i, j] = rng.uniform(1e-12, 4e-10)
+            A /= A.sum()
+            want = (A + A.T) * (0.5 / A[A != 0].sum())
+            joint = A if form == "dense" else scipy.sparse.coo_array(A)
+            g = build_graph(np.arange(n, dtype=float)[:, None], joint)
+            assert g.joint.toarray().tobytes() == want.tobytes(), seed
 
 
 class TestFromAugmentationProcess:
@@ -302,11 +323,19 @@ class TestRestrict:
 
     @pytest.mark.parametrize("subset, message", [
         ([0, 0], "repeated indices"), ([0, 2], "index out of range"),
-        ([-1], "index out of range"),
+        ([-1], "index out of range"), ([0.5, 1.7], "integer vertex indices, got float64"),
+        ([True, False], "integer vertex indices, got bool"),
     ])
     def test_bad_subset_rejected(self, two_vertex_uniform, subset, message):
-        with pytest.raises(ValueError, match=message):
-            restrict(two_vertex_uniform, subset)
+        # restrict and both expansion quantities read a subset by one rule,
+        # before any indexing
+        g = two_vertex_uniform
+        for call in (lambda: restrict(g, subset),
+                     lambda: expansion_Q(g, subset, [1.0, -1.0]),
+                     lambda: min_expansion_over_class(g, subset, "tabular"),
+                     lambda: min_expansion_over_class(g, subset, "linear")):
+            with pytest.raises(ValueError, match=message):
+                call()
 
     def test_vertex_without_pair_mass_in_subset(self):
         # vertex 2 pairs only with vertex 1, which the subset leaves out

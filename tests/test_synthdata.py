@@ -259,6 +259,7 @@ class TestExample3:
         ({"labels": [0.5, 1]}, r"labels must be integers, got 0.5 for set 0"),
         ({"labels": [0, 1.0]}, r"labels must be integers, got 1.0 for set 1"),
         ({"labels": [0, True]}, r"labels must be integers, got True for set 1"),
+        ({"gamma": -1.0}, "need gamma >= 0, got -1.0"),
     ])
     def test_bad_input_refused(self, keys, message):
         args = {"r": 2, "gamma": 1.0, "rho": 0.1, "labels": [0, 1], "m": 2, **keys}
